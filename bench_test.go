@@ -753,6 +753,39 @@ func BenchmarkShardedCachedRead(b *testing.B) {
 	}
 }
 
+// E-SHARD wide read at slserve's default shape: 8 lanes over 4 unbounded
+// shards, every lane raised to just below 1024, so each shard core holds a
+// ~2048-bit unary word. Every iteration makes a no-op WriteMax (one
+// fetch&add(0) plus the epoch announce) and then reads, so the cached row
+// misses every time and pays the full validated collect plus the cache
+// refresh; the uncached row pays the same write and the collect alone.
+func BenchmarkShardedMaxRegisterRead(b *testing.B) {
+	const lanes, shards = 8, 4
+	th := prim.RealThread(0)
+	for _, cached := range []bool{true, false} {
+		name := "cache-on-forced-miss"
+		if !cached {
+			name = "cache-off"
+		}
+		b.Run(name, func(b *testing.B) {
+			m := shard.NewMaxRegister(prim.NewRealWorld(), "m", lanes, shards, shard.WithReadCache(cached))
+			for l := 0; l < lanes; l++ {
+				m.WriteMax(prim.RealThread(l), 1023-int64(l))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.WriteMax(th, 0)
+				m.ReadMax(th)
+			}
+			b.StopTimer()
+			if cached && m.CacheStats().Misses < int64(b.N) {
+				b.Fatalf("cached row: %d misses over %d reads, want every read to miss", m.CacheStats().Misses, b.N)
+			}
+		})
+	}
+}
+
 // E-SNAP multi-word under contention: the validated double-collect scan
 // with a concurrent updater continuously landing XADDs and announces — the
 // retry path and (since PR 5) the helping machinery are what this measures

@@ -90,14 +90,14 @@ func main() {
 		enc.Encode(cells)
 	} else {
 		fmt.Printf("throughput (ops/sec), %v per cell\n\n", *dur)
-		header := fmt.Sprintf("%-38s", "implementation")
+		header := fmt.Sprintf("%-40s", "implementation")
 		for _, p := range procs {
 			header += fmt.Sprintf(" %12s", "p="+strconv.Itoa(p))
 		}
 		fmt.Println(header)
 		i := 0
 		for range targets() {
-			row := fmt.Sprintf("%-38s", cells[i].Name)
+			row := fmt.Sprintf("%-40s", cells[i].Name)
 			for range procs {
 				row += fmt.Sprintf(" %12s", human(cells[i].OpsPerSec))
 				i++
@@ -479,6 +479,29 @@ func targets() []target {
 				return func(t prim.Thread, i int) {
 					if i%4 == 0 {
 						m.WriteMax(t, int64(i%512))
+					} else {
+						m.ReadMax(t)
+					}
+				}
+			},
+		},
+		{
+			// slserve's default maxreg: 8 lanes over 4 unbounded (wide) shards
+			// with the combine cache on, every lane pre-raised to just below
+			// 1024, and a 1:1 write:read mix of values below 1024 — the
+			// writes are then almost all no-op raises, whose epoch announces
+			// still make the next read miss the cache and decode every
+			// shard's ~2048-bit word.
+			name: "maxreg: sharded wide, slserve shape (SL)",
+			build: func(n int) func(prim.Thread, int) {
+				lanes := max(8, n)
+				m := shard.NewMaxRegister(prim.NewRealWorld(), "m", lanes, 4, shard.WithReadCache(true))
+				for l := 0; l < lanes; l++ {
+					m.WriteMax(prim.RealThread(l), 1023-int64(l%8))
+				}
+				return func(t prim.Thread, i int) {
+					if i%2 == 0 {
+						m.WriteMax(t, int64(i%1024))
 					} else {
 						m.ReadMax(t)
 					}

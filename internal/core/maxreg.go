@@ -181,14 +181,18 @@ func (m *FAMaxRegister) ReadMax(t prim.Thread) int64 {
 	return m.decode(word)
 }
 
+// decode returns the largest lane value of the wide word in O(1), whatever
+// the values: lane i's value is the lane-local index k_i of its highest set
+// bit, at absolute position k_i·n+i. Since 0 <= i < n, position order is
+// (k, i) order, so the word's top set bit k·n+i belongs to a lane with the
+// largest k, and (BitLen-1)/n recovers that k. The argument holds for any
+// non-negative word, unary prefixes or not; the empty word reads 0. word is
+// only read, so it may be the world's shared copy-on-write value.
 func (m *FAMaxRegister) decode(word *big.Int) int64 {
-	max := int64(0)
-	for _, lane := range m.codec.Decode(word) {
-		if v := int64(interleave.UnaryValue(lane)); v > max {
-			max = v
-		}
+	if word.Sign() == 0 {
+		return 0
 	}
-	return max
+	return int64((word.BitLen() - 1) / m.n)
 }
 
 func (m *FAMaxRegister) decodePacked(word int64) int64 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"stronglin/internal/interleave"
@@ -305,13 +306,16 @@ func (s *FAGSet) Elems(t prim.Thread) []int64 {
 	}
 	word := s.r.FetchAdd(t, zero)
 	prim.MarkLinPoint(s.w, t)
+	// Walk only the set bits, machine word by machine word; positions rise,
+	// so the elements they name come out ascending with duplicates adjacent.
 	var out []int64
-	for pos := 0; pos < word.BitLen(); pos++ {
-		if word.Bit(pos) == 1 {
-			x := int64(pos / s.n)
+	for wi, w := range word.Bits() {
+		for w != 0 {
+			x := int64((wi*bits.UintSize + bits.TrailingZeros(uint(w))) / s.n)
 			if len(out) == 0 || out[len(out)-1] != x {
 				out = append(out, x)
 			}
+			w &= w - 1
 		}
 	}
 	return out

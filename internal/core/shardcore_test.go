@@ -1,6 +1,10 @@
 package core
 
 import (
+	"maps"
+	"math/big"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"stronglin/internal/history"
@@ -128,6 +132,46 @@ func TestFAGSetSequential(t *testing.T) {
 	}
 	if got := s.Elems(th); len(got) != 2 || got[0] != 0 || got[1] != 3 {
 		t.Fatalf("Elems = %v, want [0 3]", got)
+	}
+}
+
+// elemsPerBit is the bit-at-a-time wide Elems decode, kept as the oracle for
+// the word-level walk.
+func elemsPerBit(n int, word *big.Int) []int64 {
+	var out []int64
+	for pos := 0; pos < word.BitLen(); pos++ {
+		if word.Bit(pos) == 1 {
+			x := int64(pos / n)
+			if len(out) == 0 || out[len(out)-1] != x {
+				out = append(out, x)
+			}
+		}
+	}
+	return out
+}
+
+// TestFAGSetWideElemsMatchesPerBit: the wide Elems' word-level walk agrees
+// with the per-bit decode and with the set of added elements, on 1-9 lanes
+// with elements spread over many big.Words and the same element added from
+// several lanes.
+func TestFAGSetWideElemsMatchesPerBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	th := sim.SoloThread(0)
+	for n := 1; n <= 9; n++ {
+		s := NewFAGSet(sim.NewSoloWorld(), "s", n)
+		added := map[int64]bool{}
+		for step := 0; step < 60; step++ {
+			x := rng.Int63n(500)
+			s.Add(sim.SoloThread(rng.Intn(n)), x)
+			added[x] = true
+			got := s.Elems(th)
+			if want := elemsPerBit(n, s.r.FetchAdd(th, zero)); !slices.Equal(got, want) {
+				t.Fatalf("n=%d step %d: Elems = %v, per-bit %v", n, step, got, want)
+			}
+			if want := slices.Sorted(maps.Keys(added)); !slices.Equal(got, want) {
+				t.Fatalf("n=%d step %d: Elems = %v, added %v", n, step, got, want)
+			}
+		}
 	}
 }
 

@@ -528,9 +528,11 @@ func (s *FASnapshot) Scan(t prim.Thread) []int64 {
 }
 
 // ScanInto is Scan writing the view into a caller-provided slice of length n
-// (returned for convenience). On the machine-word engines it is
-// allocation-free (on the multi-word engine: up to scanStackWords words):
-// one XADD(0) plus shift-and-mask on the single packed word; on the
+// (returned for convenience). It is allocation-free on every engine (on the
+// multi-word engine: up to scanStackWords words): on the wide register one
+// fetch&add(0) plus a walk over the shared word's set bits
+// (interleave.Codec.DecodeInto, which only reads it); one XADD(0) plus
+// shift-and-mask on the single packed word; on the
 // multi-word engine an ANCHORED DOUBLE COLLECT — read the k words
 // repeatedly, words 1..k-1 first and word 0 LAST, until two consecutive
 // collects are identical (each failed read seeding the next round's
@@ -657,10 +659,7 @@ func (s *FASnapshot) ScanInto(t prim.Thread, view []int64) []int64 {
 	}
 	word := s.r.FetchAdd(t, zero)
 	prim.MarkLinPoint(s.w, t)
-	for i, lane := range s.codec.Decode(word) {
-		view[i] = lane.Int64()
-	}
-	return view
+	return s.codec.DecodeInto(word, view)
 }
 
 // scanCollectGen is the multi-word helped double collect on generation g —

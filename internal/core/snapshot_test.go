@@ -133,6 +133,27 @@ func TestWideUpdateUnchangedValueAllocFree(t *testing.T) {
 	}
 }
 
+// TestWideScanIntoAllocFree: the wide ScanInto decodes the shared word
+// straight into the caller's view (interleave.Codec.DecodeInto), so a scan of
+// an 8-lane snapshot holding multi-word values allocates nothing.
+func TestWideScanIntoAllocFree(t *testing.T) {
+	const n = 8
+	s := NewFASnapshot(prim.NewRealWorld(), "snap", n)
+	for i := 0; i < n; i++ {
+		s.Update(prim.RealThread(i), 1000+int64(i))
+	}
+	th := prim.RealThread(0)
+	view := make([]int64, n)
+	if allocs := testing.AllocsPerRun(200, func() { s.ScanInto(th, view) }); allocs != 0 {
+		t.Fatalf("wide ScanInto allocates %.1f per op, want 0", allocs)
+	}
+	for i, v := range view {
+		if v != 1000+int64(i) {
+			t.Fatalf("view = %v, want component i = 1000+i", view)
+		}
+	}
+}
+
 func TestFASnapshotWidth(t *testing.T) {
 	w := sim.NewSoloWorld()
 	s := NewFASnapshot(w, "snap", 4)

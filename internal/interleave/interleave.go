@@ -13,6 +13,7 @@ package interleave
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 	"sync"
 )
 
@@ -50,18 +51,26 @@ func (c Codec) BitPos(lane, k int) int { return k*c.n + lane }
 
 // Spread expands the compact value v into lane positions of the given lane:
 // bit k of v is placed at absolute position k*n + lane. v must be
-// non-negative. The result shares no storage with v.
+// non-negative. The result shares no storage with v. It visits only the set
+// bits of v, scattering them into one word slice sized up front, so it
+// allocates twice (that slice and the big.Int) however many bits v holds.
 func (c Codec) Spread(v *big.Int, lane int) *big.Int {
 	if v.Sign() < 0 {
 		panic("interleave: Spread requires a non-negative value")
 	}
 	out := new(big.Int)
-	for k := 0; k < v.BitLen(); k++ {
-		if v.Bit(k) == 1 {
-			out.SetBit(out, c.BitPos(lane, k), 1)
+	if v.Sign() == 0 {
+		return out
+	}
+	words := make([]big.Word, c.BitPos(lane, v.BitLen()-1)/bits.UintSize+1)
+	for wi, w := range v.Bits() {
+		for w != 0 {
+			pos := c.BitPos(lane, wi*bits.UintSize+bits.TrailingZeros(uint(w)))
+			words[pos/bits.UintSize] |= 1 << (pos % bits.UintSize)
+			w &= w - 1
 		}
 	}
-	return out
+	return out.SetBits(words)
 }
 
 // Lane extracts the compact value of the given lane from an interleaved word:
@@ -80,30 +89,30 @@ func (c Codec) Lane(word *big.Int, lane int) *big.Int {
 	return out
 }
 
-// Decode extracts every lane of the interleaved word.
-func (c Codec) Decode(word *big.Int) []*big.Int {
-	out := make([]*big.Int, c.n)
-	for i := range out {
-		out[i] = new(big.Int)
+// DecodeInto writes the compact value of every lane of the non-negative
+// interleaved word into out (len(out) must equal Lanes()) and returns out.
+// It walks only the set bits of word, machine word by machine word, and never
+// allocates; word is only read, so it may be a value shared with other
+// readers. Every lane must fit in an int64 (lane-local bits 0..62 only), as
+// the wide snapshot's non-negative int64 components always do.
+func (c Codec) DecodeInto(word *big.Int, out []int64) []int64 {
+	if len(out) != c.n {
+		panic(fmt.Sprintf("interleave: DecodeInto needs exactly %d lane slots, got %d", c.n, len(out)))
 	}
-	for pos := 0; pos < word.BitLen(); pos++ {
-		if word.Bit(pos) == 1 {
-			lane := pos % c.n
-			out[lane].SetBit(out[lane], pos/c.n, 1)
+	if word.Sign() < 0 {
+		panic("interleave: DecodeInto requires a non-negative word")
+	}
+	clear(out)
+	for wi, w := range word.Bits() {
+		for w != 0 {
+			pos := wi*bits.UintSize + bits.TrailingZeros(uint(w))
+			k := pos / c.n
+			if k >= 63 {
+				panic(fmt.Sprintf("interleave: DecodeInto: lane %d does not fit an int64", pos%c.n))
+			}
+			out[pos%c.n] |= 1 << k
+			w &= w - 1
 		}
-	}
-	return out
-}
-
-// Encode builds the interleaved word holding vals[i] in lane i. It is the
-// inverse of Decode. len(vals) must equal Lanes().
-func (c Codec) Encode(vals []*big.Int) *big.Int {
-	if len(vals) != c.n {
-		panic(fmt.Sprintf("interleave: Encode needs exactly %d lane values, got %d", c.n, len(vals)))
-	}
-	out := new(big.Int)
-	for i, v := range vals {
-		out.Or(out, c.Spread(v, i))
 	}
 	return out
 }
@@ -117,18 +126,6 @@ func (c Codec) Encode(vals []*big.Int) *big.Int {
 func (c Codec) Delta(from, to *big.Int, lane int) *big.Int {
 	d := c.Spread(to, lane)
 	return d.Sub(d, c.Spread(from, lane))
-}
-
-// UnaryValue interprets the compact lane value v as a unary-encoded natural
-// number: value K is represented by bits 1..K set (bit 0 unused), as in the
-// max-register construction of paper Section 3.1. It returns the index of the
-// highest set bit, which for well-formed unary values equals the encoded
-// number; 0 means "nothing written".
-func UnaryValue(v *big.Int) int {
-	if v.BitLen() == 0 {
-		return 0
-	}
-	return v.BitLen() - 1
 }
 
 // UnaryDelta returns the compact lane delta that raises a unary-encoded lane

@@ -190,6 +190,103 @@ func TestDeltaProperty(t *testing.T) {
 	}
 }
 
+// randNat returns a non-negative value of at most maxBits bits whose bit
+// density is itself random, so sparse, dense and empty values all occur.
+func randNat(rng *rand.Rand, maxBits int) *big.Int {
+	v := new(big.Int)
+	density := rng.Float64()
+	for k := rng.Intn(maxBits + 1); k > 0; k-- {
+		if rng.Float64() < density {
+			v.SetBit(v, k-1, 1)
+		}
+	}
+	return v
+}
+
+// Property: the word-level Spread equals the per-bit one, on values spanning
+// several big.Word boundaries, and leaves its argument untouched.
+func TestSpreadMatchesPerBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(9)
+		c := MustNew(n)
+		lane := rng.Intn(n)
+		v := randNat(rng, 300)
+		before := new(big.Int).Set(v)
+		got, want := c.Spread(v, lane), c.spreadPerBit(v, lane)
+		if got.Cmp(want) != 0 {
+			t.Fatalf("n=%d lane=%d v=%#x: Spread = %#x, per-bit %#x", n, lane, v, got, want)
+		}
+		if got.SetInt64(1); v.Cmp(before) != 0 {
+			t.Fatalf("n=%d lane=%d: Spread's result shares storage with its argument", n, lane)
+		}
+	}
+}
+
+// Property: DecodeInto agrees with the per-bit Decode on every lane — on
+// encoded words and on arbitrary words whose lanes fit an int64, spanning
+// several big.Word boundaries — overwrites whatever out held, and never
+// writes to the word.
+func TestDecodeIntoMatchesDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(9)
+		c := MustNew(n)
+		var word *big.Int
+		if trial%2 == 0 {
+			vals := make([]*big.Int, n)
+			for i := range vals {
+				vals[i] = randNat(rng, 63)
+			}
+			word = c.Encode(vals)
+		} else {
+			word = randNat(rng, 63*n) // top lane-local bit (63n-1)/n = 62
+		}
+		before := new(big.Int).Set(word)
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = -1
+		}
+		c.DecodeInto(word, out)
+		for i, lane := range c.Decode(word) {
+			if !lane.IsInt64() || out[i] != lane.Int64() {
+				t.Fatalf("n=%d word=%#x lane %d: DecodeInto %d, Decode %v", n, word, i, out[i], lane)
+			}
+		}
+		if word.Cmp(before) != 0 {
+			t.Fatalf("n=%d: DecodeInto wrote to its word", n)
+		}
+	}
+}
+
+func TestDecodeIntoPanics(t *testing.T) {
+	c := MustNew(2)
+	tooWide := new(big.Int).SetBit(new(big.Int), c.BitPos(1, 63), 1)
+	for name, f := range map[string]func(){
+		"short-out":     func() { c.DecodeInto(big.NewInt(1), make([]int64, 1)) },
+		"negative-word": func() { c.DecodeInto(big.NewInt(-1), make([]int64, 2)) },
+		"lane-too-wide": func() { c.DecodeInto(tooWide, make([]int64, 2)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: DecodeInto did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+func TestDecodeIntoAllocatesNothing(t *testing.T) {
+	c := MustNew(8)
+	word := randNat(rand.New(rand.NewSource(23)), 8*63)
+	out := make([]int64, 8)
+	if allocs := testing.AllocsPerRun(100, func() { c.DecodeInto(word, out) }); allocs != 0 {
+		t.Fatalf("DecodeInto: %v allocs/op, want 0", allocs)
+	}
+}
+
 func TestUnaryValue(t *testing.T) {
 	tests := []struct {
 		bits []int

@@ -126,8 +126,10 @@ func (p Packed) FieldDelta(from, to int64, lane int) int64 {
 	return (to - from) << (lane * p.width)
 }
 
-// PackedUnaryValue is UnaryValue on a compact int64 lane: value K is
-// represented by bits 1..K set (bit 0 unused); 0 means "nothing written".
+// PackedUnaryValue decodes a unary-encoded compact int64 lane: value K is
+// represented by bits 1..K set (bit 0 unused, as in the max-register
+// construction of paper Section 3.1), so K is the index of the highest set
+// bit; 0 means "nothing written".
 func PackedUnaryValue(v int64) int {
 	if v == 0 {
 		return 0

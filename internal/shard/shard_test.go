@@ -154,6 +154,28 @@ func TestShardedMaxRegisterSequential(t *testing.T) {
 	}
 }
 
+// TestShardedMaxRegisterWideCollectAllocFree pins the uncached wide collect
+// at slserve's default shape — 8 lanes over 4 unbounded shards, every lane
+// raised to just below 1024 — at 0 allocs per read: each shard's decode is a
+// BitLen, not a walk over its ~2048-bit word.
+func TestShardedMaxRegisterWideCollectAllocFree(t *testing.T) {
+	const lanes = 8
+	m := NewMaxRegister(prim.NewRealWorld(), "m", lanes, 4)
+	if m.Packed() {
+		t.Fatal("unbounded shards packed; want the wide cores")
+	}
+	for l := 0; l < lanes; l++ {
+		m.WriteMax(prim.RealThread(l), 1023-int64(l))
+	}
+	th := prim.RealThread(0)
+	if allocs := testing.AllocsPerRun(200, func() { m.ReadMax(th) }); allocs != 0 {
+		t.Fatalf("uncached wide ReadMax allocates %.1f per op, want 0", allocs)
+	}
+	if got := m.ReadMax(th); got != 1023 {
+		t.Fatalf("ReadMax = %d, want 1023", got)
+	}
+}
+
 func TestShardedGSetSequential(t *testing.T) {
 	w := sim.NewSoloWorld()
 	g := NewGSet(w, "g", 4, 2)
