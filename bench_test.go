@@ -527,6 +527,39 @@ func BenchmarkKeyedMap(b *testing.B) {
 	})
 }
 
+// E-KEYED: one empty rehash, 4096 -> 8192 buckets at 8 lanes and default
+// shapes (map: 64 words + 8 bound flags per bucket; gset: 3 words). A
+// bucket generation is one named block per field, so allocs/op stays near
+// one per new bucket (its directory map) rather than one named register per
+// word, epoch and bound flag. Run with -benchmem.
+func BenchmarkKeyedRehash(b *testing.B) {
+	const lanes, from, to = 8, 4096, 8192
+	th := prim.RealThread(0)
+	run := func(b *testing.B, build func() func() error) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			rehash := build()
+			b.StartTimer()
+			if err := rehash(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("map", func(b *testing.B) {
+		run(b, func() func() error {
+			m := keyed.NewMonotoneMap(prim.NewRealWorld(), "km", lanes, keyed.WithBuckets(from))
+			return func() error { return m.Rehash(th, to) }
+		})
+	})
+	b.Run("gset", func(b *testing.B) {
+		run(b, func() func() error {
+			g := keyed.NewGSet(prim.NewRealWorld(), "kg", lanes, keyed.WithBuckets(from))
+			return func() error { return g.Rehash(th, to) }
+		})
+	})
+}
+
 func benchKeyUniverse(n int) []string {
 	keys := make([]string, n)
 	for i := range keys {

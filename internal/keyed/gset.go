@@ -28,14 +28,17 @@ type GSet struct {
 
 	table prim.AnyRegister // *gsetTable
 	gate  sync.RWMutex     // writers share it; Rehash takes it exclusively
+	// builds numbers every table build, a failed Rehash's included, so no
+	// build reuses another's block names. Advanced under the gate.
+	builds int64
 
 	rehashes atomic.Int64
 	retries  atomic.Int64
 }
 
 type gsetTable struct {
-	gen     int64
-	buckets []*gsetBucket
+	gen     int64 // completed rehash cutovers
+	buckets []gsetBucket
 }
 
 type gsetBucket struct {
@@ -89,24 +92,26 @@ func NewGSet(w prim.World, name string, lanes int, opts ...Option) *GSet {
 	return g
 }
 
+// buildTable allocates a bucket generation as one named block per field:
+// bucket b's words are words[b*W : (b+1)*W] and its epoch is epoch[b].
 func (g *GSet) buildTable(gen int64, buckets int) *gsetTable {
-	tb := &gsetTable{gen: gen, buckets: make([]*gsetBucket, buckets)}
+	prefix := fmt.Sprintf("%s.g%d", g.name, g.builds)
+	g.builds++
+	nw := g.codec.Words()
+	words := prim.FetchAddInts(g.w, prefix+".words", buckets*nw, 0)
+	epochs := prim.FetchAddInts(g.w, prefix+".epoch", buckets, 0)
+	tb := &gsetTable{gen: gen, buckets: make([]gsetBucket, buckets)}
 	for b := range tb.buckets {
-		bk := &gsetBucket{
-			words: make([]prim.FetchAddInt, g.codec.Words()),
-			epoch: g.w.FetchAddInt(fmt.Sprintf("%s.g%d.b%d.epoch", g.name, gen, b), 0),
-			dir:   make(map[string]*gsetEntry),
-		}
-		for wi := range bk.words {
-			bk.words[wi] = g.w.FetchAddInt(fmt.Sprintf("%s.g%d.b%d.w%d", g.name, gen, b, wi), 0)
-		}
-		tb.buckets[b] = bk
+		bk := &tb.buckets[b]
+		bk.words = words[b*nw : (b+1)*nw : (b+1)*nw]
+		bk.epoch = epochs[b]
+		bk.dir = make(map[string]*gsetEntry)
 	}
 	return tb
 }
 
 func (tb *gsetTable) bucket(key string) *gsetBucket {
-	return tb.buckets[int(Hash(key)%uint64(len(tb.buckets)))]
+	return &tb.buckets[int(Hash(key)%uint64(len(tb.buckets)))]
 }
 
 // claim returns key's directory entry, assigning the next free slot on first
@@ -228,10 +233,11 @@ func (g *GSet) hasWitnessFree(t prim.Thread, key string) bool {
 
 // Rehash grows the set to the given bucket count (no-op if not larger, so
 // concurrent growers don't compound). It blocks writers on the gate, copies
-// the frozen directory into a freshly-named bucket generation, then flips
-// the table pointer — flip-after-migrate, so an acked add is either migrated
-// exactly or lands in the new generation. On ErrFull from the target shape
-// the old table stays installed untouched.
+// the frozen directory into a new bucket generation (one named block per
+// field), then flips the table pointer — flip-after-migrate, so an acked add
+// is either migrated exactly or lands in the new generation. On ErrFull from
+// the target shape the old table stays installed untouched, and a later
+// Rehash builds under fresh names.
 func (g *GSet) Rehash(t prim.Thread, buckets int) error {
 	if buckets < 1 || buckets > g.cfg.maxBuckets {
 		return fmt.Errorf("keyed: bucket count %d outside [1, %d]", buckets, g.cfg.maxBuckets)
@@ -243,8 +249,8 @@ func (g *GSet) Rehash(t prim.Thread, buckets int) error {
 		return nil
 	}
 	nt := g.buildTable(old.gen+1, buckets)
-	for _, ob := range old.buckets {
-		for key := range ob.dir {
+	for i := range old.buckets {
+		for key := range old.buckets[i].dir {
 			nb := nt.bucket(key)
 			ne, err := nb.claim(key, g.cfg.slots, g.guardWords)
 			if err != nil {
@@ -279,7 +285,8 @@ func (g *GSet) Stats(t prim.Thread) Stats {
 		Rehashes:       g.rehashes.Load(),
 		ReadRetries:    g.retries.Load(),
 	}
-	for _, b := range tb.buckets {
+	for i := range tb.buckets {
+		b := &tb.buckets[i]
 		b.mu.RLock()
 		st.Keys += len(b.dir)
 		b.mu.RUnlock()

@@ -39,9 +39,12 @@
 // pointer register. Writers hold a shared (read) lock on the rehash gate for
 // the duration of one write; Rehash takes the gate exclusively — so the old
 // table is frozen while it migrates — copies every directory entry's exact
-// value into a freshly-named generation of buckets, and only then flips the
-// table pointer. Readers never touch the gate: one table-pointer read inside
-// the op's interval suffices. If a rehash overlaps the read, the old
+// value into a new generation of buckets, and only then flips the table
+// pointer. A generation is one named register block per bucket field (words,
+// epochs, bound flags — prim.FetchAddInts/AnyRegisters), not one name per
+// register, so a rehash claims O(1) names however many buckets it builds.
+// Readers never touch the gate: one table-pointer read inside the op's
+// interval suffices. If a rehash overlaps the read, the old
 // generation it collected from was FROZEN from the gate's acquisition on, so
 // the epoch witness still pins the returned value to an instant inside the
 // read's interval (any write that could contradict it lands in the new

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -304,6 +305,118 @@ func TestKeyedGSetErrFullThenRehashRecovers(t *testing.T) {
 	// Growth is monotone: a racing grower's stale request is a no-op.
 	if err := g.Rehash(t0, 2); err != nil || g.Stats(t0).Generation != 1 {
 		t.Fatalf("no-op rehash moved the table: %v, %+v", err, g.Stats(t0))
+	}
+}
+
+// pickFailedRehashKeys returns four keys that fill a 2-bucket x 2-slot
+// table exactly, overflow one bucket at 3 buckets (three share a residue
+// mod 3) and fit again at 4 buckets.
+func pickFailedRehashKeys() []string {
+	var keys []string
+	fits := func(buckets int) bool {
+		n := make([]int, buckets)
+		for _, k := range keys {
+			b := Hash(k) % uint64(buckets)
+			if n[b]++; n[b] > 2 {
+				return false
+			}
+		}
+		return true
+	}
+	for i := 0; ; i++ {
+		keys = append(keys[:0], fmt.Sprintf("r%d", i), fmt.Sprintf("r%d", i+1), fmt.Sprintf("r%d", i+2), fmt.Sprintf("r%d", i+3))
+		if fits(2) && !fits(3) && fits(4) {
+			return keys
+		}
+	}
+}
+
+// TestKeyedGSetRehashAfterFailedRehash: a Rehash that fails with ErrFull at
+// its target count must not brick the next one — each table build takes
+// fresh block names, so the retry cannot collide with the failed attempt's.
+func TestKeyedGSetRehashAfterFailedRehash(t *testing.T) {
+	keys := pickFailedRehashKeys()
+	g := NewGSet(prim.NewRealWorld(), "kg", 1, WithBuckets(2), WithSlots(2))
+	t0 := prim.RealThread(0)
+	for _, k := range keys {
+		if err := g.Add(t0, k); err != nil {
+			t.Fatalf("Add(%s): %v", k, err)
+		}
+	}
+	if err := g.Rehash(t0, 3); !errors.Is(err, ErrFull) {
+		t.Fatalf("Rehash(3) = %v, want ErrFull", err)
+	}
+	if err := g.Rehash(t0, 4); err != nil {
+		t.Fatalf("Rehash(4) after a failed rehash: %v", err)
+	}
+	for _, k := range keys {
+		if !g.Has(t0, k) {
+			t.Fatalf("Has(%s) = false after rehash", k)
+		}
+	}
+	if st := g.Stats(t0); st.Buckets != 4 || st.Generation != 1 || st.Rehashes != 1 {
+		t.Fatalf("stats = %+v, want 4 buckets / gen 1 / 1 rehash", st)
+	}
+}
+
+// TestKeyedMapRehashAfterFailedRehash is the MonotoneMap twin of
+// TestKeyedGSetRehashAfterFailedRehash.
+func TestKeyedMapRehashAfterFailedRehash(t *testing.T) {
+	keys := pickFailedRehashKeys()
+	m := NewMonotoneMap(prim.NewRealWorld(), "km", 1, WithBuckets(2), WithSlots(2))
+	t0 := prim.RealThread(0)
+	for i, k := range keys {
+		if err := m.IncBy(t0, k, int64(i+1)); err != nil {
+			t.Fatalf("IncBy(%s): %v", k, err)
+		}
+	}
+	if err := m.Rehash(t0, 3); !errors.Is(err, ErrFull) {
+		t.Fatalf("Rehash(3) = %v, want ErrFull", err)
+	}
+	if err := m.Rehash(t0, 4); err != nil {
+		t.Fatalf("Rehash(4) after a failed rehash: %v", err)
+	}
+	for i, k := range keys {
+		if v, err := m.Get(t0, k); err != nil || v != int64(i+1) {
+			t.Fatalf("Get(%s) = %d, %v; want %d", k, v, err, i+1)
+		}
+	}
+	if st := m.Stats(t0); st.Buckets != 4 || st.Generation != 1 || st.Rehashes != 1 {
+		t.Fatalf("stats = %+v, want 4 buckets / gen 1 / 1 rehash", st)
+	}
+}
+
+// TestKeyedRehashAllocsPerBucket pins the block-allocated generations: an
+// empty 8-lane rehash from 4096 to 8192 buckets makes at most 2 heap
+// objects per new bucket (one named block per field, not a named register
+// per word, epoch and bound flag).
+func TestKeyedRehashAllocsPerBucket(t *testing.T) {
+	const lanes, from, to = 8, 4096, 8192
+	th := prim.RealThread(0)
+	cases := []struct {
+		name   string
+		rehash func() error
+	}{
+		{"map", func() func() error {
+			m := NewMonotoneMap(prim.NewRealWorld(), "km", lanes, WithBuckets(from))
+			return func() error { return m.Rehash(th, to) }
+		}()},
+		{"gset", func() func() error {
+			g := NewGSet(prim.NewRealWorld(), "kg", lanes, WithBuckets(from))
+			return func() error { return g.Rehash(th, to) }
+		}()},
+	}
+	for _, c := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.rehash()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: Rehash: %v", c.name, err)
+		}
+		if per := float64(after.Mallocs-before.Mallocs) / to; per > 2 {
+			t.Errorf("%s: rehash %d->%d made %.1f allocs per new bucket, want <= 2", c.name, from, to, per)
+		}
 	}
 }
 
@@ -810,7 +923,7 @@ func TestKeyedConcurrentConvergence(t *testing.T) {
 // heap allocations per op.
 func TestKeyedPackedPathZeroAllocs(t *testing.T) {
 	w := prim.NewRealWorld()
-	g := NewGSet(w, "zg", 4, WithBuckets(4), WithSlots(8))                  // 4x8 bits: 1 word
+	g := NewGSet(w, "zg", 4, WithBuckets(4), WithSlots(8))                       // 4x8 bits: 1 word
 	m := NewMonotoneMap(w, "zm", 2, WithBuckets(4), WithSlots(2), WithWidth(12)) // 4x12 bits: 1 word
 	if !g.Stats(prim.RealThread(0)).Packed || !m.Stats(prim.RealThread(0)).Packed {
 		t.Fatal("test shapes must be packed")

@@ -52,14 +52,17 @@ type MonotoneMap struct {
 
 	table prim.AnyRegister // *mapTable
 	gate  sync.RWMutex
+	// builds numbers every table build, a failed Rehash's included, so no
+	// build reuses another's block names. Advanced under the gate.
+	builds int64
 
 	rehashes atomic.Int64
 	retries  atomic.Int64
 }
 
 type mapTable struct {
-	gen     int64
-	buckets []*mapBucket
+	gen     int64 // completed rehash cutovers
+	buckets []mapBucket
 }
 
 type mapBucket struct {
@@ -119,28 +122,29 @@ func NewMonotoneMap(w prim.World, name string, lanes int, opts ...Option) *Monot
 	return m
 }
 
+// buildTable allocates a bucket generation as one named block per field:
+// bucket b's words are words[b*W : (b+1)*W], its epoch is epoch[b] and its
+// bound flags are bound[b*slots : (b+1)*slots].
 func (m *MonotoneMap) buildTable(gen int64, buckets int) *mapTable {
-	tb := &mapTable{gen: gen, buckets: make([]*mapBucket, buckets)}
+	prefix := fmt.Sprintf("%s.g%d", m.name, m.builds)
+	m.builds++
+	nw, ns := m.codec.Words(), m.cfg.slots
+	words := prim.FetchAddInts(m.w, prefix+".words", buckets*nw, 0)
+	epochs := prim.FetchAddInts(m.w, prefix+".epoch", buckets, 0)
+	bound := prim.AnyRegisters(m.w, prefix+".bound", buckets*ns, false)
+	tb := &mapTable{gen: gen, buckets: make([]mapBucket, buckets)}
 	for b := range tb.buckets {
-		bk := &mapBucket{
-			words: make([]prim.FetchAddInt, m.codec.Words()),
-			epoch: m.w.FetchAddInt(fmt.Sprintf("%s.g%d.b%d.epoch", m.name, gen, b), 0),
-			bound: make([]prim.AnyRegister, m.cfg.slots),
-			dir:   make(map[string]*mapEntry),
-		}
-		for wi := range bk.words {
-			bk.words[wi] = m.w.FetchAddInt(fmt.Sprintf("%s.g%d.b%d.w%d", m.name, gen, b, wi), 0)
-		}
-		for s := range bk.bound {
-			bk.bound[s] = m.w.AnyRegister(fmt.Sprintf("%s.g%d.b%d.s%d.bound", m.name, gen, b, s), false)
-		}
-		tb.buckets[b] = bk
+		bk := &tb.buckets[b]
+		bk.words = words[b*nw : (b+1)*nw : (b+1)*nw]
+		bk.epoch = epochs[b]
+		bk.bound = bound[b*ns : (b+1)*ns : (b+1)*ns]
+		bk.dir = make(map[string]*mapEntry)
 	}
 	return tb
 }
 
 func (tb *mapTable) bucket(key string) *mapBucket {
-	return tb.buckets[int(Hash(key)%uint64(len(tb.buckets)))]
+	return &tb.buckets[int(Hash(key)%uint64(len(tb.buckets)))]
 }
 
 // claim resolves key to its directory entry, inserting a fresh one bound to
@@ -388,7 +392,8 @@ func (m *MonotoneMap) Rehash(t prim.Thread, buckets int) error {
 		return nil
 	}
 	nt := m.buildTable(old.gen+1, buckets)
-	for _, ob := range old.buckets {
+	for i := range old.buckets {
+		ob := &old.buckets[i]
 		for key, oe := range ob.dir {
 			nb := nt.bucket(key)
 			ne, _, err := nb.claim(key, m.cfg.slots, m.lanes, oe.kind)
@@ -436,7 +441,8 @@ func (m *MonotoneMap) Stats(t prim.Thread) Stats {
 		Rehashes:       m.rehashes.Load(),
 		ReadRetries:    m.retries.Load(),
 	}
-	for _, b := range tb.buckets {
+	for i := range tb.buckets {
+		b := &tb.buckets[i]
 		b.mu.RLock()
 		st.Keys += len(b.dir)
 		b.mu.RUnlock()

@@ -2,6 +2,7 @@ package prim
 
 import (
 	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -13,6 +14,52 @@ import (
 // artifact of modelling an infinite array, not a shared-memory step of the
 // algorithm; in the simulated world objects are identified by name, so
 // lazily allocating them does not perturb determinism.
+//
+// Finite arrays allocated all at once go through FetchAddInts and
+// AnyRegisters instead. A block named "A" of n objects reserves the name "A"
+// and every element name "A[0]" .. "A[n-1]", exactly as if each element had
+// been allocated under its own name: a world that backs the block with one
+// contiguous allocation (BlockAllocator) still panics on a block over a
+// claimed name, on an individual claim of "A[i]" against the block, and on a
+// block over a base whose elements were claimed one by one. Worlds without
+// the capability get the n individually named objects, so the simulated world
+// sees the same objects, stepped the same way.
+
+// BlockAllocator is implemented by worlds that can back a block of n
+// same-kind base objects with a single allocation and a single name claim
+// (the real world). It is an optional capability, like Awaiter: the element
+// objects behave exactly like individually allocated ones.
+type BlockAllocator interface {
+	FetchAddInts(name string, n int, init int64) []FetchAddInt
+	AnyRegisters(name string, n int, init any) []AnyRegister
+}
+
+// FetchAddInts allocates n machine-word fetch&add registers, each initially
+// init, as the block name (elements name[0] .. name[n-1]; see the block
+// reservation rule above).
+func FetchAddInts(w World, name string, n int, init int64) []FetchAddInt {
+	if b, ok := w.(BlockAllocator); ok {
+		return b.FetchAddInts(name, n, init)
+	}
+	out := make([]FetchAddInt, n)
+	for i := range out {
+		out[i] = w.FetchAddInt(indexName(name, i), init)
+	}
+	return out
+}
+
+// AnyRegisters allocates n opaque-value registers, each initially init, as
+// the block name (elements name[0] .. name[n-1]).
+func AnyRegisters(w World, name string, n int, init any) []AnyRegister {
+	if b, ok := w.(BlockAllocator); ok {
+		return b.AnyRegisters(name, n, init)
+	}
+	out := make([]AnyRegister, n)
+	for i := range out {
+		out[i] = w.AnyRegister(indexName(name, i), init)
+	}
+	return out
+}
 
 // TASArray is an infinite array of readable test&set objects.
 type TASArray struct {
@@ -94,4 +141,25 @@ func (a *SwapArray) Get(i int) ReadableSwap {
 
 func indexName(base string, i int) string {
 	return base + "[" + strconv.Itoa(i) + "]"
+}
+
+// splitIndex inverts indexName: it reports whether name is base[i] for a
+// non-negative i written the way indexName writes it.
+func splitIndex(name string) (base string, i int, ok bool) {
+	if name == "" || name[len(name)-1] != ']' {
+		return "", 0, false
+	}
+	open := strings.LastIndexByte(name, '[')
+	if open < 0 {
+		return "", 0, false
+	}
+	digits := name[open+1 : len(name)-1]
+	if digits == "" || digits[0] < '0' || digits[0] > '9' || (digits[0] == '0' && len(digits) > 1) {
+		return "", 0, false // no sign, no leading zero: only indexName's spelling
+	}
+	i, err := strconv.Atoi(digits)
+	if err != nil {
+		return "", 0, false
+	}
+	return name[:open], i, true
 }

@@ -182,7 +182,8 @@ func AwaitAny(w World, t Thread, r AnyRegister, ready func(any) bool) any {
 
 // World allocates shared base objects. Each object has a name, unique within
 // the world, which identifies it in recorded execution traces and in the
-// base-object state collections used by the reduction of Lemma 12.
+// base-object state collections used by the reduction of Lemma 12. Element i
+// of a block (FetchAddInts, AnyRegisters) is named name[i].
 type World interface {
 	Register(name string, init int64) Register
 	AnyRegister(name string, init any) AnyRegister

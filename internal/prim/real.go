@@ -10,14 +10,25 @@ import (
 
 // RealWorld allocates primitives backed by sync/atomic for use under genuine
 // hardware concurrency (stress tests, benchmarks). Object names must be
-// unique; allocation is safe for concurrent use.
+// unique, and a block (FetchAddInts, AnyRegisters) named "A" of n objects
+// reserves "A" and every element name "A[0]" .. "A[n-1]" — while claiming
+// only the one name and backing the elements with one contiguous slice, so a
+// block costs O(1) names however large it is. Any overlap between blocks and
+// individually named objects panics; allocation is safe for concurrent use.
 type RealWorld struct {
 	mu    sync.Mutex
 	names map[string]struct{}
+	// blocks maps each block's name to its length: name[i] is reserved for
+	// every i below it.
+	blocks map[string]int
+	// minIndex maps base to the smallest i of an individually claimed
+	// base[i], so a block over base can check its whole range in O(1).
+	minIndex map[string]int
 }
 
 var _ World = (*RealWorld)(nil)
 var _ Awaiter = (*RealWorld)(nil)
+var _ BlockAllocator = (*RealWorld)(nil)
 
 // AwaitAny implements Awaiter by spinning on the register, yielding the
 // processor between probes. The real scheduler provides the weak fairness the
@@ -34,16 +45,74 @@ func (w *RealWorld) AwaitAny(t Thread, r AnyRegister, ready func(any) bool) any 
 
 // NewRealWorld returns an empty real world.
 func NewRealWorld() *RealWorld {
-	return &RealWorld{names: make(map[string]struct{})}
+	return &RealWorld{
+		names:    make(map[string]struct{}),
+		blocks:   make(map[string]int),
+		minIndex: make(map[string]int),
+	}
 }
 
 func (w *RealWorld) claim(name string) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.claimLocked(name)
+}
+
+func (w *RealWorld) claimLocked(name string) {
 	if _, dup := w.names[name]; dup {
-		panic(fmt.Sprintf("prim: duplicate base object name %q", name))
+		panicDuplicate(name)
+	}
+	base, i, indexed := splitIndex(name)
+	if indexed {
+		if n, ok := w.blocks[base]; ok && i < n {
+			panicDuplicate(name)
+		}
+		if m, ok := w.minIndex[base]; !ok || i < m {
+			w.minIndex[base] = i
+		}
 	}
 	w.names[name] = struct{}{}
+}
+
+// claimBlock reserves name and name[0] .. name[n-1] (see RealWorld).
+func (w *RealWorld) claimBlock(name string, n int) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if m, ok := w.minIndex[name]; ok && m < n {
+		panicDuplicate(indexName(name, m))
+	}
+	w.claimLocked(name)
+	w.blocks[name] = n
+}
+
+func panicDuplicate(name string) {
+	panic(fmt.Sprintf("prim: duplicate base object name %q", name))
+}
+
+// FetchAddInts allocates a block of n machine-word fetch&add registers backed
+// by one contiguous slice.
+func (w *RealWorld) FetchAddInts(name string, n int, init int64) []FetchAddInt {
+	w.claimBlock(name, n)
+	block := make([]realFetchAddInt, n)
+	out := make([]FetchAddInt, n)
+	for i := range block {
+		block[i].v.Store(init)
+		out[i] = &block[i]
+	}
+	return out
+}
+
+// AnyRegisters allocates a block of n opaque-value registers backed by one
+// contiguous slice.
+func (w *RealWorld) AnyRegisters(name string, n int, init any) []AnyRegister {
+	w.claimBlock(name, n)
+	block := make([]realAnyRegister, n)
+	out := make([]AnyRegister, n)
+	for i := range block {
+		block[i].v.Store(init)
+		out[i] = &block[i]
+	}
+	return out
 }
 
 // Register allocates an atomic read/write register.

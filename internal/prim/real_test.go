@@ -240,6 +240,85 @@ func TestDuplicateNamePanics(t *testing.T) {
 	w.TAS("x")
 }
 
+// mustPanicDuplicate runs alloc and requires the duplicate-name panic naming
+// want.
+func mustPanicDuplicate(t *testing.T, want string, alloc func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		msg := fmt.Sprintf("prim: duplicate base object name %q", want)
+		if r := recover(); r != msg {
+			t.Fatalf("panic = %v, want %q", r, msg)
+		}
+	}()
+	alloc()
+}
+
+// TestBlockNameCollisions pins the exact block reservation rule: a block
+// "A" of n objects collides with exactly the names "A" and "A[0]" ..
+// "A[n-1]", in whichever order the claims arrive.
+func TestBlockNameCollisions(t *testing.T) {
+	t.Run("block vs block", func(t *testing.T) {
+		w := NewRealWorld()
+		FetchAddInts(w, "A", 2, 0)
+		mustPanicDuplicate(t, "A", func() { AnyRegisters(w, "A", 5, false) })
+	})
+	t.Run("block over claimed name", func(t *testing.T) {
+		w := NewRealWorld()
+		w.Register("A", 0)
+		mustPanicDuplicate(t, "A", func() { FetchAddInts(w, "A", 1, 0) })
+	})
+	t.Run("block vs name[i]", func(t *testing.T) {
+		w := NewRealWorld()
+		FetchAddInts(w, "A", 3, 0)
+		mustPanicDuplicate(t, "A[2]", func() { w.TAS("A[2]") })
+		mustPanicDuplicate(t, "A", func() { w.Swap("A", 0) })
+		// Outside the range, or not indexName's spelling: distinct names.
+		w.Register("A[3]", 0)
+		w.Register("A[02]", 0)
+		w.Register("A[-1]", 0)
+		w.Register("A[x]", 0)
+	})
+	t.Run("name[i] then block", func(t *testing.T) {
+		w := NewRealWorld()
+		w.Register("A[4]", 0)
+		w.Register("A[2]", 0)
+		FetchAddInts(w, "A", 2, 0) // A[0], A[1]: clear of both
+		w2 := NewRealWorld()
+		w2.Register("A[4]", 0)
+		w2.Register("A[2]", 0)
+		mustPanicDuplicate(t, "A[2]", func() { AnyRegisters(w2, "A", 3, false) })
+	})
+	t.Run("nested block", func(t *testing.T) {
+		w := NewRealWorld()
+		FetchAddInts(w, "A", 4, 0)
+		mustPanicDuplicate(t, "A[1]", func() { FetchAddInts(w, "A[1]", 2, 0) })
+		w2 := NewRealWorld()
+		FetchAddInts(w2, "A[1]", 2, 0)
+		mustPanicDuplicate(t, "A[1][0]", func() { w2.Register("A[1][0]", 0) })
+		mustPanicDuplicate(t, "A[1]", func() { FetchAddInts(w2, "A", 4, 0) })
+	})
+}
+
+// TestBlockElementsAreIndependentRegisters: block elements start at init
+// and step independently, like individually allocated registers.
+func TestBlockElementsAreIndependentRegisters(t *testing.T) {
+	w := NewRealWorld()
+	th := RealThread(0)
+	fs := FetchAddInts(w, "F", 3, 7)
+	if prev := fs[1].FetchAddInt(th, 5); prev != 7 {
+		t.Fatalf("FetchAddInt prev = %d, want 7", prev)
+	}
+	if got := []int64{fs[0].FetchAddInt(th, 0), fs[1].FetchAddInt(th, 0), fs[2].FetchAddInt(th, 0)}; got[0] != 7 || got[1] != 12 || got[2] != 7 {
+		t.Fatalf("block values = %v, want [7 12 7]", got)
+	}
+	rs := AnyRegisters(w, "R", 2, false)
+	rs[0].WriteAny(th, true)
+	if rs[0].ReadAny(th) != true || rs[1].ReadAny(th) != false {
+		t.Fatalf("any block = [%v %v], want [true false]", rs[0].ReadAny(th), rs[1].ReadAny(th))
+	}
+}
+
 func TestTAS2AccessDiscipline(t *testing.T) {
 	w := NewRealWorld()
 	ts := w.TAS2("t2", 0, 2)

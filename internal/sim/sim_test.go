@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -378,6 +379,29 @@ func TestDuplicateObjectNamePanics(t *testing.T) {
 		}
 	}()
 	w.TAS("x")
+}
+
+// TestBlockFallbackNamesElements: the simulated world has no block
+// capability, so a prim block is n objects named name[i], each its own base
+// object at the block's init, and its duplicate check guards every element.
+func TestBlockFallbackNamesElements(t *testing.T) {
+	w := NewSoloWorld()
+	prim.FetchAddInts(w, "blk", 2, 5)
+	prim.AnyRegisters(w, "flag", 2, false)
+	want := []string{"blk[0]", "blk[1]", "flag[0]", "flag[1]"}
+	if got := w.ObjectNames(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("objects = %v, want %v", got, want)
+	}
+	if st, ok := w.PeekObject("blk[1]"); !ok || st.I64 != 5 {
+		t.Fatalf("blk[1] = %+v, %v; want 5", st, ok)
+	}
+	defer func() {
+		want := `sim: duplicate base object name "blk[1]"`
+		if r := recover(); r != want {
+			t.Fatalf("panic = %v, want %q", r, want)
+		}
+	}()
+	w.Register("blk[1]", 0)
 }
 
 func TestExecutionStringIsStable(t *testing.T) {
