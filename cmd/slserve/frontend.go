@@ -28,7 +28,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	neturl "net/url"
@@ -96,7 +95,7 @@ type frontend struct {
 	cfg    frontendConfig
 	tb     *cluster.Table
 	health *cluster.Health
-	client *http.Client
+	pools  []*backendPool // one per cfg.backends entry, same index
 	slots  chan int
 	kick   chan struct{} // reconciler wake signal (coalesced)
 
@@ -131,6 +130,7 @@ type frontend struct {
 	hedges          *obs.Counter
 	degraded        *obs.Counter
 	backoffNs       *obs.Histogram
+	dials           *obs.Counter
 }
 
 // kmapAck is one key's acked monotone-map history: for kind "counter", val
@@ -140,24 +140,34 @@ type kmapAck struct {
 	val  int64
 }
 
+// kgsetRoutes and mapRoutes are the keyed partitions' routing keys
+// (kgset.pN / map.pN), indexed by keyedPartition.
+var kgsetRoutes, mapRoutes = partitionRoutes("kgset"), partitionRoutes("map")
+
+func partitionRoutes(object string) (routes [keyPartitions]string) {
+	for p := range routes {
+		routes[p] = fmt.Sprintf("%s.p%d", object, p)
+	}
+	return routes
+}
+
 // routedKeys is every object the ownership table carries: the three dense
 // singletons plus one routing key per keyed partition (kgset.pN / map.pN),
 // so a handoff moves one keyed partition without fencing the rest.
 func routedKeys() []string {
 	keys := []string{"counter", "maxreg", "gset"}
 	for p := 0; p < keyPartitions; p++ {
-		keys = append(keys, fmt.Sprintf("kgset.p%d", p), fmt.Sprintf("map.p%d", p))
+		keys = append(keys, kgsetRoutes[p], mapRoutes[p])
 	}
 	return keys
 }
 
-func newFrontend(cfg frontendConfig) *frontend {
+func newFrontend(cfg frontendConfig) (*frontend, error) {
 	cfg = cfg.withDefaults()
 	w := prim.NewRealWorld()
 	f := &frontend{
 		cfg:         cfg,
 		tb:          cluster.NewTable(w, "route", cfg.slots, -1, routedKeys()...),
-		client:      &http.Client{Timeout: cfg.routeTimeout},
 		slots:       make(chan int, cfg.slots),
 		kick:        make(chan struct{}, 1),
 		gsetLedger:  make(map[int64]struct{}),
@@ -175,7 +185,14 @@ func newFrontend(cfg frontendConfig) *frontend {
 		}
 	})
 	f.registerMetrics()
-	return f
+	for _, b := range cfg.backends {
+		p, err := newBackendPool(b, cfg.routeTimeout, cfg.slots, f.dials)
+		if err != nil {
+			return nil, err
+		}
+		f.pools = append(f.pools, p)
+	}
+	return f, nil
 }
 
 func (f *frontend) registerMetrics() {
@@ -189,6 +206,7 @@ func (f *frontend) registerMetrics() {
 	f.hedges = f.reg.Counter("cluster_hedges_total", "hedged read duplicates fired")
 	f.degraded = f.reg.Counter("cluster_degraded_reads_total", "reads served from the acked ledger while no owner was reachable")
 	f.backoffNs = f.reg.Histogram("cluster_backoff_ns", "per-retry backoff sleeps (jittered, Retry-After honored)")
+	f.dials = f.reg.Counter("slfront_backend_dials_total", "TCP connections dialed to backends (reused idle connections are not counted)")
 	f.reg.GaugeFunc("cluster_epoch", "health view epoch (bumps on any backend state change)", f.health.Epoch)
 	f.reg.CounterFunc("cluster_reroutes_total", "routing re-validations (record moved or backend fenced the generation)", f.tb.Stats.Reroutes.Load)
 	f.reg.CounterFunc("cluster_raced_total", "requests refused retryable because a handoff stole their slot", f.tb.Stats.Raced.Load)
@@ -577,36 +595,27 @@ func (f *frontend) getElems(ctx context.Context, owner int, gen int64) ([]int64,
 // 409 to cluster.ErrFenced (Route re-routes on it) and any other non-200 to
 // a *statusError decoded from the uniform error shape.
 func (f *frontend) do(ctx context.Context, owner int, gen int64, method, uri string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, method, f.cfg.backends[owner]+uri, nil)
+	code, body, err := f.pools[owner].roundTrip(ctx, method, uri, gen)
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("X-SL-Gen", strconv.FormatInt(gen, 10))
-	resp, err := f.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode == http.StatusOK {
-		return io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	}
-	if resp.StatusCode == http.StatusConflict {
+	switch code {
+	case http.StatusOK:
+		return body, nil
+	case http.StatusConflict:
 		return nil, cluster.ErrFenced
 	}
-	var body struct {
+	var e struct {
 		Error             string `json:"error"`
 		Retryable         bool   `json:"retryable"`
 		RetryAfterSeconds int64  `json:"retry_after_seconds"`
 	}
-	json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&body)
+	json.Unmarshal(body, &e) // any other body leaves the zero shape: not retryable
 	return nil, &statusError{
-		code:       resp.StatusCode,
-		reason:     body.Error,
-		retryable:  body.Retryable,
-		retryAfter: time.Duration(body.RetryAfterSeconds) * time.Second,
+		code:       code,
+		reason:     e.Error,
+		retryable:  e.Retryable,
+		retryAfter: time.Duration(e.RetryAfterSeconds) * time.Second,
 	}
 }
 
@@ -734,13 +743,13 @@ func (f *frontend) handler() http.Handler {
 // keyedRoute validates the k parameter and resolves the routing key its
 // partition maps to. The frontend validates k itself (not just the backend)
 // because an invalid k has no partition to route by.
-func keyedRoute(w http.ResponseWriter, r *http.Request, object string) (key, route string, ok bool) {
+func keyedRoute(w http.ResponseWriter, r *http.Request, routes *[keyPartitions]string) (key, route string, ok bool) {
 	key, err := queryKey(r)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err.Error(), false, 0)
 		return "", "", false
 	}
-	return key, fmt.Sprintf("%s.p%d", object, keyedPartition(key)), true
+	return key, routes[keyedPartition(key)], true
 }
 
 func (f *frontend) feKGSetAdd(w http.ResponseWriter, r *http.Request) {
@@ -748,7 +757,7 @@ func (f *frontend) feKGSetAdd(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, "POST only", false, 0)
 		return
 	}
-	key, route, ok := keyedRoute(w, r, "kgset")
+	key, route, ok := keyedRoute(w, r, &kgsetRoutes)
 	if !ok {
 		return
 	}
@@ -759,7 +768,7 @@ func (f *frontend) feKGSetAdd(w http.ResponseWriter, r *http.Request) {
 }
 
 func (f *frontend) feKGSetHas(w http.ResponseWriter, r *http.Request) {
-	_, route, ok := keyedRoute(w, r, "kgset")
+	_, route, ok := keyedRoute(w, r, &kgsetRoutes)
 	if !ok {
 		return
 	}
@@ -771,7 +780,7 @@ func (f *frontend) feMapInc(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, "POST only", false, 0)
 		return
 	}
-	key, route, ok := keyedRoute(w, r, "map")
+	key, route, ok := keyedRoute(w, r, &mapRoutes)
 	if !ok {
 		return
 	}
@@ -798,7 +807,7 @@ func (f *frontend) feMapMax(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, "POST only", false, 0)
 		return
 	}
-	key, route, ok := keyedRoute(w, r, "map")
+	key, route, ok := keyedRoute(w, r, &mapRoutes)
 	if !ok {
 		return
 	}
@@ -810,7 +819,7 @@ func (f *frontend) feMapMax(w http.ResponseWriter, r *http.Request) {
 }
 
 func (f *frontend) feMapGet(w http.ResponseWriter, r *http.Request) {
-	_, route, ok := keyedRoute(w, r, "map")
+	_, route, ok := keyedRoute(w, r, &mapRoutes)
 	if !ok {
 		return
 	}
@@ -1082,7 +1091,7 @@ func runFrontend(ctx context.Context) error {
 	if len(backends) == 0 {
 		return errors.New("-frontend requires -backends URL[,URL...]")
 	}
-	f := newFrontend(frontendConfig{
+	f, err := newFrontend(frontendConfig{
 		backends:     backends,
 		routeTimeout: *routeTimeout,
 		retries:      *routeRetries,
@@ -1095,9 +1104,13 @@ func runFrontend(ctx context.Context) error {
 		drain:         *handoffDrain,
 		degradedReads: *degradedReads,
 	})
+	if err != nil {
+		return err
+	}
 	f.start(ctx)
 
-	hs := &http.Server{Addr: *addr, Handler: f.handler()}
+	hs := newHTTPServer(f.handler())
+	hs.Addr = *addr
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	fmt.Printf("slserve: frontend over %d backends, listening on %s\n", len(backends), *addr)

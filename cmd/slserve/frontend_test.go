@@ -29,8 +29,8 @@ func fastHealth() cluster.HealthConfig {
 	}
 }
 
-func newTestFrontend(backends []string, h cluster.HealthConfig) *frontend {
-	return newFrontend(frontendConfig{
+func newTestFrontend(t testing.TB, backends []string, h cluster.HealthConfig) *frontend {
+	return mustFrontend(t, frontendConfig{
 		backends:      backends,
 		routeTimeout:  time.Second,
 		retries:       4,
@@ -39,6 +39,15 @@ func newTestFrontend(backends []string, h cluster.HealthConfig) *frontend {
 		degradedReads: true,
 		slots:         16,
 	})
+}
+
+func mustFrontend(t testing.TB, cfg frontendConfig) *frontend {
+	t.Helper()
+	f, err := newFrontend(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
 
 // feReq drives one request through the frontend handler.
@@ -74,7 +83,7 @@ func TestFrontendRoutesAndFailsOver(t *testing.T) {
 		servers = append(servers, ts)
 		urls = append(urls, ts.URL)
 	}
-	f := newTestFrontend(urls, fastHealth())
+	f := newTestFrontend(t, urls, fastHealth())
 	f.health.Sweep(ctx)
 	f.reconcileOnce(ctx)
 	h := f.handler()
@@ -157,7 +166,7 @@ func TestFrontendDegradedReads(t *testing.T) {
 		servers = append(servers, ts)
 		urls = append(urls, ts.URL)
 	}
-	f := newTestFrontend(urls, fastHealth())
+	f := newTestFrontend(t, urls, fastHealth())
 	f.cfg.retries = 1 // dead-pool refusals should not grind through a long budget
 	f.health.Sweep(ctx)
 	f.reconcileOnce(ctx)
@@ -220,7 +229,7 @@ func TestFrontendForwardsBackendErrors(t *testing.T) {
 	ctx := context.Background()
 	ts := httptest.NewServer(newServer(4, 2, 0).handler())
 	defer ts.Close()
-	f := newTestFrontend([]string{ts.URL}, fastHealth())
+	f := newTestFrontend(t, []string{ts.URL}, fastHealth())
 	f.health.Sweep(ctx)
 	f.reconcileOnce(ctx)
 	h := f.handler()
@@ -258,7 +267,7 @@ func TestHedgedGetReapsLoser(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	f := newFrontend(frontendConfig{
+	f := mustFrontend(t, frontendConfig{
 		backends:     []string{ts.URL},
 		routeTimeout: 30 * time.Second, // pre-fix the loser lived this long
 		hedgeAfter:   10 * time.Millisecond,
@@ -297,7 +306,7 @@ func TestFrontendRoutesKeyedAndFailsOver(t *testing.T) {
 		servers = append(servers, ts)
 		urls = append(urls, ts.URL)
 	}
-	f := newTestFrontend(urls, fastHealth())
+	f := newTestFrontend(t, urls, fastHealth())
 	f.health.Sweep(ctx)
 	f.reconcileOnce(ctx)
 	h := f.handler()
@@ -312,7 +321,7 @@ func TestFrontendRoutesKeyedAndFailsOver(t *testing.T) {
 		{http.MethodPost, "/map/inc?k=hits", http.StatusOK}, // d defaults to 1
 		{http.MethodPost, "/map/max?k=peak&v=9", http.StatusOK},
 		{http.MethodGet, "/map/get?k=ghost", http.StatusNotFound},
-		{http.MethodGet, "/map/get", http.StatusBadRequest},         // missing k
+		{http.MethodGet, "/map/get", http.StatusBadRequest},             // missing k
 		{http.MethodPost, "/map/inc?k=hits&d=0", http.StatusBadRequest}, // backend's 400, forwarded
 		{http.MethodPost, "/kgset/add", http.StatusBadRequest},
 	} {
@@ -407,7 +416,7 @@ func TestFrontendRoutesKeyedAndFailsOver(t *testing.T) {
 func TestFrontendDegradedKeyedReads(t *testing.T) {
 	ctx := context.Background()
 	ts := httptest.NewServer(newServer(4, 2, 0).handler())
-	f := newTestFrontend([]string{ts.URL}, fastHealth())
+	f := newTestFrontend(t, []string{ts.URL}, fastHealth())
 	f.cfg.retries = 1
 	f.health.Sweep(ctx)
 	f.reconcileOnce(ctx)
@@ -444,6 +453,63 @@ func TestFrontendDegradedKeyedReads(t *testing.T) {
 	assertErrShape(t, rec, true)
 	if a, _ := f.kmapAcked("hits"); a.val != 5 {
 		t.Fatalf("refused write mutated the keyed ledger: %d", a.val)
+	}
+}
+
+// TestFrontendMetricsEndpoint is the frontend's golden-name check, and pins
+// that the dial counter counts dials, not round trips.
+func TestFrontendMetricsEndpoint(t *testing.T) {
+	ts := httptest.NewServer(newServer(4, 2, 0).handler())
+	defer ts.Close()
+	f := newTestFrontend(t, []string{ts.URL}, fastHealth())
+	ctx := context.Background()
+	f.health.Sweep(ctx)
+	f.reconcileOnce(ctx)
+	h := f.handler()
+	for i := 0; i < 20; i++ {
+		if rec := feReq(t, h, http.MethodPost, "/counter/inc"); rec.Code != http.StatusOK {
+			t.Fatalf("inc %d: %d %s", i, rec.Code, rec.Body.String())
+		}
+	}
+	text := feReq(t, h, http.MethodGet, "/metrics").Body.String()
+	for _, name := range f.reg.SortedNames() {
+		if !strings.Contains(text, "# TYPE "+name+" ") {
+			t.Errorf("metric %s missing a TYPE line in /metrics", name)
+		}
+	}
+	for _, sample := range []string{
+		"slfront_requests_total 20",
+		"slfront_request_duration_ns_count 20",
+		"cluster_handoffs_total 11", // one initial install per routed key
+		"slfront_backend_dials_total 1",
+	} {
+		if !strings.Contains(text, "\n"+sample+"\n") {
+			t.Errorf("want sample line %q in /metrics", sample)
+		}
+	}
+}
+
+// TestKeyedRoutesCoverEveryPartition: every partition a key can hash to has
+// a precomputed route the ownership table carries.
+func TestKeyedRoutesCoverEveryPartition(t *testing.T) {
+	f := wireFrontend(t, time.Second)
+	carried := make(map[string]bool)
+	for _, k := range f.tb.Keys() {
+		carried[k] = true
+	}
+	hit := make(map[int]bool)
+	for i := 0; i < 1000; i++ {
+		p := keyedPartition(fmt.Sprintf("key-%d", i))
+		if p < 0 || p >= keyPartitions {
+			t.Fatalf("keyedPartition = %d, outside [0, %d)", p, keyPartitions)
+		}
+		hit[p] = true
+		if !carried[kgsetRoutes[p]] || !carried[mapRoutes[p]] {
+			t.Fatalf("partition %d routes %q/%q not carried by the table", p, kgsetRoutes[p], mapRoutes[p])
+		}
+	}
+	if len(hit) != keyPartitions {
+		t.Fatalf("1000 keys hit %d of %d partitions", len(hit), keyPartitions)
 	}
 }
 
@@ -524,7 +590,7 @@ func TestFrontendChaosKillRestart(t *testing.T) {
 		backends = append(backends, b)
 		urls = append(urls, "http://"+b.addr)
 	}
-	f := newFrontend(frontendConfig{
+	f := mustFrontend(t, frontendConfig{
 		backends:     urls,
 		routeTimeout: 500 * time.Millisecond,
 		retries:      6,

@@ -226,7 +226,8 @@ func serveLoop(ctx context.Context, srv *server, ln net.Listener) error {
 	}
 	var dbg *http.Server
 	if *debugAddr != "" {
-		dbg = &http.Server{Addr: *debugAddr, Handler: srv.debugHandler()}
+		dbg = newHTTPServer(srv.debugHandler())
+		dbg.Addr = *debugAddr
 		go func() {
 			if err := dbg.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintln(os.Stderr, "slserve: debug listener:", err)
@@ -234,7 +235,7 @@ func serveLoop(ctx context.Context, srv *server, ln net.Listener) error {
 		}()
 		fmt.Printf("slserve: debug listener (metrics + pprof) on %s\n", *debugAddr)
 	}
-	hs := &http.Server{Handler: srv.handler()}
+	hs := newHTTPServer(srv.handler())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 
@@ -261,6 +262,19 @@ func serveLoop(ctx context.Context, srv *server, ln net.Listener) error {
 	}
 	fmt.Println("slserve: drained")
 	return nil
+}
+
+// readHeaderTimeout bounds how long a connection may take to deliver a
+// request's headers, so a client that dribbles a partial request line cannot
+// hold a connection and its goroutine forever. It is the only timeout the
+// servers set: a ReadTimeout or IdleTimeout would close the idle keep-alive
+// connections that load generators and the frontend's backend pool reuse.
+const readHeaderTimeout = 5 * time.Second
+
+// newHTTPServer is every slserve listener's server: backend, frontend,
+// -debug-addr and the attack mode's in-process target.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 }
 
 // counterBound is the declared capacity of the served counters: any bound up
@@ -1768,7 +1782,7 @@ func runAttack() error {
 		if err != nil {
 			return err
 		}
-		hs := &http.Server{Handler: srv.handler()}
+		hs := newHTTPServer(srv.handler())
 		go hs.Serve(ln)
 		defer hs.Shutdown(context.Background())
 		target = "http://" + ln.Addr().String()

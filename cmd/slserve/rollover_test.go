@@ -3,6 +3,8 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -400,4 +402,80 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("runServe did not drain within 5s of cancellation")
 	}
+}
+
+// TestSlowHeaderClientDisconnected: every listener slserve opens — the
+// backend, its -debug-addr and the frontend — hangs up on a client that
+// dribbles a partial request line, instead of holding the connection and
+// its goroutine forever.
+func TestSlowHeaderClientDisconnected(t *testing.T) {
+	freeAddr := func() string {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		return ln.Addr().String()
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	setFlag(t, rollover, false)
+	setFlag(t, debugAddr, freeAddr())
+	setFlag(t, addr, freeAddr())
+	setFlag(t, backendsFlag, "http://"+ln.Addr().String())
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	backendDone, frontDone := make(chan error, 1), make(chan error, 1)
+	go func() { backendDone <- serveLoop(ctx, newServer(4, 2, 0), ln) }()
+	go func() { frontDone <- runFrontend(ctx) }()
+
+	targets := []string{ln.Addr().String(), *debugAddr, *addr}
+	errc := make(chan error, len(targets))
+	for _, a := range targets {
+		go func() { errc <- dribble(a) }()
+	}
+	for range targets {
+		if err := <-errc; err != nil {
+			t.Error(err)
+		}
+	}
+	cancel()
+	for _, done := range []chan error{backendDone, frontDone} {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+		case <-time.After(15 * time.Second):
+			t.Fatal("listener did not drain")
+		}
+	}
+}
+
+// dribble sends half a request line to addr and waits for the server to
+// hang up; it fails if the connection is still open well past
+// readHeaderTimeout.
+func dribble(addr string) error {
+	var c net.Conn
+	var err error
+	for i := 0; i < 100; i++ { // the listener may still be coming up
+		if c, err = net.Dial("tcp", addr); err == nil {
+			break
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	if _, err := c.Write([]byte("GET /coun")); err != nil {
+		return err
+	}
+	c.SetReadDeadline(time.Now().Add(readHeaderTimeout + 3*time.Second))
+	if _, err := io.Copy(io.Discard, c); err != nil {
+		return fmt.Errorf("%s still holds a slow-header client: %v", addr, err)
+	}
+	return nil
 }

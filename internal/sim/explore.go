@@ -111,9 +111,11 @@ func (x *explorer) dfs(n *Node, schedule []int) error {
 		if err != nil {
 			return fmt.Errorf("explore schedule %v: %w", sched, err)
 		}
+		// Copy the batch: a subslice would pin the replay's whole event
+		// array, so every node would hold its entire path's trace.
 		child := &Node{
 			Proc:     p,
-			Events:   exec.Batch(len(sched) - 1),
+			Events:   append([]Event(nil), exec.Batch(len(sched)-1)...),
 			Enabled:  exec.Enabled[len(sched)],
 			Complete: exec.Complete,
 		}

@@ -62,6 +62,22 @@ func TestTreeFromSchedulesRejectsInvalidSchedule(t *testing.T) {
 	}
 }
 
+// TestExploreNodesOwnTheirEvents pins that each node holds only its own
+// batch: a node whose Events had spare capacity would be a window into the
+// replay's whole event array, kept alive for the life of the tree.
+func TestExploreNodesOwnTheirEvents(t *testing.T) {
+	tree, err := Explore(2, twoRegSetup, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree.Walk(func(n *Node, _ []Event) bool {
+		if cap(n.Events) != len(n.Events) {
+			t.Fatalf("node (proc %d) events len %d cap %d: batch shares the replay's array", n.Proc, len(n.Events), cap(n.Events))
+		}
+		return true
+	})
+}
+
 func TestMarkLinPointFlagsCurrentStep(t *testing.T) {
 	setup := func(w *World) []Program {
 		r := w.Register("r", 0)

@@ -90,14 +90,19 @@ assert ledger > 0, "no increment was ever acked: vacuous run"
 assert value >= ledger, f"LOST UPDATE: counter {value} < acked ledger {ledger}"
 assert stats["handoffs"] > 0, "no ownership handoff happened: kill went unnoticed"
 
-handoffs_metric = 0
+samples = {}
 for line in metrics.splitlines():
-    if line.startswith("cluster_handoffs_total"):
-        handoffs_metric = int(float(line.split()[-1]))
-assert handoffs_metric > 0, "cluster_handoffs_total not exported or zero"
+    if line and not line.startswith("#"):
+        name, sample = line.rsplit(" ", 1)
+        samples[name] = int(float(sample))
+assert samples.get("cluster_handoffs_total", 0) > 0, "cluster_handoffs_total not exported or zero"
+# Backend connections are pooled: the kill and reboot cost redials, but a
+# dial per request would mean the pool stopped reusing connections.
+dials = samples.get("slfront_backend_dials_total", 0)
+assert 0 < dials < attack["requests"] / 10, f"slfront_backend_dials_total = {dials} for {attack['requests']} requests"
 
 print(f"chaos smoke ok: acked={ledger} final={value} phantoms={value-ledger} "
       f"handoffs={stats['handoffs']} steals={stats['steals']} raced={stats['raced']} "
-      f"retries={stats['retries']} attack: {attack['requests']} reqs, "
+      f"retries={stats['retries']} dials={dials} attack: {attack['requests']} reqs, "
       f"{attack['errors']} errors, {attack['retried']} retried, {attack['exhausted']} exhausted")
 EOF
