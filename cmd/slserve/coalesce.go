@@ -3,12 +3,14 @@ package main
 import (
 	"sync"
 
+	"stronglin"
 	"stronglin/internal/obs"
 )
 
-// Server-side op coalescing (-coalesce): when several HTTP requests of the
-// same kind are in flight at once, one of them — the leader — performs a
-// single engine operation on behalf of the whole group.
+// Server-side op coalescing: when several HTTP requests of the same kind
+// are in flight at once, one of them — the leader — performs a single
+// engine operation on behalf of the whole group. A descriptor's co field
+// (objects.go) selects it.
 //
 //   - Additive writes fold: N concurrent /counter/inc requests become ONE
 //     Counter.Add of their sum (one XADD on the owning shard instead of N),
@@ -41,21 +43,11 @@ type batch struct {
 	done  chan struct{} // closed when the leader has applied the batch
 	n     int64         // requests folded into this batch
 
-	sum   int64   // folded additive payload (counter increments)
-	elems []int64 // folded set elements (gset adds; deduplicated at apply)
+	reqs []args  // folded writes, one per member (grouped by identity at apply)
+	errs []error // leader-published per-member write results, indexed like reqs
 
-	kops  []kreq  // folded keyed ops (kgset adds, map incs/maxes; grouped by key at apply)
-	kerrs []error // leader-published per-member keyed results, indexed like kops
-
-	val  int64   // leader-published scalar result (counter / max register reads)
-	view []int64 // leader-published view result (snapshot scans, gset element lists)
-}
-
-// kreq is one keyed request folded into a batch: the member's key and its
-// payload (delta for map incs, candidate for map maxes, unused for set adds).
-type kreq struct {
-	key string
-	val int64
+	res result // leader-published shared read result
+	err error
 }
 
 // coalescer serializes one kind of engine operation and folds concurrent
@@ -166,4 +158,77 @@ func (co *coalescer) drain() {
 	co.mu.Lock()
 	co.closed = true
 	co.mu.Unlock()
+}
+
+// run performs one request's engine step under a lane lease, through the
+// op's coalescer when it has one.
+func (s *server) run(d *op, a args) (result, error) {
+	var res result
+	var err error
+	switch d.co {
+	case coShare:
+		// Concurrent reads share one validated read: the leader's read lies
+		// inside every member's request interval.
+		b := s.co[d.stat].do(
+			func(*batch) {},
+			func(b *batch) {
+				s.pool.With(func(t stronglin.Thread) { b.res, b.err = d.apply(s, t, a) })
+			})
+		return b.res, b.err
+	case coFold:
+		var idx int
+		b := s.co[d.stat].do(
+			func(b *batch) { idx = len(b.reqs); b.reqs = append(b.reqs, a) },
+			func(b *batch) { s.applyFolded(d, b) })
+		return res, b.errs[idx]
+	}
+	s.pool.With(func(t stronglin.Thread) { res, err = d.apply(s, t, a) })
+	return res, err
+}
+
+// applyFolded is a folding coalescer's apply: the batch's writes group by
+// identity (ackKind.ident) and each group runs ONE engine step, all under a
+// single lane lease. N counter increments become one Add of their sum,
+// same-key map increments one IncBy of theirs, same-key max writes one Max
+// of the largest (the lower ones were no-ops once it landed), and repeated
+// set adds of one element one add. A failed step has no effect, so a
+// folded sum that fails — it can exceed a lane's field budget even when
+// each member fits alone — falls back to per-request steps, and only the
+// requests genuinely past the budget fail.
+func (s *server) applyFolded(d *op, b *batch) {
+	b.errs = make([]error, len(b.reqs))
+	s.pool.With(func(t stronglin.Thread) {
+		if len(b.reqs) == 1 {
+			_, b.errs[0] = d.apply(s, t, b.reqs[0])
+			return
+		}
+		groups := make(map[args][]int, len(b.reqs))
+		for i, a := range b.reqs {
+			id := d.ack.ident(a)
+			groups[id] = append(groups[id], i)
+		}
+		for id, idxs := range groups {
+			a := id
+			if d.ack != ackSet {
+				a.n = b.reqs[idxs[0]].n
+				for _, i := range idxs[1:] {
+					if n := b.reqs[i].n; d.ack == ackSum {
+						a.n += n
+					} else if n > a.n {
+						a.n = n
+					}
+				}
+			}
+			_, err := d.apply(s, t, a)
+			if err != nil && d.ack == ackSum && len(idxs) > 1 {
+				for _, i := range idxs {
+					_, b.errs[i] = d.apply(s, t, b.reqs[i])
+				}
+				continue
+			}
+			for _, i := range idxs {
+				b.errs[i] = err
+			}
+		}
+	})
 }

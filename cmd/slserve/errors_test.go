@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -119,6 +120,44 @@ func TestErrorShapeUniform(t *testing.T) {
 		{"map-get-missing-k", http.MethodGet, "/map/get", "", http.StatusBadRequest, false},
 		{"map-get-unknown-key", http.MethodGet, "/map/get?k=never-written", "", http.StatusNotFound, false},
 		{"fence-bad-keyed-partition", http.MethodPost, "/fence?obj=kgset.p99&gen=1", "", http.StatusBadRequest, false},
+		{"stats-wrong-method", http.MethodPost, "/stats", "", http.StatusMethodNotAllowed, false},
+		{"unknown-path", http.MethodGet, "/nope", "", http.StatusNotFound, false},
+		{"unknown-subpath", http.MethodPost, "/counter/inc/x", "", http.StatusNotFound, false},
+	}
+	// The frontend's rows: the same shape from the routing tier, whose
+	// method checks and unknown paths answer before any proxying.
+	fts := httptest.NewServer(srv.handler())
+	defer fts.Close()
+	f := newTestFrontend(t, []string{fts.URL}, fastHealth())
+	f.health.Sweep(context.Background())
+	f.reconcileOnce(context.Background())
+	fh := f.handler()
+	for _, tc := range []struct {
+		name, method, target string
+		wantCode             int
+	}{
+		{"counter-get-wrong-method", http.MethodPost, "/counter", http.StatusMethodNotAllowed},
+		{"counter-get-delete", http.MethodDelete, "/counter", http.StatusMethodNotAllowed},
+		{"counter-inc-wrong-method", http.MethodGet, "/counter/inc", http.StatusMethodNotAllowed},
+		{"maxreg-wrong-method", http.MethodDelete, "/maxreg", http.StatusMethodNotAllowed},
+		{"gset-wrong-method", http.MethodDelete, "/gset?x=1", http.StatusMethodNotAllowed},
+		{"kgset-has-wrong-method", http.MethodPost, "/kgset/has?k=a", http.StatusMethodNotAllowed},
+		{"map-get-wrong-method", http.MethodPost, "/map/get?k=a", http.StatusMethodNotAllowed},
+		{"map-inc-wrong-method", http.MethodGet, "/map/inc?k=a", http.StatusMethodNotAllowed},
+		{"stats-wrong-method", http.MethodPost, "/stats", http.StatusMethodNotAllowed},
+		{"map-get-missing-k", http.MethodGet, "/map/get", http.StatusBadRequest},
+		{"kgset-add-oversize-k", http.MethodPost, "/kgset/add?k=" + strings.Repeat("x", kmaxKeyLen+1), http.StatusBadRequest},
+		{"unknown-path", http.MethodGet, "/nope", http.StatusNotFound},
+		{"backend-only-path", http.MethodPost, "/counter/add?d=1", http.StatusNotFound},
+	} {
+		t.Run("frontend-"+tc.name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			fh.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.target, nil))
+			if rec.Code != tc.wantCode {
+				t.Fatalf("frontend %s %s: code %d, want %d (body %s)", tc.method, tc.target, rec.Code, tc.wantCode, rec.Body.String())
+			}
+			assertErrShape(t, rec, false)
+		})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

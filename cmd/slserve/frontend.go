@@ -29,15 +29,14 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"net"
 	"net/http"
 	neturl "net/url"
 	"os"
 	"os/signal"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -99,25 +98,11 @@ type frontend struct {
 	slots  chan int
 	kick   chan struct{} // reconciler wake signal (coalesced)
 
-	// Acked ledgers: one per routed object, folded by Route's ack closure
-	// before the drain slot is released. They are the crash-handoff seed
-	// (the old owner is gone; the acked history is what must survive) and
-	// the degraded-read source. counterLedger counts acked increments;
-	// maxLedger is the max over acked write-max values; gsetLedger the set
-	// of acked adds.
-	counterLedger atomic.Int64
-	maxLedger     atomic.Int64
-	gsetMu        sync.Mutex
-	gsetLedger    map[int64]struct{}
-
-	// Keyed ledgers: the acked history of the keyed universe, spanning all
-	// partitions (seeds filter by keyedPartition). kgsetLedger is the set of
-	// acked /kgset/add keys; kmapLedger folds acked /map/inc deltas (sum)
-	// and /map/max values (max) per key, tagged with the kind the first
-	// acked write bound.
-	keyedMu     sync.Mutex
-	kgsetLedger map[string]struct{}
-	kmapLedger  map[string]*kmapAck
+	// Acked ledgers: one per routed write of the object table, by stat
+	// name, folded by Route's ack closure before the drain slot is
+	// released. They are the crash-handoff seed (the old owner is gone;
+	// the acked history is what must survive) and the degraded-read source.
+	ledgers map[string]*ledger
 
 	reg             *obs.Registry
 	reqTotal        *obs.Counter
@@ -133,47 +118,21 @@ type frontend struct {
 	dials           *obs.Counter
 }
 
-// kmapAck is one key's acked monotone-map history: for kind "counter", val
-// is the sum of acked deltas; for kind "max", the largest acked write.
-type kmapAck struct {
-	kind string
-	val  int64
-}
-
-// kgsetRoutes and mapRoutes are the keyed partitions' routing keys
-// (kgset.pN / map.pN), indexed by keyedPartition.
-var kgsetRoutes, mapRoutes = partitionRoutes("kgset"), partitionRoutes("map")
-
-func partitionRoutes(object string) (routes [keyPartitions]string) {
-	for p := range routes {
-		routes[p] = fmt.Sprintf("%s.p%d", object, p)
-	}
-	return routes
-}
-
-// routedKeys is every object the ownership table carries: the three dense
-// singletons plus one routing key per keyed partition (kgset.pN / map.pN),
-// so a handoff moves one keyed partition without fencing the rest.
-func routedKeys() []string {
-	keys := []string{"counter", "maxreg", "gset"}
-	for p := 0; p < keyPartitions; p++ {
-		keys = append(keys, kgsetRoutes[p], mapRoutes[p])
-	}
-	return keys
-}
-
 func newFrontend(cfg frontendConfig) (*frontend, error) {
 	cfg = cfg.withDefaults()
 	w := prim.NewRealWorld()
 	f := &frontend{
-		cfg:         cfg,
-		tb:          cluster.NewTable(w, "route", cfg.slots, -1, routedKeys()...),
-		slots:       make(chan int, cfg.slots),
-		kick:        make(chan struct{}, 1),
-		gsetLedger:  make(map[int64]struct{}),
-		kgsetLedger: make(map[string]struct{}),
-		kmapLedger:  make(map[string]*kmapAck),
-		reg:         obs.NewRegistry(),
+		cfg:     cfg,
+		tb:      cluster.NewTable(w, "route", cfg.slots, -1, routeKeys...),
+		slots:   make(chan int, cfg.slots),
+		kick:    make(chan struct{}, 1),
+		ledgers: make(map[string]*ledger),
+		reg:     obs.NewRegistry(),
+	}
+	for _, d := range objects {
+		if d.ack != ackNone {
+			f.ledgers[d.stat] = &ledger{kind: d.ack, vals: make(map[args]int64)}
+		}
 	}
 	for i := 0; i < cfg.slots; i++ {
 		f.slots <- i
@@ -220,89 +179,63 @@ func (f *frontend) registerMetrics() {
 	}
 }
 
-// foldMax folds an acked write-max value into the max ledger.
-func (f *frontend) foldMax(v int64) {
-	for {
-		cur := f.maxLedger.Load()
-		if v <= cur || f.maxLedger.CompareAndSwap(cur, v) {
-			return
+// ledger is one routed write's acked history, keyed by the write's
+// identity (ackKind.ident): the sum or the max of the acked values per key,
+// or the set of acked elements.
+type ledger struct {
+	kind ackKind
+	mu   sync.Mutex
+	vals map[args]int64
+}
+
+// fold folds one acked write in; sign -1 withdraws a sum ack whose slot a
+// handoff stole. Max and set acks have no withdrawal: a write that reached
+// the backend is monotone and idempotent, so keeping it seeded can only
+// re-assert an effect that already landed.
+func (l *ledger) fold(a args, sign int64) {
+	id := l.kind.ident(a)
+	l.mu.Lock()
+	if v, ok := l.vals[id]; l.kind == ackSum {
+		l.vals[id] = v + sign*a.n
+	} else if !ok || a.n > v {
+		l.vals[id] = a.n
+	}
+	l.mu.Unlock()
+}
+
+// get reads the entry a write of a would fold into.
+func (l *ledger) get(a args) (int64, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	v, ok := l.vals[l.kind.ident(a)]
+	return v, ok
+}
+
+func (l *ledger) value(a args) int64 {
+	v, _ := l.get(a)
+	return v
+}
+
+func (l *ledger) size() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.vals)
+}
+
+// entries snapshots the entries keep selects as replayable writes.
+func (l *ledger) entries(keep func(args) bool) []args {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []args
+	for id, v := range l.vals {
+		if l.kind != ackSet {
+			id.n = v
+		}
+		if keep(id) {
+			out = append(out, id)
 		}
 	}
-}
-
-func (f *frontend) addElem(x int64) {
-	f.gsetMu.Lock()
-	f.gsetLedger[x] = struct{}{}
-	f.gsetMu.Unlock()
-}
-
-func (f *frontend) gsetSnapshot() []int64 {
-	f.gsetMu.Lock()
-	out := make([]int64, 0, len(f.gsetLedger))
-	for e := range f.gsetLedger {
-		out = append(out, e)
-	}
-	f.gsetMu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-func (f *frontend) hasElem(x int64) bool {
-	f.gsetMu.Lock()
-	_, ok := f.gsetLedger[x]
-	f.gsetMu.Unlock()
-	return ok
-}
-
-// ackKGSetAdd folds an acked /kgset/add into the keyed set ledger.
-func (f *frontend) ackKGSetAdd(key string) {
-	f.keyedMu.Lock()
-	f.kgsetLedger[key] = struct{}{}
-	f.keyedMu.Unlock()
-}
-
-func (f *frontend) kgsetHasAcked(key string) bool {
-	f.keyedMu.Lock()
-	_, ok := f.kgsetLedger[key]
-	f.keyedMu.Unlock()
-	return ok
-}
-
-// ackMapInc folds an acked /map/inc delta (negative d withdraws a stolen
-// slot's ack, mirroring the counter ledger's unack).
-func (f *frontend) ackMapInc(key string, d int64) {
-	f.keyedMu.Lock()
-	if e := f.kmapLedger[key]; e != nil {
-		e.val += d
-	} else if d > 0 {
-		f.kmapLedger[key] = &kmapAck{kind: "counter", val: d}
-	}
-	f.keyedMu.Unlock()
-}
-
-// ackMapMax folds an acked /map/max value. No unack twin: a max write that
-// reached the backend is monotone and idempotent, so keeping it seeded can
-// only re-assert an effect that already landed (the same policy as the
-// dense maxreg ledger).
-func (f *frontend) ackMapMax(key string, v int64) {
-	f.keyedMu.Lock()
-	if e := f.kmapLedger[key]; e != nil {
-		if v > e.val {
-			e.val = v
-		}
-	} else {
-		f.kmapLedger[key] = &kmapAck{kind: "max", val: v}
-	}
-	f.keyedMu.Unlock()
-}
-
-func (f *frontend) kmapAcked(key string) (kmapAck, bool) {
-	f.keyedMu.Lock()
-	defer f.keyedMu.Unlock()
-	if e := f.kmapLedger[key]; e != nil {
-		return *e, true
-	}
-	return kmapAck{}, false
 }
 
 // ---------------------------------------------------------------------------
@@ -397,160 +330,101 @@ func (f *frontend) handoff(ctx context.Context, t prim.Thread, key string, newOw
 	f.handoffDur.Observe(time.Since(start).Nanoseconds())
 }
 
-// seed makes newOwner authoritative for key at generation gen: the acked
-// ledger merged (monotone objects — max/union/monotone-add deltas, all
-// idempotent under the re-seeding a retried handoff causes) with the old
-// owner's post-fence value when the handoff is graceful.
-func (f *frontend) seed(ctx context.Context, key string, oldOwner, newOwner int, gen int64, graceful bool) error {
-	switch key {
-	case "counter":
-		auth := f.counterLedger.Load()
-		if graceful {
-			if v, err := f.getValue(ctx, oldOwner, gen, "/counter"); err == nil && v > auth {
-				auth = v
-			}
+// seed makes newOwner authoritative for route key at generation gen: every
+// routed write's ledger entries in that route, replayed — a sum by adding
+// its difference against the successor's read (which may hold a stale value
+// from an earlier tenure; a sum only grows, so stale <= authoritative), a
+// max by posting the value, a set by posting each element. Every replay is
+// idempotent, so a retried handoff re-seeding the same route is harmless.
+// A graceful handoff of a dense object first merges the old owner's
+// post-fence read, phantoms included. The keyed objects expose no
+// enumeration endpoint, so a keyed handoff carries exactly the acked
+// history, the guarantee acks bought (unacked phantoms on the old owner are
+// dropped, the at-least-once corner clients were already told to retry).
+func (f *frontend) seed(ctx context.Context, route string, oldOwner, newOwner int, gen int64, graceful bool) error {
+	for _, d := range objects {
+		if d.ack == ackNone || !slices.Contains(d.routes, route) {
+			continue
 		}
-		// The successor may hold a stale value from an earlier tenure; the
-		// counter only grows, so stale <= authoritative and one /counter/add
-		// of the difference reconciles it.
-		cur, err := f.getValue(ctx, newOwner, gen, "/counter")
-		if err != nil {
-			return err
+		ents := f.ledgers[d.stat].entries(func(a args) bool { return d.route(a) == route })
+		if graceful && !d.keyed {
+			ents = f.mergeOld(ctx, d, oldOwner, gen, ents)
 		}
-		if auth > cur {
-			return f.post(ctx, newOwner, gen, fmt.Sprintf("/counter/add?d=%d", auth-cur))
-		}
-	case "maxreg":
-		auth := f.maxLedger.Load()
-		if graceful {
-			if v, err := f.getValue(ctx, oldOwner, gen, "/maxreg"); err == nil && v > auth {
-				auth = v
-			}
-		}
-		if auth > 0 {
-			return f.post(ctx, newOwner, gen, fmt.Sprintf("/maxreg?v=%d", auth))
-		}
-	case "gset":
-		elems := f.gsetSnapshot()
-		if graceful {
-			if old, err := f.getElems(ctx, oldOwner, gen); err == nil {
-				merged := make(map[int64]struct{}, len(elems)+len(old))
-				for _, e := range elems {
-					merged[e] = struct{}{}
-				}
-				for _, e := range old {
-					merged[e] = struct{}{}
-				}
-				elems = elems[:0]
-				for e := range merged {
-					elems = append(elems, e)
-				}
-			}
-		}
-		for _, e := range elems {
-			if err := f.post(ctx, newOwner, gen, fmt.Sprintf("/gset?x=%d", e)); err != nil {
+		for _, a := range ents {
+			if err := f.seedEntry(ctx, d, newOwner, gen, a); err != nil {
 				return err
-			}
-		}
-	default:
-		return f.seedKeyed(ctx, key, newOwner, gen)
-	}
-	return nil
-}
-
-// seedKeyed seeds a keyed routing partition (kgset.pN / map.pN) from the
-// acked ledger alone. The keyed objects expose no enumeration endpoint, so
-// there is no graceful post-fence merge — every keyed handoff is seeded like
-// a crash handoff, carrying exactly the acked history, which is the
-// guarantee acks bought (unacked phantoms on the old owner are dropped, the
-// at-least-once corner clients were already told to retry). Replays are
-// idempotent (set add, monotone max) or reconciled by diff against the
-// successor's current value (counter inc), so a retried handoff re-seeding
-// the same partition is harmless.
-func (f *frontend) seedKeyed(ctx context.Context, key string, newOwner int, gen int64) error {
-	switch {
-	case strings.HasPrefix(key, "kgset.p"):
-		part, err := strconv.Atoi(key[len("kgset.p"):])
-		if err != nil {
-			return nil
-		}
-		var keys []string
-		f.keyedMu.Lock()
-		for k := range f.kgsetLedger {
-			if keyedPartition(k) == part {
-				keys = append(keys, k)
-			}
-		}
-		f.keyedMu.Unlock()
-		for _, k := range keys {
-			if err := f.post(ctx, newOwner, gen, "/kgset/add?k="+neturl.QueryEscape(k)); err != nil {
-				return err
-			}
-		}
-	case strings.HasPrefix(key, "map.p"):
-		part, err := strconv.Atoi(key[len("map.p"):])
-		if err != nil {
-			return nil
-		}
-		type ent struct {
-			k string
-			a kmapAck
-		}
-		var ents []ent
-		f.keyedMu.Lock()
-		for k, a := range f.kmapLedger {
-			if keyedPartition(k) == part {
-				ents = append(ents, ent{k, *a})
-			}
-		}
-		f.keyedMu.Unlock()
-		for _, e := range ents {
-			switch e.a.kind {
-			case "max":
-				// Max(k, v) is idempotent; v = 0 still re-asserts existence.
-				if err := f.post(ctx, newOwner, gen,
-					fmt.Sprintf("/map/max?k=%s&v=%d", neturl.QueryEscape(e.k), e.a.val)); err != nil {
-					return err
-				}
-			default:
-				// Counter: the successor may hold a stale value from an
-				// earlier tenure; the counter only grows, so one inc of the
-				// difference reconciles it.
-				cur, err := f.getMapValue(ctx, newOwner, gen, e.k)
-				if err != nil {
-					return err
-				}
-				if d := e.a.val - cur; d > 0 {
-					if err := f.post(ctx, newOwner, gen,
-						fmt.Sprintf("/map/inc?k=%s&d=%d", neturl.QueryEscape(e.k), d)); err != nil {
-						return err
-					}
-				}
 			}
 		}
 	}
 	return nil
 }
 
-// getMapValue reads a map key at owner; an unknown key reads as 0 (the seed
-// diff treats "never written there" and "written zero… impossible for a
-// counter with acked incs" identically).
-func (f *frontend) getMapValue(ctx context.Context, owner int, gen int64, key string) (int64, error) {
-	body, err := f.do(ctx, owner, gen, http.MethodGet, "/map/get?k="+neturl.QueryEscape(key))
+// mergeOld merges a dense object's post-fence read at the old owner into
+// its ledger entries: the larger of the two for a sum or max, the union for
+// a set. An unreadable old owner leaves the entries as they are.
+func (f *frontend) mergeOld(ctx context.Context, d *op, owner int, gen int64, ents []args) []args {
+	old, err := f.readBack(ctx, d, owner, gen, "")
+	if err != nil {
+		return ents
+	}
+	if d.ack == ackSet {
+		have := make(map[args]bool, len(ents))
+		for _, a := range ents {
+			have[a] = true
+		}
+		for _, x := range old.elems {
+			if a := (args{n: x}); !have[a] {
+				ents = append(ents, a)
+			}
+		}
+		return ents
+	}
+	if len(ents) == 0 {
+		return []args{{n: old.value}}
+	}
+	ents[0].n = max(ents[0].n, old.value)
+	return ents
+}
+
+func (f *frontend) seedEntry(ctx context.Context, d *op, owner int, gen int64, a args) error {
+	if d.ack != ackSum {
+		return f.post(ctx, owner, gen, d.writeURI(a))
+	}
+	cur, err := f.readBack(ctx, d, owner, gen, a.key)
+	if err != nil {
+		return err
+	}
+	if a.n <= cur.value {
+		return nil
+	}
+	seeder := d
+	if d.seed != "" {
+		seeder = opsByPath[d.seed][0]
+	}
+	return f.post(ctx, owner, gen, seeder.writeURI(args{key: a.key, n: a.n - cur.value}))
+}
+
+// readBack reads d's object (key k of a keyed one) at owner through the
+// descriptor's read path. A key never written there reads as zero.
+func (f *frontend) readBack(ctx context.Context, d *op, owner int, gen int64, k string) (result, error) {
+	uri := d.read
+	if d.keyed {
+		uri += "?k=" + neturl.QueryEscape(k)
+	}
+	body, err := f.do(ctx, owner, gen, http.MethodGet, uri)
 	var se *statusError
 	if errors.As(err, &se) && se.code == http.StatusNotFound {
-		return 0, nil
+		return result{}, nil
 	}
 	if err != nil {
-		return 0, err
+		return result{}, err
 	}
 	var v struct {
-		Value int64 `json:"value"`
+		Value int64   `json:"value"`
+		Elems []int64 `json:"elems"`
 	}
-	if err := json.Unmarshal(body, &v); err != nil {
-		return 0, err
-	}
-	return v.Value, nil
+	err = json.Unmarshal(body, &v)
+	return result{value: v.Value, elems: v.Elems}, err
 }
 
 func (f *frontend) postFence(ctx context.Context, owner int, key string, gen int64) error {
@@ -561,34 +435,6 @@ func (f *frontend) postFence(ctx context.Context, owner int, key string, gen int
 func (f *frontend) post(ctx context.Context, owner int, gen int64, uri string) error {
 	_, err := f.do(ctx, owner, gen, http.MethodPost, uri)
 	return err
-}
-
-func (f *frontend) getValue(ctx context.Context, owner int, gen int64, uri string) (int64, error) {
-	body, err := f.do(ctx, owner, gen, http.MethodGet, uri)
-	if err != nil {
-		return 0, err
-	}
-	var v struct {
-		Value int64 `json:"value"`
-	}
-	if err := json.Unmarshal(body, &v); err != nil {
-		return 0, err
-	}
-	return v.Value, nil
-}
-
-func (f *frontend) getElems(ctx context.Context, owner int, gen int64) ([]int64, error) {
-	body, err := f.do(ctx, owner, gen, http.MethodGet, "/gset")
-	if err != nil {
-		return nil, err
-	}
-	var v struct {
-		Elems []int64 `json:"elems"`
-	}
-	if err := json.Unmarshal(body, &v); err != nil {
-		return nil, err
-	}
-	return v.Elems, nil
 }
 
 // do is the one backend HTTP call: carries the ownership generation, maps
@@ -698,145 +544,52 @@ func stopDrainTimer(t *time.Timer) {
 // Proxy surface.
 
 func (f *frontend) handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/counter/inc", func(w http.ResponseWriter, r *http.Request) {
-		f.serveRouted(w, r, "counter", false,
-			func() { f.counterLedger.Add(1) },
-			func() { f.counterLedger.Add(-1) })
-	})
-	mux.HandleFunc("/counter", func(w http.ResponseWriter, r *http.Request) {
-		f.serveRouted(w, r, "counter", true, func() {}, func() {})
-	})
-	mux.HandleFunc("/maxreg", func(w http.ResponseWriter, r *http.Request) {
-		ack, unack := func() {}, func() {}
-		isRead := r.Method != http.MethodPost
-		if !isRead {
-			// Fold the acked value into the max ledger. An unparseable v is
-			// the backend's 400 to give; the ack then never runs.
-			if v, err := strconv.ParseInt(r.URL.Query().Get("v"), 10, 64); err == nil {
-				ack = func() { f.foldMax(v) }
-			}
-		}
-		f.serveRouted(w, r, "maxreg", isRead, ack, unack)
-	})
-	mux.HandleFunc("/gset", func(w http.ResponseWriter, r *http.Request) {
-		ack, unack := func() {}, func() {}
-		isRead := r.Method != http.MethodPost
-		if !isRead {
-			if x, err := strconv.ParseInt(r.URL.Query().Get("x"), 10, 64); err == nil {
-				ack = func() { f.addElem(x) }
-			}
-		}
-		f.serveRouted(w, r, "gset", isRead, ack, unack)
-	})
-	mux.HandleFunc("/kgset/add", f.feKGSetAdd)
-	mux.HandleFunc("/kgset/has", f.feKGSetHas)
-	mux.HandleFunc("/map/inc", f.feMapInc)
-	mux.HandleFunc("/map/max", f.feMapMax)
-	mux.HandleFunc("/map/get", f.feMapGet)
-	mux.HandleFunc("/stats", f.stats)
-	mux.HandleFunc("/metrics", f.metrics)
-	mux.HandleFunc("/healthz", f.healthz)
-	return f.instrumented(mux)
+	return instrumented(f.serve, f.reqTotal, f.reqErrors, f.reqDur, nil)
 }
 
-// keyedRoute validates the k parameter and resolves the routing key its
-// partition maps to. The frontend validates k itself (not just the backend)
-// because an invalid k has no partition to route by.
-func keyedRoute(w http.ResponseWriter, r *http.Request, routes *[keyPartitions]string) (key, route string, ok bool) {
-	key, err := queryKey(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error(), false, 0)
-		return "", "", false
-	}
-	return key, routes[keyedPartition(key)], true
+// routes reports whether the frontend serves d: every op on a routed
+// object except the backend-only writes (/counter/add, the seeding
+// surface), which carry no ack.
+func routes(d *op) bool {
+	return d.object != "" && (d.method == http.MethodGet || d.ack != ackNone)
 }
 
-func (f *frontend) feKGSetAdd(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST only", false, 0)
+func (f *frontend) serve(w http.ResponseWriter, r *http.Request) {
+	switch r.URL.Path {
+	case "/stats":
+		f.stats(w, r)
+		return
+	case "/metrics":
+		f.metrics(w, r)
+		return
+	case "/healthz":
+		f.healthz(w, r)
 		return
 	}
-	key, route, ok := keyedRoute(w, r, &kgsetRoutes)
-	if !ok {
+	q := r.URL.Query()
+	d := lookupOp(w, r, q, routes)
+	if d == nil {
 		return
 	}
-	// No unack: an acked set add that loses its slot to a steal still landed
-	// at the backend (idempotent, monotone), same policy as the dense gset.
-	f.serveRouted(w, r, route, false,
-		func() { f.ackKGSetAdd(key) }, func() {})
-}
-
-func (f *frontend) feKGSetHas(w http.ResponseWriter, r *http.Request) {
-	_, route, ok := keyedRoute(w, r, &kgsetRoutes)
-	if !ok {
-		return
-	}
-	f.serveRouted(w, r, route, true, func() {}, func() {})
-}
-
-func (f *frontend) feMapInc(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST only", false, 0)
-		return
-	}
-	key, route, ok := keyedRoute(w, r, &mapRoutes)
-	if !ok {
-		return
-	}
-	d := int64(1)
-	if raw := r.URL.Query().Get("d"); raw != "" {
-		v, perr := strconv.ParseInt(raw, 10, 64)
-		if perr != nil || v < 1 {
-			// The backend's 400 to give; with d unusable the ack never runs.
-			d = 0
-		} else {
-			d = v
+	// The frontend parses without a value domain (it does not know the
+	// backends'), so only a syntactically bad parameter fails here. A bad
+	// k has no partition to route by and is refused here; any other bad
+	// parameter is the owner's 400 to give, and its write acks nothing.
+	a, perr := d.parse(q, nil)
+	if perr != nil && d.keyed {
+		if _, kerr := queryKey(q); kerr != nil {
+			writeErr(w, http.StatusBadRequest, kerr.Error(), false, 0)
+			return
 		}
 	}
 	ack, unack := func() {}, func() {}
-	if d > 0 {
-		ack = func() { f.ackMapInc(key, d) }
-		unack = func() { f.ackMapInc(key, -d) }
-	}
-	f.serveRouted(w, r, route, false, ack, unack)
-}
-
-func (f *frontend) feMapMax(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST only", false, 0)
-		return
-	}
-	key, route, ok := keyedRoute(w, r, &mapRoutes)
-	if !ok {
-		return
-	}
-	ack := func() {}
-	if v, perr := strconv.ParseInt(r.URL.Query().Get("v"), 10, 64); perr == nil && v >= 0 {
-		ack = func() { f.ackMapMax(key, v) }
-	}
-	f.serveRouted(w, r, route, false, ack, func() {})
-}
-
-func (f *frontend) feMapGet(w http.ResponseWriter, r *http.Request) {
-	_, route, ok := keyedRoute(w, r, &mapRoutes)
-	if !ok {
-		return
-	}
-	f.serveRouted(w, r, route, true, func() {}, func() {})
-}
-
-func (f *frontend) instrumented(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
-		sw := statusWriter{ResponseWriter: w, code: http.StatusOK}
-		next.ServeHTTP(&sw, r)
-		f.reqTotal.Inc()
-		if sw.code >= 400 {
-			f.reqErrors.Inc()
+	if l := f.ledgers[d.stat]; l != nil && perr == nil {
+		ack = func() { l.fold(a, 1) }
+		if d.ack == ackSum {
+			unack = func() { l.fold(a, -1) }
 		}
-		f.reqDur.Observe(time.Since(t0).Nanoseconds())
-	})
+	}
+	f.serveRouted(w, r, d, a, perr, ack, unack)
 }
 
 // serveRouted is the proxy core: lease a slot, Route through the ownership
@@ -851,7 +604,7 @@ func (f *frontend) instrumented(next http.Handler) http.Handler {
 //     as an unacked phantom: value can run ahead of acked history, never
 //     behind);
 //   - a response is never assembled from two owners.
-func (f *frontend) serveRouted(w http.ResponseWriter, r *http.Request, key string, isRead bool, ack, unack func()) {
+func (f *frontend) serveRouted(w http.ResponseWriter, r *http.Request, d *op, a args, perr error, ack, unack func()) {
 	var slot int
 	select {
 	case slot = <-f.slots:
@@ -862,6 +615,8 @@ func (f *frontend) serveRouted(w http.ResponseWriter, r *http.Request, key strin
 	defer func() { f.slots <- slot }()
 
 	t := prim.RealThread(1)
+	key := d.route(a)
+	isRead := d.method == http.MethodGet
 	uri := r.URL.RequestURI()
 	backoff := 5 * time.Millisecond
 	var body []byte
@@ -905,7 +660,7 @@ func (f *frontend) serveRouted(w http.ResponseWriter, r *http.Request, key strin
 			return
 		}
 		if attempt >= f.cfg.retries {
-			f.refuse(w, r, key, err, isRead)
+			f.refuse(w, d, a, perr, key, err)
 			return
 		}
 		f.retriesTotal.Inc()
@@ -930,43 +685,21 @@ func (f *frontend) serveRouted(w http.ResponseWriter, r *http.Request, key strin
 // clients can tell) — when the operator allows it; writes always refuse
 // retryable, because "accepted" without an owner would be an ack no seed is
 // obligated to carry.
-func (f *frontend) refuse(w http.ResponseWriter, r *http.Request, key string, err error, isRead bool) {
-	if isRead && f.cfg.degradedReads {
+func (f *frontend) refuse(w http.ResponseWriter, d *op, a args, perr error, key string, err error) {
+	if d.method == http.MethodGet && f.cfg.degradedReads {
 		f.degraded.Inc()
 		w.Header().Set("X-SL-Degraded", "true")
-		switch key {
-		case "counter":
-			writeJSON(w, map[string]any{"value": f.counterLedger.Load()})
-		case "maxreg":
-			writeJSON(w, map[string]any{"value": f.maxLedger.Load()})
-		case "gset":
-			if raw := r.URL.Query().Get("x"); raw != "" {
-				x, perr := strconv.ParseInt(raw, 10, 64)
-				if perr != nil {
-					writeErr(w, http.StatusBadRequest, "x must be an integer", false, 0)
-					return
-				}
-				writeJSON(w, map[string]any{"member": f.hasElem(x)})
-			} else {
-				writeJSON(w, map[string]any{"elems": f.gsetSnapshot()})
-			}
-		default:
-			// Keyed partitions: answer /kgset/has and /map/get from the
-			// keyed ledgers. A key with no acked write is honestly unknown —
-			// the same 404 the owner would give for a key never written.
-			k := r.URL.Query().Get("k")
-			switch {
-			case strings.HasPrefix(key, "kgset."):
-				writeJSON(w, map[string]any{"member": f.kgsetHasAcked(k)})
-			case strings.HasPrefix(key, "map."):
-				a, ok := f.kmapAcked(k)
-				if !ok {
-					writeErr(w, http.StatusNotFound, "unknown key", false, 0)
-					return
-				}
-				writeJSON(w, map[string]any{"value": a.val, "kind": a.kind})
-			}
+		if perr != nil {
+			writeErr(w, http.StatusBadRequest, perr.Error(), false, 0)
+			return
 		}
+		res, ok := f.fromLedgers(d, a)
+		if !ok {
+			// The same 404 the owner gives a key never written.
+			writeErr(w, http.StatusNotFound, "unknown key", false, 0)
+			return
+		}
+		writeBody(w, d.body, res)
 		return
 	}
 	retryAfter := int64(f.cfg.health.Interval / time.Second)
@@ -975,6 +708,34 @@ func (f *frontend) refuse(w http.ResponseWriter, r *http.Request, key string, er
 	}
 	writeErr(w, http.StatusServiceUnavailable,
 		fmt.Sprintf("no reachable owner for %s: %v", key, err), true, retryAfter)
+}
+
+// mapKinds names the monotone map's key kinds by the ledger that acked them.
+var mapKinds = map[ackKind]string{ackSum: "counter", ackMax: "max"}
+
+// fromLedgers answers read d of a from the ledgers of the writes it names:
+// a set's membership or element list, or the first acked value. A dense
+// object with no acked write reads zero; a key with none is unknown.
+func (f *frontend) fromLedgers(d *op, a args) (result, bool) {
+	for _, stat := range d.degraded {
+		l := f.ledgers[stat]
+		switch d.body {
+		case bodyElems:
+			elems := []int64{}
+			for _, e := range l.entries(func(args) bool { return true }) {
+				elems = append(elems, e.n)
+			}
+			slices.Sort(elems)
+			return result{elems: elems}, true
+		case bodyMember:
+			_, ok := l.get(a)
+			return result{member: ok}, true
+		}
+		if v, ok := l.get(a); ok {
+			return result{value: v, kind: mapKinds[l.kind]}, true
+		}
+	}
+	return result{}, !d.keyed
 }
 
 // frontStats is the frontend /stats document.
@@ -1023,16 +784,12 @@ func (f *frontend) snapshotStats() frontStats {
 		Raced:           f.tb.Stats.Raced.Load(),
 		Steals:          f.tb.Stats.Steals.Load(),
 		Fences:          f.tb.Stats.Fences.Load(),
-		CounterLedger:   f.counterLedger.Load(),
-		MaxregLedger:    f.maxLedger.Load(),
+		CounterLedger:   f.ledgers["counter_inc"].value(args{}),
+		MaxregLedger:    f.ledgers["maxreg_write"].value(args{}),
+		GSetLedgerSize:  f.ledgers["gset_add"].size(),
+		KGSetLedgerKeys: f.ledgers["kgset_add"].size(),
+		KMapLedgerKeys:  f.ledgers["map_inc"].size() + f.ledgers["map_max"].size(),
 	}
-	f.gsetMu.Lock()
-	st.GSetLedgerSize = len(f.gsetLedger)
-	f.gsetMu.Unlock()
-	f.keyedMu.Lock()
-	st.KGSetLedgerKeys = len(f.kgsetLedger)
-	st.KMapLedgerKeys = len(f.kmapLedger)
-	f.keyedMu.Unlock()
 	for i, u := range f.cfg.backends {
 		st.Backends = append(st.Backends, frontBackendStat{URL: u, State: f.health.State(i).String()})
 	}
@@ -1084,10 +841,7 @@ func runFrontend(ctx context.Context) error {
 	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var backends []string
-	for _, b := range splitComma(*backendsFlag) {
-		backends = append(backends, b)
-	}
+	backends := strings.FieldsFunc(*backendsFlag, func(r rune) bool { return r == ',' })
 	if len(backends) == 0 {
 		return errors.New("-frontend requires -backends URL[,URL...]")
 	}
@@ -1109,39 +863,10 @@ func runFrontend(ctx context.Context) error {
 	}
 	f.start(ctx)
 
-	hs := newHTTPServer(f.handler())
-	hs.Addr = *addr
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	fmt.Printf("slserve: frontend over %d backends, listening on %s\n", len(backends), *addr)
-
-	select {
-	case err := <-errc:
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
 		return err
-	case <-ctx.Done():
 	}
-	stop()
-	fmt.Println("slserve: signal received, draining")
-	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := hs.Shutdown(dctx); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	fmt.Println("slserve: drained")
-	return nil
-}
-
-// splitComma splits a comma-separated flag value, dropping empty elements.
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if part := s[start:i]; part != "" {
-				out = append(out, part)
-			}
-			start = i + 1
-		}
-	}
-	return out
+	fmt.Printf("slserve: frontend over %d backends, listening on %s\n", len(backends), ln.Addr())
+	return serveUntil(ctx, stop, ln, func() {}, newHTTPServer(f.handler()))
 }

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	neturl "net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -102,8 +103,8 @@ func TestFrontendRoutesAndFailsOver(t *testing.T) {
 	if got := feValue(t, feReq(t, h, http.MethodGet, "/counter")); got != 5 {
 		t.Fatalf("counter before failover = %d, want 5", got)
 	}
-	if f.counterLedger.Load() != 5 {
-		t.Fatalf("acked ledger = %d, want 5", f.counterLedger.Load())
+	if f.ledgers["counter_inc"].value(args{}) != 5 {
+		t.Fatalf("acked ledger = %d, want 5", f.ledgers["counter_inc"].value(args{}))
 	}
 
 	// Kill the counter's owner and let one sweep + reconcile move it.
@@ -214,8 +215,8 @@ func TestFrontendDegradedReads(t *testing.T) {
 	if !body.Retryable {
 		t.Fatalf("dead-pool write refusal must be retryable: %+v", body)
 	}
-	if f.counterLedger.Load() != 3 {
-		t.Fatalf("refused write mutated the ledger: %d", f.counterLedger.Load())
+	if f.ledgers["counter_inc"].value(args{}) != 3 {
+		t.Fatalf("refused write mutated the ledger: %d", f.ledgers["counter_inc"].value(args{}))
 	}
 	if f.degraded.Load() < 2 {
 		t.Fatalf("degraded reads counter = %d, want >= 2", f.degraded.Load())
@@ -242,8 +243,8 @@ func TestFrontendForwardsBackendErrors(t *testing.T) {
 	if f.retriesTotal.Load() != 0 {
 		t.Fatalf("non-retryable error was retried %d times", f.retriesTotal.Load())
 	}
-	if f.maxLedger.Load() != 0 {
-		t.Fatalf("refused write folded into ledger: %d", f.maxLedger.Load())
+	if f.ledgers["maxreg_write"].value(args{}) != 0 {
+		t.Fatalf("refused write folded into ledger: %d", f.ledgers["maxreg_write"].value(args{}))
 	}
 }
 
@@ -368,14 +369,16 @@ func TestFrontendRoutesKeyedAndFailsOver(t *testing.T) {
 	member("ghost", false)
 
 	// The acked ledgers carry exactly the acked history.
-	if a, ok := f.kmapAcked("hits"); !ok || a.val != 4 || a.kind != "counter" {
-		t.Fatalf("kmap ledger for hits = %+v/%v, want counter 4", a, ok)
+	if v, ok := f.ledgers["map_inc"].get(args{key: "hits"}); !ok || v != 4 {
+		t.Fatalf("map inc ledger for hits = %d/%v, want 4", v, ok)
 	}
-	if a, ok := f.kmapAcked("peak"); !ok || a.val != 9 || a.kind != "max" {
-		t.Fatalf("kmap ledger for peak = %+v/%v, want max 9", a, ok)
+	if v, ok := f.ledgers["map_max"].get(args{key: "peak"}); !ok || v != 9 {
+		t.Fatalf("map max ledger for peak = %d/%v, want 9", v, ok)
 	}
-	if !f.kgsetHasAcked("alpha") || f.kgsetHasAcked("ghost") {
-		t.Fatalf("kgset ledger wrong: alpha=%v ghost=%v", f.kgsetHasAcked("alpha"), f.kgsetHasAcked("ghost"))
+	_, alpha := f.ledgers["kgset_add"].get(args{key: "alpha", n: 1})
+	_, ghost := f.ledgers["kgset_add"].get(args{key: "ghost", n: 1})
+	if !alpha || ghost {
+		t.Fatalf("kgset ledger wrong: alpha=%v ghost=%v", alpha, ghost)
 	}
 
 	// Kill the owner of hits' map partition; the reconciler must move the
@@ -451,8 +454,8 @@ func TestFrontendDegradedKeyedReads(t *testing.T) {
 		t.Fatalf("keyed write with dead pool = %d, want 503", rec.Code)
 	}
 	assertErrShape(t, rec, true)
-	if a, _ := f.kmapAcked("hits"); a.val != 5 {
-		t.Fatalf("refused write mutated the keyed ledger: %d", a.val)
+	if v := f.ledgers["map_inc"].value(args{key: "hits"}); v != 5 {
+		t.Fatalf("refused write mutated the keyed ledger: %d", v)
 	}
 }
 
@@ -490,7 +493,9 @@ func TestFrontendMetricsEndpoint(t *testing.T) {
 }
 
 // TestKeyedRoutesCoverEveryPartition: every partition a key can hash to has
-// a precomputed route the ownership table carries.
+// a route the ownership table carries, every route the frontend carries is
+// an object the backend's /fence accepts, and every fenceable object is
+// routed.
 func TestKeyedRoutesCoverEveryPartition(t *testing.T) {
 	f := wireFrontend(t, time.Second)
 	carried := make(map[string]bool)
@@ -499,17 +504,39 @@ func TestKeyedRoutesCoverEveryPartition(t *testing.T) {
 	}
 	hit := make(map[int]bool)
 	for i := 0; i < 1000; i++ {
-		p := keyedPartition(fmt.Sprintf("key-%d", i))
+		key := fmt.Sprintf("key-%d", i)
+		p := keyedPartition(key)
 		if p < 0 || p >= keyPartitions {
 			t.Fatalf("keyedPartition = %d, outside [0, %d)", p, keyPartitions)
 		}
 		hit[p] = true
-		if !carried[kgsetRoutes[p]] || !carried[mapRoutes[p]] {
-			t.Fatalf("partition %d routes %q/%q not carried by the table", p, kgsetRoutes[p], mapRoutes[p])
+		for _, d := range objects {
+			if !d.keyed {
+				continue
+			}
+			if r := d.route(args{key: key}); !carried[r] || r != fmt.Sprintf("%s.p%d", d.object, p) {
+				t.Fatalf("%s %s: key %q routes to %q, want the carried partition %d", d.method, d.path, key, r, p)
+			}
 		}
 	}
 	if len(hit) != keyPartitions {
 		t.Fatalf("1000 keys hit %d of %d partitions", len(hit), keyPartitions)
+	}
+
+	srv := newServer(4, 2, 0)
+	h := srv.handler()
+	for k := range carried {
+		if rec := feReq(t, h, http.MethodPost, "/fence?obj="+neturl.QueryEscape(k)+"&gen=0"); rec.Code != http.StatusOK {
+			t.Errorf("routed key %q: backend /fence answers %d %s", k, rec.Code, rec.Body.String())
+		}
+	}
+	for k := range srv.fences {
+		if !carried[k] {
+			t.Errorf("fenceable object %q is not routed by the frontend", k)
+		}
+	}
+	if len(srv.fences) != len(carried) {
+		t.Errorf("backend fences %d objects, frontend routes %d", len(srv.fences), len(carried))
 	}
 }
 
@@ -648,7 +675,7 @@ func TestFrontendChaosKillRestart(t *testing.T) {
 	if total == 0 {
 		t.Fatalf("no increment was ever acked")
 	}
-	if got := f.counterLedger.Load(); got != total {
+	if got := f.ledgers["counter_inc"].value(args{}); got != total {
 		t.Fatalf("acked ledger %d != acked responses %d", got, total)
 	}
 

@@ -24,8 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
-	"strings"
+	neturl "net/url"
 
 	"stronglin"
 )
@@ -48,8 +47,8 @@ func keyedPartition(key string) int {
 }
 
 // queryKey extracts and validates the k parameter.
-func queryKey(r *http.Request) (string, error) {
-	key := r.URL.Query().Get("k")
+func queryKey(q neturl.Values) (string, error) {
+	key := q.Get("k")
 	if key == "" {
 		return "", errors.New(`missing query parameter "k"`)
 	}
@@ -59,32 +58,16 @@ func queryKey(r *http.Request) (string, error) {
 	return key, nil
 }
 
-// keyedFenceOf resolves the keyed /fence objects: kgset.p0..pN-1 and
-// map.p0..pN-1, one gate per routing partition.
-func (s *server) keyedFenceOf(obj string) *fenceGate {
-	var gates *[keyPartitions]fenceGate
-	var raw string
+// writeOpErr maps an engine step's typed errors onto the uniform error
+// shape. None are retryable: the clock's budget is terminal, an unknown key
+// stays unknown until someone writes it, a kind conflict is the client's
+// contract violation, and the budget/slot exhaustions survive any retry
+// (growth already ran).
+func (s *server) writeOpErr(w http.ResponseWriter, err error) {
 	switch {
-	case strings.HasPrefix(obj, "kgset.p"):
-		gates, raw = &s.fences.kgset, obj[len("kgset.p"):]
-	case strings.HasPrefix(obj, "map.p"):
-		gates, raw = &s.fences.kmap, obj[len("map.p"):]
-	default:
-		return nil
-	}
-	p, err := strconv.Atoi(raw)
-	if err != nil || p < 0 || p >= keyPartitions {
-		return nil
-	}
-	return &gates[p]
-}
-
-// writeKeyedErr maps the keyed objects' typed errors onto the uniform error
-// shape. None are retryable: an unknown key stays unknown until someone
-// writes it, a kind conflict is the client's contract violation, and the
-// budget/slot exhaustions survive any retry (growth already ran).
-func writeKeyedErr(w http.ResponseWriter, err error) {
-	switch {
+	case errors.Is(err, errClockSpent):
+		s.clockRejects.Inc()
+		s.unavailable(w, http.StatusServiceUnavailable, "clock capacity exhausted: the Algorithm 1 reference budget is terminal", false)
 	case errors.Is(err, stronglin.ErrKeyedUnknownKey):
 		writeErr(w, http.StatusNotFound, "unknown key", false, 0)
 	case errors.Is(err, stronglin.ErrKeyedKindMismatch):
@@ -115,298 +98,4 @@ func growFull(op func() error, grow func() error) error {
 		err = op()
 	}
 	return err
-}
-
-func (s *server) kgsetAddGrow(t stronglin.Thread, key string) error {
-	return growFull(
-		func() error { return s.kgset.Add(t, key) },
-		func() error { return s.kgset.Rehash(t, 2*s.kgset.Buckets(t)) })
-}
-
-func (s *server) kmapIncGrow(t stronglin.Thread, key string, d int64) error {
-	return growFull(
-		func() error { return s.kmap.IncBy(t, key, d) },
-		func() error { return s.kmap.Rehash(t, 2*s.kmap.Buckets(t)) })
-}
-
-func (s *server) kmapMaxGrow(t stronglin.Thread, key string, v int64) error {
-	return growFull(
-		func() error { return s.kmap.Max(t, key, v) },
-		func() error { return s.kmap.Rehash(t, 2*s.kmap.Buckets(t)) })
-}
-
-// applyKGSetAdd is the kgset-add coalescer's apply: one engine add per
-// DISTINCT key in the batch (a repeat add is a no-op anyway, so duplicates
-// share the first add's result), all under a single lane lease.
-func (s *server) applyKGSetAdd(b *batch) {
-	b.kerrs = make([]error, len(b.kops))
-	s.pool.With(func(t stronglin.Thread) {
-		memo := make(map[string]error, len(b.kops))
-		for i, op := range b.kops {
-			err, seen := memo[op.key]
-			if !seen {
-				err = s.kgsetAddGrow(t, op.key)
-				memo[op.key] = err
-			}
-			b.kerrs[i] = err
-		}
-	})
-}
-
-// applyMapInc folds same-key increments into ONE IncBy of their sum — the
-// keyed analogue of the counter-inc fold; distinct keys still cost one op
-// each. A folded sum can exceed what the lane's field absorbs even when
-// each member would fit alone (ErrBudget — or ErrRange, past the field
-// domain itself); those groups fall back to per-request application so only
-// the requests genuinely past the budget fail.
-func (s *server) applyMapInc(b *batch) {
-	b.kerrs = make([]error, len(b.kops))
-	s.pool.With(func(t stronglin.Thread) {
-		groups := make(map[string][]int, len(b.kops))
-		for i, op := range b.kops {
-			groups[op.key] = append(groups[op.key], i)
-		}
-		for key, idxs := range groups {
-			var sum int64
-			for _, i := range idxs {
-				sum += b.kops[i].val
-			}
-			err := s.kmapIncGrow(t, key, sum)
-			if (errors.Is(err, stronglin.ErrKeyedBudget) || errors.Is(err, stronglin.ErrKeyedRange)) && len(idxs) > 1 {
-				for _, i := range idxs {
-					b.kerrs[i] = s.kmapIncGrow(t, key, b.kops[i].val)
-				}
-				continue
-			}
-			for _, i := range idxs {
-				b.kerrs[i] = err
-			}
-		}
-	})
-}
-
-// applyMapMax folds same-key max writes into one Max of the group's
-// largest value — the lower writes were no-ops the moment the largest
-// landed, so one engine op carries the whole group exactly.
-func (s *server) applyMapMax(b *batch) {
-	b.kerrs = make([]error, len(b.kops))
-	s.pool.With(func(t stronglin.Thread) {
-		groups := make(map[string][]int, len(b.kops))
-		for i, op := range b.kops {
-			groups[op.key] = append(groups[op.key], i)
-		}
-		for key, idxs := range groups {
-			top := b.kops[idxs[0]].val
-			for _, i := range idxs[1:] {
-				if v := b.kops[i].val; v > top {
-					top = v
-				}
-			}
-			err := s.kmapMaxGrow(t, key, top)
-			for _, i := range idxs {
-				b.kerrs[i] = err
-			}
-		}
-	})
-}
-
-// kgsetAddHandler: POST /kgset/add?k=KEY.
-func (s *server) kgsetAddHandler(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST only", false, 0)
-		return
-	}
-	gen, gerr := reqGen(r)
-	if gerr != nil {
-		writeErr(w, http.StatusBadRequest, gerr.Error(), false, 0)
-		return
-	}
-	key, kerr := queryKey(r)
-	if kerr != nil {
-		writeErr(w, http.StatusBadRequest, kerr.Error(), false, 0)
-		return
-	}
-	var err error
-	if !s.fences.kgset[keyedPartition(key)].admit(gen, func() {
-		if s.coalesce {
-			var idx int
-			b := s.co.kgsetAdd.do(
-				func(b *batch) { idx = len(b.kops); b.kops = append(b.kops, kreq{key: key, val: 1}) },
-				s.applyKGSetAdd)
-			err = b.kerrs[idx]
-		} else {
-			s.pool.With(func(t stronglin.Thread) { err = s.kgsetAddGrow(t, key) })
-		}
-	}) {
-		s.fenced(w)
-		return
-	}
-	if err != nil {
-		writeKeyedErr(w, err)
-		return
-	}
-	s.ops.kgsetAdd.Add(1)
-	writeJSON(w, map[string]any{"ok": true})
-}
-
-// kgsetHasHandler: GET /kgset/has?k=KEY.
-func (s *server) kgsetHasHandler(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only", false, 0)
-		return
-	}
-	gen, gerr := reqGen(r)
-	if gerr != nil {
-		writeErr(w, http.StatusBadRequest, gerr.Error(), false, 0)
-		return
-	}
-	key, kerr := queryKey(r)
-	if kerr != nil {
-		writeErr(w, http.StatusBadRequest, kerr.Error(), false, 0)
-		return
-	}
-	var member bool
-	if !s.fences.kgset[keyedPartition(key)].admit(gen, func() {
-		s.pool.With(func(t stronglin.Thread) { member = s.kgset.Has(t, key) })
-	}) {
-		s.fenced(w)
-		return
-	}
-	s.ops.kgsetHas.Add(1)
-	writeJSON(w, map[string]any{"member": member})
-}
-
-// mapIncHandler: POST /map/inc?k=KEY[&d=N] (d defaults to 1).
-func (s *server) mapIncHandler(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST only", false, 0)
-		return
-	}
-	gen, gerr := reqGen(r)
-	if gerr != nil {
-		writeErr(w, http.StatusBadRequest, gerr.Error(), false, 0)
-		return
-	}
-	key, kerr := queryKey(r)
-	if kerr != nil {
-		writeErr(w, http.StatusBadRequest, kerr.Error(), false, 0)
-		return
-	}
-	d := int64(1)
-	if raw := r.URL.Query().Get("d"); raw != "" {
-		v, perr := strconv.ParseInt(raw, 10, 64)
-		if perr != nil || v < 1 || v > s.kmap.FieldCap() {
-			writeErr(w, http.StatusBadRequest,
-				fmt.Sprintf("query parameter %q must be an integer in [1, %d]", "d", s.kmap.FieldCap()), false, 0)
-			return
-		}
-		d = v
-	}
-	var err error
-	if !s.fences.kmap[keyedPartition(key)].admit(gen, func() {
-		if s.coalesce {
-			var idx int
-			b := s.co.mapInc.do(
-				func(b *batch) { idx = len(b.kops); b.kops = append(b.kops, kreq{key: key, val: d}) },
-				s.applyMapInc)
-			err = b.kerrs[idx]
-		} else {
-			s.pool.With(func(t stronglin.Thread) { err = s.kmapIncGrow(t, key, d) })
-		}
-	}) {
-		s.fenced(w)
-		return
-	}
-	if err != nil {
-		writeKeyedErr(w, err)
-		return
-	}
-	s.ops.mapInc.Add(1)
-	writeJSON(w, map[string]any{"ok": true})
-}
-
-// mapMaxHandler: POST /map/max?k=KEY&v=N.
-func (s *server) mapMaxHandler(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST only", false, 0)
-		return
-	}
-	gen, gerr := reqGen(r)
-	if gerr != nil {
-		writeErr(w, http.StatusBadRequest, gerr.Error(), false, 0)
-		return
-	}
-	key, kerr := queryKey(r)
-	if kerr != nil {
-		writeErr(w, http.StatusBadRequest, kerr.Error(), false, 0)
-		return
-	}
-	raw := r.URL.Query().Get("v")
-	v, perr := strconv.ParseInt(raw, 10, 64)
-	if raw == "" || perr != nil || v < 0 || v > s.kmap.FieldCap() {
-		writeErr(w, http.StatusBadRequest,
-			fmt.Sprintf("query parameter %q must be an integer in [0, %d]", "v", s.kmap.FieldCap()), false, 0)
-		return
-	}
-	var err error
-	if !s.fences.kmap[keyedPartition(key)].admit(gen, func() {
-		if s.coalesce {
-			var idx int
-			b := s.co.mapMax.do(
-				func(b *batch) { idx = len(b.kops); b.kops = append(b.kops, kreq{key: key, val: v}) },
-				s.applyMapMax)
-			err = b.kerrs[idx]
-		} else {
-			s.pool.With(func(t stronglin.Thread) { err = s.kmapMaxGrow(t, key, v) })
-		}
-	}) {
-		s.fenced(w)
-		return
-	}
-	if err != nil {
-		writeKeyedErr(w, err)
-		return
-	}
-	s.ops.mapMax.Add(1)
-	writeJSON(w, map[string]any{"ok": true})
-}
-
-// mapGetHandler: GET /map/get?k=KEY. Answers {"value": V, "kind":
-// "counter"|"max"}; a key never written is 404 (the one keyed error a
-// client routinely probes for).
-func (s *server) mapGetHandler(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only", false, 0)
-		return
-	}
-	gen, gerr := reqGen(r)
-	if gerr != nil {
-		writeErr(w, http.StatusBadRequest, gerr.Error(), false, 0)
-		return
-	}
-	key, kerr := queryKey(r)
-	if kerr != nil {
-		writeErr(w, http.StatusBadRequest, kerr.Error(), false, 0)
-		return
-	}
-	var v int64
-	var kind stronglin.MapKind
-	var err error
-	if !s.fences.kmap[keyedPartition(key)].admit(gen, func() {
-		s.pool.With(func(t stronglin.Thread) {
-			v, err = s.kmap.Get(t, key)
-			if err == nil {
-				kind = s.kmap.Kind(t, key)
-			}
-		})
-	}) {
-		s.fenced(w)
-		return
-	}
-	if err != nil {
-		writeKeyedErr(w, err)
-		return
-	}
-	s.ops.mapGet.Add(1)
-	writeJSON(w, map[string]any{"value": v, "kind": kind.String()})
 }

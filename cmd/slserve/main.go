@@ -28,6 +28,10 @@
 //	GET  /stats                lanes, shards, lease and per-endpoint op counts
 //	GET  /healthz              liveness
 //
+// Every object endpoint is one entry of the object table (objects.go); the
+// same table drives the routing frontend (frontend.go). Unknown paths get
+// the uniform JSON 404, a known path with the wrong method 405.
+//
 // With -bound B the server declares the value domain [0, B] for max-register
 // values, grow-only-set elements and snapshot components (requests outside
 // it are rejected with 400), which lets each shard core — and the Theorem 2
@@ -55,8 +59,8 @@
 // default is off): each combining read and multi-word scan publishes its
 // validated result keyed by the epoch/anchor it validated at, and
 // steady-state reads re-validate with ONE fresh register read instead of a
-// full collect. With -coalesce (default on) the server additionally folds
-// concurrent same-kind requests into one engine operation: N simultaneous
+// full collect. The server additionally folds concurrent same-kind
+// requests into one engine operation: N simultaneous
 // counter increments become a single XADD of their sum, concurrent gset adds
 // one pass over the distinct elements, and concurrent GETs of an object share
 // one validated view — see coalesce.go for the leader/follower mechanics and
@@ -110,19 +114,23 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	neturl "net/url"
 	"os"
 	"os/signal"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -139,7 +147,6 @@ var (
 	shards     = flag.Int("shards", 4, "fetch&add cores per sharded object (<= lanes)")
 	bound      = flag.Int64("bound", 0, "value domain [0,bound] for maxreg values, gset elements and snapshot components; packs the shard registers and the snapshot into machine words when the encodings fit (0 = unbounded wide registers)")
 	scanBudget = flag.Int("scan-budget", -1, "scan/read retry budget of the helped objects before they solicit help (-1 = library default; 0 makes adoption the common case)")
-	coalesce   = flag.Bool("coalesce", true, "fold concurrent same-kind requests into one engine operation: additive writes batch into a single XADD, concurrent reads share one validated view")
 	attack     = flag.Bool("attack", false, "run the load generator instead of serving")
 	clients    = flag.Int("clients", 32, "concurrent load-generator workers (attack mode)")
 	dur        = flag.Duration("dur", 2*time.Second, "measurement duration (attack mode)")
@@ -235,10 +242,18 @@ func serveLoop(ctx context.Context, srv *server, ln net.Listener) error {
 		}()
 		fmt.Printf("slserve: debug listener (metrics + pprof) on %s\n", *debugAddr)
 	}
-	hs := newHTTPServer(srv.handler())
+	// Close the coalescing funnels before the HTTP drain: requests that are
+	// already in flight when Shutdown stops accepting must not park behind a
+	// slow batch as its next leader, or the drain deadline kills them.
+	return serveUntil(ctx, stop, ln, srv.drainCoalescers, newHTTPServer(srv.handler()), dbg)
+}
+
+// serveUntil is both tiers' listen/drain skeleton: serve hs on ln until
+// ctx (a signal context, stop its cancel) ends, then run beforeDrain and
+// gracefully shut hs and every extra server down within -drain-timeout.
+func serveUntil(ctx context.Context, stop func(), ln net.Listener, beforeDrain func(), hs *http.Server, extra ...*http.Server) error {
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
-
 	select {
 	case err := <-errc:
 		return err
@@ -246,18 +261,15 @@ func serveLoop(ctx context.Context, srv *server, ln net.Listener) error {
 	}
 	stop() // a second signal during the drain kills the process the hard way
 	fmt.Println("slserve: signal received, draining")
-	// Close the coalescing funnels before the HTTP drain: requests that are
-	// already in flight when Shutdown stops accepting must not park behind a
-	// slow batch as its next leader, or the drain deadline kills them.
-	srv.drainCoalescers()
+	beforeDrain()
 	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	if err := hs.Shutdown(dctx); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	if dbg != nil {
-		if err := dbg.Shutdown(dctx); err != nil {
-			return fmt.Errorf("debug drain: %w", err)
+	for _, srv := range append([]*http.Server{hs}, extra...) {
+		if srv == nil {
+			continue
+		}
+		if err := srv.Shutdown(dctx); err != nil {
+			return fmt.Errorf("drain: %w", err)
 		}
 	}
 	fmt.Println("slserve: drained")
@@ -378,54 +390,17 @@ type server struct {
 	// keyed by URL path; built once in registerMetrics, read-only after.
 	endpointDur map[string]*obs.Histogram
 
-	// coalesce gates the leader/follower batching in coalesce.go: additive
-	// writes fold into one XADD, concurrent reads share one validated view.
-	// One coalescer per (object, operation kind); each one serializes only
-	// its own kind, so different endpoints never queue behind each other.
-	coalesce bool
-	co       struct {
-		counterInc, counterRead coalescer
-		maxregRead              coalescer
-		gsetAdd, gsetElems      coalescer
-		snapScan, msnapScan     coalescer
-		kgsetAdd                coalescer
-		mapInc, mapMax          coalescer
-	}
-
-	ops struct {
-		counterInc, counterRead     atomic.Int64
-		maxregWrite, maxregRead     atomic.Int64
-		gsetAdd, gsetHas, gsetElems atomic.Int64
-		snapUpdate, snapScan        atomic.Int64
-		msnapUpdate, msnapScan      atomic.Int64
-		clockTick, clockRead        atomic.Int64
-		kgsetAdd, kgsetHas          atomic.Int64
-		mapInc, mapMax, mapGet      atomic.Int64
-	}
-
-	// fences are the routed objects' backend-side ownership fences (the
-	// cluster handoff protocol's 409 surface); fenceRejects counts requests
-	// refused below a floor. The keyed universe fences per key partition —
-	// the routing tier moves partitions, not individual keys.
-	fences struct {
-		counter, maxreg, gset fenceGate
-		kgset, kmap           [keyPartitions]fenceGate
-	}
+	// The object table's per-server state, built once in registerMetrics
+	// and read-only after: one coalescer per coalesced op and one op
+	// counter per /stats key (both by stat name), and one ownership fence
+	// per route key. A routing tier moving an object away raises its
+	// fence (the cluster handoff protocol's 409 surface); fenceRejects
+	// counts requests refused below a floor. The keyed universe fences per
+	// key partition — the routing tier moves partitions, not single keys.
+	co           map[string]*coalescer
+	ops          map[string]*atomic.Int64
+	fences       map[string]*fenceGate
 	fenceRejects atomic.Int64
-}
-
-// fenceOf maps a /fence obj parameter to its gate (nil = unknown object;
-// only the routed objects carry fences).
-func (s *server) fenceOf(obj string) *fenceGate {
-	switch obj {
-	case "counter":
-		return &s.fences.counter
-	case "maxreg":
-		return &s.fences.maxreg
-	case "gset":
-		return &s.fences.gset
-	}
-	return s.keyedFenceOf(obj)
 }
 
 // fenced answers the 409 a request below an object's fence floor gets: the
@@ -559,7 +534,6 @@ func newServerCfg(lanes, shards int, bound, clockBudget int64, scanBudget int, c
 		kgset:    stronglin.NewKeyedGSet(w, lanes),
 		kmap:     stronglin.NewMonotoneMap(w, lanes),
 		reg:      reg,
-		coalesce: *coalesce,
 	}
 	// The rebaser watches every renewable budget the server holds. The clock
 	// is deliberately absent: Algorithm 1's reference budget is terminal (the
@@ -656,45 +630,32 @@ func (s *server) registerMetrics() {
 	// Per-endpoint request-duration histogram family: the same observation
 	// the aggregate slserve_request_duration_ns gets, split by URL path so a
 	// slow endpoint (a contended scan, a clock walk) is visible on its own.
+	// Coalescing telemetry per coalesced op: batch sizes (one observation
+	// per applied batch) and the requests absorbed into another request's
+	// batch — the engine operations that never happened.
 	s.endpointDur = make(map[string]*obs.Histogram)
-	for _, e := range []struct{ path, name string }{
-		{"/counter/inc", "counter_inc"},
-		{"/counter/add", "counter_add"},
-		{"/counter", "counter"},
-		{"/maxreg", "maxreg"},
-		{"/gset", "gset"},
-		{"/kgset/add", "kgset_add"},
-		{"/kgset/has", "kgset_has"},
-		{"/map/inc", "map_inc"},
-		{"/map/max", "map_max"},
-		{"/map/get", "map_get"},
-		{"/snapshot", "snapshot"},
-		{"/msnapshot", "msnapshot"},
-		{"/clock/tick", "clock_tick"},
-		{"/clock", "clock"},
-		{"/stats", "stats"},
-		{"/metrics", "metrics"},
-	} {
-		s.endpointDur[e.path] = s.reg.Histogram("slserve_endpoint_"+e.name+"_duration_ns", e.path+" request handling latency in nanoseconds")
+	s.co = make(map[string]*coalescer)
+	s.ops = make(map[string]*atomic.Int64)
+	endpoint := func(path string) {
+		if s.endpointDur[path] == nil {
+			name := strings.ReplaceAll(path[1:], "/", "_")
+			s.endpointDur[path] = s.reg.Histogram("slserve_endpoint_"+name+"_duration_ns", path+" request handling latency in nanoseconds")
+		}
 	}
-
-	// Coalescing telemetry: batch sizes (one observation per applied batch)
-	// and the requests absorbed into another request's batch — the engine
-	// operations that never happened.
-	mkco := func(co *coalescer, name, what string) {
-		co.size = s.reg.Histogram("slserve_coalesce_"+name+"_batch_size", what+" requests folded per coalesced batch")
-		co.absorbed = s.reg.Counter("slserve_coalesce_"+name+"_absorbed_total", what+" requests absorbed into another request's batch (engine operations saved)")
+	for _, d := range objects {
+		endpoint(d.path)
+		if s.ops[d.stat] == nil {
+			s.ops[d.stat] = new(atomic.Int64)
+		}
+		if d.co != coNone {
+			s.co[d.stat] = &coalescer{
+				size:     s.reg.Histogram("slserve_coalesce_"+d.stat+"_batch_size", d.stat+" requests folded per coalesced batch"),
+				absorbed: s.reg.Counter("slserve_coalesce_"+d.stat+"_absorbed_total", d.stat+" requests absorbed into another request's batch (engine operations saved)"),
+			}
+		}
 	}
-	mkco(&s.co.counterInc, "counter_inc", "counter increment")
-	mkco(&s.co.counterRead, "counter_read", "counter read")
-	mkco(&s.co.maxregRead, "maxreg_read", "max-register read")
-	mkco(&s.co.gsetAdd, "gset_add", "gset add")
-	mkco(&s.co.gsetElems, "gset_elems", "gset element-list")
-	mkco(&s.co.snapScan, "snapshot_scan", "snapshot scan")
-	mkco(&s.co.msnapScan, "msnapshot_scan", "multi-word snapshot scan")
-	mkco(&s.co.kgsetAdd, "kgset_add", "keyed gset add")
-	mkco(&s.co.mapInc, "map_inc", "keyed map increment")
-	mkco(&s.co.mapMax, "map_max", "keyed map max write")
+	endpoint("/stats")
+	endpoint("/metrics")
 
 	// Lifetime watermarks: where each bounded budget currently stands. These
 	// are the sensors the live-migration plans trigger on (ROADMAP).
@@ -729,13 +690,11 @@ func (s *server) registerMetrics() {
 	// Ownership-fence telemetry: the per-object fence floors a routing tier
 	// has raised here and the requests refused below one (each refusal is a
 	// raced handoff the cluster layer re-routed).
-	s.reg.GaugeFunc("slserve_counter_fence_floor", "counter ownership fence floor (0 = never fenced)", s.fences.counter.Floor)
-	s.reg.GaugeFunc("slserve_maxreg_fence_floor", "maxreg ownership fence floor (0 = never fenced)", s.fences.maxreg.Floor)
-	s.reg.GaugeFunc("slserve_gset_fence_floor", "gset ownership fence floor (0 = never fenced)", s.fences.gset.Floor)
-	for p := 0; p < keyPartitions; p++ {
-		p := p
-		s.reg.GaugeFunc(fmt.Sprintf("slserve_kgset_p%d_fence_floor", p), fmt.Sprintf("keyed gset partition %d ownership fence floor (0 = never fenced)", p), s.fences.kgset[p].Floor)
-		s.reg.GaugeFunc(fmt.Sprintf("slserve_map_p%d_fence_floor", p), fmt.Sprintf("keyed map partition %d ownership fence floor (0 = never fenced)", p), s.fences.kmap[p].Floor)
+	s.fences = make(map[string]*fenceGate)
+	for _, key := range routeKeys {
+		g := new(fenceGate)
+		s.fences[key] = g
+		s.reg.GaugeFunc("slserve_"+strings.ReplaceAll(key, ".", "_")+"_fence_floor", key+" ownership fence floor (0 = never fenced)", g.Floor)
 	}
 	s.reg.CounterFunc("slserve_fence_rejects_total", "requests refused 409 below an ownership fence floor", s.fenceRejects.Load)
 
@@ -764,26 +723,66 @@ func (s *server) registerMetrics() {
 }
 
 func (s *server) handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/counter/inc", s.counterInc)
-	mux.HandleFunc("/counter/add", s.counterAdd)
-	mux.HandleFunc("/counter", s.counterGet)
-	mux.HandleFunc("/maxreg", s.maxregHandler)
-	mux.HandleFunc("/gset", s.gsetHandler)
-	mux.HandleFunc("/kgset/add", s.kgsetAddHandler)
-	mux.HandleFunc("/kgset/has", s.kgsetHasHandler)
-	mux.HandleFunc("/map/inc", s.mapIncHandler)
-	mux.HandleFunc("/map/max", s.mapMaxHandler)
-	mux.HandleFunc("/map/get", s.mapGetHandler)
-	mux.HandleFunc("/snapshot", s.snapshotHandler)
-	mux.HandleFunc("/msnapshot", s.msnapshotHandler)
-	mux.HandleFunc("/clock/tick", s.clockTick)
-	mux.HandleFunc("/clock", s.clockGet)
-	mux.HandleFunc("/stats", s.stats)
-	mux.HandleFunc("/metrics", s.metrics)
-	mux.HandleFunc("/healthz", s.healthz)
-	mux.HandleFunc("/fence", s.fenceHandler)
-	return s.instrumented(mux)
+	return instrumented(s.serve, s.reqTotal, s.reqErrors, s.reqDur, s.endpointDur)
+}
+
+// serve dispatches one request: the control endpoints, then the object
+// table.
+func (s *server) serve(w http.ResponseWriter, r *http.Request) {
+	switch r.URL.Path {
+	case "/stats":
+		s.stats(w, r)
+		return
+	case "/metrics":
+		s.metrics(w, r)
+		return
+	case "/healthz":
+		s.healthz(w, r)
+		return
+	case "/fence":
+		s.fenceHandler(w, r)
+		return
+	}
+	q := r.URL.Query()
+	d := lookupOp(w, r, q, func(*op) bool { return true })
+	if d == nil {
+		return
+	}
+	s.serveOp(w, r, q, d)
+}
+
+// serveOp is every object's backend handler: X-SL-Gen (routed objects
+// only) → parse → fence gate → engine step (coalesced or direct) → typed
+// error mapping → op count → body. The fence gate holds its read side over
+// the engine step, so a concurrent /fence raise waits for it.
+func (s *server) serveOp(w http.ResponseWriter, r *http.Request, q neturl.Values, d *op) {
+	gen := int64(math.MaxInt64)
+	if d.object != "" {
+		var err error
+		if gen, err = reqGen(r); err != nil {
+			writeErr(w, http.StatusBadRequest, err.Error(), false, 0)
+			return
+		}
+	}
+	a, err := d.parse(q, s)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err.Error(), false, 0)
+		return
+	}
+	var res result
+	step := func() { res, err = s.run(d, a) }
+	if d.object == "" {
+		step()
+	} else if !s.fences[d.route(a)].admit(gen, step) {
+		s.fenced(w)
+		return
+	}
+	if err != nil {
+		s.writeOpErr(w, err)
+		return
+	}
+	s.ops[d.stat].Add(1)
+	writeBody(w, d.body, res)
 }
 
 // healthz degrades with the watermark state instead of lying until the
@@ -871,22 +870,23 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// instrumented wraps the public mux with the request telemetry: one counter
-// increment, one histogram observation, and (on >= 400) one error increment
-// per request — padded atomics, no locks, no allocation beyond the wrapper.
-func (s *server) instrumented(next http.Handler) http.Handler {
+// instrumented wraps either tier's handler with the request telemetry: one
+// counter increment, one histogram observation, and (on >= 400) one error
+// increment per request — padded atomics, no locks, no allocation beyond
+// the wrapper. byPath adds the per-endpoint split (unknown paths, and every
+// path when byPath is nil, land only in the aggregate).
+func instrumented(next http.HandlerFunc, total, errs *obs.Counter, dur *obs.Histogram, byPath map[string]*obs.Histogram) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		sw := statusWriter{ResponseWriter: w, code: http.StatusOK}
-		next.ServeHTTP(&sw, r)
-		s.reqTotal.Inc()
+		next(&sw, r)
+		total.Inc()
 		if sw.code >= 400 {
-			s.reqErrors.Inc()
+			errs.Inc()
 		}
 		ns := time.Since(t0).Nanoseconds()
-		s.reqDur.Observe(ns)
-		// Per-endpoint split: unknown paths (404s) only land in the aggregate.
-		s.endpointDur[r.URL.Path].Observe(ns)
+		dur.Observe(ns)
+		byPath[r.URL.Path].Observe(ns)
 	})
 }
 
@@ -896,69 +896,6 @@ func writeJSON(w http.ResponseWriter, v any) {
 		// The response is already committed; nothing sensible remains.
 		return
 	}
-}
-
-func (s *server) counterInc(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST only", false, 0)
-		return
-	}
-	gen, err := reqGen(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error(), false, 0)
-		return
-	}
-	if !s.fences.counter.admit(gen, func() {
-		if s.coalesce {
-			// N concurrent increments fold into ONE Add of their sum — a single
-			// XADD on the owning shard carries every request's contribution.
-			s.co.counterInc.do(
-				func(b *batch) { b.sum++ },
-				func(b *batch) {
-					s.pool.With(func(t stronglin.Thread) { s.counter.Add(t, b.sum) })
-				})
-		} else {
-			s.pool.With(func(t stronglin.Thread) { s.counter.Inc(t) })
-		}
-	}) {
-		s.fenced(w)
-		return
-	}
-	s.ops.counterInc.Add(1)
-	writeJSON(w, map[string]any{"ok": true})
-}
-
-// counterAdd is the migration surface: POST /counter/add?d=N folds N into
-// the counter in one operation — how a routing tier seeds a new owner with
-// an acked ledger value without replaying N increments. Gated by the same
-// fence as /counter/inc.
-func (s *server) counterAdd(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST only", false, 0)
-		return
-	}
-	gen, err := reqGen(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error(), false, 0)
-		return
-	}
-	raw := r.URL.Query().Get("d")
-	d, perr := strconv.ParseInt(raw, 10, 64)
-	if raw == "" || perr != nil || d < 0 || d > counterBound {
-		writeErr(w, http.StatusBadRequest,
-			fmt.Sprintf("query parameter %q must be an integer in [0, %d]", "d", counterBound), false, 0)
-		return
-	}
-	if !s.fences.counter.admit(gen, func() {
-		if d > 0 {
-			s.pool.With(func(t stronglin.Thread) { s.counter.Add(t, d) })
-		}
-	}) {
-		s.fenced(w)
-		return
-	}
-	s.ops.counterInc.Add(1)
-	writeJSON(w, map[string]any{"ok": true})
 }
 
 // fenceHandler raises a routed object's fence floor: POST /fence?obj=O&gen=G.
@@ -971,9 +908,9 @@ func (s *server) fenceHandler(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, "POST only", false, 0)
 		return
 	}
-	g := s.fenceOf(r.URL.Query().Get("obj"))
+	g := s.fences[r.URL.Query().Get("obj")]
 	if g == nil {
-		writeErr(w, http.StatusBadRequest, "obj must be one of counter, maxreg, gset", false, 0)
+		writeErr(w, http.StatusBadRequest, "obj must be one of "+strings.Join(routeKeys, ", "), false, 0)
 		return
 	}
 	gen, err := strconv.ParseInt(r.URL.Query().Get("gen"), 10, 64)
@@ -984,278 +921,8 @@ func (s *server) fenceHandler(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"ok": true, "floor": g.raise(gen)})
 }
 
-func (s *server) counterGet(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only", false, 0)
-		return
-	}
-	gen, err := reqGen(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error(), false, 0)
-		return
-	}
-	var v int64
-	if !s.fences.counter.admit(gen, func() {
-		if s.coalesce {
-			// Concurrent reads share one validated combining read: the leader's
-			// read lies inside every member's request interval.
-			b := s.co.counterRead.do(
-				func(*batch) {},
-				func(b *batch) {
-					s.pool.With(func(t stronglin.Thread) { b.val = s.counter.Read(t) })
-				})
-			v = b.val
-		} else {
-			s.pool.With(func(t stronglin.Thread) { v = s.counter.Read(t) })
-		}
-	}) {
-		s.fenced(w)
-		return
-	}
-	s.ops.counterRead.Add(1)
-	writeJSON(w, map[string]any{"value": v})
-}
-
-func (s *server) maxregHandler(w http.ResponseWriter, r *http.Request) {
-	gen, gerr := reqGen(r)
-	if gerr != nil {
-		writeErr(w, http.StatusBadRequest, gerr.Error(), false, 0)
-		return
-	}
-	switch r.Method {
-	case http.MethodPost:
-		v, err := s.queryInt(r, "v")
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err.Error(), false, 0)
-			return
-		}
-		if !s.fences.maxreg.admit(gen, func() {
-			s.pool.With(func(t stronglin.Thread) { s.maxreg.WriteMax(t, v) })
-		}) {
-			s.fenced(w)
-			return
-		}
-		s.ops.maxregWrite.Add(1)
-		writeJSON(w, map[string]any{"ok": true})
-	case http.MethodGet:
-		var v int64
-		if !s.fences.maxreg.admit(gen, func() {
-			if s.coalesce {
-				b := s.co.maxregRead.do(
-					func(*batch) {},
-					func(b *batch) {
-						s.pool.With(func(t stronglin.Thread) { b.val = s.maxreg.ReadMax(t) })
-					})
-				v = b.val
-			} else {
-				s.pool.With(func(t stronglin.Thread) { v = s.maxreg.ReadMax(t) })
-			}
-		}) {
-			s.fenced(w)
-			return
-		}
-		s.ops.maxregRead.Add(1)
-		writeJSON(w, map[string]any{"value": v})
-	default:
-		writeErr(w, http.StatusMethodNotAllowed, "GET or POST only", false, 0)
-	}
-}
-
-func (s *server) gsetHandler(w http.ResponseWriter, r *http.Request) {
-	gen, gerr := reqGen(r)
-	if gerr != nil {
-		writeErr(w, http.StatusBadRequest, gerr.Error(), false, 0)
-		return
-	}
-	switch r.Method {
-	case http.MethodPost:
-		x, err := s.queryInt(r, "x")
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err.Error(), false, 0)
-			return
-		}
-		if !s.fences.gset.admit(gen, func() {
-			if s.coalesce {
-				// Concurrent adds fold into one batch; the leader inserts the
-				// DISTINCT elements under a single lease (duplicate requests for
-				// the same element collapse to one XADD on its shard).
-				s.co.gsetAdd.do(
-					func(b *batch) { b.elems = append(b.elems, x) },
-					func(b *batch) {
-						s.pool.With(func(t stronglin.Thread) {
-							seen := make(map[int64]bool, len(b.elems))
-							for _, e := range b.elems {
-								if !seen[e] {
-									seen[e] = true
-									s.gset.Add(t, e)
-								}
-							}
-						})
-					})
-			} else {
-				s.pool.With(func(t stronglin.Thread) { s.gset.Add(t, x) })
-			}
-		}) {
-			s.fenced(w)
-			return
-		}
-		s.ops.gsetAdd.Add(1)
-		writeJSON(w, map[string]any{"ok": true})
-	case http.MethodGet:
-		if r.URL.Query().Get("x") == "" {
-			var elems []int64
-			if !s.fences.gset.admit(gen, func() {
-				if s.coalesce {
-					b := s.co.gsetElems.do(
-						func(*batch) {},
-						func(b *batch) {
-							s.pool.With(func(t stronglin.Thread) { b.view = s.gset.Elems(t) })
-						})
-					elems = b.view
-				} else {
-					s.pool.With(func(t stronglin.Thread) { elems = s.gset.Elems(t) })
-				}
-			}) {
-				s.fenced(w)
-				return
-			}
-			s.ops.gsetElems.Add(1)
-			writeJSON(w, map[string]any{"elems": elems})
-			return
-		}
-		x, err := s.queryInt(r, "x")
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err.Error(), false, 0)
-			return
-		}
-		var member bool
-		if !s.fences.gset.admit(gen, func() {
-			s.pool.With(func(t stronglin.Thread) { member = s.gset.Has(t, x) })
-		}) {
-			s.fenced(w)
-			return
-		}
-		s.ops.gsetHas.Add(1)
-		writeJSON(w, map[string]any{"member": member})
-	default:
-		writeErr(w, http.StatusMethodNotAllowed, "GET or POST only", false, 0)
-	}
-}
-
-// snapshotHandler serves the Theorem 2 snapshot directly: POST ?v=V updates
-// the component of whichever lane the request leases, GET scans the view.
-// Out-of-bound values are rejected with 400 BEFORE any lease or shared step —
-// the packed engine would panic on them (uniform bound enforcement), and a
-// client mistake must never read as a server error.
-func (s *server) snapshotHandler(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		v, err := s.queryInt(r, "v")
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err.Error(), false, 0)
-			return
-		}
-		s.pool.With(func(t stronglin.Thread) { s.snap.Update(t, v) })
-		s.ops.snapUpdate.Add(1)
-		writeJSON(w, map[string]any{"ok": true})
-	case http.MethodGet:
-		var view []int64
-		if s.coalesce {
-			b := s.co.snapScan.do(
-				func(*batch) {},
-				func(b *batch) {
-					s.pool.With(func(t stronglin.Thread) { b.view = s.snap.Scan(t) })
-				})
-			view = b.view
-		} else {
-			s.pool.With(func(t stronglin.Thread) { view = s.snap.Scan(t) })
-		}
-		s.ops.snapScan.Add(1)
-		writeJSON(w, map[string]any{"view": view})
-	default:
-		writeErr(w, http.StatusMethodNotAllowed, "GET or POST only", false, 0)
-	}
-}
-
-// msnapshotHandler serves the multi-word snapshot: the same surface as
-// /snapshot, on the k-XADD engine whatever the lane count (Update: one
-// payload+sequence XADD on the owning word plus at most one announce; Scan:
-// anchored double collect, HELPED under update storms — a starving scan is
-// completed by updater-deposited validated views; /stats's msnapshot_help
-// counts the deposits and adoptions). Its bound is the server's word-budget
-// arithmetic (≥ 2²⁴−1), far above the request value cap, so in-cap values
-// are always in bound.
-func (s *server) msnapshotHandler(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		v, err := s.queryInt(r, "v")
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err.Error(), false, 0)
-			return
-		}
-		s.pool.With(func(t stronglin.Thread) { s.msnap.Update(t, v) })
-		s.ops.msnapUpdate.Add(1)
-		writeJSON(w, map[string]any{"ok": true})
-	case http.MethodGet:
-		var view []int64
-		if s.coalesce {
-			// One anchor-revalidated scan serves the whole concurrent group;
-			// under a quiet anchor that scan is itself a cache hit, so a GET
-			// burst costs two register reads total.
-			b := s.co.msnapScan.do(
-				func(*batch) {},
-				func(b *batch) {
-					s.pool.With(func(t stronglin.Thread) { b.view = s.msnap.Scan(t) })
-				})
-			view = b.view
-		} else {
-			s.pool.With(func(t stronglin.Thread) { view = s.msnap.Scan(t) })
-		}
-		s.ops.msnapScan.Add(1)
-		writeJSON(w, map[string]any{"view": view})
-	default:
-		writeErr(w, http.StatusMethodNotAllowed, "GET or POST only", false, 0)
-	}
-}
-
-func (s *server) clockTick(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST only", false, 0)
-		return
-	}
-	var err error
-	s.pool.With(func(t stronglin.Thread) { err = s.clock.TryTick(t) })
-	if err != nil {
-		// The clock's packed reference budget is spent; the object is intact
-		// (reads of the final state still work via /stats-visible counters),
-		// but no further operations exist to serve.
-		s.clockRejects.Inc()
-		s.unavailable(w, http.StatusServiceUnavailable, "clock capacity exhausted: the Algorithm 1 reference budget is terminal", false)
-		return
-	}
-	s.ops.clockTick.Add(1)
-	writeJSON(w, map[string]any{"ok": true})
-}
-
-func (s *server) clockGet(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only", false, 0)
-		return
-	}
-	var v int64
-	var err error
-	s.pool.With(func(t stronglin.Thread) { v, err = s.clock.TryRead(t) })
-	if err != nil {
-		s.clockRejects.Inc()
-		s.unavailable(w, http.StatusServiceUnavailable, "clock capacity exhausted: the Algorithm 1 reference budget is terminal", false)
-		return
-	}
-	s.ops.clockRead.Add(1)
-	writeJSON(w, map[string]any{"value": v})
-}
-
-// statsSnapshot is the /stats document (and the per-endpoint section of the
-// attack report).
+// statsSnapshot is the /stats document minus the per-op counters, which
+// statsDoc adds from the object table.
 type statsSnapshot struct {
 	Lanes         int    `json:"lanes"`
 	Shards        int    `json:"shards"`
@@ -1281,17 +948,17 @@ type statsSnapshot struct {
 	// combining read exhausted its retry budget under write pressure and was
 	// completed by the wait-free helping path; retries alone mean rounds
 	// failed but self-validation still won within budget.
-	CounterHelp helpStats `json:"counter_help"`
-	MaxregHelp  helpStats `json:"maxreg_help"`
-	GSetHelp    helpStats `json:"gset_help"`
-	SnapHelp    helpStats `json:"snapshot_help"`
-	MsnapHelp   helpStats `json:"msnapshot_help"`
+	CounterHelp stronglin.HelpStats `json:"counter_help"`
+	MaxregHelp  stronglin.HelpStats `json:"maxreg_help"`
+	GSetHelp    stronglin.HelpStats `json:"gset_help"`
+	SnapHelp    stronglin.HelpStats `json:"snapshot_help"`
+	MsnapHelp   stronglin.HelpStats `json:"msnapshot_help"`
 	// Cache telemetry: per-object anchor-/epoch-validated view-cache
 	// hit/miss/refresh counts (zero when the engine carries no cache).
-	CounterCache cacheStats `json:"counter_cache"`
-	MaxregCache  cacheStats `json:"maxreg_cache"`
-	GSetCache    cacheStats `json:"gset_cache"`
-	MsnapCache   cacheStats `json:"msnapshot_cache"`
+	CounterCache stronglin.CacheStats `json:"counter_cache"`
+	MaxregCache  stronglin.CacheStats `json:"maxreg_cache"`
+	GSetCache    stronglin.CacheStats `json:"gset_cache"`
+	MsnapCache   stronglin.CacheStats `json:"msnapshot_cache"`
 	// Watermark / live re-base telemetry: the worst budget state across the
 	// watched engines ("ok", "warn", "crit" — what /healthz answers from),
 	// completed and refused rollovers, each sharded object's epoch rollover
@@ -1316,34 +983,15 @@ type statsSnapshot struct {
 	KGSetFenceFloors  []int64 `json:"kgset_fence_floors"`
 	MapFenceFloors    []int64 `json:"map_fence_floors"`
 	FenceRejects      int64   `json:"fence_rejects"`
-	// Coalescing: whether request batching is on, and how many requests rode
-	// another request's batch instead of running their own engine operation.
-	Coalesce         bool  `json:"coalesce"`
+	// Coalescing: how many requests rode another request's batch instead
+	// of running their own engine operation.
 	CoalesceAbsorbed int64 `json:"coalesce_absorbed"`
 	LanesInUse       int   `json:"lanes_in_use"`
 	Acquires         int64 `json:"lease_acquires"`
-	CounterInc       int64 `json:"counter_inc"`
-	CounterRead      int64 `json:"counter_read"`
-	MaxregWrite      int64 `json:"maxreg_write"`
-	MaxregRead       int64 `json:"maxreg_read"`
-	GSetAdd          int64 `json:"gset_add"`
-	GSetHas          int64 `json:"gset_has"`
-	GSetElems        int64 `json:"gset_elems"`
-	SnapUpdate       int64 `json:"snapshot_update"`
-	SnapScan         int64 `json:"snapshot_scan"`
-	MsnapUpdate      int64 `json:"msnapshot_update"`
-	MsnapScan        int64 `json:"msnapshot_scan"`
-	ClockTick        int64 `json:"clock_tick"`
-	ClockRead        int64 `json:"clock_read"`
-	KGSetAdd         int64 `json:"kgset_add"`
-	KGSetHas         int64 `json:"kgset_has"`
-	MapInc           int64 `json:"map_inc"`
-	MapMax           int64 `json:"map_max"`
-	MapGet           int64 `json:"map_get"`
 }
 
 // keyedStats is one keyed object's table/growth telemetry in /stats — the
-// JSON shape of stronglin.KeyedStats.
+// JSON shape of stronglin.KeyedStats (identical fields, so it converts).
 type keyedStats struct {
 	Buckets        int   `json:"buckets"`
 	Slots          int   `json:"slots"`
@@ -1356,77 +1004,21 @@ type keyedStats struct {
 	EpochAnnounces int64 `json:"epoch_announces"`
 }
 
-func mkKeyedStats(ks stronglin.KeyedStats) keyedStats {
-	return keyedStats{
-		Buckets:        ks.Buckets,
-		Slots:          ks.Slots,
-		Keys:           ks.Keys,
-		WordsPerBucket: ks.WordsPerBucket,
-		Packed:         ks.Packed,
-		Generation:     ks.Generation,
-		Rehashes:       ks.Rehashes,
-		ReadRetries:    ks.ReadRetries,
-		EpochAnnounces: ks.EpochAnnounces,
-	}
-}
-
-// helpStats is one object's helping telemetry in /stats — the JSON shape of
-// stronglin.HelpStats.
-type helpStats struct {
-	Deposits    int64 `json:"deposits"`
-	Adopts      int64 `json:"adopts"`
-	AdoptMisses int64 `json:"adopt_misses"`
-	Retries     int64 `json:"retries"`
-	Raises      int64 `json:"raises"`
-}
-
-func mkHelpStats(hs stronglin.HelpStats) helpStats {
-	return helpStats{
-		Deposits:    hs.Deposits,
-		Adopts:      hs.Adopts,
-		AdoptMisses: hs.AdoptMisses,
-		Retries:     hs.Retries,
-		Raises:      hs.Raises,
-	}
-}
-
-// cacheStats is one object's view-/combine-cache telemetry in /stats — the
-// JSON shape of stronglin.CacheStats.
-type cacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Refreshes int64 `json:"refreshes"`
-}
-
-func mkCacheStats(cs stronglin.CacheStats) cacheStats {
-	return cacheStats{Hits: cs.Hits, Misses: cs.Misses, Refreshes: cs.Refreshes}
-}
-
 // coalesceAbsorbed totals the follower requests every coalescer absorbed —
 // the engine operations batching saved.
 func (s *server) coalesceAbsorbed() int64 {
 	var n int64
-	for _, co := range s.coalescers() {
+	for _, co := range s.co {
 		n += co.absorbed.Load()
 	}
 	return n
-}
-
-// coalescers enumerates every funnel the server owns (absorption totals,
-// shutdown drain).
-func (s *server) coalescers() []*coalescer {
-	return []*coalescer{
-		&s.co.counterInc, &s.co.counterRead, &s.co.maxregRead,
-		&s.co.gsetAdd, &s.co.gsetElems, &s.co.snapScan, &s.co.msnapScan,
-		&s.co.kgsetAdd, &s.co.mapInc, &s.co.mapMax,
-	}
 }
 
 // drainCoalescers closes every coalescing funnel for shutdown: in-flight
 // batches finish, later arrivals run uncoalesced instead of parking behind
 // them (see coalescer.drain for the race this removes).
 func (s *server) drainCoalescers() {
-	for _, co := range s.coalescers() {
+	for _, co := range s.co {
 		co.drain()
 	}
 }
@@ -1452,15 +1044,15 @@ func (s *server) snapshot() statsSnapshot {
 		ClockWords:        s.clock.Words(),
 		ClockCapacity:     s.clock.Capacity(),
 		ClockUsed:         s.clock.Used(),
-		CounterHelp:       mkHelpStats(s.counter.HelpStats()),
-		MaxregHelp:        mkHelpStats(s.maxreg.HelpStats()),
-		GSetHelp:          mkHelpStats(s.gset.HelpStats()),
-		SnapHelp:          mkHelpStats(s.snap.HelpStats()),
-		MsnapHelp:         mkHelpStats(s.msnap.HelpStats()),
-		CounterCache:      mkCacheStats(s.counter.CacheStats()),
-		MaxregCache:       mkCacheStats(s.maxreg.CacheStats()),
-		GSetCache:         mkCacheStats(s.gset.CacheStats()),
-		MsnapCache:        mkCacheStats(s.msnap.CacheStats()),
+		CounterHelp:       s.counter.HelpStats(),
+		MaxregHelp:        s.maxreg.HelpStats(),
+		GSetHelp:          s.gset.HelpStats(),
+		SnapHelp:          s.snap.HelpStats(),
+		MsnapHelp:         s.msnap.HelpStats(),
+		CounterCache:      s.counter.CacheStats(),
+		MaxregCache:       s.maxreg.CacheStats(),
+		GSetCache:         s.gset.CacheStats(),
+		MsnapCache:        s.msnap.CacheStats(),
 		WatermarkState:    s.rebaser.State(stronglin.Thread(0)).String(),
 		Rollovers:         s.rebaser.Stats().Rollovers,
 		RolloversRefused:  s.rebaser.Stats().Refused,
@@ -1468,50 +1060,49 @@ func (s *server) snapshot() statsSnapshot {
 		MaxregGeneration:  s.maxreg.EpochGeneration(stronglin.Thread(0)),
 		GSetGeneration:    s.gset.EpochGeneration(stronglin.Thread(0)),
 		MsnapRebase:       s.msnap.RebaseStats(),
-		KGSet:             mkKeyedStats(s.kgset.Stats(stronglin.Thread(0))),
-		KMap:              mkKeyedStats(s.kmap.Stats(stronglin.Thread(0))),
-		CounterFenceFloor: s.fences.counter.Floor(),
-		MaxregFenceFloor:  s.fences.maxreg.Floor(),
-		GSetFenceFloor:    s.fences.gset.Floor(),
-		KGSetFenceFloors:  keyedFloors(&s.fences.kgset),
-		MapFenceFloors:    keyedFloors(&s.fences.kmap),
+		KGSet:             keyedStats(s.kgset.Stats(stronglin.Thread(0))),
+		KMap:              keyedStats(s.kmap.Stats(stronglin.Thread(0))),
+		CounterFenceFloor: s.fences["counter"].Floor(),
+		MaxregFenceFloor:  s.fences["maxreg"].Floor(),
+		GSetFenceFloor:    s.fences["gset"].Floor(),
+		KGSetFenceFloors:  s.keyedFloors("kgset"),
+		MapFenceFloors:    s.keyedFloors("map"),
 		FenceRejects:      s.fenceRejects.Load(),
-		Coalesce:          s.coalesce,
 		CoalesceAbsorbed:  s.coalesceAbsorbed(),
 		LanesInUse:        s.pool.InUse(),
 		Acquires:          acquires,
-		CounterInc:        s.ops.counterInc.Load(),
-		CounterRead:       s.ops.counterRead.Load(),
-		MaxregWrite:       s.ops.maxregWrite.Load(),
-		MaxregRead:        s.ops.maxregRead.Load(),
-		GSetAdd:           s.ops.gsetAdd.Load(),
-		GSetHas:           s.ops.gsetHas.Load(),
-		GSetElems:         s.ops.gsetElems.Load(),
-		SnapUpdate:        s.ops.snapUpdate.Load(),
-		SnapScan:          s.ops.snapScan.Load(),
-		MsnapUpdate:       s.ops.msnapUpdate.Load(),
-		MsnapScan:         s.ops.msnapScan.Load(),
-		ClockTick:         s.ops.clockTick.Load(),
-		ClockRead:         s.ops.clockRead.Load(),
-		KGSetAdd:          s.ops.kgsetAdd.Load(),
-		KGSetHas:          s.ops.kgsetHas.Load(),
-		MapInc:            s.ops.mapInc.Load(),
-		MapMax:            s.ops.mapMax.Load(),
-		MapGet:            s.ops.mapGet.Load(),
 	}
 }
 
 // keyedFloors snapshots one keyed object's per-partition fence floors.
-func keyedFloors(gates *[keyPartitions]fenceGate) []int64 {
+func (s *server) keyedFloors(object string) []int64 {
 	out := make([]int64, keyPartitions)
-	for p := range gates {
-		out[p] = gates[p].Floor()
+	for p := range out {
+		out[p] = s.fences[fmt.Sprintf("%s.p%d", object, p)].Floor()
 	}
 	return out
 }
 
+// statsDoc is the /stats document: the snapshot plus one op counter per
+// /stats key of the object table.
+func (s *server) statsDoc() map[string]any {
+	b, _ := json.Marshal(s.snapshot())
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.UseNumber()
+	var doc map[string]any
+	dec.Decode(&doc)
+	for name, n := range s.ops {
+		doc[name] = n.Load()
+	}
+	return doc
+}
+
 func (s *server) stats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.snapshot())
+	if r.Method != http.MethodGet {
+		writeErr(w, http.StatusMethodNotAllowed, "GET only", false, 0)
+		return
+	}
+	writeJSON(w, s.statsDoc())
 }
 
 // defaultMaxValue bounds client-supplied values when no -bound is declared.
@@ -1522,18 +1113,6 @@ func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 // defaultMaxValue): tighter bounds narrow it, and a bound too large to pack
 // must not widen it (the shards are wide registers in that case).
 const defaultMaxValue = 1 << 20
-
-func (s *server) queryInt(r *http.Request, key string) (int64, error) {
-	raw := r.URL.Query().Get(key)
-	if raw == "" {
-		return 0, fmt.Errorf("missing query parameter %q", key)
-	}
-	v, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil || v < 0 || v > s.maxValue {
-		return 0, fmt.Errorf("query parameter %q must be an integer in [0, %d]", key, s.maxValue)
-	}
-	return v, nil
-}
 
 // --- attack mode -------------------------------------------------------------
 
@@ -1564,11 +1143,11 @@ type attackReport struct {
 	// Retried counts retry attempts honored on retryable statuses (the
 	// server's structured 503/429 bodies); Exhausted the logical requests
 	// still refused after the whole retry budget (a subset of Errors).
-	Retried   int64         `json:"retried"`
-	Exhausted int64         `json:"exhausted"`
-	OpsPerSec float64       `json:"ops_per_sec"`
-	LatencyMS latencyMS     `json:"latency_ms"`
-	Stats     statsSnapshot `json:"server_stats"`
+	Retried   int64          `json:"retried"`
+	Exhausted int64          `json:"exhausted"`
+	OpsPerSec float64        `json:"ops_per_sec"`
+	LatencyMS latencyMS      `json:"latency_ms"`
+	Stats     map[string]any `json:"server_stats"`
 }
 
 // latencyMS is the per-request latency distribution in milliseconds.
@@ -1827,7 +1406,7 @@ func runAttack() error {
 	rep.OpsPerSec = float64(tele.requests.Load()) / elapsed.Seconds()
 	rep.LatencyMS = summarizeHist(&tele.latency, &tele.latMax)
 	if srv != nil {
-		rep.Stats = srv.snapshot()
+		rep.Stats = srv.statsDoc()
 	} else {
 		// Remote target: ask it for its own counts. On any failure leave the
 		// stats out rather than publishing a zeroed block that reads as an
@@ -1839,7 +1418,7 @@ func runAttack() error {
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusOK || decErr != nil {
 				fmt.Fprintf(os.Stderr, "slserve: remote /stats unusable (status %d, decode err %v); omitting server_stats\n", resp.StatusCode, decErr)
-				rep.Stats = statsSnapshot{}
+				rep.Stats = nil
 			}
 		}
 	}

@@ -147,9 +147,6 @@ func TestEndpoints(t *testing.T) {
 	}
 	// The serving configuration: caches on, coalescing on (solo batches under
 	// sequential load — nothing to absorb), cache blocks present per object.
-	if on := stats["coalesce"].(bool); !on {
-		t.Fatal("stats coalesce = false, want the default-on batching")
-	}
 	if got := stats["coalesce_absorbed"].(float64); got != 0 {
 		t.Fatalf("stats coalesce_absorbed = %v under sequential load, want 0", got)
 	}
@@ -761,12 +758,12 @@ func TestCoalescerFoldsAndShares(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		co.do(
-			func(b *batch) { b.sum++ },
+			func(b *batch) { b.reqs = append(b.reqs, args{n: 1}) },
 			func(b *batch) {
 				batches.Add(1)
 				<-gate // hold the coalescer busy while the followers arrive
-				applied.Add(b.sum)
-				b.val = 100
+				applied.Add(int64(len(b.reqs)))
+				b.res.value = 100
 			})
 	}()
 	waitFor := func(cond func() bool) {
@@ -792,11 +789,11 @@ func TestCoalescerFoldsAndShares(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			results <- co.do(
-				func(b *batch) { b.sum++ },
+				func(b *batch) { b.reqs = append(b.reqs, args{n: 1}) },
 				func(b *batch) {
 					batches.Add(1)
-					applied.Add(b.sum)
-					b.val = 200
+					applied.Add(int64(len(b.reqs)))
+					b.res.value = 200
 				})
 		}()
 	}
@@ -821,7 +818,7 @@ func TestCoalescerFoldsAndShares(t *testing.T) {
 		if shared == nil {
 			shared = b
 		}
-		if b != shared || b.val != 200 {
+		if b != shared || b.res.value != 200 {
 			t.Fatal("followers did not share the one folded batch's published result")
 		}
 	}
@@ -841,9 +838,6 @@ func TestCoalescerFoldsAndShares(t *testing.T) {
 // request count exactly — a lost or double-counted fold shows here.
 func TestCoalescedIncsPreserveCount(t *testing.T) {
 	srv := newServer(4, 2, 0)
-	if !srv.coalesce {
-		t.Fatal("server must coalesce by default")
-	}
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
@@ -887,11 +881,11 @@ func TestCoalescedIncsPreserveCount(t *testing.T) {
 	}
 	// The batch-size histogram saw every applied batch; the absorbed counter
 	// and the histogram must agree with the request count exactly.
-	if n := srv.co.counterInc.size.Count(); n == 0 {
+	if n := srv.co["counter_inc"].size.Count(); n == 0 {
 		t.Fatal("coalescer batch-size histogram never observed a batch")
 	}
 	t.Logf("inc batches applied: %d for %d requests (%d absorbed)",
-		srv.co.counterInc.size.Count(), clients*reqs, srv.co.counterInc.absorbed.Load())
+		srv.co["counter_inc"].size.Count(), clients*reqs, srv.co["counter_inc"].absorbed.Load())
 }
 
 // TestClockCapacityExhaustion: the clock's budget is finite; requests past

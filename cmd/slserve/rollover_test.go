@@ -18,7 +18,7 @@ import (
 )
 
 // setFlag swaps a flag-backed global for the test and restores it on cleanup
-// (slserve's constructors read the flag globals, matching -coalesce et al.;
+// (slserve's constructors read the flag globals, matching -watermark-budget et al.;
 // package tests run sequentially, so the swap is race-free).
 func setFlag[T any](t *testing.T, p *T, v T) {
 	t.Helper()
@@ -351,7 +351,7 @@ func TestCoalescerDrainVsJoinRace(t *testing.T) {
 	go func() {
 		// The slow in-flight batch a SIGTERM races: its apply is wedged on
 		// an engine op that outlives the drain decision.
-		co.do(func(b *batch) { b.sum++ }, func(*batch) {
+		co.do(func(b *batch) { b.reqs = append(b.reqs, args{n: 1}) }, func(*batch) {
 			close(started)
 			<-block
 		})
@@ -363,7 +363,7 @@ func TestCoalescerDrainVsJoinRace(t *testing.T) {
 
 	done := make(chan struct{})
 	go func() {
-		co.do(func(b *batch) { b.sum++ }, func(*batch) {})
+		co.do(func(b *batch) { b.reqs = append(b.reqs, args{n: 1}) }, func(*batch) {})
 		close(done)
 	}()
 	select {
