@@ -80,11 +80,11 @@ func CheckStrongLin(tree *sim.Tree, sp spec.Spec, opts *StrongLinOptions) Strong
 	if opts != nil && opts.MaxStates > 0 {
 		maxStates = opts.MaxStates
 	}
-	g := newSLGame(tree, sp, maxStates)
-	ok := g.visit(g.root, newLin(sp.Init(tree.Procs)))
+	g := newSLGame(tree, maxStates)
+	ok := g.visit(tree.Root, newLin(sp.Init(tree.Procs)))
 	res := StrongLinResult{
 		Ok:     ok && !g.aborted,
-		Nodes:  g.nodeCount,
+		Nodes:  countNodes(tree.Root),
 		States: len(g.memo),
 	}
 	if g.aborted {
@@ -96,35 +96,6 @@ func CheckStrongLin(tree *sim.Tree, sp spec.Spec, opts *StrongLinOptions) Strong
 		res.Counterexample = g.cex
 	}
 	return res
-}
-
-// slNode mirrors the sim tree with preprocessed per-edge deltas.
-type slNode struct {
-	id       int
-	proc     int
-	events   []sim.Event
-	children []*slNode
-	parent   *slNode
-	depth    int
-
-	invoked  []int      // op IDs invoked on this edge
-	returned []retDelta // ops returned on this edge
-}
-
-type retDelta struct {
-	opID int
-	resp string
-}
-
-func (n *slNode) schedule() []int {
-	var out []int
-	for cur := n; cur.parent != nil; cur = cur.parent {
-		out = append(out, cur.proc)
-	}
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
-	return out
 }
 
 // linState is an immutable linearization-so-far: the chosen sequence with
@@ -173,13 +144,28 @@ func (l *linState) key() string {
 	return b.String()
 }
 
+// countNodes counts the nodes of the subtree rooted at n.
+func countNodes(n *sim.Node) int {
+	count := 1
+	for _, c := range n.Children {
+		count += countNodes(c)
+	}
+	return count
+}
+
+// slKey is a memoised game position: a node and the linearization held there.
+type slKey struct {
+	node *sim.Node
+	lin  string
+}
+
 type slGame struct {
-	tree      *sim.Tree
-	sp        spec.Spec
-	root      *slNode
-	nodeCount int
-	numOps    int
-	opSpecs   []spec.Op
+	numOps  int
+	opSpecs []spec.Op
+
+	// schedule is the DFS path from the root to the node being served: the
+	// procs of its edges, so its length is that node's depth.
+	schedule []int
 
 	// Cumulative history arrays, maintained by apply/undo during the DFS.
 	invokePos []int // -1 when not yet invoked
@@ -187,7 +173,7 @@ type slGame struct {
 	resps     []string
 	pos       int // next event position
 
-	memo      map[string]bool
+	memo      map[slKey]bool
 	maxStates int
 	aborted   bool
 
@@ -195,11 +181,9 @@ type slGame struct {
 	cexDepth int
 }
 
-func newSLGame(tree *sim.Tree, sp spec.Spec, maxStates int) *slGame {
+func newSLGame(tree *sim.Tree, maxStates int) *slGame {
 	g := &slGame{
-		tree:      tree,
-		sp:        sp,
-		memo:      make(map[string]bool),
+		memo:      make(map[slKey]bool),
 		maxStates: maxStates,
 		cexDepth:  -1,
 	}
@@ -219,32 +203,11 @@ func newSLGame(tree *sim.Tree, sp spec.Spec, maxStates int) *slGame {
 		g.invokePos[i] = -1
 		g.retPos[i] = -1
 	}
-	g.root = g.convert(tree.Root, nil)
 	return g
 }
 
-func (g *slGame) convert(n *sim.Node, parent *slNode) *slNode {
-	out := &slNode{id: g.nodeCount, proc: n.Proc, events: n.Events, parent: parent}
-	if parent != nil {
-		out.depth = parent.depth + 1
-	}
-	g.nodeCount++
+func (g *slGame) apply(n *sim.Node) {
 	for _, ev := range n.Events {
-		switch ev.Kind {
-		case sim.EventInvoke:
-			out.invoked = append(out.invoked, ev.OpID)
-		case sim.EventReturn:
-			out.returned = append(out.returned, retDelta{opID: ev.OpID, resp: ev.Resp})
-		}
-	}
-	for _, c := range n.Children {
-		out.children = append(out.children, g.convert(c, out))
-	}
-	return out
-}
-
-func (g *slGame) apply(n *slNode) {
-	for _, ev := range n.events {
 		switch ev.Kind {
 		case sim.EventInvoke:
 			g.invokePos[ev.OpID] = g.pos
@@ -256,9 +219,9 @@ func (g *slGame) apply(n *slNode) {
 	}
 }
 
-func (g *slGame) undo(n *slNode) {
-	for i := len(n.events) - 1; i >= 0; i-- {
-		ev := n.events[i]
+func (g *slGame) undo(n *sim.Node) {
+	for i := len(n.Events) - 1; i >= 0; i-- {
+		ev := n.Events[i]
 		g.pos--
 		switch ev.Kind {
 		case sim.EventInvoke:
@@ -272,11 +235,11 @@ func (g *slGame) undo(n *slNode) {
 
 // visit decides whether linearization l wins at node n. The history arrays
 // reflect n on entry.
-func (g *slGame) visit(n *slNode, l *linState) bool {
+func (g *slGame) visit(n *sim.Node, l *linState) bool {
 	if g.aborted {
 		return false
 	}
-	key := strconv.Itoa(n.id) + "/" + l.key()
+	key := slKey{n, l.key()}
 	if v, ok := g.memo[key]; ok {
 		return v
 	}
@@ -286,10 +249,12 @@ func (g *slGame) visit(n *slNode, l *linState) bool {
 	}
 
 	ok := true
-	for _, c := range n.children {
+	for _, c := range n.Children {
+		g.schedule = append(g.schedule, c.Proc)
 		g.apply(c)
 		served := g.serveChild(c, l)
 		g.undo(c)
+		g.schedule = g.schedule[:len(g.schedule)-1]
 		if !served {
 			ok = false
 			break
@@ -301,29 +266,32 @@ func (g *slGame) visit(n *slNode, l *linState) bool {
 
 // serveChild finds an extension of l valid at child c that wins there. The
 // history arrays reflect c on entry.
-func (g *slGame) serveChild(c *slNode, l *linState) bool {
+func (g *slGame) serveChild(c *sim.Node, l *linState) bool {
 	// Operations already linearized (possibly while pending) whose actual
 	// response materialised on this edge must match the committed response.
 	var need []int
-	for _, r := range c.returned {
-		if committed, in := l.contains(r.opID); in {
-			if committed != r.resp {
+	for _, ev := range c.Events {
+		if ev.Kind != sim.EventReturn {
+			continue
+		}
+		if committed, in := l.contains(ev.OpID); in {
+			if committed != ev.Resp {
 				return false
 			}
 		} else {
-			need = append(need, r.opID)
+			need = append(need, ev.OpID)
 		}
 	}
 	if g.extend(c, l, need) {
 		return true
 	}
-	if c.depth > g.cexDepth {
-		g.cexDepth = c.depth
+	if depth := len(g.schedule); depth > g.cexDepth {
+		g.cexDepth = depth
 		g.cex = &SLCounterexample{
-			Schedule:    c.parent.schedule(),
-			History:     g.renderHistory(c.parent),
+			Schedule:    append([]int(nil), g.schedule[:depth-1]...),
+			History:     g.renderHistory(),
 			Lin:         append([]LinEntry(nil), l.entries...),
-			ChildEvents: c.events,
+			ChildEvents: c.Events,
 		}
 	}
 	return false
@@ -331,7 +299,7 @@ func (g *slGame) serveChild(c *slNode, l *linState) bool {
 
 // extend enumerates extensions of l by operations invoked at c (completed
 // ones from need are mandatory; pending ones optional) and recurses into c.
-func (g *slGame) extend(c *slNode, l *linState, need []int) bool {
+func (g *slGame) extend(c *sim.Node, l *linState, need []int) bool {
 	if g.aborted {
 		return false
 	}
@@ -375,7 +343,7 @@ func without(xs []int, x int) []int {
 	return xs
 }
 
-func (g *slGame) renderHistory(n *slNode) string {
+func (g *slGame) renderHistory() string {
 	var b strings.Builder
 	for id := 0; id < g.numOps; id++ {
 		if g.invokePos[id] < 0 {

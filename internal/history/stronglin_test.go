@@ -1,6 +1,7 @@
 package history
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -77,6 +78,15 @@ func TestStrongLinRejectsBranchForcedCommitment(t *testing.T) {
 	}
 	if !strings.Contains(res.Counterexample.String(), "enq") {
 		t.Fatalf("uninformative counterexample: %s", res.Counterexample)
+	}
+	// The game plays on the sim tree itself: it counts the hand-built tree's
+	// nodes (root, four chain nodes, two branches) and reads the stuck
+	// node's schedule off its own DFS path.
+	if res.Nodes != 7 {
+		t.Fatalf("nodes = %d, want 7", res.Nodes)
+	}
+	if got := fmt.Sprint(res.Counterexample.Schedule); got != "[0 1 0 1]" {
+		t.Fatalf("counterexample schedule = %s, want [0 1 0 1]", got)
 	}
 }
 

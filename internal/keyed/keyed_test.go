@@ -142,7 +142,13 @@ func opMGetWitnessFree(m *MonotoneMap, key string, id int64) sim.Op {
 
 func verifySL(t *testing.T, procs int, setup sim.Setup, sp spec.Spec) history.Verdict {
 	t.Helper()
-	v, err := history.Verify(procs, setup, sp, &sim.ExploreOptions{MaxNodes: 3_000_000}, nil)
+	return verifySLWithin(t, 3_000_000, procs, setup, sp)
+}
+
+// verifySLWithin is verifySL with an explicit node budget.
+func verifySLWithin(t *testing.T, maxNodes, procs int, setup sim.Setup, sp spec.Spec) history.Verdict {
+	t.Helper()
+	v, err := history.Verify(procs, setup, sp, &sim.ExploreOptions{MaxNodes: maxNodes}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,9 +449,9 @@ func TestKeyedGSetStrongLinTwoBuckets(t *testing.T) {
 // TestKeyedGSetStrongLinSameKeyMultiWord: the same key added from two lanes
 // that live in DIFFERENT words (slots=25 forces one lane per word), so the
 // reader's collect genuinely spans words and the epoch witness carries the
-// proof. The reader runs a single Has — the two-read reader shape lives in
-// the packed TwoBuckets check; doubling it here pushes the tree past any
-// workable node budget.
+// proof. The reader runs two Has, so its second read must stay consistent
+// with whatever the first committed to. The tree has 3,666,875 nodes and
+// 1,035,674 leaves, past verifySL's budget, hence the explicit MaxNodes.
 func TestKeyedGSetStrongLinSameKeyMultiWord(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive model check; skipped in -short mode")
@@ -455,10 +461,10 @@ func TestKeyedGSetStrongLinSameKeyMultiWord(t *testing.T) {
 		return []sim.Program{
 			{opKAdd(g, "k", 1)},
 			{opKAdd(g, "k", 1)},
-			{opKHas(g, "k", 1)},
+			{opKHas(g, "k", 1), opKHas(g, "k", 1)},
 		}
 	}
-	verifySL(t, 3, setup, spec.GSet{})
+	verifySLWithin(t, 4_000_000, 3, setup, spec.GSet{})
 }
 
 // TestKeyedGSetWitnessFreeNotStrongLin pins the negative twin: the same

@@ -22,6 +22,10 @@ type Node struct {
 // interleaving of the programs' steps. Strong linearizability is a property
 // of exactly this tree (a prefix-closed linearization function assigns a
 // linearization to every node, monotonically along every path).
+//
+// Explore builds it with one replay per leaf; TreeFromSchedules builds a
+// pruned subtree from one replay per given schedule. Both record each
+// replayed path through the same graft.
 type Tree struct {
 	Procs int
 	Ops   []OpInfo
@@ -58,80 +62,120 @@ func (o *ExploreOptions) withDefaults() ExploreOptions {
 
 // Explore enumerates every interleaving of the configuration's primitive
 // steps by stateless replay and returns the execution tree.
+//
+// It replays once per leaf. Each run replays the schedule of a node on the
+// current path, grants the node's next untried process, then keeps granting
+// the first enabled process until it reaches a leaf (or a MaxDepth/MaxNodes
+// bound); graft records every node of that path from the one execution. The
+// next run branches off the deepest node on the path with an untried
+// process, so nodes are created in depth-first preorder, children in
+// Enabled order.
 func Explore(procs int, setup Setup, opts *ExploreOptions) (*Tree, error) {
 	o := opts.withDefaults()
-
-	first, err := Run(procs, setup, nil)
-	if err != nil {
-		return nil, fmt.Errorf("explore root: %w", err)
-	}
-	tree := &Tree{
-		Procs: procs,
-		Ops:   first.Ops,
-		Root: &Node{
-			Proc:     -1,
-			Enabled:  first.Enabled[0],
-			Complete: first.Complete,
-		},
-		Nodes: 1,
-	}
-	x := &explorer{procs: procs, setup: setup, opts: o, tree: tree}
-	if err := x.dfs(tree.Root, nil); err != nil {
-		return nil, err
-	}
-	return tree, nil
-}
-
-type explorer struct {
-	procs int
-	setup Setup
-	opts  ExploreOptions
-	tree  *Tree
-}
-
-func (x *explorer) dfs(n *Node, schedule []int) error {
-	if n.Complete || len(n.Enabled) == 0 {
-		x.tree.Leaves++
-		return nil
-	}
-	if len(schedule) >= x.opts.MaxDepth {
-		x.tree.Truncated = true
-		return nil
-	}
-	for _, p := range n.Enabled {
-		if x.tree.Nodes >= x.opts.MaxNodes {
-			x.tree.Truncated = true
-			return nil
+	tree := &Tree{Procs: procs}
+	// path holds the nodes from the root to the node the next run branches
+	// off; the next child of a node n is n.Enabled[len(n.Children)].
+	var path []*Node
+	var sched []int
+	for {
+		sched = sched[:0]
+		if len(path) > 0 {
+			for _, n := range path[1:] {
+				sched = append(sched, n.Proc)
+			}
+			at := path[len(path)-1]
+			sched = append(sched, at.Enabled[len(at.Children)])
 		}
-		sched := make([]int, len(schedule)+1)
-		copy(sched, schedule)
-		sched[len(schedule)] = p
-
-		exec, err := Run(x.procs, x.setup, sched)
+		// Grant at most MaxDepth steps, and create at most MaxNodes nodes
+		// in all (the first run also creates the root).
+		depth := max(len(path)-1, 0)
+		limit := min(o.MaxDepth, depth+o.MaxNodes-max(tree.Nodes, 1))
+		exec, err := RunPolicy(procs, setup, func(v PolicyView) int {
+			if v.Step == len(sched) {
+				sched = append(sched, v.Enabled[0])
+			}
+			return sched[v.Step]
+		}, limit)
 		if err != nil {
-			return fmt.Errorf("explore schedule %v: %w", sched, err)
+			if len(sched) == 0 {
+				return nil, fmt.Errorf("explore root: %w", err)
+			}
+			return nil, fmt.Errorf("explore schedule %v: %w", sched, err)
 		}
-		// Copy the batch: a subslice would pin the replay's whole event
-		// array, so every node would hold its entire path's trace.
-		child := &Node{
-			Proc:     p,
-			Events:   append([]Event(nil), exec.Batch(len(sched)-1)...),
-			Enabled:  exec.Enabled[len(sched)],
-			Complete: exec.Complete,
+		path = tree.graft(exec, path)
+
+		if last := path[len(path)-1]; len(last.Enabled) == 0 {
+			tree.Leaves++
+		} else if len(path)-1 >= o.MaxDepth {
+			tree.Truncated = true
 		}
-		n.Children = append(n.Children, child)
-		x.tree.Nodes++
-		if err := x.dfs(child, sched); err != nil {
-			return err
+		// Back up to the deepest node with an untried child.
+		for len(path) > 0 {
+			n := path[len(path)-1]
+			if len(n.Children) < len(n.Enabled) && len(path)-1 < o.MaxDepth {
+				break
+			}
+			path = path[:len(path)-1]
+		}
+		if len(path) == 0 {
+			return tree, nil
+		}
+		if tree.Nodes >= o.MaxNodes {
+			tree.Truncated = true
+			return tree, nil
 		}
 	}
-	return nil
+}
+
+// graft records exec's path in the tree. path holds the nodes exec's
+// schedule passes through from the root, as far as the caller knows them
+// (none in an empty tree); graft appends the rest, down to the node after
+// the last grant, and returns the extended path. Nodes the schedule shares
+// with earlier paths are reused; each new node copies its batch, since a
+// subslice would pin the execution's whole event array and so every node
+// would hold its entire path's trace.
+func (t *Tree) graft(exec *Execution, path []*Node) []*Node {
+	if t.Root == nil {
+		t.Ops = exec.Ops
+		t.Root = &Node{Proc: -1, Enabled: exec.Enabled[0], Complete: len(exec.Enabled[0]) == 0 && exec.Complete}
+		t.Nodes = 1
+	}
+	if len(path) == 0 {
+		path = append(path, t.Root)
+	}
+	at := path[len(path)-1]
+	for i := len(path) - 1; i < len(exec.Schedule); i++ {
+		p := exec.Schedule[i]
+		var child *Node
+		for _, c := range at.Children {
+			if c.Proc == p {
+				child = c
+				break
+			}
+		}
+		if child == nil {
+			// A node with no enabled process is only Complete if every
+			// program finished — conditional steps (World.AwaitAny) can
+			// leave processes blocked with work outstanding.
+			child = &Node{
+				Proc:     p,
+				Events:   append([]Event(nil), exec.Batch(i)...),
+				Enabled:  exec.Enabled[i+1],
+				Complete: len(exec.Enabled[i+1]) == 0 && exec.Complete,
+			}
+			at.Children = append(at.Children, child)
+			t.Nodes++
+		}
+		path = append(path, child)
+		at = child
+	}
+	return path
 }
 
 // TreeFromSchedules builds the execution tree spanned by the given
 // schedules: the union of their paths, merged on common prefixes. Each
-// schedule is replayed independently (replay is deterministic, so shared
-// prefixes agree).
+// schedule is replayed independently and grafted onto the tree (replay is
+// deterministic, so shared prefixes agree).
 //
 // The result is a PRUNED tree — a subtree of the full interleaving tree with
 // some children omitted. Refuting strong linearizability on a pruned tree is
@@ -142,50 +186,14 @@ func TreeFromSchedules(procs int, setup Setup, schedules [][]int) (*Tree, error)
 	if len(schedules) == 0 {
 		return nil, fmt.Errorf("sim: TreeFromSchedules needs at least one schedule")
 	}
-	first, err := Run(procs, setup, schedules[0])
-	if err != nil {
-		return nil, err
-	}
-	tree := &Tree{
-		Procs: procs,
-		Ops:   first.Ops,
-		Root: &Node{
-			Proc:    -1,
-			Enabled: first.Enabled[0],
-		},
-		Nodes: 1,
-	}
+	tree := &Tree{Procs: procs}
 	for _, sched := range schedules {
 		exec, err := Run(procs, setup, sched)
 		if err != nil {
 			return nil, fmt.Errorf("sim: schedule %v: %w", sched, err)
 		}
-		cur := tree.Root
-		for i, p := range sched {
-			var child *Node
-			for _, c := range cur.Children {
-				if c.Proc == p {
-					child = c
-					break
-				}
-			}
-			if child == nil {
-				// A node with no enabled process is only Complete if every
-				// program finished — conditional steps (World.AwaitAny) can
-				// leave processes blocked with work outstanding.
-				child = &Node{
-					Proc:     p,
-					Events:   exec.Batch(i),
-					Enabled:  exec.Enabled[i+1],
-					Complete: len(exec.Enabled[i+1]) == 0 && exec.Complete,
-				}
-				cur.Children = append(cur.Children, child)
-				tree.Nodes++
-			}
-			cur = child
-		}
+		tree.graft(exec, nil)
 	}
-	// Count leaves.
 	tree.Walk(func(n *Node, _ []Event) bool {
 		if len(n.Children) == 0 {
 			tree.Leaves++

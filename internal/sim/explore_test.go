@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"stronglin/internal/prim"
@@ -64,18 +66,230 @@ func TestTreeFromSchedulesRejectsInvalidSchedule(t *testing.T) {
 
 // TestExploreNodesOwnTheirEvents pins that each node holds only its own
 // batch: a node whose Events had spare capacity would be a window into the
-// replay's whole event array, kept alive for the life of the tree.
+// replay's whole event array, kept alive for the life of the tree. Both
+// builders graft through the same code, so both are checked.
 func TestExploreNodesOwnTheirEvents(t *testing.T) {
-	tree, err := Explore(2, twoRegSetup, nil)
+	explored, err := Explore(2, twoRegSetup, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree.Walk(func(n *Node, _ []Event) bool {
-		if cap(n.Events) != len(n.Events) {
-			t.Fatalf("node (proc %d) events len %d cap %d: batch shares the replay's array", n.Proc, len(n.Events), cap(n.Events))
+	spanned, err := TreeFromSchedules(2, twoRegSetup, [][]int{{0, 0, 0, 0, 1, 1, 1, 1}, {0, 1, 0, 1, 0, 1, 0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tree := range map[string]*Tree{"Explore": explored, "TreeFromSchedules": spanned} {
+		tree.Walk(func(n *Node, _ []Event) bool {
+			if cap(n.Events) != len(n.Events) {
+				t.Fatalf("%s: node (proc %d) events len %d cap %d: batch shares the replay's array", name, n.Proc, len(n.Events), cap(n.Events))
+			}
+			return true
+		})
+	}
+}
+
+// exploreReference is the per-node explorer Explore replaced, kept as the
+// oracle for TestExploreMatchesReference: it replays the whole schedule from
+// the root for every node.
+func exploreReference(procs int, setup Setup, opts *ExploreOptions) (*Tree, error) {
+	o := opts.withDefaults()
+
+	first, err := Run(procs, setup, nil)
+	if err != nil {
+		return nil, fmt.Errorf("explore root: %w", err)
+	}
+	tree := &Tree{
+		Procs: procs,
+		Ops:   first.Ops,
+		Root: &Node{
+			Proc:     -1,
+			Enabled:  first.Enabled[0],
+			Complete: first.Complete,
+		},
+		Nodes: 1,
+	}
+	x := &refExplorer{procs: procs, setup: setup, opts: o, tree: tree}
+	if err := x.dfs(tree.Root, nil); err != nil {
+		return nil, err
+	}
+	return tree, nil
+}
+
+type refExplorer struct {
+	procs int
+	setup Setup
+	opts  ExploreOptions
+	tree  *Tree
+}
+
+func (x *refExplorer) dfs(n *Node, schedule []int) error {
+	if n.Complete || len(n.Enabled) == 0 {
+		x.tree.Leaves++
+		return nil
+	}
+	if len(schedule) >= x.opts.MaxDepth {
+		x.tree.Truncated = true
+		return nil
+	}
+	for _, p := range n.Enabled {
+		if x.tree.Nodes >= x.opts.MaxNodes {
+			x.tree.Truncated = true
+			return nil
 		}
-		return true
-	})
+		sched := make([]int, len(schedule)+1)
+		copy(sched, schedule)
+		sched[len(schedule)] = p
+
+		exec, err := Run(x.procs, x.setup, sched)
+		if err != nil {
+			return fmt.Errorf("explore schedule %v: %w", sched, err)
+		}
+		// Copy the batch: a subslice would pin the replay's whole event
+		// array, so every node would hold its entire path's trace.
+		child := &Node{
+			Proc:     p,
+			Events:   append([]Event(nil), exec.Batch(len(sched)-1)...),
+			Enabled:  exec.Enabled[len(sched)],
+			Complete: exec.Complete,
+		}
+		n.Children = append(n.Children, child)
+		x.tree.Nodes++
+		if err := x.dfs(child, sched); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// awaitSetup: p0 raises a flag, then awaits r == 1; p1 writes r = 1 only if
+// it read the flag still down. Every execution where p0's flag lands first
+// deadlocks: a leaf with no enabled process that is not Complete.
+func awaitSetup(w *World) []Program {
+	flag := w.Register("flag", 0)
+	r := w.AnyRegister("r", 0)
+	return []Program{
+		{{Name: "raise-then-await", Spec: spec.MkOp("await"), Run: func(t prim.Thread) string {
+			flag.Write(t, 1)
+			w.AwaitAny(t, r, func(v any) bool { return v == 1 })
+			return spec.RespOK
+		}}},
+		{{Name: "release-if-down", Spec: spec.MkOp("release"), Run: func(t prim.Thread) string {
+			if flag.Read(t) == 0 {
+				r.WriteAny(t, 1)
+			}
+			return spec.RespOK
+		}}},
+	}
+}
+
+// threeProcSetup: three processes with one-step operations, so every step's
+// batch also carries the operation's return.
+func threeProcSetup(w *World) []Program {
+	r := w.Register("r", 0)
+	write := func(v int64) Op {
+		return Op{Name: "write", Spec: spec.MkOp("write"), Run: func(t prim.Thread) string {
+			r.Write(t, v)
+			return spec.RespOK
+		}}
+	}
+	read := Op{Name: "read", Spec: spec.MkOp("read"), Run: func(t prim.Thread) string {
+		return spec.RespInt(r.Read(t))
+	}}
+	return []Program{{write(1)}, {write(2), read}, {read}}
+}
+
+// panicSetup: p1 panics on its second step once p0 has written.
+func panicSetup(w *World) []Program {
+	r := w.Register("r", 0)
+	return []Program{
+		{{Name: "write", Spec: spec.MkOp("write"), Run: func(t prim.Thread) string {
+			r.Write(t, 1)
+			return spec.RespOK
+		}}},
+		{{Name: "read-twice", Spec: spec.MkOp("read"), Run: func(t prim.Thread) string {
+			r.Read(t)
+			if r.Read(t) == 1 {
+				panic("boom")
+			}
+			return spec.RespOK
+		}}},
+	}
+}
+
+// TestExploreMatchesReference pins that the once-per-leaf explorer builds
+// the per-node explorer's tree node for node: the same Proc, Events,
+// Enabled, Complete and child order everywhere, and the same Nodes, Leaves
+// and Truncated — including when exploration is cut short, and the same
+// error when a program panics.
+func TestExploreMatchesReference(t *testing.T) {
+	cases := []struct {
+		name      string
+		procs     int
+		setup     Setup
+		opts      *ExploreOptions
+		truncated bool   // the reference stops at a bound
+		deadlocks bool   // the reference has a leaf that is not Complete
+		err       string // the error both explorers must fail with
+	}{
+		{"two-registers", 2, twoRegSetup, nil, false, false, ""},
+		{"max-nodes", 2, twoRegSetup, &ExploreOptions{MaxNodes: 10}, true, false, ""},
+		{"max-depth", 2, twoRegSetup, &ExploreOptions{MaxDepth: 3}, true, false, ""},
+		{"await-deadlock", 2, awaitSetup, nil, false, true, ""},
+		{"three-procs", 3, threeProcSetup, nil, false, false, ""},
+		{"three-procs-max-nodes", 3, threeProcSetup, &ExploreOptions{MaxNodes: 100}, true, false, ""},
+		{"panic", 2, panicSetup, nil, false, false, "explore schedule [0 0 1 1 1]: sim: process 1 panicked: boom"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want, wantErr := exploreReference(tc.procs, tc.setup, tc.opts)
+			got, gotErr := Explore(tc.procs, tc.setup, tc.opts)
+			if tc.err != "" || wantErr != nil || gotErr != nil {
+				if wantErr == nil || wantErr.Error() != tc.err {
+					t.Fatalf("reference error = %v, want %s", wantErr, tc.err)
+				}
+				if gotErr == nil || gotErr.Error() != tc.err {
+					t.Fatalf("error = %v, want %s", gotErr, tc.err)
+				}
+				return
+			}
+			if want.Truncated != tc.truncated {
+				t.Fatalf("reference truncated = %v, want %v", want.Truncated, tc.truncated)
+			}
+			deadlocks := false
+			want.Walk(func(n *Node, _ []Event) bool {
+				deadlocks = deadlocks || len(n.Children) == 0 && len(n.Enabled) == 0 && !n.Complete
+				return true
+			})
+			if deadlocks != tc.deadlocks {
+				t.Fatalf("reference deadlocks = %v, want %v", deadlocks, tc.deadlocks)
+			}
+			if got.Nodes != want.Nodes || got.Leaves != want.Leaves || got.Truncated != want.Truncated {
+				t.Fatalf("nodes/leaves/truncated = %d/%d/%v, want %d/%d/%v",
+					got.Nodes, got.Leaves, got.Truncated, want.Nodes, want.Leaves, want.Truncated)
+			}
+			if !reflect.DeepEqual(got.Ops, want.Ops) {
+				t.Fatalf("ops = %v, want %v", got.Ops, want.Ops)
+			}
+			if err := sameTree(got.Root, want.Root, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+func sameTree(got, want *Node, sched []int) error {
+	if got.Proc != want.Proc || got.Complete != want.Complete ||
+		!reflect.DeepEqual(got.Enabled, want.Enabled) || !reflect.DeepEqual(got.Events, want.Events) ||
+		len(got.Children) != len(want.Children) {
+		return fmt.Errorf("node at %v = {proc %d, enabled %v, complete %v, events %v, %d children}, want {proc %d, enabled %v, complete %v, events %v, %d children}",
+			sched, got.Proc, got.Enabled, got.Complete, got.Events, len(got.Children),
+			want.Proc, want.Enabled, want.Complete, want.Events, len(want.Children))
+	}
+	for i := range got.Children {
+		if err := sameTree(got.Children[i], want.Children[i], append(sched[:len(sched):len(sched)], want.Children[i].Proc)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func TestMarkLinPointFlagsCurrentStep(t *testing.T) {
