@@ -5,19 +5,11 @@
 //
 // Usage:
 //
-//	slbench [-dur 200ms] [-procs 1,2,4,8] [-json] [-baseline FILE] [-tolerance 0.15]
+//	slbench [-dur 200ms] [-procs 1,2,4,8] [-json]
 //
 // With -json it emits one record per (implementation, procs) cell —
-// {"name", "procs", "ops_per_sec"} — so perf trajectories can be recorded
-// and diffed across commits.
-//
-// With -baseline FILE the run becomes a perf-trajectory gate: FILE is a
-// prior -json output, every matching (name, procs) cell is compared, and the
-// process exits 1 if any current cell falls below (1 - tolerance) x its
-// baseline throughput. Cells present on only one side are reported and
-// skipped (renamed or new rows don't fail the gate). Absolute numbers vary
-// across hosts, so gate against a baseline RECORDED ON THE SAME HOST CLASS
-// and keep -tolerance generous (CI machines are noisy neighbours).
+// {"name", "procs", "ops_per_sec"}. slbench gates nothing: the perf gate is
+// scripts/ab.sh, a same-runner A/B of the end-to-end benchmark.
 package main
 
 import (
@@ -50,11 +42,9 @@ func benchKeys(n int) []string {
 }
 
 var (
-	dur       = flag.Duration("dur", 200*time.Millisecond, "measurement duration per cell")
-	procList  = flag.String("procs", "1,2,4,8", "comma-separated goroutine counts")
-	jsonOut   = flag.Bool("json", false, "emit JSON records instead of the table")
-	baseFile  = flag.String("baseline", "", "prior -json output to gate against; exit 1 on regression")
-	tolerance = flag.Float64("tolerance", 0.15, "allowed fractional throughput drop vs -baseline")
+	dur      = flag.Duration("dur", 200*time.Millisecond, "measurement duration per cell")
+	procList = flag.String("procs", "1,2,4,8", "comma-separated goroutine counts")
+	jsonOut  = flag.Bool("json", false, "emit JSON records instead of the table")
 )
 
 type target struct {
@@ -106,83 +96,6 @@ func main() {
 		}
 	}
 
-	if *baseFile != "" {
-		if err := gate(cells, *baseFile, *tolerance); err != nil {
-			fmt.Fprintln(os.Stderr, "slbench: PERF GATE FAILED:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "slbench: perf gate passed against %s (tolerance %.0f%%)\n", *baseFile, *tolerance*100)
-	}
-}
-
-// gate compares current cells against the baseline file's, matching on
-// (name, procs). It returns an error listing every regressed cell — current
-// throughput below (1 - tol) x baseline — or nil. Unmatched cells on either
-// side are noted on stderr and skipped: a renamed or newly added row must
-// not fail the gate (the trajectory file just needs re-recording).
-func gate(cur []cell, baselinePath string, tol float64) error {
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return fmt.Errorf("reading baseline: %w", err)
-	}
-	// The baseline is either a bare -json array or a combined trajectory
-	// document (BENCH_PR6.json style) whose "slbench" key holds the cells
-	// next to the load generator's attack rows.
-	var base []cell
-	if err := json.Unmarshal(raw, &base); err != nil {
-		var doc struct {
-			Slbench []cell `json:"slbench"`
-		}
-		if err2 := json.Unmarshal(raw, &doc); err2 != nil || doc.Slbench == nil {
-			return fmt.Errorf("parsing baseline %s: %w", baselinePath, err)
-		}
-		base = doc.Slbench
-	}
-	type key struct {
-		name  string
-		procs int
-	}
-	baseBy := make(map[key]float64, len(base))
-	for _, c := range base {
-		baseBy[key{c.Name, c.Procs}] = c.OpsPerSec
-	}
-	var regressions, newRows, removedRows []string
-	matched := make(map[key]bool)
-	for _, c := range cur {
-		k := key{c.Name, c.Procs}
-		b, ok := baseBy[k]
-		if !ok {
-			newRows = append(newRows, fmt.Sprintf("%q p=%d", c.Name, c.Procs))
-			continue
-		}
-		matched[k] = true
-		if floor := b * (1 - tol); c.OpsPerSec < floor {
-			regressions = append(regressions,
-				fmt.Sprintf("%q p=%d: %s ops/s vs baseline %s (floor %s)",
-					c.Name, c.Procs, human(c.OpsPerSec), human(b), human(floor)))
-		}
-	}
-	for _, c := range base {
-		if k := (key{c.Name, c.Procs}); !matched[k] {
-			removedRows = append(removedRows, fmt.Sprintf("%q p=%d", c.Name, c.Procs))
-		}
-	}
-	// Name every skipped cell so a drifting baseline is visible in the gate
-	// log even when nothing regresses: rows listed here need the trajectory
-	// file re-recorded before the gate covers them again.
-	if len(newRows) > 0 {
-		fmt.Fprintf(os.Stderr, "slbench: gate: %d cell(s) have no baseline, skipped (new rows?): %s\n",
-			len(newRows), strings.Join(newRows, ", "))
-	}
-	if len(removedRows) > 0 {
-		fmt.Fprintf(os.Stderr, "slbench: gate: %d baseline cell(s) not measured this run, skipped (removed rows?): %s\n",
-			len(removedRows), strings.Join(removedRows, ", "))
-	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("%d cell(s) regressed past the %.0f%% tolerance:\n  %s",
-			len(regressions), tol*100, strings.Join(regressions, "\n  "))
-	}
-	return nil
 }
 
 func targets() []target {

@@ -11,8 +11,8 @@ import (
 	"testing"
 )
 
-// The wire contract: what the benchmark, scripts/chaos_smoke.sh and the
-// soaks read from slserve. Success statuses and body keys per endpoint, the
+// The wire contract: what the benchmark (benchmark/, and so scripts/ab.sh)
+// reads from slserve. Success statuses and body keys per endpoint, the
 // /stats key sets of both tiers, and the /metrics family names are pinned
 // here, so a refactor of the serving code cannot rename any of them.
 

@@ -3,14 +3,11 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // errShape is the one error contract: every non-200 from every endpoint.
@@ -221,61 +218,5 @@ func TestErrorShapeUniform(t *testing.T) {
 	}
 	if !budget503 {
 		t.Fatal("per-lane budget never exhausted after lanes+1 cap-sized incs")
-	}
-}
-
-// TestAttackClientHonorsRetryContract pins the load generator's side of the
-// shape: retryable 503s are retried with the Retry-After hint honored (and
-// counted), non-retryable refusals are surfaced immediately, and a target
-// that never recovers exhausts the budget into the exhausted counter.
-func TestAttackClientHonorsRetryContract(t *testing.T) {
-	var hits atomic.Int64
-	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if hits.Add(1) <= 2 {
-			writeErr(w, http.StatusServiceUnavailable, "transient refusal", true, 0)
-			return
-		}
-		writeJSON(w, map[string]any{"ok": true})
-	}))
-	defer flaky.Close()
-	client := &http.Client{Timeout: time.Second}
-	tele := &attackTelemetry{}
-	if err := fireWithRetry(client, flaky.URL, 0, 0, 0, 1024, tele); err != nil {
-		t.Fatalf("retryable target never succeeded: %v", err)
-	}
-	if got := tele.retried.Load(); got != 2 {
-		t.Fatalf("retried = %d, want 2", got)
-	}
-	if tele.exhausted.Load() != 0 {
-		t.Fatalf("exhausted = %d, want 0", tele.exhausted.Load())
-	}
-
-	terminal := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeErr(w, http.StatusBadRequest, "bad parameter", false, 0)
-	}))
-	defer terminal.Close()
-	tele = &attackTelemetry{}
-	err := fireWithRetry(client, terminal.URL, 0, 0, 0, 1024, tele)
-	var se *statusError
-	if !errors.As(err, &se) || se.code != http.StatusBadRequest {
-		t.Fatalf("non-retryable refusal = %v, want statusError 400", err)
-	}
-	if tele.retried.Load() != 0 {
-		t.Fatalf("non-retryable refusal was retried %d times", tele.retried.Load())
-	}
-
-	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeErr(w, http.StatusServiceUnavailable, "still down", true, 0)
-	}))
-	defer dead.Close()
-	tele = &attackTelemetry{}
-	if err := fireWithRetry(client, dead.URL, 0, 0, 0, 1024, tele); err == nil {
-		t.Fatal("never-recovering target reported success")
-	}
-	if tele.exhausted.Load() != 1 {
-		t.Fatalf("exhausted = %d, want 1", tele.exhausted.Load())
-	}
-	if tele.retried.Load() != 3 {
-		t.Fatalf("retried = %d, want the full budget of 3", tele.retried.Load())
 	}
 }

@@ -437,6 +437,21 @@ func (f *frontend) post(ctx context.Context, owner int, gen int64, uri string) e
 	return err
 }
 
+// statusError is a non-200 backend answer decoded from the uniform error
+// shape: {error, retryable, retry_after_seconds}. serveRouted retries exactly
+// when the backend says to — a 503 mid-rollover is load-shedding, not
+// failure — and forwards a non-retryable refusal with its own status.
+type statusError struct {
+	code       int
+	reason     string
+	retryable  bool
+	retryAfter time.Duration
+}
+
+func (e *statusError) Error() string {
+	return fmt.Sprintf("status %d (%s)", e.code, e.reason)
+}
+
 // do is the one backend HTTP call: carries the ownership generation, maps
 // 409 to cluster.ErrFenced (Route re-routes on it) and any other non-200 to
 // a *statusError decoded from the uniform error shape.
@@ -618,6 +633,7 @@ func (f *frontend) serveRouted(w http.ResponseWriter, r *http.Request, d *op, a 
 	key := d.route(a)
 	isRead := d.method == http.MethodGet
 	uri := r.URL.RequestURI()
+	const maxBackoff = 250 * time.Millisecond
 	backoff := 5 * time.Millisecond
 	var body []byte
 	for attempt := 0; ; attempt++ {
@@ -664,8 +680,8 @@ func (f *frontend) serveRouted(w http.ResponseWriter, r *http.Request, d *op, a 
 			return
 		}
 		f.retriesTotal.Inc()
-		if sleep > 250*time.Millisecond {
-			sleep = 250 * time.Millisecond
+		if sleep > maxBackoff {
+			sleep = maxBackoff
 		}
 		jittered := time.Duration(rand.Int63n(int64(sleep))) + sleep/2
 		f.backoffNs.Observe(int64(jittered))
@@ -675,7 +691,11 @@ func (f *frontend) serveRouted(w http.ResponseWriter, r *http.Request, d *op, a 
 			writeErr(w, http.StatusServiceUnavailable, "client gone during retry backoff", true, 0)
 			return
 		}
-		backoff *= 2
+		// Doubling stops at the cap: unchecked, 5ms·2^41 wraps negative,
+		// slips under the cap and panics rand.Int63n.
+		if backoff < maxBackoff {
+			backoff *= 2
+		}
 	}
 }
 

@@ -248,6 +248,52 @@ func TestFrontendForwardsBackendErrors(t *testing.T) {
 	}
 }
 
+// TestFrontendLongRetryBudget is the backoff-overflow regression: with a
+// retry budget past 41 attempts the doubled backoff used to wrap negative,
+// slip under the 250ms cap and panic rand.Int63n, so net/http dropped the
+// connection instead of answering. A write refused retryable on every
+// attempt must still end in the uniform retryable 503.
+func TestFrontendLongRetryBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spends ~10s of capped backoff")
+	}
+	inner := newServer(4, 2, 0).handler()
+	be := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/counter/inc" {
+			writeErr(w, http.StatusServiceUnavailable, "always refusing", true, 0)
+			return
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer be.Close()
+	f := newTestFrontend(t, []string{be.URL}, fastHealth())
+	f.cfg.retries = 45
+	ctx := context.Background()
+	f.health.Sweep(ctx)
+	f.reconcileOnce(ctx)
+	fe := httptest.NewServer(f.handler())
+	defer fe.Close()
+
+	resp, err := http.Post(fe.URL+"/counter/inc", "", nil)
+	if err != nil {
+		t.Fatalf("POST /counter/inc through a 45-retry budget: %v", err)
+	}
+	rec := httptest.NewRecorder()
+	for k, v := range resp.Header {
+		rec.Header()[k] = v
+	}
+	rec.WriteHeader(resp.StatusCode)
+	io.Copy(rec, resp.Body)
+	resp.Body.Close()
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, want 503: %s", rec.Code, rec.Body.String())
+	}
+	assertErrShape(t, rec, true)
+	if got := f.retriesTotal.Load(); got != 45 {
+		t.Fatalf("retries = %d, want the whole budget of 45", got)
+	}
+}
+
 // TestHedgedGetReapsLoser is the hedge-leak regression: when the hedged
 // duplicate wins, the primary request — stuck at a slow backend — must be
 // torn down by context cancellation as soon as the winner is picked, not
@@ -601,7 +647,9 @@ func (b *poolBackend) kill() {
 // mid-soak then rebooted empty. Invariant at the bar: ZERO LOST ACKED
 // INCREMENTS — the final counter is >= the number of 200s the clients got
 // (phantoms from raced handoffs may push it above, never below) — and the
-// acked ledger equals the 200 count exactly.
+// acked ledger equals the 200 count exactly. The kill must be noticed (more
+// handoffs than the initial installs), and the backend pools must keep
+// reusing connections through it (fewer dials than a tenth of the acks).
 func TestFrontendChaosKillRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live chaos soak")
@@ -659,6 +707,7 @@ func TestFrontendChaosKillRestart(t *testing.T) {
 
 	// Let traffic flow, then crash the counter's owner mid-soak.
 	time.Sleep(400 * time.Millisecond)
+	installs := f.handoffs.Load() // the initial install of every routed key
 	owner, _, _ := f.tb.Owner(thread1, "counter")
 	if owner < 0 {
 		t.Fatalf("counter unowned at kill time")
@@ -707,11 +756,16 @@ func TestFrontendChaosKillRestart(t *testing.T) {
 	}
 
 	st := f.snapshotStats()
-	if st.Handoffs < 4 { // 3 initial installs + at least the failover
-		t.Fatalf("handoffs = %d, want >= 4 (kill went unnoticed?)", st.Handoffs)
+	if st.Handoffs <= installs {
+		t.Fatalf("handoffs = %d, no more than the %d initial installs (kill went unnoticed?)", st.Handoffs, installs)
 	}
-	t.Logf("chaos soak: acked=%d final=%d phantoms=%d handoffs=%d steals=%d raced=%d retries=%d",
-		total, final, final-total, st.Handoffs, st.Steals, st.Raced, st.Retries)
+	// Backend connections are pooled: the kill and the reboot cost redials,
+	// but a dial per request would mean the pool stopped reusing them.
+	if dials := f.dials.Load(); dials >= total/10 {
+		t.Fatalf("backend dials = %d for %d acked requests, want fewer than a tenth", dials, total)
+	}
+	t.Logf("chaos soak: acked=%d final=%d phantoms=%d handoffs=%d steals=%d raced=%d retries=%d dials=%d",
+		total, final, final-total, st.Handoffs, st.Steals, st.Raced, st.Retries, f.dials.Load())
 }
 
 // drainBody keeps the keep-alive connection reusable under load.

@@ -78,51 +78,20 @@
 // watermarks are derived at scrape time from the registers themselves, so
 // serving them costs the protocol paths nothing. With -debug-addr HOST:PORT
 // a second listener additionally serves /metrics and net/http/pprof (the
-// profiling surface stays off the public port). -scan-budget N overrides the
-// helped objects' scan/read retry budgets (0 makes adoption the common case
-// — the forced-adopt configuration the tests drive).
+// profiling surface stays off the public port).
 //
-// Load-generator mode (drives an in-process server unless -url names a
-// remote one):
-//
-//	slserve -attack [-clients 32] [-dur 2s] [-arrivals closed|poisson|burst]
-//	        [-rate 5000] [-burst-size 32] [-mix default|read-heavy|write-storm|storm]
-//	        [-lanes 8] [-shards 4] [-bound B] [-url http://host:port]
-//
-// It reports JSON on stdout: per-endpoint counts, error count, throughput,
-// and latency percentiles computed from the shared obs histogram (identical
-// machinery in every mode, so reports are comparable across loop modes; the
-// report labels its loop mode and arrival process).
-//
-// -arrivals closed is the classic closed loop: each client fires its next
-// request when the previous response lands, so offered load adapts to the
-// server and queueing is INVISIBLE in the latencies. -arrivals poisson is an
-// OPEN LOOP: request start times are pre-drawn from a Poisson process of
-// -rate requests/sec, and each request's latency is measured from its
-// INTENDED send time — not from when a worker got around to sending it — so
-// scheduler backlog (coordinated omission) counts against the server,
-// and overload shows up as diverging tail percentiles instead of silently
-// throttled throughput. -arrivals burst sends the same offered rate in
-// trains of -burst-size back-to-back requests. The workload mixes: default
-// (50/50 read/write across the five constant-cost objects), read-heavy (90%
-// reads), write-storm (90% writes), and storm — an adversarial starvation
-// shape like sim.AnchorStormPolicy: updates hammer the multi-word snapshot
-// while scans try to validate against them, driving the helping counters
-// under real traffic. The clock is still excluded: its per-operation cost is
-// Algorithm 1's operation-graph walk, which grows with history, so the
-// generator would measure the graph, not the serving stack.
+// Load is generated outside this command: benchmark/run.sh builds slserve
+// from a tree, starts it with its default flags and checks every answer
+// (see benchmark/README.md and scripts/ab.sh).
 package main
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"math"
-	"math/rand"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -141,21 +110,11 @@ import (
 )
 
 var (
-	addr       = flag.String("addr", ":8080", "listen address (serve mode)")
-	debugAddr  = flag.String("debug-addr", "", "extra listener serving /metrics and net/http/pprof (serve mode; empty = none)")
-	lanes      = flag.Int("lanes", 8, "process identities in the lane pool")
-	shards     = flag.Int("shards", 4, "fetch&add cores per sharded object (<= lanes)")
-	bound      = flag.Int64("bound", 0, "value domain [0,bound] for maxreg values, gset elements and snapshot components; packs the shard registers and the snapshot into machine words when the encodings fit (0 = unbounded wide registers)")
-	scanBudget = flag.Int("scan-budget", -1, "scan/read retry budget of the helped objects before they solicit help (-1 = library default; 0 makes adoption the common case)")
-	attack     = flag.Bool("attack", false, "run the load generator instead of serving")
-	clients    = flag.Int("clients", 32, "concurrent load-generator workers (attack mode)")
-	dur        = flag.Duration("dur", 2*time.Second, "measurement duration (attack mode)")
-	url        = flag.String("url", "", "attack a remote slserve instead of an in-process one")
-	arrivals   = flag.String("arrivals", "closed", "attack arrival process: closed (next request when the last returns), poisson (open loop at -rate), burst (open loop, -burst-size trains)")
-	rate       = flag.Float64("rate", 5000, "open-loop offered load in requests/sec (poisson and burst arrivals)")
-	burstSize  = flag.Int("burst-size", 32, "requests per train (burst arrivals)")
-	mixName    = flag.String("mix", "default", "attack workload mix: default, read-heavy, write-storm, storm")
-	attackSeed = flag.Int64("attack-seed", 1, "seed for the open-loop arrival schedule")
+	addr      = flag.String("addr", ":8080", "listen address (serve mode)")
+	debugAddr = flag.String("debug-addr", "", "extra listener serving /metrics and net/http/pprof (serve mode; empty = none)")
+	lanes     = flag.Int("lanes", 8, "process identities in the lane pool")
+	shards    = flag.Int("shards", 4, "fetch&add cores per sharded object (<= lanes)")
+	bound     = flag.Int64("bound", 0, "value domain [0,bound] for maxreg values, gset elements and snapshot components; packs the shard registers and the snapshot into machine words when the encodings fit (0 = unbounded wide registers)")
 
 	// Watermark-triggered live re-base (see internal/migrate): the renewable
 	// budgets — the snapshots' mod-2^16 sequence fields and the sharded
@@ -183,13 +142,6 @@ func main() {
 	if !(*watermarkWarn > 0 && *watermarkWarn <= *watermarkCrit && *watermarkCrit < 1) {
 		fmt.Fprintf(os.Stderr, "slserve: need 0 < -watermark-warn <= -watermark-crit < 1, got %v and %v\n", *watermarkWarn, *watermarkCrit)
 		os.Exit(2)
-	}
-	if *attack {
-		if err := runAttack(); err != nil {
-			fmt.Fprintln(os.Stderr, "slserve:", err)
-			os.Exit(1)
-		}
-		return
 	}
 	if *frontendMode {
 		if err := runFrontend(context.Background()); err != nil {
@@ -445,7 +397,7 @@ func newServer(lanes, shards int, bound int64) *server {
 // use small budgets to drive the 503-past-true-budget path without 2³¹
 // requests.
 func newServerClock(lanes, shards int, bound, clockBudget int64) *server {
-	return newServerCfg(lanes, shards, bound, clockBudget, *scanBudget, true)
+	return newServerCfg(lanes, shards, bound, clockBudget, -1, true)
 }
 
 // newServerCfg is the full constructor: scanBudget >= 0 overrides the helped
@@ -518,8 +470,8 @@ func newServerCfg(lanes, shards int, bound, clockBudget int64, scanBudget int, c
 	}
 	// The dedicated multi-word snapshot always declares the word-budget
 	// bound, so it is machine-word-backed at every lane count (k XADD words
-	// past 2 lanes) — the engine the -attack mix drives alongside the
-	// -bound-dependent /snapshot.
+	// past 2 lanes) — the engine the benchmark's dense mix drives alongside
+	// the -bound-dependent /snapshot.
 	s := &server{
 		lanes:    lanes,
 		shards:   shards,
@@ -1113,487 +1065,3 @@ func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 // defaultMaxValue): tighter bounds narrow it, and a bound too large to pack
 // must not widen it (the shards are wide registers in that case).
 const defaultMaxValue = 1 << 20
-
-// --- attack mode -------------------------------------------------------------
-
-// attackReport is the JSON document the load generator prints. Requests and
-// OpsPerSec count SUCCESSFUL requests only, so a down or erroring target
-// reports its failure rather than inflated throughput; LatencyMS likewise
-// aggregates successful requests only. The report labels its loop mode:
-// closed-loop latencies exclude queueing by construction (each client waits
-// for its response before offering more load), open-loop latencies include it
-// (measured from the request's intended send time), so the two are only
-// comparable knowing which loop produced them.
-type attackReport struct {
-	Target   string `json:"target"`
-	Clients  int    `json:"clients"`
-	Duration string `json:"duration"`
-	// Loop is "closed" or "open"; Arrivals the arrival process that drove it.
-	Loop     string  `json:"loop"`
-	Arrivals string  `json:"arrivals"`
-	Mix      string  `json:"mix"`
-	RateRPS  float64 `json:"rate_rps,omitempty"` // offered load (open loop)
-	// Offered counts scheduled arrivals; Unsent the schedule tail abandoned
-	// by the overload watchdog (nonzero only when the target fell an order
-	// of magnitude behind the offered rate).
-	Offered  int64 `json:"offered,omitempty"`
-	Unsent   int64 `json:"unsent,omitempty"`
-	Requests int64 `json:"requests"`
-	Errors   int64 `json:"errors"`
-	// Retried counts retry attempts honored on retryable statuses (the
-	// server's structured 503/429 bodies); Exhausted the logical requests
-	// still refused after the whole retry budget (a subset of Errors).
-	Retried   int64          `json:"retried"`
-	Exhausted int64          `json:"exhausted"`
-	OpsPerSec float64        `json:"ops_per_sec"`
-	LatencyMS latencyMS      `json:"latency_ms"`
-	Stats     map[string]any `json:"server_stats"`
-}
-
-// latencyMS is the per-request latency distribution in milliseconds.
-type latencyMS struct {
-	P50 float64 `json:"p50"`
-	P95 float64 `json:"p95"`
-	P99 float64 `json:"p99"`
-	Max float64 `json:"max"`
-}
-
-// summarizeHist renders the shared latency histogram (nanosecond
-// observations) as millisecond percentiles — the one summary path every loop
-// mode reports through. The true maximum is carried by a gauge watermark
-// (histogram buckets are log₂-ranged, so their upper bounds overestimate it).
-func summarizeHist(h *obs.Histogram, max *obs.Gauge) latencyMS {
-	if h.Count() == 0 {
-		return latencyMS{}
-	}
-	hi := float64(max.Load())
-	// Bucket upper bounds overestimate within the top bucket; the exact
-	// watermark caps every quantile so p99 can never exceed the true max.
-	q := func(p float64) float64 {
-		v := h.Quantile(p)
-		if v > hi {
-			v = hi
-		}
-		return v / float64(time.Millisecond)
-	}
-	return latencyMS{
-		P50: q(0.50),
-		P95: q(0.95),
-		P99: q(0.99),
-		Max: hi / float64(time.Millisecond),
-	}
-}
-
-// pickOp maps (mix, client, sequence) to an op code 0..9 (see fire). The
-// codes pair up as write/read per object: counter (0/1), maxreg (2/3), gset
-// (4/5), snapshot (6/7), multi-word snapshot (8/9).
-func pickOp(mix string, c, i int) int {
-	switch mix {
-	case "read-heavy":
-		// 10% writes round-robined across the objects, 90% reads.
-		if i%10 == 0 {
-			return ((c + i) % 5) * 2
-		}
-		return ((c+i)%5)*2 + 1
-	case "write-storm":
-		// 90% writes, 10% reads: every object's epoch/announce traffic with
-		// barely any readers — the combining reads that do run retry hard.
-		if i%10 == 9 {
-			return ((c+i)%5)*2 + 1
-		}
-		return ((c + i) % 5) * 2
-	case "storm":
-		// Adversarial starvation, shaped like sim.AnchorStormPolicy: a wall
-		// of multi-word snapshot updates (announce traffic on word 0, the
-		// scan's anchor) against a minority of scans trying to validate —
-		// the schedule family that starves the unhelped double collect and
-		// drives the deposit/adopt machinery under real traffic.
-		if i%5 == 4 {
-			return 9 // msnapshot scan
-		}
-		return 8 // msnapshot update
-	case "counter":
-		// Counter-only, write-heavy: the mix the multi-backend chaos soak
-		// drives through the routing frontend, where every increment's ack
-		// must survive ownership handoffs (lost-update accounting needs a
-		// single monotone object).
-		if i%4 == 3 {
-			return 1 // counter read
-		}
-		return 0 // counter inc
-	default: // "default": the original 50/50 mix
-		return i % 10
-	}
-}
-
-func validMix(mix string) bool {
-	switch mix {
-	case "default", "read-heavy", "write-storm", "storm", "counter":
-		return true
-	}
-	return false
-}
-
-// attackTelemetry is the shared per-run instrumentation: every successful
-// request lands one latency observation (nanoseconds) in the histogram and
-// raises the max watermark, whatever the loop mode. retried counts retry
-// attempts honored on retryable statuses; exhausted counts logical requests
-// that stayed retryable through the whole retry budget (those also land in
-// errors — an exhausted request IS a failed request, just a classified one).
-type attackTelemetry struct {
-	latency   obs.Histogram
-	latMax    obs.Gauge
-	requests  atomic.Int64
-	errors    atomic.Int64
-	retried   atomic.Int64
-	exhausted atomic.Int64
-}
-
-func (a *attackTelemetry) record(lat time.Duration, err error) {
-	if err != nil {
-		a.errors.Add(1)
-		return
-	}
-	a.latency.Observe(lat.Nanoseconds())
-	a.latMax.Mark(lat.Nanoseconds())
-	a.requests.Add(1)
-}
-
-// statusError is a non-200 answer decoded into the server's uniform error
-// shape: {error, retryable, retry_after_seconds}. The attack client backs
-// off and retries exactly when the server says to — a 503 mid-rollover or a
-// 503 from a routing frontend with a dead owner is load-shedding, not
-// failure, and hammering it would measure the wrong thing.
-type statusError struct {
-	code       int
-	reason     string
-	retryable  bool
-	retryAfter time.Duration
-}
-
-func (e *statusError) Error() string {
-	return fmt.Sprintf("status %d (%s)", e.code, e.reason)
-}
-
-// retryBackoffFloor is the minimum post-jitter sleep between retries. A
-// retryable 503 carrying retry_after_seconds: 0 means "retry, no estimate" —
-// it must never mean "retry immediately": with the hint used verbatim a
-// fleet of refused clients busy-loops against the endpoint that just shed
-// them.
-const retryBackoffFloor = time.Millisecond
-
-// retryBackoff computes the attempt'th retry sleep: the server's hint when
-// it gave one, else an exponential base; capped so the generator keeps
-// offering load; full-jittered (uniform over [0, sleep)) so clients refused
-// together do not return together; floored so a zero or negative hint can
-// never collapse the sleep to nothing.
-func retryBackoff(attempt int, hint time.Duration) time.Duration {
-	const base = 5 * time.Millisecond
-	const sleepCap = 100 * time.Millisecond
-	sleep := hint
-	if sleep <= 0 {
-		sleep = base << uint(attempt)
-	}
-	if sleep > sleepCap {
-		sleep = sleepCap
-	}
-	jittered := time.Duration(rand.Int63n(int64(sleep)))
-	if jittered < retryBackoffFloor {
-		jittered = retryBackoffFloor
-	}
-	return jittered
-}
-
-// fireWithRetry drives one logical request through fire, honoring the
-// structured retry contract: on a retryable status it sleeps retryBackoff of
-// the server's retry_after_seconds hint, up to maxRetries times. Exhausting
-// the budget on a still-retryable status is reported as exhausted.
-func fireWithRetry(client *http.Client, target string, op, c, i int, valCap int64, tele *attackTelemetry) error {
-	const maxRetries = 3
-	for attempt := 0; ; attempt++ {
-		err := fire(client, target, op, c, i, valCap)
-		var se *statusError
-		if err == nil || !errors.As(err, &se) || !se.retryable {
-			return err
-		}
-		if attempt == maxRetries {
-			tele.exhausted.Add(1)
-			return err
-		}
-		tele.retried.Add(1)
-		time.Sleep(retryBackoff(attempt, se.retryAfter))
-	}
-}
-
-func runAttack() error {
-	if !validMix(*mixName) {
-		return fmt.Errorf("unknown -mix %q (want default, read-heavy, write-storm or storm)", *mixName)
-	}
-	openLoop := false
-	switch *arrivals {
-	case "closed":
-	case "poisson", "burst":
-		openLoop = true
-		if *rate <= 0 {
-			return fmt.Errorf("-arrivals %s needs -rate > 0, got %v", *arrivals, *rate)
-		}
-		if *arrivals == "burst" && *burstSize < 1 {
-			return fmt.Errorf("-burst-size must be >= 1, got %d", *burstSize)
-		}
-	default:
-		return fmt.Errorf("unknown -arrivals %q (want closed, poisson or burst)", *arrivals)
-	}
-
-	target := *url
-	var srv *server
-	if target == "" {
-		// Self-contained run: serve the stack from this process on a loopback
-		// port and attack it over real HTTP.
-		srv = newServer(*lanes, *shards, *bound)
-		if *rollover {
-			// The soak harness forces a tiny -watermark-budget here, so the
-			// controller rolls the engines over repeatedly under full load.
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			srv.startRollover(ctx, *rolloverEvery)
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		hs := newHTTPServer(srv.handler())
-		go hs.Serve(ln)
-		defer hs.Shutdown(context.Background())
-		target = "http://" + ln.Addr().String()
-	}
-
-	client := &http.Client{Transport: &http.Transport{
-		MaxIdleConns:        *clients * 2,
-		MaxIdleConnsPerHost: *clients * 2,
-	}}
-
-	// Written values stay inside the served value domain, so a -bound attack
-	// exercises the packed fast path instead of drowning in 400s. (Compare
-	// before adding 1: *bound may be MaxInt64.)
-	valCap := int64(1024)
-	if *bound > 0 && *bound < valCap {
-		valCap = *bound + 1
-	}
-
-	tele := &attackTelemetry{}
-	rep := attackReport{
-		Target:   target,
-		Clients:  *clients,
-		Arrivals: *arrivals,
-		Mix:      *mixName,
-	}
-	var elapsed time.Duration
-	if openLoop {
-		rep.Loop = "open"
-		rep.RateRPS = *rate
-		offered, unsent, el := runOpenLoop(client, target, valCap, tele)
-		rep.Offered, rep.Unsent, elapsed = offered, unsent, el
-	} else {
-		rep.Loop = "closed"
-		elapsed = runClosedLoop(client, target, valCap, tele)
-	}
-
-	rep.Duration = elapsed.String()
-	rep.Requests = tele.requests.Load()
-	rep.Errors = tele.errors.Load()
-	rep.Retried = tele.retried.Load()
-	rep.Exhausted = tele.exhausted.Load()
-	rep.OpsPerSec = float64(tele.requests.Load()) / elapsed.Seconds()
-	rep.LatencyMS = summarizeHist(&tele.latency, &tele.latMax)
-	if srv != nil {
-		rep.Stats = srv.statsDoc()
-	} else {
-		// Remote target: ask it for its own counts. On any failure leave the
-		// stats out rather than publishing a zeroed block that reads as an
-		// idle server.
-		if resp, err := client.Get(target + "/stats"); err != nil {
-			fmt.Fprintln(os.Stderr, "slserve: remote /stats unavailable:", err)
-		} else {
-			decErr := json.NewDecoder(resp.Body).Decode(&rep.Stats)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK || decErr != nil {
-				fmt.Fprintf(os.Stderr, "slserve: remote /stats unusable (status %d, decode err %v); omitting server_stats\n", resp.StatusCode, decErr)
-				rep.Stats = nil
-			}
-		}
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-// runClosedLoop is the classic closed loop: each of the -clients workers
-// fires its next request as soon as the previous response lands, for -dur.
-// Latency is response time as the CLIENT experienced it; offered load adapts
-// to the server, so queueing never shows in these numbers.
-func runClosedLoop(client *http.Client, target string, valCap int64, tele *attackTelemetry) time.Duration {
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for c := 0; c < *clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; !stop.Load(); i++ {
-				t0 := time.Now()
-				err := fireWithRetry(client, target, pickOp(*mixName, c, i), c, i, valCap, tele)
-				tele.record(time.Since(t0), err)
-			}
-		}(c)
-	}
-	start := time.Now()
-	time.Sleep(*dur)
-	stop.Store(true)
-	wg.Wait()
-	return time.Since(start)
-}
-
-// runOpenLoop offers load at -rate regardless of how the target keeps up.
-// The arrival schedule — every request's INTENDED send instant — is drawn up
-// front (-attack-seed makes it reproducible): exponential gaps for poisson,
-// -burst-size trains at the same aggregate rate for burst. Workers claim
-// schedule entries in order, sleep until each entry's instant, fire, and
-// record latency from the INTENDED instant, not the actual send — so when
-// all workers are busy and entries fire late, the backlog time counts
-// against the server. This is the standard defence against coordinated
-// omission: a closed loop silently stops offering load exactly when the
-// server is slowest, which deletes the worst samples from the tail.
-//
-// Workers drain the whole schedule even past -dur (the queueing tail is the
-// point), but a watchdog abandons the remainder once the run exceeds 10x
-// -dur — the report's unsent count then says the target was hopelessly
-// overloaded rather than hanging the generator forever.
-func runOpenLoop(client *http.Client, target string, valCap int64, tele *attackTelemetry) (offered, unsent int64, elapsed time.Duration) {
-	offsets := buildSchedule(*arrivals, *rate, *burstSize, *dur, *attackSeed)
-	offered = int64(len(offsets))
-	var next atomic.Int64
-	var abandon atomic.Bool
-	var wg sync.WaitGroup
-	start := time.Now()
-	deadline := time.AfterFunc(10*(*dur), func() { abandon.Store(true) })
-	defer deadline.Stop()
-	for c := 0; c < *clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for !abandon.Load() {
-				idx := next.Add(1) - 1
-				if idx >= int64(len(offsets)) {
-					return
-				}
-				intended := start.Add(offsets[idx])
-				if d := time.Until(intended); d > 0 {
-					time.Sleep(d)
-				}
-				err := fireWithRetry(client, target, pickOp(*mixName, c, int(idx)), c, int(idx), valCap, tele)
-				// Coordinated-omission-safe: latency from the intended send
-				// instant, so time spent waiting for a free worker (server
-				// backlog) is charged to this request — retry backoffs
-				// included, since the server asked for them.
-				tele.record(time.Since(intended), err)
-			}
-		}(c)
-	}
-	wg.Wait()
-	elapsed = time.Since(start)
-	if claimed := next.Load(); claimed < offered {
-		unsent = offered - claimed
-	}
-	return offered, unsent, elapsed
-}
-
-// buildSchedule draws the open-loop arrival offsets covering dur at the
-// given aggregate rate: exponential inter-arrival gaps (poisson) or
-// back-to-back trains of burstSize with exponential gaps between trains
-// (burst — same offered rate, maximally clumped). Offsets are ascending.
-func buildSchedule(kind string, rate float64, burstSize int, dur time.Duration, seed int64) []time.Duration {
-	rng := rand.New(rand.NewSource(seed))
-	var offsets []time.Duration
-	switch kind {
-	case "burst":
-		// Trains of burstSize at one instant; gaps between train STARTS are
-		// exponential with mean burstSize/rate, preserving the aggregate rate.
-		meanGap := float64(burstSize) / rate
-		for t := 0.0; t < dur.Seconds(); t += rng.ExpFloat64() * meanGap {
-			at := time.Duration(t * float64(time.Second))
-			for b := 0; b < burstSize; b++ {
-				offsets = append(offsets, at)
-			}
-		}
-	default: // "poisson"
-		for t := 0.0; t < dur.Seconds(); t += rng.ExpFloat64() / rate {
-			offsets = append(offsets, time.Duration(t*float64(time.Second)))
-		}
-	}
-	return offsets
-}
-
-// fire issues one request. op codes pair write/read per object: 0/1 counter
-// inc/read, 2/3 maxreg write/read, 4/5 gset add/has, 6/7 snapshot
-// update/scan, 8/9 multi-word snapshot update/scan. Written values are taken
-// modulo valCap so they stay inside the target's declared value domain — for
-// the snapshot this means a -bound attack drives the packed Theorem 2 word
-// (one XADD per update, one per scan), and the /msnapshot pair always drives
-// the k-XADD engine's announcing updates and validated double-collect scans.
-func fire(client *http.Client, target string, op, c, i int, valCap int64) error {
-	var resp *http.Response
-	var err error
-	xCap := valCap
-	if xCap > 256 {
-		xCap = 256
-	}
-	switch op {
-	case 0:
-		resp, err = client.Post(target+"/counter/inc", "", nil)
-	case 1:
-		resp, err = client.Get(target + "/counter")
-	case 2:
-		resp, err = client.Post(fmt.Sprintf("%s/maxreg?v=%d", target, int64(c*31+i)%valCap), "", nil)
-	case 3:
-		resp, err = client.Get(target + "/maxreg")
-	case 4:
-		resp, err = client.Post(fmt.Sprintf("%s/gset?x=%d", target, int64(c+i)%xCap), "", nil)
-	case 5:
-		resp, err = client.Get(fmt.Sprintf("%s/gset?x=%d", target, int64(c+i)%xCap))
-	case 6:
-		resp, err = client.Post(fmt.Sprintf("%s/snapshot?v=%d", target, int64(c*17+i)%valCap), "", nil)
-	case 7:
-		resp, err = client.Get(target + "/snapshot")
-	case 8:
-		resp, err = client.Post(fmt.Sprintf("%s/msnapshot?v=%d", target, int64(c*13+i)%valCap), "", nil)
-	default:
-		resp, err = client.Get(target + "/msnapshot")
-	}
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		// Decode the uniform error shape so the caller can honor the retry
-		// contract; a body that isn't the shape (a 404's plain text) just
-		// leaves the zero values — not retryable, no hint.
-		var body struct {
-			Error             string `json:"error"`
-			Retryable         bool   `json:"retryable"`
-			RetryAfterSeconds int64  `json:"retry_after_seconds"`
-		}
-		json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&body)
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return &statusError{
-			code:       resp.StatusCode,
-			reason:     body.Error,
-			retryable:  body.Retryable,
-			retryAfter: time.Duration(body.RetryAfterSeconds) * time.Second,
-		}
-	}
-	// Drain before closing so the keep-alive connection is reusable;
-	// otherwise every request pays a fresh TCP handshake and the report
-	// measures connection setup, not the server.
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return nil
-}

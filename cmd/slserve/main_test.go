@@ -307,122 +307,6 @@ func TestHugeBoundKeepsRequestCap(t *testing.T) {
 	}
 }
 
-func TestLatencyPercentiles(t *testing.T) {
-	var tele attackTelemetry
-	if got := summarizeHist(&tele.latency, &tele.latMax); got != (latencyMS{}) {
-		t.Fatalf("empty sample percentiles = %+v, want zeros", got)
-	}
-	for i := 1; i <= 100; i++ {
-		tele.record(time.Duration(i)*time.Millisecond, nil) // 1ms..100ms
-	}
-	got := summarizeHist(&tele.latency, &tele.latMax)
-	// The log₂ histogram reports quantiles with bucket-resolution error; the
-	// max comes from the exact gauge watermark.
-	if got.P50 < 25 || got.P50 > 100 {
-		t.Fatalf("p50 = %v, want within the 1..100ms sample range (coarse)", got.P50)
-	}
-	if got.P95 < got.P50 || got.P99 < got.P95 {
-		t.Fatalf("quantiles not monotone: %+v", got)
-	}
-	if got.Max != 100 {
-		t.Fatalf("max = %v, want exactly 100 (gauge watermark)", got.Max)
-	}
-	if n := tele.requests.Load(); n != 100 {
-		t.Fatalf("requests = %d, want 100", n)
-	}
-	tele.record(0, fmt.Errorf("boom"))
-	if e := tele.errors.Load(); e != 1 {
-		t.Fatalf("errors = %d, want 1", e)
-	}
-	if n := tele.latency.Count(); n != 100 {
-		t.Fatalf("errored request leaked into the latency histogram: count %d", n)
-	}
-}
-
-// TestBuildSchedule: the open-loop arrival schedule is reproducible per seed,
-// ascending, covers the run, and the burst variant clumps arrivals into
-// trains of exactly -burst-size at identical instants.
-func TestBuildSchedule(t *testing.T) {
-	a := buildSchedule("poisson", 1000, 0, 100*time.Millisecond, 7)
-	b := buildSchedule("poisson", 1000, 0, 100*time.Millisecond, 7)
-	if len(a) == 0 {
-		t.Fatal("empty poisson schedule")
-	}
-	if len(a) != len(b) {
-		t.Fatalf("same seed, different schedule lengths: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed, different offset at %d: %v vs %v", i, a[i], b[i])
-		}
-		if i > 0 && a[i] < a[i-1] {
-			t.Fatalf("offsets not ascending at %d: %v < %v", i, a[i], a[i-1])
-		}
-	}
-	// ~1000 req/s for 100ms ≈ 100 arrivals; accept a generous Poisson band.
-	if len(a) < 50 || len(a) > 200 {
-		t.Fatalf("poisson schedule has %d arrivals, want ~100", len(a))
-	}
-
-	bs := buildSchedule("burst", 1000, 8, 100*time.Millisecond, 7)
-	if len(bs)%8 != 0 {
-		t.Fatalf("burst schedule length %d not a multiple of the train size 8", len(bs))
-	}
-	for i := 0; i < len(bs); i += 8 {
-		for j := 1; j < 8; j++ {
-			if bs[i+j] != bs[i] {
-				t.Fatalf("train starting at %d not clumped: %v vs %v", i, bs[i+j], bs[i])
-			}
-		}
-	}
-}
-
-// TestPickOp: every mix yields only valid op codes and honours its declared
-// read/write ratio.
-func TestPickOp(t *testing.T) {
-	isWrite := func(op int) bool { return op%2 == 0 }
-	for _, mix := range []string{"default", "read-heavy", "write-storm", "storm"} {
-		if !validMix(mix) {
-			t.Fatalf("validMix(%q) = false", mix)
-		}
-		writes := 0
-		const n = 1000
-		for i := 0; i < n; i++ {
-			op := pickOp(mix, 3, i)
-			if op < 0 || op > 9 {
-				t.Fatalf("mix %q: op %d out of range", mix, op)
-			}
-			if mix == "storm" && op != 8 && op != 9 {
-				t.Fatalf("mix storm must stay on the multi-word snapshot, got op %d", op)
-			}
-			if isWrite(op) {
-				writes++
-			}
-		}
-		switch mix {
-		case "read-heavy":
-			if writes != n/10 {
-				t.Fatalf("read-heavy writes = %d, want %d", writes, n/10)
-			}
-		case "write-storm":
-			if writes != n*9/10 {
-				t.Fatalf("write-storm writes = %d, want %d", writes, n*9/10)
-			}
-		case "storm":
-			if writes != n*4/5 {
-				t.Fatalf("storm writes = %d, want %d", writes, n*4/5)
-			}
-		case "default":
-			if writes != n/2 {
-				t.Fatalf("default writes = %d, want %d", writes, n/2)
-			}
-		}
-	}
-	if validMix("bogus") {
-		t.Fatal("validMix accepted an unknown mix")
-	}
-}
-
 // TestMetricsEndpoint is the golden-name test: every metric the server
 // registers must appear in the /metrics text, the document must parse as
 // Prometheus 0.0.4 exposition (HELP/TYPE then samples), and after traffic the
@@ -696,6 +580,41 @@ func metricsText(t *testing.T, base string) string {
 	return string(b)
 }
 
+// denseRequests are the ten dense-object requests, a write then a read per
+// object: counter, maxreg, gset, snapshot, msnapshot. A path ending in '='
+// takes a value.
+var denseRequests = [10]struct{ method, path string }{
+	{http.MethodPost, "/counter/inc"}, {http.MethodGet, "/counter"},
+	{http.MethodPost, "/maxreg?v="}, {http.MethodGet, "/maxreg"},
+	{http.MethodPost, "/gset?x="}, {http.MethodGet, "/gset?x="},
+	{http.MethodPost, "/snapshot?v="}, {http.MethodGet, "/snapshot"},
+	{http.MethodPost, "/msnapshot?v="}, {http.MethodGet, "/msnapshot"},
+}
+
+// doDense issues denseRequests[op] against base with value v and fails
+// unless the server answers 200.
+func doDense(client *http.Client, base string, op int, v int64) error {
+	d := denseRequests[op]
+	target := base + d.path
+	if strings.HasSuffix(d.path, "=") {
+		target += strconv.FormatInt(v, 10)
+	}
+	req, err := http.NewRequest(d.method, target, nil)
+	if err != nil {
+		return err
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return err
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("%s %s: status %d", d.method, target, resp.StatusCode)
+	}
+	return nil
+}
+
 // TestConcurrentClients floods the server with more concurrent clients than
 // lanes — the load the pool exists to carry — and checks that no increment is
 // lost. Run under -race this is the acceptance check for the traffic
@@ -713,7 +632,7 @@ func TestConcurrentClients(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < reqs; i++ {
-				if err := fire(http.DefaultClient, ts.URL, pickOp("default", c, i), c, i, 1024); err != nil {
+				if err := doDense(http.DefaultClient, ts.URL, i%len(denseRequests), int64(c*31+i)%256); err != nil {
 					errs <- fmt.Errorf("client %d: %w", c, err)
 					return
 				}

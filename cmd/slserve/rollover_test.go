@@ -8,7 +8,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -179,11 +178,12 @@ func TestClockExhaustion503Shape(t *testing.T) {
 }
 
 // TestAutoRolloverUnderLoad is the soak in miniature: a forced tiny budget,
-// the watermark controller polling fast, and client traffic running
-// throughout. Every request must succeed while the engines roll over
-// underneath — the counter's count survives its epoch rollovers, the
-// multi-word snapshot's view survives its cutovers, and the stats document
-// records the generations advancing.
+// the watermark controller polling fast, and four concurrent clients cycling
+// through the five dense objects throughout. Every request must succeed
+// while the engines roll over underneath — the counter's count survives its
+// epoch rollovers, the multi-word snapshot's view survives its cutovers, and
+// the stats document records the generations advancing. Run with -race and
+// a high -count it is the rollover soak.
 func TestAutoRolloverUnderLoad(t *testing.T) {
 	setFlag(t, watermarkBudget, int64(64))
 	srv := newServer(4, 2, 0)
@@ -193,32 +193,30 @@ func TestAutoRolloverUnderLoad(t *testing.T) {
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
-	const incs, updates = 400, 300
-	for i := 0; i < incs; i++ {
-		resp, err := http.Post(ts.URL+"/counter/inc", "", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("inc %d: status %d (a rollover failed a client request)", i, resp.StatusCode)
-		}
-		if i%100 == 99 {
-			time.Sleep(10 * time.Millisecond) // let the controller tick mid-load
-		}
+	// Each client sends rounds x ten requests: one counter inc per round.
+	const clients, rounds = 4, 100
+	const incs = clients * rounds
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < rounds*len(denseRequests); i++ {
+				if err := doDense(http.DefaultClient, ts.URL, i%len(denseRequests), int64(c*17+i)%1000); err != nil {
+					errs <- fmt.Errorf("client %d (a rollover failed a client request): %w", c, err)
+					return
+				}
+				if i%100 == 99 {
+					time.Sleep(10 * time.Millisecond) // let the controller tick mid-load
+				}
+			}
+		}(c)
 	}
-	for i := 1; i <= updates; i++ {
-		resp, err := http.Post(ts.URL+"/msnapshot?v="+strconv.Itoa(i%1000), "", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("msnapshot update %d: status %d", i, resp.StatusCode)
-		}
-		if i%100 == 99 {
-			time.Sleep(10 * time.Millisecond)
-		}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond) // one final controller pass
 

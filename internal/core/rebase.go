@@ -386,91 +386,3 @@ func (s *FASnapshot) divertUpdate(t prim.Thread, g *mwGen, i int, v int64) {
 		g = ng
 	}
 }
-
-// rebaseFlipEarly is the flip-before-the-final-validated-collect twin: the
-// successor is seeded from a collect taken BEFORE the arm and installed
-// immediately — no post-arm collect, no validation, no deposit — kept
-// exclusively for the negative fault proof. The ordering inverts the shipped
-// protocol's one load-bearing dependency: arm-then-collect means every update
-// is either complete before the collect's closing witness (and in the seed)
-// or diverted onto the successor (and re-applied); collect-then-arm opens a
-// window in which an update lands its payload AND completes — its pressure
-// poll still sees no bit — after the seed was read, so its value is in
-// neither the successor's base nor any diverted re-apply: a LOST UPDATE,
-// observable by any new-generation scan, which is not even linearizable (the
-// package tests pin CheckLinearizable rejecting the crafted execution — the
-// no-lost-updates negative control for the fault harness).
-func (s *FASnapshot) rebaseFlipEarly(t prim.Thread) {
-	if s.eng == nil || !s.rebaseOn {
-		panic("core: rebaseFlipEarly requires the multi-word engine with WithLiveRebase")
-	}
-	g := s.liveGen(t)
-	var stack [scanStackWords]int64
-	cur := collectBuf(&stack, len(g.words))
-	s.collectWords(t, g, cur) // premature pre-arm seed: the bug
-	if g.pressure.FetchAddInt(t, 0)&mwCutoverBit == 0 {
-		g.pressure.FetchAddInt(t, mwCutoverBit)
-		g.words[0].FetchAddInt(t, interleave.SeqIncrement)
-	}
-	view := make([]int64, s.n)
-	for j, w := range cur {
-		s.mp.GatherWord(w, j, view)
-	}
-	ng := s.successorGen(g)
-	base := make([]int64, len(g.words))
-	s.mp.ScatterWords(view, base)
-	for j := range ng.words {
-		raw := ng.words[j].FetchAddInt(t, 0)
-		if d := base[j] - raw; d != 0 {
-			ng.words[j].FetchAddInt(t, d)
-		}
-	}
-	g.next.WriteAny(t, ng) // install seeded from the stale pre-arm state
-	s.generations.Add(1)
-}
-
-// scanParkBlindAdoptInto is the rebase-mode scan with the park path's fresh
-// word-0 witness REMOVED — a parked scan adopts whatever the help slot holds
-// as soon as a round validates with the cutover bit set — kept exclusively
-// for the negative model check. The adopted deposit is a true state (some
-// validated collect pinned it), so crafted executions stay linearizable; but
-// the deposit may predate an update that COMPLETED before the park (its
-// announce is exactly what the skipped witness would have caught), and with
-// the migrator still mid-cutover the scan's eventual view hangs on
-// scheduling: no prefix-closed linearization survives every future. The
-// package tests pin the game checker refuting strong linearizability on a
-// schedule tree, documenting that the CUTOVER does not exempt the
-// announce-as-final-step rule — a park adoption needs the same closing
-// witness every other return path carries. The twin raises the pressure
-// register for its whole duration (an eager raised scan) so helper deposits
-// exist for it to adopt; lowering on an armed generation can never clear the
-// slot (the bit keeps the register nonzero), matching the shipped invariant.
-func (s *FASnapshot) scanParkBlindAdoptInto(t prim.Thread, view []int64) []int64 {
-	if len(view) != s.n {
-		panic(fmt.Sprintf("core: scanParkBlindAdoptInto: view has length %d, want %d", len(view), s.n))
-	}
-	g := s.engineFor(t)
-	g.pressure.FetchAddInt(t, 1)
-	var stack [scanStackWords]int64
-	cur := collectBuf(&stack, len(g.words))
-	s.collectWordsAnchored(t, g, cur)
-	for {
-		valid, cut := s.roundAnchoredCut(t, g, cur, true)
-		if !valid {
-			continue
-		}
-		if !cut {
-			break
-		}
-		if d, ok := g.slot.ReadAny(t).(*mwDeposit); ok && len(d.words) == len(g.words) {
-			copy(cur, d.words) // park adoption with NO fresh word-0 witness: the bug
-			break
-		}
-		break // armed but no deposit yet: return the own validated pair
-	}
-	g.pressure.FetchAddInt(t, -1)
-	for j, w := range cur {
-		s.mp.GatherWord(w, j, view)
-	}
-	return view
-}

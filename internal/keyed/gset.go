@@ -208,29 +208,6 @@ func (g *GSet) hasIn(t prim.Thread, tb *gsetTable, key string) (found, ok bool) 
 	return false, true
 }
 
-// hasWitnessFree is Has with the closing witnesses removed: one unvalidated
-// collect, no closing epoch or table re-read. It is linearizable — every
-// monotone bit it reads is real — but NOT strongly linearizable: the miss is
-// committed by information a later step could still contradict. Retained
-// only for the negative model check pinning that gap.
-func (g *GSet) hasWitnessFree(t prim.Thread, key string) bool {
-	tb := g.table.ReadAny(t).(*gsetTable)
-	b := tb.bucket(key)
-	b.mu.RLock()
-	e := b.dir[key]
-	b.mu.RUnlock()
-	if e == nil {
-		return false
-	}
-	mask := g.slotMask[e.slot]
-	for wi := range b.words {
-		if mpPayload(g.codec, b.words[wi].FetchAddInt(t, 0))&mask != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Rehash grows the set to the given bucket count (no-op if not larger, so
 // concurrent growers don't compound). It blocks writers on the gate, copies
 // the frozen directory into a new bucket generation (one named block per

@@ -329,44 +329,6 @@ func (m *MonotoneMap) getIn(t prim.Thread, tb *mapTable, key string) (int64, boo
 	return acc, true, nil
 }
 
-// getWitnessFree is Get with the closing witnesses removed: a single
-// unvalidated collect. Linearizable-but-NOT-strongly-linearizable; retained
-// for the negative model check only.
-func (m *MonotoneMap) getWitnessFree(t prim.Thread, key string) (int64, error) {
-	tb := m.table.ReadAny(t).(*mapTable)
-	b := tb.bucket(key)
-	b.mu.RLock()
-	e := b.dir[key]
-	b.mu.RUnlock()
-	if e == nil {
-		return 0, ErrUnknownKey
-	}
-	lo := e.slot * m.lanes
-	hi := lo + m.lanes - 1
-	perWord := m.codec.LanesPerWord()
-	var acc int64
-	for wi := m.codec.WordOf(lo); wi <= m.codec.WordOf(hi); wi++ {
-		word := b.words[wi].FetchAddInt(t, 0)
-		first := max(lo, wi*perWord)
-		last := min(hi, wi*perWord+perWord-1)
-		for pl := first; pl <= last; pl++ {
-			v := m.codec.Lane(word, pl)
-			if e.kind == KindMax {
-				acc = max(acc, v)
-			} else {
-				acc += v
-			}
-		}
-	}
-	if acc == 0 {
-		return 0, ErrUnknownKey
-	}
-	if e.kind == KindMax {
-		acc--
-	}
-	return acc, nil
-}
-
 // Kind returns the kind key is bound to (KindNone if unknown).
 func (m *MonotoneMap) Kind(t prim.Thread, key string) Kind {
 	b := m.table.ReadAny(t).(*mapTable).bucket(key)

@@ -139,20 +139,6 @@ func (g *Gauge) Set(v int64) {
 	}
 }
 
-// Mark raises the gauge to v if v exceeds the current value — the lock-free
-// high-watermark op (CAS loop; at most one retry per concurrent raiser).
-func (g *Gauge) Mark(v int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if v <= cur || g.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
 // Load returns the current value (0 on nil).
 func (g *Gauge) Load() int64 {
 	if g == nil {
@@ -169,9 +155,7 @@ const histBuckets = 65
 // Histogram is a lock-free log₂-bucketed occurrence histogram for
 // non-negative values (latencies in nanoseconds, retry-round counts, batch
 // sizes). Observe is two atomic adds and no allocation; buckets are exact
-// counts, quantiles are bucket-interpolated (≤ 2× relative error, far below
-// run-to-run noise for latency work). The zero value is ready; a nil
-// *Histogram is a no-op.
+// counts. The zero value is ready; a nil *Histogram is a no-op.
 type Histogram struct {
 	buckets [histBuckets]atomic.Int64
 	sum     atomic.Int64
@@ -207,47 +191,6 @@ func (h *Histogram) Sum() int64 {
 		return 0
 	}
 	return h.sum.Load()
-}
-
-// Quantile returns the q-quantile (0 < q ≤ 1) by nearest rank over the
-// buckets, linearly interpolated inside the target bucket; 0 on an empty
-// histogram. Concurrent Observes make the result a consistent-enough
-// point-in-time estimate (counts are monotone).
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	var counts [histBuckets]int64
-	var total int64
-	for i := range h.buckets {
-		counts[i] = h.buckets[i].Load()
-		total += counts[i]
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
-	}
-	var cum int64
-	for b, c := range counts {
-		if c == 0 {
-			continue
-		}
-		if cum+c >= rank {
-			lo, hi := bucketBounds(b)
-			// Position of the target rank inside this bucket, interpolated
-			// over the bucket's value range.
-			frac := float64(rank-cum) / float64(c)
-			return float64(lo) + frac*float64(hi-lo)
-		}
-		cum += c
-	}
-	return 0 // unreachable: total > 0
 }
 
 // bucketBounds returns the value range [lo, hi] of bucket b.

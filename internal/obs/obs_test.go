@@ -19,13 +19,8 @@ func TestCounterGaugeBasics(t *testing.T) {
 
 	var g Gauge
 	g.Set(7)
-	g.Mark(3) // below: no-op
 	if got := g.Load(); got != 7 {
-		t.Fatalf("gauge after Mark(3) = %d, want 7", got)
-	}
-	g.Mark(11)
-	if got := g.Load(); got != 11 {
-		t.Fatalf("gauge after Mark(11) = %d, want 11", got)
+		t.Fatalf("gauge = %d, want 7", got)
 	}
 }
 
@@ -36,9 +31,8 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	c.Inc()
 	c.Add(3)
 	g.Set(1)
-	g.Mark(2)
 	h.Observe(5)
-	if c.Load() != 0 || g.Load() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
+	if c.Load() != 0 || g.Load() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil instruments must read as zero")
 	}
 	var sm *SnapMetrics
@@ -63,39 +57,6 @@ func TestHistogramBuckets(t *testing.T) {
 		if got := h.buckets[b].Load(); got != wantBuckets[b] {
 			t.Fatalf("bucket %d = %d, want %d", b, got, wantBuckets[b])
 		}
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	var h Histogram
-	if h.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram quantile must be 0")
-	}
-	// 100 observations of 1000: every quantile must land inside bucket 10
-	// ([512, 1023]).
-	for i := 0; i < 100; i++ {
-		h.Observe(1000)
-	}
-	for _, q := range []float64{0.01, 0.5, 0.99, 1} {
-		got := h.Quantile(q)
-		if got < 512 || got > 1023 {
-			t.Fatalf("Quantile(%v) = %v, want within [512, 1023]", q, got)
-		}
-	}
-	// Skewed: 90 zeros, 10 large. p50 must report 0; p99 must land in the
-	// large bucket.
-	var h2 Histogram
-	for i := 0; i < 90; i++ {
-		h2.Observe(0)
-	}
-	for i := 0; i < 10; i++ {
-		h2.Observe(1 << 20)
-	}
-	if got := h2.Quantile(0.5); got != 0 {
-		t.Fatalf("p50 = %v, want 0", got)
-	}
-	if got := h2.Quantile(0.99); got < 1<<19 {
-		t.Fatalf("p99 = %v, want >= %d", got, 1<<19)
 	}
 }
 
@@ -139,7 +100,7 @@ func TestHistogramConcurrent(t *testing.T) {
 			}
 		}(g)
 	}
-	// Concurrent readers: quantiles and full text renders while observing.
+	// Concurrent readers: full text renders while observing.
 	var rd sync.WaitGroup
 	stop := make(chan struct{})
 	for i := 0; i < 2; i++ {
@@ -151,7 +112,6 @@ func TestHistogramConcurrent(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					_ = h.Quantile(0.99)
 					var sb strings.Builder
 					_ = r.WritePrometheus(&sb)
 				}
@@ -210,7 +170,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 	c := r.Counter("req_total", "requests")
 	c.Add(42)
 	g := r.Gauge("depth_value", "depth watermark")
-	g.Mark(17)
+	g.Set(17)
 	h := r.Histogram("lat_ns", "latency")
 	for _, v := range []int64{1, 5, 5, 900} {
 		h.Observe(v)

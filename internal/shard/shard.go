@@ -390,6 +390,57 @@ func (k *helpKit) CacheStats() obs.CacheStats {
 	}
 }
 
+// epochKit is the epoch register and help kit every sharded object carries,
+// and the telemetry and live-rollover methods the three objects share.
+type epochKit struct {
+	epoch prim.FetchAddInt
+	help  *helpKit
+}
+
+func newEpochKit(w prim.World, name string, cfg config) epochKit {
+	return epochKit{
+		epoch: w.FetchAddInt(name+".epoch", 0),
+		help:  newHelpKit(w, name, cfg),
+	}
+}
+
+// HelpStats reports the object's helping telemetry.
+func (k *epochKit) HelpStats() obs.HelpStats { return k.help.HelpStats() }
+
+// CacheStats reports the object's combine-cache telemetry.
+func (k *epochKit) CacheStats() obs.CacheStats { return k.help.CacheStats() }
+
+// EpochAnnounces returns the object's epoch announce count — the position
+// within the register's 2^48 announce lifetime budget (the rollover caveat in
+// the package comment), the watermark migration planning triggers on.
+func (k *epochKit) EpochAnnounces(t prim.Thread) int64 {
+	return epochAnnounces(k.epoch.FetchAddInt(t, 0))
+}
+
+// PressureRaised returns how many readers currently hold the epoch's pressure
+// bits raised (an instantaneous gauge, usually 0).
+func (k *epochKit) PressureRaised(t prim.Thread) int64 {
+	return epochPressure(k.epoch.FetchAddInt(t, 0))
+}
+
+// EpochGeneration returns how many live rollovers the object's epoch has
+// absorbed (mod 64 — see the package comment's live-rollover section).
+func (k *epochKit) EpochGeneration(t prim.Thread) int64 {
+	return epochGeneration(k.epoch.FetchAddInt(t, 0))
+}
+
+// RolloverEpoch performs one live re-base of the object's epoch register:
+// the announce count — the object's 2^48 lifetime write budget — is wound
+// back to ~0 without stopping traffic (see the package comment's
+// live-rollover section). Refused, returning (0, false), while the count is
+// below minAnnounces: the floor is the quantitative ABA argument, so callers
+// pass their watermark threshold, not 0. At most one rollover may run at a
+// time (internal/migrate serialises); a crashed rollover is completed by
+// calling again.
+func (k *epochKit) RolloverEpoch(t prim.Thread, minAnnounces int64) (int64, bool) {
+	return rebaseEpoch(t, k.epoch, k.help, minAnnounces)
+}
+
 // epochAnnounces extracts the announce count from an epoch value: the low 48
 // bits, the position within the register's 2^48 announce lifetime budget (the
 // rollover caveat in the package comment). The watermark the live-migration
@@ -489,8 +540,7 @@ func buildConfig(opts []Option) config {
 // the caller's shard and the epoch; Read performs an epoch-validated collect.
 type Counter struct {
 	shards []*core.FACounter
-	epoch  prim.FetchAddInt
-	help   *helpKit
+	epochKit
 }
 
 // NewCounter builds a sharded counter for the given lane count.
@@ -498,9 +548,8 @@ func NewCounter(w prim.World, name string, lanes, shards int, opts ...Option) *C
 	validate(lanes, shards)
 	cfg := buildConfig(opts)
 	c := &Counter{
-		shards: make([]*core.FACounter, shards),
-		epoch:  w.FetchAddInt(name+".epoch", 0),
-		help:   newHelpKit(w, name, cfg),
+		shards:   make([]*core.FACounter, shards),
+		epochKit: newEpochKit(w, name, cfg),
 	}
 	for s := range c.shards {
 		var coreOpts []core.CounterOption
@@ -558,43 +607,6 @@ func (c *Counter) Read(t prim.Thread) int64 {
 		func(v int64) *helpDeposit { return &helpDeposit{value: v} })
 }
 
-// HelpStats reports the counter's helping telemetry.
-func (c *Counter) HelpStats() obs.HelpStats { return c.help.HelpStats() }
-
-// CacheStats reports the counter's combine-cache telemetry.
-func (c *Counter) CacheStats() obs.CacheStats { return c.help.CacheStats() }
-
-// EpochAnnounces returns the counter's epoch announce count — the position
-// within the register's 2^48 announce lifetime budget (the rollover caveat in
-// the package comment), the watermark migration planning triggers on.
-func (c *Counter) EpochAnnounces(t prim.Thread) int64 {
-	return epochAnnounces(c.epoch.FetchAddInt(t, 0))
-}
-
-// PressureRaised returns how many readers currently hold the epoch's pressure
-// bits raised (an instantaneous gauge, usually 0).
-func (c *Counter) PressureRaised(t prim.Thread) int64 {
-	return epochPressure(c.epoch.FetchAddInt(t, 0))
-}
-
-// EpochGeneration returns how many live rollovers the counter's epoch has
-// absorbed (mod 64 — see the package comment's live-rollover section).
-func (c *Counter) EpochGeneration(t prim.Thread) int64 {
-	return epochGeneration(c.epoch.FetchAddInt(t, 0))
-}
-
-// RolloverEpoch performs one live re-base of the counter's epoch register:
-// the announce count — the object's 2^48 lifetime write budget — is wound
-// back to ~0 without stopping traffic (see the package comment's
-// live-rollover section). Refused, returning (0, false), while the count is
-// below minAnnounces: the floor is the quantitative ABA argument, so callers
-// pass their watermark threshold, not 0. At most one rollover may run at a
-// time (internal/migrate serialises); a crashed rollover is completed by
-// calling again.
-func (c *Counter) RolloverEpoch(t prim.Thread, minAnnounces int64) (int64, bool) {
-	return rebaseEpoch(t, c.epoch, c.help, minAnnounces)
-}
-
 // readSingleCollect is the naive combine kept for the negative model check:
 // linearizable (the sum passes through every intermediate total) but not
 // strongly linearizable (see the package comment's trap).
@@ -606,31 +618,12 @@ func (c *Counter) readSingleCollect(t prim.Thread) int64 {
 	return sum
 }
 
-// readSpin is the pre-helping lock-free read — epoch-validated collect with
-// unbounded retries, no pressure, no adoption — kept exclusively for the
-// progress witness: under the single-writer storm schedule its retry count
-// (and so the reader's own steps) grows without bound, which is exactly the
-// starvation the helping path closes. Its returned values carry the full
-// epoch-validation guarantee; only progress differs.
-func (c *Counter) readSpin(t prim.Thread) int64 {
-	e := c.epoch.FetchAddInt(t, 0)
-	for {
-		v := c.readSingleCollect(t)
-		e2 := c.epoch.FetchAddInt(t, 0)
-		if e2 == e {
-			return v
-		}
-		e = e2
-	}
-}
-
 // MaxRegister is a max register striped across S fetch&add unary cores.
 // WriteMax touches the caller's shard and the epoch; ReadMax performs an
 // epoch-validated collect.
 type MaxRegister struct {
 	shards []*core.FAMaxRegister
-	epoch  prim.FetchAddInt
-	help   *helpKit
+	epochKit
 }
 
 // NewMaxRegister builds a sharded max register for the given lane count.
@@ -643,9 +636,8 @@ func NewMaxRegister(w prim.World, name string, lanes, shards int, opts ...Option
 	validate(lanes, shards)
 	cfg := buildConfig(opts)
 	m := &MaxRegister{
-		shards: make([]*core.FAMaxRegister, shards),
-		epoch:  w.FetchAddInt(name+".epoch", 0),
-		help:   newHelpKit(w, name, cfg),
+		shards:   make([]*core.FAMaxRegister, shards),
+		epochKit: newEpochKit(w, name, cfg),
 	}
 	for s := range m.shards {
 		coreOpts := []core.MaxRegOption{core.WithLaneMap(compactLane(shards))}
@@ -694,35 +686,6 @@ func (m *MaxRegister) ReadMax(t prim.Thread) int64 {
 		func(v int64) *helpDeposit { return &helpDeposit{value: v} })
 }
 
-// HelpStats reports the register's helping telemetry.
-func (m *MaxRegister) HelpStats() obs.HelpStats { return m.help.HelpStats() }
-
-// CacheStats reports the register's combine-cache telemetry.
-func (m *MaxRegister) CacheStats() obs.CacheStats { return m.help.CacheStats() }
-
-// EpochAnnounces returns the register's epoch announce count (see
-// Counter.EpochAnnounces).
-func (m *MaxRegister) EpochAnnounces(t prim.Thread) int64 {
-	return epochAnnounces(m.epoch.FetchAddInt(t, 0))
-}
-
-// PressureRaised returns the register's currently-raised reader count.
-func (m *MaxRegister) PressureRaised(t prim.Thread) int64 {
-	return epochPressure(m.epoch.FetchAddInt(t, 0))
-}
-
-// EpochGeneration returns how many live rollovers the register's epoch has
-// absorbed (see Counter.EpochGeneration).
-func (m *MaxRegister) EpochGeneration(t prim.Thread) int64 {
-	return epochGeneration(m.epoch.FetchAddInt(t, 0))
-}
-
-// RolloverEpoch performs one live re-base of the register's epoch announce
-// count (see Counter.RolloverEpoch).
-func (m *MaxRegister) RolloverEpoch(t prim.Thread, minAnnounces int64) (int64, bool) {
-	return rebaseEpoch(t, m.epoch, m.help, minAnnounces)
-}
-
 // readMaxSingleCollect is the broken combine kept for the negative model
 // check: one unvalidated collect is not even linearizable. See the package
 // comment's counterexample.
@@ -741,8 +704,7 @@ func (m *MaxRegister) readMaxSingleCollect(t prim.Thread) int64 {
 // validates absence against the epoch.
 type GSet struct {
 	shards []*core.FAGSet
-	epoch  prim.FetchAddInt
-	help   *helpKit
+	epochKit
 }
 
 // NewGSet builds a sharded grow-only set for the given lane count. Like the
@@ -753,9 +715,8 @@ func NewGSet(w prim.World, name string, lanes, shards int, opts ...Option) *GSet
 	validate(lanes, shards)
 	cfg := buildConfig(opts)
 	g := &GSet{
-		shards: make([]*core.FAGSet, shards),
-		epoch:  w.FetchAddInt(name+".epoch", 0),
-		help:   newHelpKit(w, name, cfg),
+		shards:   make([]*core.FAGSet, shards),
+		epochKit: newEpochKit(w, name, cfg),
 	}
 	for s := range g.shards {
 		coreOpts := []core.GSetOption{core.WithGSetLaneMap(compactLane(shards))}
@@ -819,35 +780,6 @@ func (g *GSet) Has(t prim.Thread, x int64) bool {
 		// no entries of its own; it serves hits from — and adoption refreshes
 		// with — the unions Elems reads and helpers publish.
 		nil)
-}
-
-// HelpStats reports the set's helping telemetry.
-func (g *GSet) HelpStats() obs.HelpStats { return g.help.HelpStats() }
-
-// CacheStats reports the set's combine-cache telemetry.
-func (g *GSet) CacheStats() obs.CacheStats { return g.help.CacheStats() }
-
-// EpochAnnounces returns the set's epoch announce count (see
-// Counter.EpochAnnounces).
-func (g *GSet) EpochAnnounces(t prim.Thread) int64 {
-	return epochAnnounces(g.epoch.FetchAddInt(t, 0))
-}
-
-// PressureRaised returns the set's currently-raised reader count.
-func (g *GSet) PressureRaised(t prim.Thread) int64 {
-	return epochPressure(g.epoch.FetchAddInt(t, 0))
-}
-
-// EpochGeneration returns how many live rollovers the set's epoch has
-// absorbed (see Counter.EpochGeneration).
-func (g *GSet) EpochGeneration(t prim.Thread) int64 {
-	return epochGeneration(g.epoch.FetchAddInt(t, 0))
-}
-
-// RolloverEpoch performs one live re-base of the set's epoch announce count
-// (see Counter.RolloverEpoch).
-func (g *GSet) RolloverEpoch(t prim.Thread, minAnnounces int64) (int64, bool) {
-	return rebaseEpoch(t, g.epoch, g.help, minAnnounces)
 }
 
 // hasSingleCollect is the naive combine kept for the negative model check:
