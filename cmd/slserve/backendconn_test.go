@@ -41,7 +41,7 @@ func idleCount(p *backendPool) int {
 // whole, and the error statuses map as the proxy expects.
 func TestBackendPoolAnswers(t *testing.T) {
 	setFlag(t, watermarkBudget, int64(8))
-	ts := httptest.NewServer(newServer(4, 2, 0).handler())
+	ts := startWire(t, newServer(4, 2, 0).wire())
 	defer ts.Close()
 	f := wireFrontend(t, time.Second, ts.URL)
 	ctx := context.Background()
@@ -60,7 +60,7 @@ func TestBackendPoolAnswers(t *testing.T) {
 		t.Fatalf("dials = %d, idle = %d after 9 sequential round trips; want one reused connection", d, idleCount(p))
 	}
 
-	// Chunked: the backend chunks any body past its 2 KiB buffer.
+	// A large answer: a 1000-element set is several KiB of body.
 	for x := 0; x < 1000; x++ {
 		if _, err := f.do(ctx, 0, 0, http.MethodPost, fmt.Sprintf("/gset?x=%d", x)); err != nil {
 			t.Fatalf("gset add %d: %v", x, err)
@@ -74,7 +74,7 @@ func TestBackendPoolAnswers(t *testing.T) {
 		Elems []int64 `json:"elems"`
 	}
 	if err := json.Unmarshal(body, &set); err != nil || len(set.Elems) != 1000 || len(body) <= 2048 {
-		t.Fatalf("gset read: %d elems in %d bytes, %v; want 1000 in a chunked body", len(set.Elems), len(body), err)
+		t.Fatalf("gset read: %d elems in %d bytes, %v; want 1000 in a large body", len(set.Elems), len(body), err)
 	}
 
 	// 409: a generation below the fence floor.
@@ -125,10 +125,9 @@ func TestBackendPoolURLs(t *testing.T) {
 // TestBackendPoolConnectionClose: a response carrying Connection: close is
 // answered but its connection is not pooled.
 func TestBackendPoolConnectionClose(t *testing.T) {
-	h := newServer(4, 2, 0).handler()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Connection", "close")
-		h.ServeHTTP(w, r)
+		w.Write([]byte(`{"value":0}` + "\n"))
 	}))
 	defer ts.Close()
 	f := wireFrontend(t, time.Second, ts.URL)
@@ -332,7 +331,7 @@ func FuzzBackendResponse(f *testing.F) {
 // BenchmarkFrontendProxyHop is one frontend-to-backend round trip: f.do
 // against a real backend on loopback, both tiers in this process.
 func BenchmarkFrontendProxyHop(b *testing.B) {
-	ts := httptest.NewServer(newServer(4, 2, 0).handler())
+	ts := startWire(b, newServer(4, 2, 0).wire())
 	defer ts.Close()
 	f := wireFrontend(b, time.Second, ts.URL)
 	ctx := context.Background()

@@ -115,7 +115,8 @@ func (co *coalescer) do(fold func(*batch), apply func(*batch)) *batch {
 
 // run applies a batch and then hands the coalescer to the waiting next
 // leader (or marks it idle). The hand-off is deferred so a panicking engine
-// op (surfaced to the client by net/http) cannot wedge every later request.
+// op (which drops its request's connection, see wire.go) cannot wedge every
+// later request.
 func (co *coalescer) run(b *batch, apply func(*batch)) {
 	defer func() {
 		close(b.done)
@@ -148,8 +149,8 @@ func (co *coalescer) finish() {
 // drain closes the funnel for shutdown: every later arrival runs its engine
 // op solo instead of parking behind whatever is in flight. Without this, a
 // request that joins the funnel after graceful shutdown begins can park as
-// the NEXT leader behind a slow in-flight batch — http.Server.Shutdown then
-// waits on a request that is itself waiting on the funnel, and the shutdown
+// the NEXT leader behind a slow in-flight batch — the listener's drain then
+// waits on a request that is itself waiting on the funnel, and the drain
 // deadline kills both. Setting the flag under the mutex means every do()
 // either saw it (and bypassed) or had already joined a batch whose leader
 // chain was complete before drain returned; in-flight batches finish

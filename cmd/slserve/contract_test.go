@@ -42,7 +42,7 @@ func flatKeys(prefix string, m map[string]any, out *[]string) {
 	}
 }
 
-func statsKeys(t *testing.T, h http.Handler) []string {
+func statsKeys(t *testing.T, h string) []string {
 	t.Helper()
 	rec := feReq(t, h, http.MethodGet, "/stats")
 	if rec.Code != http.StatusOK {
@@ -78,7 +78,7 @@ type contractRow struct {
 	keys           string // comma-separated sorted JSON body keys
 }
 
-func checkRows(t *testing.T, h http.Handler, rows []contractRow) {
+func checkRows(t *testing.T, h string, rows []contractRow) {
 	t.Helper()
 	for _, r := range rows {
 		rec := feReq(t, h, r.method, r.target)
@@ -110,7 +110,7 @@ var routedObjects = []string{
 
 func TestWireContractBackend(t *testing.T) {
 	srv := newServer(4, 2, 0)
-	h := srv.handler()
+	h := startWire(t, srv.wire()).URL
 	checkRows(t, h, []contractRow{
 		{http.MethodPost, "/counter/inc", "ok"},
 		{http.MethodPost, "/counter/add?d=2", "ok"},
@@ -208,13 +208,13 @@ func TestWireContractBackend(t *testing.T) {
 }
 
 func TestWireContractFrontend(t *testing.T) {
-	ts := httptest.NewServer(newServer(4, 2, 0).handler())
+	ts := startWire(t, newServer(4, 2, 0).wire())
 	defer ts.Close()
 	f := newTestFrontend(t, []string{ts.URL}, fastHealth())
 	ctx := context.Background()
 	f.health.Sweep(ctx)
 	f.reconcileOnce(ctx)
-	h := f.handler()
+	h := startWire(t, f.wire()).URL
 	checkRows(t, h, []contractRow{
 		{http.MethodPost, "/counter/inc", "ok"},
 		{http.MethodGet, "/counter", "value"},

@@ -58,15 +58,9 @@ func TestErrorShapeUniform(t *testing.T) {
 	// Tiny clock budget: the second tick exhausts Algorithm 1's references,
 	// the terminal (non-retryable) 503.
 	srv := newServerClock(4, 2, 0, 1)
-	h := srv.handler()
+	h := startWire(t, srv.wire()).URL
 	do := func(method, target, gen string) *httptest.ResponseRecorder {
-		rec := httptest.NewRecorder()
-		req := httptest.NewRequest(method, target, nil)
-		if gen != "" {
-			req.Header.Set("X-SL-Gen", gen)
-		}
-		h.ServeHTTP(rec, req)
-		return rec
+		return genReq(t, h, method, target, gen)
 	}
 	if rec := do(http.MethodPost, "/clock/tick", ""); rec.Code != http.StatusOK {
 		t.Fatalf("first tick: %d %s", rec.Code, rec.Body.String())
@@ -123,12 +117,10 @@ func TestErrorShapeUniform(t *testing.T) {
 	}
 	// The frontend's rows: the same shape from the routing tier, whose
 	// method checks and unknown paths answer before any proxying.
-	fts := httptest.NewServer(srv.handler())
-	defer fts.Close()
-	f := newTestFrontend(t, []string{fts.URL}, fastHealth())
+	f := newTestFrontend(t, []string{h}, fastHealth())
 	f.health.Sweep(context.Background())
 	f.reconcileOnce(context.Background())
-	fh := f.handler()
+	fh := startWire(t, f.wire()).URL
 	for _, tc := range []struct {
 		name, method, target string
 		wantCode             int
@@ -148,8 +140,7 @@ func TestErrorShapeUniform(t *testing.T) {
 		{"backend-only-path", http.MethodPost, "/counter/add?d=1", http.StatusNotFound},
 	} {
 		t.Run("frontend-"+tc.name, func(t *testing.T) {
-			rec := httptest.NewRecorder()
-			fh.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.target, nil))
+			rec := feReq(t, fh, tc.method, tc.target)
 			if rec.Code != tc.wantCode {
 				t.Fatalf("frontend %s %s: code %d, want %d (body %s)", tc.method, tc.target, rec.Code, tc.wantCode, rec.Body.String())
 			}

@@ -170,7 +170,7 @@ func (f *frontend) registerMetrics() {
 	f.reg.CounterFunc("cluster_reroutes_total", "routing re-validations (record moved or backend fenced the generation)", f.tb.Stats.Reroutes.Load)
 	f.reg.CounterFunc("cluster_raced_total", "requests refused retryable because a handoff stole their slot", f.tb.Stats.Raced.Load)
 	f.reg.CounterFunc("cluster_steals_total", "drain slots stolen at handoff drain timeout", f.tb.Stats.Steals.Load)
-	f.reg.CounterFunc("cluster_fences_total", "handoffs started (ownership records fenced)", f.tb.Stats.Fences.Load)
+	f.reg.CounterFunc("cluster_fences_total", "ownership records fenced: at each handoff's start, and at a reconcile pass's start for every key whose owner left the view", f.tb.Stats.Fences.Load)
 	for i := range f.cfg.backends {
 		i := i
 		f.reg.GaugeFunc(fmt.Sprintf("cluster_backend_%d_state", i),
@@ -269,10 +269,24 @@ func (f *frontend) startReconciler(ctx context.Context) {
 // rendezvous owner of the current view (or whose last handoff was left
 // mid-cutover). Serialized: only the reconciler goroutine and the startup
 // path call it, never concurrently.
+//
+// Before any handoff starts, every key whose recorded owner left the view is
+// fenced in the table. The pass hands keys off one at a time, and a backend
+// restarted empty on a dead owner's address admits every generation (its
+// fence floors start at 0): a key still waiting its turn would route there
+// and read as empty. Fenced, it refuses retryable (or answers degraded
+// reads) until its own handoff installs the successor; that handoff fences
+// it once more, which Table.Fence allows.
 func (f *frontend) reconcileOnce(ctx context.Context) {
 	t := prim.RealThread(0)
 	view := f.health.View()
 	cands := view.Candidates()
+	for _, key := range f.tb.Keys() {
+		owner, _, _ := f.tb.Owner(t, key)
+		if owner >= 0 && !slices.Contains(cands, owner) && len(cands) > 0 {
+			f.tb.Fence(t, key)
+		}
+	}
 	for _, key := range f.tb.Keys() {
 		owner, _, settled := f.tb.Owner(t, key)
 		want := cluster.RendezvousOwner(key, f.cfg.backends, cands)
@@ -558,8 +572,9 @@ func stopDrainTimer(t *time.Timer) {
 // ---------------------------------------------------------------------------
 // Proxy surface.
 
-func (f *frontend) handler() http.Handler {
-	return instrumented(f.serve, f.reqTotal, f.reqErrors, f.reqDur, nil)
+// wire is the frontend's data-listener server.
+func (f *frontend) wire() *wireServer {
+	return newWireServer(f.serve, f.reqTotal, f.reqErrors, f.reqDur, nil)
 }
 
 // routes reports whether the frontend serves d: every op on a routed
@@ -569,20 +584,20 @@ func routes(d *op) bool {
 	return d.object != "" && (d.method == http.MethodGet || d.ack != ackNone)
 }
 
-func (f *frontend) serve(w http.ResponseWriter, r *http.Request) {
-	switch r.URL.Path {
+func (f *frontend) serve(w *respWriter, r *request) {
+	switch r.path {
 	case "/stats":
 		f.stats(w, r)
 		return
 	case "/metrics":
-		f.metrics(w, r)
+		writeMetrics(w, f.reg)
 		return
 	case "/healthz":
-		f.healthz(w, r)
+		f.healthz(w)
 		return
 	}
-	q := r.URL.Query()
-	d := lookupOp(w, r, q, routes)
+	q := r.query
+	d := lookupOp(w, r, routes)
 	if d == nil {
 		return
 	}
@@ -619,12 +634,12 @@ func (f *frontend) serve(w http.ResponseWriter, r *http.Request) {
 //     as an unacked phantom: value can run ahead of acked history, never
 //     behind);
 //   - a response is never assembled from two owners.
-func (f *frontend) serveRouted(w http.ResponseWriter, r *http.Request, d *op, a args, perr error, ack, unack func()) {
+func (f *frontend) serveRouted(w *respWriter, r *request, d *op, a args, perr error, ack, unack func()) {
 	var slot int
 	select {
 	case slot = <-f.slots:
-	case <-r.Context().Done():
-		writeErr(w, http.StatusServiceUnavailable, "router slot pool exhausted", true, 1)
+	case <-r.ctx.Done():
+		writeErr(w, http.StatusServiceUnavailable, "server closed while waiting for a router slot", true, 1)
 		return
 	}
 	defer func() { f.slots <- slot }()
@@ -632,7 +647,7 @@ func (f *frontend) serveRouted(w http.ResponseWriter, r *http.Request, d *op, a 
 	t := prim.RealThread(1)
 	key := d.route(a)
 	isRead := d.method == http.MethodGet
-	uri := r.URL.RequestURI()
+	uri := r.target
 	const maxBackoff = 250 * time.Millisecond
 	backoff := 5 * time.Millisecond
 	var body []byte
@@ -641,16 +656,16 @@ func (f *frontend) serveRouted(w http.ResponseWriter, r *http.Request, d *op, a 
 		err := f.tb.Route(t, slot, key, func(owner int, gen int64) error {
 			var berr error
 			if isRead {
-				body, berr = f.hedgedGet(r.Context(), owner, gen, uri)
+				body, berr = f.hedgedGet(r.ctx, owner, gen, uri)
 			} else {
-				body, berr = f.do(r.Context(), owner, gen, r.Method, uri)
+				body, berr = f.do(r.ctx, owner, gen, r.method, uri)
 			}
 			return berr
 		}, ack, unack)
 
 		if err == nil {
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(body)
+			w.ctype = "application/json"
+			w.body = append(w.body, body...)
 			return
 		}
 		retryable := true
@@ -687,8 +702,8 @@ func (f *frontend) serveRouted(w http.ResponseWriter, r *http.Request, d *op, a 
 		f.backoffNs.Observe(int64(jittered))
 		select {
 		case <-time.After(jittered):
-		case <-r.Context().Done():
-			writeErr(w, http.StatusServiceUnavailable, "client gone during retry backoff", true, 0)
+		case <-r.ctx.Done():
+			writeErr(w, http.StatusServiceUnavailable, "server closed during retry backoff", true, 0)
 			return
 		}
 		// Doubling stops at the cap: unchecked, 5ms·2^41 wraps negative,
@@ -705,10 +720,10 @@ func (f *frontend) serveRouted(w http.ResponseWriter, r *http.Request, d *op, a 
 // clients can tell) — when the operator allows it; writes always refuse
 // retryable, because "accepted" without an owner would be an ack no seed is
 // obligated to carry.
-func (f *frontend) refuse(w http.ResponseWriter, d *op, a args, perr error, key string, err error) {
+func (f *frontend) refuse(w *respWriter, d *op, a args, perr error, key string, err error) {
 	if d.method == http.MethodGet && f.cfg.degradedReads {
 		f.degraded.Inc()
-		w.Header().Set("X-SL-Degraded", "true")
+		w.setHeader("X-SL-Degraded", "true")
 		if perr != nil {
 			writeErr(w, http.StatusBadRequest, perr.Error(), false, 0)
 			return
@@ -820,28 +835,23 @@ func (f *frontend) snapshotStats() frontStats {
 	return st
 }
 
-func (f *frontend) stats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
+func (f *frontend) stats(w *respWriter, r *request) {
+	if r.method != http.MethodGet {
 		writeErr(w, http.StatusMethodNotAllowed, "GET only", false, 0)
 		return
 	}
 	writeJSON(w, f.snapshotStats())
 }
 
-func (f *frontend) metrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	f.reg.WritePrometheus(w)
-}
-
 // healthz: the frontend is healthy while at least one backend is a
 // candidate owner — with none, every write is refusing and the operator
 // should know from the load balancer, not the error rate.
-func (f *frontend) healthz(w http.ResponseWriter, r *http.Request) {
+func (f *frontend) healthz(w *respWriter) {
 	if len(f.health.View().Candidates()) == 0 {
 		writeErr(w, http.StatusServiceUnavailable, "no live backend", true, 1)
 		return
 	}
-	fmt.Fprintln(w, "ok")
+	writeOK(w)
 }
 
 // start brings the routing tier up: one synchronous probe sweep so the
@@ -888,5 +898,5 @@ func runFrontend(ctx context.Context) error {
 		return err
 	}
 	fmt.Printf("slserve: frontend over %d backends, listening on %s\n", len(backends), ln.Addr())
-	return serveUntil(ctx, stop, ln, func() {}, newHTTPServer(f.handler()))
+	return serveUntil(ctx, stop, ln, func() {}, f.wire(), nil)
 }

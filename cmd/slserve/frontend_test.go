@@ -51,12 +51,11 @@ func mustFrontend(t testing.TB, cfg frontendConfig) *frontend {
 	return f
 }
 
-// feReq drives one request through the frontend handler.
-func feReq(t *testing.T, h http.Handler, method, target string) *httptest.ResponseRecorder {
+// feReq sends one request to the server listening at base and records its
+// answer.
+func feReq(t testing.TB, base, method, target string) *httptest.ResponseRecorder {
 	t.Helper()
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(method, target, nil))
-	return rec
+	return genReq(t, base, method, target, "")
 }
 
 func feValue(t *testing.T, rec *httptest.ResponseRecorder) int64 {
@@ -77,9 +76,9 @@ func feValue(t *testing.T, rec *httptest.ResponseRecorder) int64 {
 func TestFrontendRoutesAndFailsOver(t *testing.T) {
 	ctx := context.Background()
 	var urls []string
-	var servers []*httptest.Server
+	var servers []*testServer
 	for i := 0; i < 3; i++ {
-		ts := httptest.NewServer(newServer(4, 2, 0).handler())
+		ts := startWire(t, newServer(4, 2, 0).wire())
 		defer ts.Close()
 		servers = append(servers, ts)
 		urls = append(urls, ts.URL)
@@ -87,7 +86,7 @@ func TestFrontendRoutesAndFailsOver(t *testing.T) {
 	f := newTestFrontend(t, urls, fastHealth())
 	f.health.Sweep(ctx)
 	f.reconcileOnce(ctx)
-	h := f.handler()
+	h := startWire(t, f.wire()).URL
 
 	for i := 0; i < 5; i++ {
 		if rec := feReq(t, h, http.MethodPost, "/counter/inc"); rec.Code != http.StatusOK {
@@ -160,9 +159,9 @@ func TestFrontendRoutesAndFailsOver(t *testing.T) {
 func TestFrontendDegradedReads(t *testing.T) {
 	ctx := context.Background()
 	var urls []string
-	var servers []*httptest.Server
+	var servers []*testServer
 	for i := 0; i < 2; i++ {
-		ts := httptest.NewServer(newServer(4, 2, 0).handler())
+		ts := startWire(t, newServer(4, 2, 0).wire())
 		defer ts.Close()
 		servers = append(servers, ts)
 		urls = append(urls, ts.URL)
@@ -171,7 +170,7 @@ func TestFrontendDegradedReads(t *testing.T) {
 	f.cfg.retries = 1 // dead-pool refusals should not grind through a long budget
 	f.health.Sweep(ctx)
 	f.reconcileOnce(ctx)
-	h := f.handler()
+	h := startWire(t, f.wire()).URL
 
 	for i := 0; i < 3; i++ {
 		if rec := feReq(t, h, http.MethodPost, "/counter/inc"); rec.Code != http.StatusOK {
@@ -228,12 +227,12 @@ func TestFrontendDegradedReads(t *testing.T) {
 // not be retried into a 503.
 func TestFrontendForwardsBackendErrors(t *testing.T) {
 	ctx := context.Background()
-	ts := httptest.NewServer(newServer(4, 2, 0).handler())
+	ts := startWire(t, newServer(4, 2, 0).wire())
 	defer ts.Close()
 	f := newTestFrontend(t, []string{ts.URL}, fastHealth())
 	f.health.Sweep(ctx)
 	f.reconcileOnce(ctx)
-	h := f.handler()
+	h := startWire(t, f.wire()).URL
 
 	rec := feReq(t, h, http.MethodPost, "/maxreg?v=notanumber")
 	if rec.Code != http.StatusBadRequest {
@@ -257,33 +256,30 @@ func TestFrontendLongRetryBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spends ~10s of capped backoff")
 	}
-	inner := newServer(4, 2, 0).handler()
-	be := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/counter/inc" {
+	ws := newServer(4, 2, 0).wire()
+	inner := ws.handle
+	ws.handle = func(w *respWriter, r *request) {
+		if r.path == "/counter/inc" {
 			writeErr(w, http.StatusServiceUnavailable, "always refusing", true, 0)
 			return
 		}
-		inner.ServeHTTP(w, r)
-	}))
+		inner(w, r)
+	}
+	be := startWire(t, ws)
 	defer be.Close()
 	f := newTestFrontend(t, []string{be.URL}, fastHealth())
 	f.cfg.retries = 45
 	ctx := context.Background()
 	f.health.Sweep(ctx)
 	f.reconcileOnce(ctx)
-	fe := httptest.NewServer(f.handler())
+	fe := startWire(t, f.wire())
 	defer fe.Close()
 
 	resp, err := http.Post(fe.URL+"/counter/inc", "", nil)
 	if err != nil {
 		t.Fatalf("POST /counter/inc through a 45-retry budget: %v", err)
 	}
-	rec := httptest.NewRecorder()
-	for k, v := range resp.Header {
-		rec.Header()[k] = v
-	}
-	rec.WriteHeader(resp.StatusCode)
-	io.Copy(rec, resp.Body)
+	rec := record(t, resp)
 	resp.Body.Close()
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503: %s", rec.Code, rec.Body.String())
@@ -346,9 +342,9 @@ func TestHedgedGetReapsLoser(t *testing.T) {
 func TestFrontendRoutesKeyedAndFailsOver(t *testing.T) {
 	ctx := context.Background()
 	var urls []string
-	var servers []*httptest.Server
+	var servers []*testServer
 	for i := 0; i < 3; i++ {
-		ts := httptest.NewServer(newServer(4, 2, 0).handler())
+		ts := startWire(t, newServer(4, 2, 0).wire())
 		defer ts.Close()
 		servers = append(servers, ts)
 		urls = append(urls, ts.URL)
@@ -356,7 +352,7 @@ func TestFrontendRoutesKeyedAndFailsOver(t *testing.T) {
 	f := newTestFrontend(t, urls, fastHealth())
 	f.health.Sweep(ctx)
 	f.reconcileOnce(ctx)
-	h := f.handler()
+	h := startWire(t, f.wire()).URL
 
 	for _, tc := range []struct {
 		method, target string
@@ -464,12 +460,12 @@ func TestFrontendRoutesKeyedAndFailsOver(t *testing.T) {
 // acked write answers the same 404 the owner would give.
 func TestFrontendDegradedKeyedReads(t *testing.T) {
 	ctx := context.Background()
-	ts := httptest.NewServer(newServer(4, 2, 0).handler())
+	ts := startWire(t, newServer(4, 2, 0).wire())
 	f := newTestFrontend(t, []string{ts.URL}, fastHealth())
 	f.cfg.retries = 1
 	f.health.Sweep(ctx)
 	f.reconcileOnce(ctx)
-	h := f.handler()
+	h := startWire(t, f.wire()).URL
 
 	if rec := feReq(t, h, http.MethodPost, "/kgset/add?k=survivor"); rec.Code != http.StatusOK {
 		t.Fatalf("add: %d %s", rec.Code, rec.Body.String())
@@ -508,13 +504,13 @@ func TestFrontendDegradedKeyedReads(t *testing.T) {
 // TestFrontendMetricsEndpoint is the frontend's golden-name check, and pins
 // that the dial counter counts dials, not round trips.
 func TestFrontendMetricsEndpoint(t *testing.T) {
-	ts := httptest.NewServer(newServer(4, 2, 0).handler())
+	ts := startWire(t, newServer(4, 2, 0).wire())
 	defer ts.Close()
 	f := newTestFrontend(t, []string{ts.URL}, fastHealth())
 	ctx := context.Background()
 	f.health.Sweep(ctx)
 	f.reconcileOnce(ctx)
-	h := f.handler()
+	h := startWire(t, f.wire()).URL
 	for i := 0; i < 20; i++ {
 		if rec := feReq(t, h, http.MethodPost, "/counter/inc"); rec.Code != http.StatusOK {
 			t.Fatalf("inc %d: %d %s", i, rec.Code, rec.Body.String())
@@ -570,7 +566,7 @@ func TestKeyedRoutesCoverEveryPartition(t *testing.T) {
 	}
 
 	srv := newServer(4, 2, 0)
-	h := srv.handler()
+	h := startWire(t, srv.wire()).URL
 	for k := range carried {
 		if rec := feReq(t, h, http.MethodPost, "/fence?obj="+neturl.QueryEscape(k)+"&gen=0"); rec.Code != http.StatusOK {
 			t.Errorf("routed key %q: backend /fence answers %d %s", k, rec.Code, rec.Body.String())
@@ -596,8 +592,9 @@ var thread1 = prim.RealThread(1)
 // visible.
 type poolBackend struct {
 	addr string
+	gate func(*request) // when set, runs before every request of every incarnation
 	mu   sync.Mutex
-	srv  *http.Server
+	srv  *wireServer
 }
 
 func startPoolBackend(t *testing.T, addr string) *poolBackend {
@@ -625,8 +622,14 @@ func (b *poolBackend) restart(t *testing.T) {
 	if b.addr == "127.0.0.1:0" {
 		b.addr = ln.Addr().String()
 	}
-	srv := &http.Server{Handler: newServer(4, 2, 0).handler()}
-	go srv.Serve(ln)
+	srv := newServer(4, 2, 0).wire()
+	if gate, h := b.gate, srv.handle; gate != nil {
+		srv.handle = func(w *respWriter, r *request) {
+			gate(r)
+			h(w, r)
+		}
+	}
+	go srv.serve(ln)
 	b.mu.Lock()
 	b.srv = srv
 	b.mu.Unlock()
@@ -637,7 +640,7 @@ func (b *poolBackend) kill() {
 	srv := b.srv
 	b.mu.Unlock()
 	if srv != nil {
-		srv.Close()
+		srv.close()
 	}
 }
 
@@ -680,7 +683,7 @@ func TestFrontendChaosKillRestart(t *testing.T) {
 		slots:         32,
 	})
 	f.start(ctx)
-	fe := httptest.NewServer(f.handler())
+	fe := startWire(t, f.wire())
 	defer fe.Close()
 
 	var acked atomic.Int64
@@ -773,5 +776,112 @@ func drainBody(resp *http.Response) {
 	if resp != nil && resp.Body != nil {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
+	}
+}
+
+// TestReconcileRestartMidPass is the routed "404 after an acked write"
+// regression. A reconcile pass moves a dead owner's keys one at a time; the
+// owner reboots empty on its address while the pass is held seeding an
+// earlier key. A keyed read routed to a partition still waiting its turn
+// must not be answered by the empty process: it reads the acked value,
+// degraded from the ledger while the partition is fenced and authoritative
+// once the pass has moved it.
+func TestReconcileRestartMidPass(t *testing.T) {
+	ctx := context.Background()
+	var holdAt atomic.Int32 // index of the backend whose routed requests park; -1 none
+	holdAt.Store(-1)
+	held, release := make(chan struct{}, 1), make(chan struct{})
+	var backends []*poolBackend
+	var urls []string
+	for i := 0; i < 2; i++ {
+		b := &poolBackend{addr: "127.0.0.1:0", gate: func(r *request) {
+			if r.gen != "" && holdAt.Load() == int32(i) {
+				select {
+				case held <- struct{}{}:
+				default:
+				}
+				<-release
+			}
+		}}
+		b.restart(t)
+		defer b.kill()
+		backends = append(backends, b)
+		urls = append(urls, "http://"+b.addr)
+	}
+	f := newTestFrontend(t, urls, fastHealth())
+	f.health.Sweep(ctx)
+	f.reconcileOnce(ctx)
+	h := startWire(t, f.wire()).URL
+
+	// One acked write on every route key, so every handoff seeds.
+	keyOf := map[string]string{} // route key -> a key acked in it
+	for i := 0; len(keyOf) < 2*keyPartitions; i++ {
+		k := fmt.Sprintf("key-%d", i)
+		p := keyedPartition(k)
+		if keyOf[fmt.Sprintf("map.p%d", p)] != "" {
+			continue
+		}
+		keyOf[fmt.Sprintf("map.p%d", p)], keyOf[fmt.Sprintf("kgset.p%d", p)] = k, k
+		for _, target := range []string{"/map/inc?k=" + k + "&d=5", "/kgset/add?k=" + k} {
+			if rec := feReq(t, h, http.MethodPost, target); rec.Code != http.StatusOK {
+				t.Fatalf("POST %s: %d %s", target, rec.Code, rec.Body.String())
+			}
+		}
+	}
+	for _, target := range []string{"/counter/inc", "/maxreg?v=3", "/gset?x=1"} {
+		if rec := feReq(t, h, http.MethodPost, target); rec.Code != http.StatusOK {
+			t.Fatalf("POST %s: %d %s", target, rec.Code, rec.Body.String())
+		}
+	}
+
+	// A keyed partition whose owner owns an earlier key of the pass.
+	owned := map[int]int{}
+	dead, route := -1, ""
+	for _, key := range f.tb.Keys() {
+		owner, _, _ := f.tb.Owner(thread1, key)
+		if owned[owner] > 0 && keyOf[key] != "" {
+			dead, route = owner, key
+			break
+		}
+		owned[owner]++
+	}
+	if dead < 0 {
+		t.Fatal("no keyed partition behind another key of its owner")
+	}
+	read := "/map/get?k=" + keyOf[route]
+	want := `{"kind":"counter","value":5}`
+	if strings.HasPrefix(route, "kgset") {
+		read, want = "/kgset/has?k="+keyOf[route], `{"member":true}`
+	}
+
+	holdAt.Store(int32(1 - dead))
+	backends[dead].kill()
+	f.health.Sweep(ctx)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f.reconcileOnce(ctx)
+	}()
+	select {
+	case <-held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the reconcile pass never seeded the successor")
+	}
+	backends[dead].restart(t) // rebooted empty, every fence floor at 0
+
+	rec := feReq(t, h, http.MethodGet, read)
+	if rec.Code != http.StatusOK || strings.TrimSpace(rec.Body.String()) != want {
+		t.Errorf("mid-pass %s (%s) = %d %s, want %s", read, route, rec.Code, rec.Body.String(), want)
+	}
+	holdAt.Store(-1)
+	close(release)
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the reconcile pass did not finish")
+	}
+	rec = feReq(t, h, http.MethodGet, read)
+	if rec.Code != http.StatusOK || strings.TrimSpace(rec.Body.String()) != want || rec.Header().Get("X-SL-Degraded") != "" {
+		t.Fatalf("settled %s = %d %v %s, want an authoritative %s", read, rec.Code, rec.Header(), rec.Body.String(), want)
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	neturl "net/url"
 
 	"stronglin"
 )
@@ -47,7 +46,7 @@ func keyedPartition(key string) int {
 }
 
 // queryKey extracts and validates the k parameter.
-func queryKey(q neturl.Values) (string, error) {
+func queryKey(q query) (string, error) {
 	key := q.Get("k")
 	if key == "" {
 		return "", errors.New(`missing query parameter "k"`)
@@ -63,7 +62,7 @@ func queryKey(q neturl.Values) (string, error) {
 // stays unknown until someone writes it, a kind conflict is the client's
 // contract violation, and the budget/slot exhaustions survive any retry
 // (growth already ran).
-func (s *server) writeOpErr(w http.ResponseWriter, err error) {
+func (s *server) writeOpErr(w *respWriter, err error) {
 	switch {
 	case errors.Is(err, errClockSpent):
 		s.clockRejects.Inc()

@@ -25,8 +25,19 @@
 //	GET  /msnapshot            validated double-collect scan of the multi-word view
 //	POST /clock/tick           advance the logical clock (Algorithm 1)
 //	GET  /clock                read the logical clock
+//	POST /kgset/add?k=K        add key K to the keyed grow-only set
+//	GET  /kgset/has?k=K        keyed membership query
+//	POST /map/inc?k=K[&d=2]    add d (default 1) to K's counter in the monotone map
+//	POST /map/max?k=K&v=9      write-max K's max register in the monotone map
+//	GET  /map/get?k=K          read K's value and kind (404 if never written)
+//	POST /counter/add?d=5      add d to the counter (the routing tier's seeding surface)
+//	POST /fence?obj=O&gen=G    raise routed object O's ownership fence floor to G
 //	GET  /stats                lanes, shards, lease and per-endpoint op counts
-//	GET  /healthz              liveness
+//	GET  /metrics              Prometheus text format (see Observability)
+//	GET  /healthz              liveness, degraded by the budget watermarks
+//
+// The data listener serves a narrow HTTP/1.1 subset of its own (wire.go):
+// keep-alive and pipelining, no request bodies, an 8 KiB head cap.
 //
 // Every object endpoint is one entry of the object table (objects.go); the
 // same table drives the routing frontend (frontend.go). Unknown paths get
@@ -95,7 +106,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	neturl "net/url"
 	"os"
 	"os/signal"
 	"strconv"
@@ -185,8 +195,7 @@ func serveLoop(ctx context.Context, srv *server, ln net.Listener) error {
 	}
 	var dbg *http.Server
 	if *debugAddr != "" {
-		dbg = newHTTPServer(srv.debugHandler())
-		dbg.Addr = *debugAddr
+		dbg = &http.Server{Addr: *debugAddr, Handler: srv.debugHandler(), ReadHeaderTimeout: readHeaderTimeout}
 		go func() {
 			if err := dbg.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintln(os.Stderr, "slserve: debug listener:", err)
@@ -195,17 +204,18 @@ func serveLoop(ctx context.Context, srv *server, ln net.Listener) error {
 		fmt.Printf("slserve: debug listener (metrics + pprof) on %s\n", *debugAddr)
 	}
 	// Close the coalescing funnels before the HTTP drain: requests that are
-	// already in flight when Shutdown stops accepting must not park behind a
-	// slow batch as its next leader, or the drain deadline kills them.
-	return serveUntil(ctx, stop, ln, srv.drainCoalescers, newHTTPServer(srv.handler()), dbg)
+	// already in flight when the drain stops accepting must not park behind
+	// a slow batch as its next leader, or the drain deadline kills them.
+	return serveUntil(ctx, stop, ln, srv.drainCoalescers, srv.wire(), dbg)
 }
 
-// serveUntil is both tiers' listen/drain skeleton: serve hs on ln until
+// serveUntil is both tiers' listen/drain skeleton: serve ws on ln until
 // ctx (a signal context, stop its cancel) ends, then run beforeDrain and
-// gracefully shut hs and every extra server down within -drain-timeout.
-func serveUntil(ctx context.Context, stop func(), ln net.Listener, beforeDrain func(), hs *http.Server, extra ...*http.Server) error {
+// gracefully shut ws and the -debug-addr server (if any) down within
+// -drain-timeout.
+func serveUntil(ctx context.Context, stop func(), ln net.Listener, beforeDrain func(), ws *wireServer, dbg *http.Server) error {
 	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
+	go func() { errc <- ws.serve(ln) }()
 	select {
 	case err := <-errc:
 		return err
@@ -216,11 +226,11 @@ func serveUntil(ctx context.Context, stop func(), ln net.Listener, beforeDrain f
 	beforeDrain()
 	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	for _, srv := range append([]*http.Server{hs}, extra...) {
-		if srv == nil {
-			continue
-		}
-		if err := srv.Shutdown(dctx); err != nil {
+	if err := ws.shutdown(dctx); err != nil {
+		return fmt.Errorf("drain: %w", err)
+	}
+	if dbg != nil {
+		if err := dbg.Shutdown(dctx); err != nil {
 			return fmt.Errorf("drain: %w", err)
 		}
 	}
@@ -231,15 +241,9 @@ func serveUntil(ctx context.Context, stop func(), ln net.Listener, beforeDrain f
 // readHeaderTimeout bounds how long a connection may take to deliver a
 // request's headers, so a client that dribbles a partial request line cannot
 // hold a connection and its goroutine forever. It is the only timeout the
-// servers set: a ReadTimeout or IdleTimeout would close the idle keep-alive
+// servers set: a read or idle timeout would close the idle keep-alive
 // connections that load generators and the frontend's backend pool reuse.
 const readHeaderTimeout = 5 * time.Second
-
-// newHTTPServer is every slserve listener's server: backend, frontend,
-// -debug-addr and the attack mode's in-process target.
-func newHTTPServer(h http.Handler) *http.Server {
-	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
-}
 
 // counterBound is the declared capacity of the served counters: any bound up
 // to 2^62-1 packs the counter cores into machine words, so the counter is
@@ -293,8 +297,8 @@ func (g *fenceGate) Floor() int64 {
 
 // reqGen extracts the request's ownership generation. Requests without the
 // header (direct single-node clients) are never fenced.
-func reqGen(r *http.Request) (int64, error) {
-	raw := r.Header.Get("X-SL-Gen")
+func reqGen(r *request) (int64, error) {
+	raw := r.gen
 	if raw == "" {
 		return int64(^uint64(0) >> 1), nil
 	}
@@ -322,10 +326,10 @@ type server struct {
 	kmap          *stronglin.MonotoneMap // sparse keyed universe: per-key counters / max registers
 
 	// reg is this server's metric registry (per-server, not the package
-	// default: tests and the attack generator build several servers per
-	// process). reqTotal/reqErrors/reqDur are fed by the handler middleware;
-	// clockRejects counts 503s from the spent Algorithm 1 budget; everything
-	// else is scrape-time closures over telemetry the engines already keep.
+	// default: tests build several servers per process). The data listener
+	// (wire.go) feeds reqTotal/reqErrors/reqDur; clockRejects counts 503s
+	// from the spent Algorithm 1 budget; everything else is scrape-time
+	// closures over telemetry the engines already keep.
 	reg          *obs.Registry
 	reqTotal     *obs.Counter
 	reqErrors    *obs.Counter
@@ -359,7 +363,7 @@ type server struct {
 // ownership generation it carries is retired, the routing tier must re-read
 // the ownership record and re-route. Always retryable — the object lives
 // on, just elsewhere.
-func (s *server) fenced(w http.ResponseWriter) {
+func (s *server) fenced(w *respWriter) {
 	s.fenceRejects.Add(1)
 	writeErr(w, http.StatusConflict, "generation fenced: object ownership moved", true, 0)
 }
@@ -539,7 +543,7 @@ func (s *server) startRollover(ctx context.Context, every time.Duration) {
 }
 
 // registerMetrics publishes every metric family. The request instruments are
-// allocated here and fed by the handler middleware; all protocol telemetry is
+// allocated here and fed by the data listener; all protocol telemetry is
 // scrape-time closures over counters the engines keep anyway (HelpStats, the
 // pool's lease counters) or over the registers themselves (the lifetime
 // watermarks), so scrapes read — never tax — the hot paths. The register
@@ -674,40 +678,40 @@ func (s *server) registerMetrics() {
 	s.reg.GaugeFunc("slserve_lanes_in_use", "lanes currently leased", func() int64 { return int64(s.pool.InUse()) })
 }
 
-func (s *server) handler() http.Handler {
-	return instrumented(s.serve, s.reqTotal, s.reqErrors, s.reqDur, s.endpointDur)
+// wire is the backend's data-listener server.
+func (s *server) wire() *wireServer {
+	return newWireServer(s.serve, s.reqTotal, s.reqErrors, s.reqDur, s.endpointDur)
 }
 
 // serve dispatches one request: the control endpoints, then the object
 // table.
-func (s *server) serve(w http.ResponseWriter, r *http.Request) {
-	switch r.URL.Path {
+func (s *server) serve(w *respWriter, r *request) {
+	switch r.path {
 	case "/stats":
 		s.stats(w, r)
 		return
 	case "/metrics":
-		s.metrics(w, r)
+		writeMetrics(w, s.reg)
 		return
 	case "/healthz":
-		s.healthz(w, r)
+		s.healthz(w)
 		return
 	case "/fence":
 		s.fenceHandler(w, r)
 		return
 	}
-	q := r.URL.Query()
-	d := lookupOp(w, r, q, func(*op) bool { return true })
+	d := lookupOp(w, r, func(*op) bool { return true })
 	if d == nil {
 		return
 	}
-	s.serveOp(w, r, q, d)
+	s.serveOp(w, r, d)
 }
 
 // serveOp is every object's backend handler: X-SL-Gen (routed objects
 // only) → parse → fence gate → engine step (coalesced or direct) → typed
 // error mapping → op count → body. The fence gate holds its read side over
 // the engine step, so a concurrent /fence raise waits for it.
-func (s *server) serveOp(w http.ResponseWriter, r *http.Request, q neturl.Values, d *op) {
+func (s *server) serveOp(w *respWriter, r *request, d *op) {
 	gen := int64(math.MaxInt64)
 	if d.object != "" {
 		var err error
@@ -716,7 +720,7 @@ func (s *server) serveOp(w http.ResponseWriter, r *http.Request, q neturl.Values
 			return
 		}
 	}
-	a, err := d.parse(q, s)
+	a, err := d.parse(r.query, s)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err.Error(), false, 0)
 		return
@@ -743,7 +747,7 @@ func (s *server) serveOp(w http.ResponseWriter, r *http.Request, q neturl.Values
 // controller renews the budget on its next step), 503 past crit. Both
 // degraded answers carry the structured unavailability body — a completed
 // rollover returns the endpoint to 200, so Retry-After is honest.
-func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
+func (s *server) healthz(w *respWriter) {
 	st := s.rebaser.State(stronglin.Thread(0))
 	switch st {
 	case stronglin.WatermarkCrit:
@@ -751,7 +755,7 @@ func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
 	case stronglin.WatermarkWarn:
 		s.unavailable(w, http.StatusTooManyRequests, "watermark warn: a live re-base is due", true)
 	default:
-		fmt.Fprintln(w, "ok")
+		writeOK(w)
 	}
 }
 
@@ -762,20 +766,26 @@ func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
 // per-endpoint prose. retryAfter <= 0 means "no hint" (the field still
 // appears, as 0, so the shape never varies); retryAfter > 0 additionally
 // sets the Retry-After header for clients that only speak HTTP.
-func writeErr(w http.ResponseWriter, code int, reason string, retryable bool, retryAfter int64) {
+func writeErr(w *respWriter, code int, reason string, retryable bool, retryAfter int64) {
 	if retryAfter < 0 {
 		retryAfter = 0
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.code = code
+	w.ctype = "application/json"
 	if retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.FormatInt(retryAfter, 10))
+		w.setHeader("Retry-After", strconv.FormatInt(retryAfter, 10))
 	}
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]any{
-		"error":               reason,
-		"retryable":           retryable,
-		"retry_after_seconds": retryAfter,
-	})
+	quoted, _ := json.Marshal(reason) // a string always marshals
+	b := append(append(w.body, `{"error":`...), quoted...)
+	b = strconv.AppendInt(append(b, `,"retry_after_seconds":`...), retryAfter, 10)
+	b = strconv.AppendBool(append(b, `,"retryable":`...), retryable)
+	w.body = append(b, "}\n"...)
+}
+
+// writeOK is /healthz's plain-text 200.
+func writeOK(w *respWriter) {
+	w.ctype = "text/plain; charset=utf-8"
+	w.body = append(w.body, "ok\n"...)
 }
 
 // unavailable answers a load-shedding status (429/503) with a Retry-After
@@ -783,7 +793,7 @@ func writeErr(w http.ResponseWriter, code int, reason string, retryable bool, re
 // watermark crossing the controller will re-base away within about one
 // -rollover-interval) from "this resource is finished" (the clock's
 // terminal Algorithm 1 budget) without parsing prose.
-func (s *server) unavailable(w http.ResponseWriter, code int, reason string, retryable bool) {
+func (s *server) unavailable(w *respWriter, code int, reason string, retryable bool) {
 	retryAfter := int64(rolloverEvery.Seconds())
 	if retryAfter < 1 {
 		retryAfter = 1
@@ -796,7 +806,10 @@ func (s *server) unavailable(w http.ResponseWriter, code int, reason string, ret
 // public mux (and the default mux stays untouched).
 func (s *server) debugHandler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", s.metrics)
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", promContentType)
+		s.reg.WritePrometheus(w)
+	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -805,48 +818,20 @@ func (s *server) debugHandler() http.Handler {
 	return mux
 }
 
-// metrics serves the registry in the Prometheus text exposition format.
-func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.reg.WritePrometheus(w)
+// promContentType is the Prometheus text exposition format, version 0.0.4.
+const promContentType = "text/plain; version=0.0.4; charset=utf-8"
+
+// writeMetrics serves a registry in the Prometheus text format.
+func writeMetrics(w *respWriter, reg *obs.Registry) {
+	w.ctype = promContentType
+	reg.WritePrometheus(w) // writes into w's buffer, which cannot fail
 }
 
-// statusWriter captures the response code for the error counter.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// instrumented wraps either tier's handler with the request telemetry: one
-// counter increment, one histogram observation, and (on >= 400) one error
-// increment per request — padded atomics, no locks, no allocation beyond
-// the wrapper. byPath adds the per-endpoint split (unknown paths, and every
-// path when byPath is nil, land only in the aggregate).
-func instrumented(next http.HandlerFunc, total, errs *obs.Counter, dur *obs.Histogram, byPath map[string]*obs.Histogram) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
-		sw := statusWriter{ResponseWriter: w, code: http.StatusOK}
-		next(&sw, r)
-		total.Inc()
-		if sw.code >= 400 {
-			errs.Inc()
-		}
-		ns := time.Since(t0).Nanoseconds()
-		dur.Observe(ns)
-		byPath[r.URL.Path].Observe(ns)
-	})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
+// writeJSON answers 200 with v as JSON (the /stats and /fence documents).
+func writeJSON(w *respWriter, v any) {
+	w.ctype = "application/json"
 	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// The response is already committed; nothing sensible remains.
-		return
+		writeErr(w, http.StatusInternalServerError, err.Error(), false, 0)
 	}
 }
 
@@ -855,17 +840,17 @@ func writeJSON(w http.ResponseWriter, v any) {
 // standing floor. When this returns, no request of a generation below G is
 // in flight anymore (raise holds the gate's write side), so the caller may
 // read the object's authoritative value and migrate it.
-func (s *server) fenceHandler(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
+func (s *server) fenceHandler(w *respWriter, r *request) {
+	if r.method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, "POST only", false, 0)
 		return
 	}
-	g := s.fences[r.URL.Query().Get("obj")]
+	g := s.fences[r.query.Get("obj")]
 	if g == nil {
 		writeErr(w, http.StatusBadRequest, "obj must be one of "+strings.Join(routeKeys, ", "), false, 0)
 		return
 	}
-	gen, err := strconv.ParseInt(r.URL.Query().Get("gen"), 10, 64)
+	gen, err := strconv.ParseInt(r.query.Get("gen"), 10, 64)
 	if err != nil || gen < 0 {
 		writeErr(w, http.StatusBadRequest, "gen must be a non-negative integer", false, 0)
 		return
@@ -1049,8 +1034,8 @@ func (s *server) statsDoc() map[string]any {
 	return doc
 }
 
-func (s *server) stats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
+func (s *server) stats(w *respWriter, r *request) {
+	if r.method != http.MethodGet {
 		writeErr(w, http.StatusMethodNotAllowed, "GET only", false, 0)
 		return
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,7 +14,7 @@ import (
 )
 
 func TestEndpoints(t *testing.T) {
-	ts := httptest.NewServer(newServer(4, 2, 0).handler())
+	ts := startWire(t, newServer(4, 2, 0).wire())
 	defer ts.Close()
 
 	post := func(path string) map[string]any {
@@ -169,7 +168,7 @@ func TestEndpoints(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	ts := httptest.NewServer(newServer(2, 1, 0).handler())
+	ts := startWire(t, newServer(2, 1, 0).wire())
 	defer ts.Close()
 	for _, c := range []struct {
 		method, path string
@@ -211,7 +210,7 @@ func TestBadRequests(t *testing.T) {
 func TestBoundedServerPacked(t *testing.T) {
 	// 4 lanes / 2 shards -> 2 lanes per shard; bound 30 -> 2 x 31 = 62 bits.
 	srv := newServer(4, 2, 30)
-	ts := httptest.NewServer(srv.handler())
+	ts := startWire(t, srv.wire())
 	defer ts.Close()
 
 	var stats statsSnapshot
@@ -282,7 +281,7 @@ func TestBoundedServerPacked(t *testing.T) {
 // allocation.
 func TestHugeBoundKeepsRequestCap(t *testing.T) {
 	srv := newServer(8, 4, 1<<40)
-	ts := httptest.NewServer(srv.handler())
+	ts := startWire(t, srv.wire())
 	defer ts.Close()
 
 	var stats statsSnapshot
@@ -313,7 +312,7 @@ func TestHugeBoundKeepsRequestCap(t *testing.T) {
 // request counter and latency histogram must have moved.
 func TestMetricsEndpoint(t *testing.T) {
 	srv := newServer(4, 2, 0)
-	ts := httptest.NewServer(srv.handler())
+	ts := startWire(t, srv.wire())
 	defer ts.Close()
 
 	// Drive one request through every object so funcs have state to report.
@@ -435,7 +434,7 @@ func TestForcedAdoptTelemetry(t *testing.T) {
 	// cache's own telemetry has its own test; this one must see full
 	// collects contend.
 	srv := newServerCfg(4, 2, 0, 0, 0, false)
-	ts := httptest.NewServer(srv.handler())
+	ts := startWire(t, srv.wire())
 	defer ts.Close()
 
 	// Long-lived leases, tight loops: per-op pool round-trips would space the
@@ -509,7 +508,7 @@ func TestForcedAdoptTelemetry(t *testing.T) {
 // end to end — engine, /stats and /metrics must all agree.
 func TestCachedScanTelemetry(t *testing.T) {
 	srv := newServer(4, 2, 0)
-	ts := httptest.NewServer(srv.handler())
+	ts := startWire(t, srv.wire())
 	defer ts.Close()
 
 	req := func(method, path string) {
@@ -621,7 +620,7 @@ func doDense(client *http.Client, base string, op int, v int64) error {
 // front-end.
 func TestConcurrentClients(t *testing.T) {
 	srv := newServer(4, 2, 0)
-	ts := httptest.NewServer(srv.handler())
+	ts := startWire(t, srv.wire())
 	defer ts.Close()
 
 	const clients, reqs = 16, 25
@@ -757,7 +756,7 @@ func TestCoalescerFoldsAndShares(t *testing.T) {
 // request count exactly — a lost or double-counted fold shows here.
 func TestCoalescedIncsPreserveCount(t *testing.T) {
 	srv := newServer(4, 2, 0)
-	ts := httptest.NewServer(srv.handler())
+	ts := startWire(t, srv.wire())
 	defer ts.Close()
 
 	const clients, reqs = 24, 20
@@ -821,7 +820,7 @@ func TestClockCapacityExhaustion(t *testing.T) {
 	if eng := srv.clock.Engine(); eng != "multiword" {
 		t.Fatalf("64-lane clock engine = %s, want multiword", eng)
 	}
-	ts := httptest.NewServer(srv.handler())
+	ts := startWire(t, srv.wire())
 	defer ts.Close()
 
 	for i := 0; i < 3; i++ {
@@ -868,7 +867,7 @@ func TestClockPackedPast63Lanes(t *testing.T) {
 	if words := srv.clock.Words(); words != 64 {
 		t.Fatalf("64-lane clock words = %d, want 64", words)
 	}
-	ts := httptest.NewServer(srv.handler())
+	ts := startWire(t, srv.wire())
 	defer ts.Close()
 	resp, err := http.Post(ts.URL+"/clock/tick", "", nil)
 	if err != nil {

@@ -300,17 +300,17 @@ func (d *op) route(a args) string {
 // parameter is present, else the last. A known path without the method
 // answers 405 naming the methods it has; an unknown path 404. The filter
 // restricts the table to the ops a tier serves.
-func lookupOp(w http.ResponseWriter, r *http.Request, q neturl.Values, serves func(*op) bool) *op {
+func lookupOp(w *respWriter, r *request, serves func(*op) bool) *op {
 	var pick *op
 	var allowed []string
-	for _, d := range opsByPath[r.URL.Path] {
+	for _, d := range opsByPath[r.path] {
 		if !serves(d) {
 			continue
 		}
 		if !slices.Contains(allowed, d.method) {
 			allowed = append(allowed, d.method)
 		}
-		if d.method == r.Method && (pick == nil || !pick.satisfied(q)) {
+		if d.method == r.method && (pick == nil || !pick.satisfied(r.query)) {
 			pick = d
 		}
 	}
@@ -326,19 +326,19 @@ func lookupOp(w http.ResponseWriter, r *http.Request, q neturl.Values, serves fu
 	return nil
 }
 
-func (d *op) satisfied(q neturl.Values) bool {
+func (d *op) satisfied(q query) bool {
 	return d.param == nil || d.param.optional || q.Get(d.param.name) != ""
 }
 
 // notFound is the uniform 404 of an unknown path, on both tiers.
-func notFound(w http.ResponseWriter) {
+func notFound(w *respWriter) {
 	writeErr(w, http.StatusNotFound, "unknown path", false, 0)
 }
 
 // parse extracts the op's arguments: k for a keyed op, then its integer
 // parameter. s nil (the frontend, which does not know a backend's value
 // domain) skips the upper bound.
-func (d *op) parse(q neturl.Values, s *server) (args, error) {
+func (d *op) parse(q query, s *server) (args, error) {
 	a := args{n: 1}
 	if d.keyed {
 		k, err := queryKey(q)
@@ -386,22 +386,42 @@ func (d *op) writeURI(a args) string {
 	return d.path + "?" + strings.Join(q, "&")
 }
 
-// writeBody answers 200 with the op's success body.
-func writeBody(w http.ResponseWriter, shape bodyShape, res result) {
-	var doc map[string]any
+// writeBody answers 200 with the op's success body, byte for byte what
+// encoding/json writes for the same document (keys sorted, a nil list as
+// null, a trailing newline).
+func writeBody(w *respWriter, shape bodyShape, res result) {
+	w.ctype = "application/json"
+	b := w.body
 	switch shape {
 	case bodyOK:
-		doc = map[string]any{"ok": true}
+		b = append(b, `{"ok":true}`...)
 	case bodyValue:
-		doc = map[string]any{"value": res.value}
+		b = append(strconv.AppendInt(append(b, `{"value":`...), res.value, 10), '}')
 	case bodyValueKind:
-		doc = map[string]any{"value": res.value, "kind": res.kind}
+		// kind is one of the engine's fixed kind names: no escaping needed.
+		b = append(append(append(b, `{"kind":"`...), res.kind...), `","value":`...)
+		b = append(strconv.AppendInt(b, res.value, 10), '}')
 	case bodyMember:
-		doc = map[string]any{"member": res.member}
+		b = append(strconv.AppendBool(append(b, `{"member":`...), res.member), '}')
 	case bodyElems:
-		doc = map[string]any{"elems": res.elems}
+		b = append(appendInts(append(b, `{"elems":`...), res.elems), '}')
 	case bodyView:
-		doc = map[string]any{"view": res.elems}
+		b = append(appendInts(append(b, `{"view":`...), res.elems), '}')
 	}
-	writeJSON(w, doc)
+	w.body = append(b, '\n')
+}
+
+// appendInts appends xs as a JSON array, or null when nil.
+func appendInts(b []byte, xs []int64) []byte {
+	if xs == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i, x := range xs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, x, 10)
+	}
+	return append(b, ']')
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -34,7 +33,7 @@ func setFlag[T any](t *testing.T, p *T, v T) {
 func TestHealthzDegradesAndRecovers(t *testing.T) {
 	setFlag(t, watermarkBudget, int64(8))
 	srv := newServer(4, 2, 0)
-	ts := httptest.NewServer(srv.handler())
+	ts := startWire(t, srv.wire())
 	defer ts.Close()
 
 	health := func() *http.Response {
@@ -138,7 +137,7 @@ func TestHealthzDegradesAndRecovers(t *testing.T) {
 // budget from a watermark crossing without parsing prose.
 func TestClockExhaustion503Shape(t *testing.T) {
 	srv := newServerClock(4, 2, 0, 2)
-	ts := httptest.NewServer(srv.handler())
+	ts := startWire(t, srv.wire())
 	defer ts.Close()
 
 	for i := 0; i < 2; i++ {
@@ -190,7 +189,7 @@ func TestAutoRolloverUnderLoad(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	srv.startRollover(ctx, 2*time.Millisecond)
-	ts := httptest.NewServer(srv.handler())
+	ts := startWire(t, srv.wire())
 	defer ts.Close()
 
 	// Each client sends rounds x ten requests: one counter inc per round.
