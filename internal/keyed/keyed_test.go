@@ -161,6 +161,17 @@ func verifySLWithin(t *testing.T, maxNodes, procs int, setup sim.Setup, sp spec.
 	return v
 }
 
+// pinTree asserts the explored tree's size. Each count fixes the sequence of
+// prim steps the objects take in that configuration: a change that adds,
+// drops or reorders a step changes the tree, so a new count has to be
+// explained where it is pinned.
+func pinTree(t *testing.T, v history.Verdict, nodes, leaves int) {
+	t.Helper()
+	if v.Nodes != nodes || v.Leaves != leaves {
+		t.Errorf("tree has %d nodes, %d leaves; pinned %d, %d", v.Nodes, v.Leaves, nodes, leaves)
+	}
+}
+
 // --- Sequential sanity -------------------------------------------------------
 
 func TestKeyedGSetSequential(t *testing.T) {
@@ -443,7 +454,7 @@ func TestKeyedGSetStrongLinTwoBuckets(t *testing.T) {
 			{opKHas(g, keys[0], 1), opKHas(g, keys[1], 2)},
 		}
 	}
-	verifySL(t, 3, setup, spec.GSet{})
+	pinTree(t, verifySL(t, 3, setup, spec.GSet{}), 1_561_859, 431_844)
 }
 
 // TestKeyedGSetStrongLinSameKeyMultiWord: the same key added from two lanes
@@ -464,7 +475,7 @@ func TestKeyedGSetStrongLinSameKeyMultiWord(t *testing.T) {
 			{opKHas(g, "k", 1), opKHas(g, "k", 1)},
 		}
 	}
-	verifySLWithin(t, 4_000_000, 3, setup, spec.GSet{})
+	pinTree(t, verifySLWithin(t, 4_000_000, 3, setup, spec.GSet{}), 3_666_875, 1_035_674)
 }
 
 // TestKeyedGSetWitnessFreeNotStrongLin pins the negative twin: the same
@@ -493,6 +504,7 @@ func TestKeyedGSetWitnessFreeNotStrongLin(t *testing.T) {
 	if v.StrongLin.Ok {
 		t.Fatal("witness-free keyed gset verified strongly linearizable; expected a refutation")
 	}
+	pinTree(t, v, 848_610, 261_749)
 }
 
 // TestKeyedMapStrongLinSameKeyMultiWord: two lanes incrementing one key
@@ -513,7 +525,7 @@ func TestKeyedMapStrongLinSameKeyMultiWord(t *testing.T) {
 			{opMInc(m, "k", 1), opMGet(m, "k", 1)},
 		}
 	}
-	verifySL(t, 2, setup, spec.KeyedMap{})
+	pinTree(t, verifySL(t, 2, setup, spec.KeyedMap{}), 13_076, 1_881)
 }
 
 // TestKeyedMapStrongLinTwoBucketsMixedKinds: a counter key and a max key in
@@ -534,7 +546,7 @@ func TestKeyedMapStrongLinTwoBucketsMixedKinds(t *testing.T) {
 			{opMGet(m, keys[0], 1), opMGet(m, keys[1], 2)},
 		}
 	}
-	verifySL(t, 2, setup, spec.KeyedMap{})
+	pinTree(t, verifySL(t, 2, setup, spec.KeyedMap{}), 1_265_534, 218_085)
 }
 
 // TestKeyedMapStrongLinKindRace: concurrent first writes of conflicting
@@ -548,7 +560,7 @@ func TestKeyedMapStrongLinKindRace(t *testing.T) {
 			{opMMax(m, "k", 1, 3)},
 		}
 	}
-	verifySL(t, 2, setup, spec.KeyedMap{})
+	pinTree(t, verifySL(t, 2, setup, spec.KeyedMap{}), 213, 60)
 }
 
 // TestKeyedMapStrongLinKindRaceWithReader extends the kind race with a get
@@ -567,7 +579,7 @@ func TestKeyedMapStrongLinKindRaceWithReader(t *testing.T) {
 			{opMMax(m, "k", 1, 3), opMGet(m, "k", 1)},
 		}
 	}
-	verifySL(t, 2, setup, spec.KeyedMap{})
+	pinTree(t, verifySL(t, 2, setup, spec.KeyedMap{}), 1_664, 335)
 }
 
 // TestKeyedMapWitnessFreeNotStrongLin: the negative twin for the map read.
@@ -599,6 +611,7 @@ func TestKeyedMapWitnessFreeNotStrongLin(t *testing.T) {
 	if v.StrongLin.Ok {
 		t.Fatal("witness-free keyed map verified strongly linearizable; expected a refutation")
 	}
+	pinTree(t, v, 245_309, 77_550)
 }
 
 // --- Rehash under load -------------------------------------------------------
