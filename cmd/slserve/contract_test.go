@@ -234,7 +234,7 @@ func TestWireContractFrontend(t *testing.T) {
 	}
 
 	want := []string{
-		"backends", "epoch", "objects", "handoffs", "handoff_failures", "retries", "hedges",
+		"backends", "epoch", "objects", "handoffs", "handoff_failures", "retries",
 		"degraded_reads", "reroutes", "raced", "steals", "fences", "counter_ledger", "maxreg_ledger",
 		"gset_ledger_size", "kgset_ledger_keys", "kmap_ledger_keys",
 	}
@@ -250,7 +250,7 @@ func TestWireContractFrontend(t *testing.T) {
 	wantFams := []string{
 		"cluster_backend_0_state", "cluster_backoff_ns", "cluster_degraded_reads_total", "cluster_epoch",
 		"cluster_fences_total", "cluster_handoff_duration_ns", "cluster_handoff_failures_total",
-		"cluster_handoffs_total", "cluster_hedges_total", "cluster_raced_total", "cluster_reroutes_total",
+		"cluster_handoffs_total", "cluster_raced_total", "cluster_reroutes_total",
 		"cluster_retries_total", "cluster_steals_total", "slfront_backend_dials_total",
 		"slfront_request_duration_ns", "slfront_request_errors_total", "slfront_requests_total",
 	}

@@ -50,7 +50,6 @@ var (
 	backendsFlag    = flag.String("backends", "", "comma-separated backend base URLs (frontend mode)")
 	routeTimeout    = flag.Duration("route-timeout", 2*time.Second, "per-proxied-request timeout (frontend mode)")
 	routeRetries    = flag.Int("retries", 3, "retry budget per client request across re-routes and retryable refusals (frontend mode)")
-	hedgeAfter      = flag.Duration("hedge-after", 0, "duplicate a slow READ to the same owner after this delay, first answer wins (0 = off; frontend mode)")
 	healthEvery     = flag.Duration("health-interval", 250*time.Millisecond, "backend /healthz probe interval (frontend mode)")
 	healthDownAfter = flag.Int("health-down-after", 2, "consecutive bad probes before a backend is down (frontend mode)")
 	healthUpAfter   = flag.Int("health-up-after", 2, "consecutive good probes before a down backend rejoins (frontend mode)")
@@ -64,7 +63,6 @@ type frontendConfig struct {
 	backends      []string
 	routeTimeout  time.Duration
 	retries       int
-	hedgeAfter    time.Duration
 	health        cluster.HealthConfig
 	drain         time.Duration
 	degradedReads bool
@@ -112,7 +110,6 @@ type frontend struct {
 	handoffFailures *obs.Counter
 	handoffDur      *obs.Histogram
 	retriesTotal    *obs.Counter
-	hedges          *obs.Counter
 	degraded        *obs.Counter
 	backoffNs       *obs.Histogram
 	dials           *obs.Counter
@@ -162,7 +159,6 @@ func (f *frontend) registerMetrics() {
 	f.handoffFailures = f.reg.Counter("cluster_handoff_failures_total", "handoffs abandoned mid-flight (seed unreachable); retried by the reconciler")
 	f.handoffDur = f.reg.Histogram("cluster_handoff_duration_ns", "fence-to-install latency of completed handoffs")
 	f.retriesTotal = f.reg.Counter("cluster_retries_total", "proxied-request retries after retryable refusals")
-	f.hedges = f.reg.Counter("cluster_hedges_total", "hedged read duplicates fired")
 	f.degraded = f.reg.Counter("cluster_degraded_reads_total", "reads served from the acked ledger while no owner was reachable")
 	f.backoffNs = f.reg.Histogram("cluster_backoff_ns", "per-retry backoff sleeps (jittered, Retry-After honored)")
 	f.dials = f.reg.Counter("slfront_backend_dials_total", "TCP connections dialed to backends (reused idle connections are not counted)")
@@ -494,81 +490,6 @@ func (f *frontend) do(ctx context.Context, owner int, gen int64, method, uri str
 	}
 }
 
-// hedgedGet is do() for reads with tail-latency hedging: if the owner has
-// not answered within hedgeAfter, fire ONE duplicate at the same owner (the
-// only authoritative backend — hedging elsewhere would be a consistency
-// bug, not an optimization) and take the first success. Reads are
-// idempotent, so the losing duplicate is harmless — but not free: the
-// moment a winner is picked the shared context is canceled EAGERLY, tearing
-// the loser's connection down now instead of letting it run to the client
-// timeout (under hedge-heavy load those zombies are a connection-pool and
-// goroutine leak). The hedge timer is stopped and drained on every exit so
-// a fired-but-unread tick never lingers, and a result that is already
-// queued when the timer fires suppresses the hedge — duplicating an
-// answered read is pure waste.
-func (f *frontend) hedgedGet(ctx context.Context, owner int, gen int64, uri string) ([]byte, error) {
-	if f.cfg.hedgeAfter <= 0 {
-		return f.do(ctx, owner, gen, http.MethodGet, uri)
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type res struct {
-		body []byte
-		err  error
-	}
-	ch := make(chan res, 2) // both launches can always complete their send
-	launch := func() {
-		b, err := f.do(cctx, owner, gen, http.MethodGet, uri)
-		ch <- res{b, err}
-	}
-	go launch()
-	outstanding := 1
-	timer := time.NewTimer(f.cfg.hedgeAfter)
-	defer stopDrainTimer(timer)
-	var lastErr error
-	settle := func(r res) ([]byte, error, bool) {
-		if r.err == nil {
-			cancel() // reap the loser before returning the winner
-			return r.body, nil, true
-		}
-		lastErr = r.err
-		outstanding--
-		return nil, lastErr, outstanding == 0
-	}
-	for {
-		select {
-		case r := <-ch:
-			if body, err, done := settle(r); done {
-				return body, err
-			}
-		case <-timer.C:
-			select {
-			case r := <-ch:
-				// The answer beat the timer into the select race: settle it
-				// instead of hedging a read that is already answered.
-				if body, err, done := settle(r); done {
-					return body, err
-				}
-			default:
-			}
-			f.hedges.Inc()
-			outstanding++
-			go launch()
-		}
-	}
-}
-
-// stopDrainTimer stops a timer and drains an already-fired tick, so an
-// abandoned hedge timer can never deliver into a channel nobody reads.
-func stopDrainTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Proxy surface.
 
@@ -646,21 +567,15 @@ func (f *frontend) serveRouted(w *respWriter, r *request, d *op, a args, perr er
 
 	t := prim.RealThread(1)
 	key := d.route(a)
-	isRead := d.method == http.MethodGet
 	uri := r.target
 	const maxBackoff = 250 * time.Millisecond
 	backoff := 5 * time.Millisecond
 	var body []byte
 	for attempt := 0; ; attempt++ {
 		var sErr *statusError
-		err := f.tb.Route(t, slot, key, func(owner int, gen int64) error {
-			var berr error
-			if isRead {
-				body, berr = f.hedgedGet(r.ctx, owner, gen, uri)
-			} else {
-				body, berr = f.do(r.ctx, owner, gen, r.method, uri)
-			}
-			return berr
+		err := f.tb.Route(t, slot, key, func(owner int, gen int64) (err error) {
+			body, err = f.do(r.ctx, owner, gen, r.method, uri)
+			return err
 		}, ack, unack)
 
 		if err == nil {
@@ -781,7 +696,6 @@ type frontStats struct {
 	Handoffs        int64               `json:"handoffs"`
 	HandoffFailures int64               `json:"handoff_failures"`
 	Retries         int64               `json:"retries"`
-	Hedges          int64               `json:"hedges"`
 	DegradedReads   int64               `json:"degraded_reads"`
 	Reroutes        int64               `json:"reroutes"`
 	Raced           int64               `json:"raced"`
@@ -813,7 +727,6 @@ func (f *frontend) snapshotStats() frontStats {
 		Handoffs:        f.handoffs.Load(),
 		HandoffFailures: f.handoffFailures.Load(),
 		Retries:         f.retriesTotal.Load(),
-		Hedges:          f.hedges.Load(),
 		DegradedReads:   f.degraded.Load(),
 		Reroutes:        f.tb.Stats.Reroutes.Load(),
 		Raced:           f.tb.Stats.Raced.Load(),
@@ -879,7 +792,6 @@ func runFrontend(ctx context.Context) error {
 		backends:     backends,
 		routeTimeout: *routeTimeout,
 		retries:      *routeRetries,
-		hedgeAfter:   *hedgeAfter,
 		health: cluster.HealthConfig{
 			Interval:  *healthEvery,
 			DownAfter: *healthDownAfter,

@@ -290,50 +290,6 @@ func TestFrontendLongRetryBudget(t *testing.T) {
 	}
 }
 
-// TestHedgedGetReapsLoser is the hedge-leak regression: when the hedged
-// duplicate wins, the primary request — stuck at a slow backend — must be
-// torn down by context cancellation as soon as the winner is picked, not
-// left running to the client timeout. Pre-fix, nothing canceled the loser
-// and its goroutine plus pooled connection lived on for routeTimeout after
-// every won hedge; under hedge-heavy load that is a leak of both.
-func TestHedgedGetReapsLoser(t *testing.T) {
-	var calls atomic.Int32
-	loserReaped := make(chan struct{})
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			// The primary: silent until torn down; record the teardown.
-			<-r.Context().Done()
-			close(loserReaped)
-			return
-		}
-		w.Write([]byte(`{"value":42}`)) // the hedge answers immediately
-	}))
-	defer ts.Close()
-
-	f := mustFrontend(t, frontendConfig{
-		backends:     []string{ts.URL},
-		routeTimeout: 30 * time.Second, // pre-fix the loser lived this long
-		hedgeAfter:   10 * time.Millisecond,
-		health:       fastHealth(),
-		slots:        4,
-	})
-	body, err := f.hedgedGet(context.Background(), 0, 0, "/counter")
-	if err != nil {
-		t.Fatalf("hedged read: %v", err)
-	}
-	if !strings.Contains(string(body), "42") {
-		t.Fatalf("hedged read body = %s, want the hedge's answer", body)
-	}
-	if f.hedges.Load() != 1 {
-		t.Fatalf("hedges fired = %d, want exactly 1", f.hedges.Load())
-	}
-	select {
-	case <-loserReaped:
-	case <-time.After(2 * time.Second):
-		t.Fatal("losing request never canceled after the hedge won (leaks until routeTimeout)")
-	}
-}
-
 // TestFrontendRoutesKeyedAndFailsOver drives the keyed universe through the
 // routing tier: /kgset/* and /map/* route by key partition, acks fold into
 // the keyed ledgers, and killing a partition's owner moves it with every

@@ -2,20 +2,27 @@
 // repo's monotone objects whose element domain is arbitrary strings rather
 // than dense non-negative ints.
 //
-//   - GSet — a grow-only set over string keys. Keys hash (fnv-1a 64) to
-//     buckets; each bucket is its own k-XADD engine on the
-//     interleave.MultiPacked codec, holding one membership bit per
-//     (slot, lane): lane l's field in the bucket is a slot-bitmap, so an add
-//     is ONE fetch&add of a single bit plus a sequence bump, exactly the
-//     FAGSet discipline with the dense domain replaced by a per-bucket
-//     directory that assigns slots to keys first-come-first-served.
+// Both objects are one construction. Keys hash (fnv-1a 64) to buckets; each
+// bucket is its own k-XADD engine on the interleave.MultiPacked codec, with
+// a directory that assigns slots to keys first-come-first-served. A key owns
+// one fetch&add field per writer lane, and a read collects the key's words
+// and validates them with a closing witness read. One unexported engine
+// (engine.go) holds everything the two share: the table pointer, the bucket
+// directory, the validated read, Rehash and Stats. The objects are two
+// layouts over it, each saying only what a field holds, what a write adds
+// and how a collect combines:
+//
+//   - GSet — a grow-only set over string keys. Lane l's field in a bucket is
+//     a slot-bitmap, so an add is ONE fetch&add of a single bit plus a
+//     sequence bump, exactly the FAGSet discipline with the dense domain
+//     replaced by the directory. A collect ORs the lanes.
 //
 //   - MonotoneMap — a strongly-linearizable map from string keys to monotone
 //     values: each key is, at its first write, bound to one of two kinds —
-//     a monotone counter (Inc/IncBy) or a max register (Max). Per-key values
-//     stripe over per-process lanes inside the key's bucket, so writes stay
-//     single-XADD and contention-free across lanes; Get combines the lanes
-//     (sum for counters, max for max registers).
+//     a monotone counter (Inc/IncBy) or a max register (Max). A key's slot
+//     holds one value field per lane, so writes stay single-XADD and
+//     contention-free across lanes; Get combines the lanes (sum for
+//     counters, max for max registers).
 //
 // # Strong linearizability
 //
@@ -27,22 +34,24 @@
 // shared step (the closing epoch read) witnesses that no write to the bucket
 // completed its announce inside the window, which pins the collected value
 // to a real instant and makes the commit decision a function of the past
-// only — the prefix-closure that strong linearizability demands. The
-// witness-free twins (single collect, no closing read) are retained
-// unexported and pinned linearizable-but-NOT-SL by the negative model checks
-// in keyed_test.go.
+// only — the prefix-closure that strong linearizability demands. The engine
+// has exactly one such read loop, so the rule holds in one place. The
+// witness-free twins (the same collect, no closing read) live in
+// twins_test.go and are pinned linearizable-but-NOT-SL by the negative model
+// checks in keyed_test.go.
 //
 // # Rehash: growth rides the cutover discipline
 //
-// Bucket counts grow at runtime without losing an acked update, by the PR 8
-// flip-after-migrate recipe. The bucket array lives behind a single table
+// Bucket counts grow at runtime without losing an acked update, by the
+// flip-after-migrate recipe of the snapshot's live re-base. The bucket array lives behind a single table
 // pointer register. Writers hold a shared (read) lock on the rehash gate for
 // the duration of one write; Rehash takes the gate exclusively — so the old
-// table is frozen while it migrates — copies every directory entry's exact
-// value into a new generation of buckets, and only then flips the table
-// pointer. A generation is one named register block per bucket field (words,
-// epochs, bound flags — prim.FetchAddInts/AnyRegisters), not one name per
-// register, so a rehash claims O(1) names however many buckets it builds.
+// table is frozen while it migrates — claims every directory entry in a new
+// generation of buckets, has the layout copy its exact value, and only then
+// flips the table pointer. A generation is one named register block per
+// bucket field (words, epochs, the map's bound flags —
+// prim.FetchAddInts/AnyRegisters), not one name per register, so a rehash
+// claims O(1) names however many buckets it builds.
 // Readers never touch the gate: one table-pointer read inside the op's
 // interval suffices. If a rehash overlaps the read, the old
 // generation it collected from was FROZEN from the gate's acquisition on, so
@@ -54,11 +63,7 @@
 // (migrated exactly) or after the flip (lands in the new generation).
 package keyed
 
-import (
-	"errors"
-
-	"stronglin/internal/interleave"
-)
+import "errors"
 
 // Errors returned by keyed objects. All are terminal for the op that
 // received them; ErrFull is resolved by Rehash to a larger bucket count.
@@ -127,20 +132,17 @@ type config struct {
 	maxBuckets int
 }
 
-func defaults() config {
-	return config{buckets: 8, slots: 16, width: 32, maxBuckets: 1 << 16}
-}
-
 // WithBuckets sets the initial bucket count (default 8).
 func WithBuckets(n int) Option { return func(c *config) { c.buckets = n } }
 
-// WithSlots sets how many distinct keys one bucket hosts (default 16). For
-// a GSet the slot count is also the per-lane field width in bits, so it must
-// be at most interleave.LaneBits.
+// WithSlots sets how many distinct keys one bucket hosts (default 16 for a
+// GSet, 8 for a MonotoneMap). For a GSet the slot count is also the per-lane
+// field width in bits, so it must be at most interleave.LaneBits.
 func WithSlots(n int) Option { return func(c *config) { c.slots = n } }
 
 // WithWidth sets a MonotoneMap's bits per (key, lane) field (default 32,
-// max interleave.LaneBits). The per-lane value cap is 2^width - 1.
+// max interleave.LaneBits). The per-lane value cap is FieldCap,
+// 2^width - 2: one unit is reserved for the max registers' existence bias.
 func WithWidth(bits int) Option { return func(c *config) { c.width = bits } }
 
 // WithMaxBuckets caps Rehash growth (default 1<<16 buckets).
@@ -157,8 +159,4 @@ type Stats struct {
 	Rehashes       int64 // completed rehashes
 	ReadRetries    int64 // validated-collect retries (epoch or table moved)
 	EpochAnnounces int64 // total write announces across current buckets
-}
-
-func mpPayload(c interleave.MultiPacked, word int64) uint64 {
-	return uint64(c.Payload(word))
 }
