@@ -41,8 +41,8 @@ type layout interface {
 	// value no later write can retract.
 	collect(t prim.Thread, b *bucket, e *entry) (v int64, hit bool)
 	// migrate copies old entry oe's exact value into ne, its fresh claim in
-	// bucket ni of the new generation nt. Writers are excluded.
-	migrate(t prim.Thread, ob *bucket, oe *entry, nt *table, ni int, ne *entry)
+	// bucket nb of the new generation. Writers are excluded.
+	migrate(t prim.Thread, ob *bucket, oe *entry, nb *bucket, ne *entry)
 }
 
 type table struct {
@@ -53,6 +53,7 @@ type table struct {
 type bucket struct {
 	words []prim.FetchAddInt
 	epoch prim.FetchAddInt
+	bound []prim.AnyRegister // per slot; the map's grow fills it (see MonotoneMap)
 
 	mu  sync.RWMutex
 	dir map[string]*entry
@@ -110,9 +111,9 @@ func (e *engine) buildTable(gen int64, buckets int) *table {
 	return tb
 }
 
-func (tb *table) index(key string) int { return int(Hash(key) % uint64(len(tb.buckets))) }
-
-func (tb *table) bucket(key string) *bucket { return &tb.buckets[tb.index(key)] }
+func (tb *table) bucket(key string) *bucket {
+	return &tb.buckets[int(Hash(key)%uint64(len(tb.buckets)))]
+}
 
 // claim returns key's directory entry, assigning the next free slot, bound
 // to kind, on first sight. first reports that THIS call made the entry. The
@@ -143,11 +144,10 @@ func (b *bucket) lookup(key string) *entry {
 
 // enter starts a write of key: it reads the table pointer (the caller holds
 // the gate shared) and claims key's entry in its bucket.
-func (e *engine) enter(t prim.Thread, key string, kind Kind) (tb *table, i int, en *entry, first bool, err error) {
-	tb = e.table.ReadAny(t).(*table)
-	i = tb.index(key)
-	en, first, err = tb.buckets[i].claim(key, e.cfg.slots, e.lanes, kind)
-	return tb, i, en, first, err
+func (e *engine) enter(t prim.Thread, key string, kind Kind) (*bucket, *entry, bool, error) {
+	b := e.table.ReadAny(t).(*table).bucket(key)
+	en, first, err := b.claim(key, e.cfg.slots, e.lanes, kind)
+	return b, en, first, err
 }
 
 // lookup reads the table pointer and finds key's entry (nil if absent).
@@ -203,12 +203,12 @@ func (e *engine) Rehash(t prim.Thread, buckets int) error {
 	for i := range old.buckets {
 		ob := &old.buckets[i]
 		for key, oe := range ob.dir {
-			ni := nt.index(key)
-			ne, _, err := nt.buckets[ni].claim(key, e.cfg.slots, e.lanes, oe.kind)
+			nb := nt.bucket(key)
+			ne, _, err := nb.claim(key, e.cfg.slots, e.lanes, oe.kind)
 			if err != nil {
 				return err
 			}
-			e.lay.migrate(t, ob, oe, nt, ni, ne)
+			e.lay.migrate(t, ob, oe, nb, ne)
 		}
 	}
 	e.table.WriteAny(t, nt)

@@ -50,11 +50,10 @@ func (g *GSet) Add(t prim.Thread, key string) error {
 	lane := t.ID() % g.lanes
 	g.gate.RLock()
 	defer g.gate.RUnlock()
-	tb, i, e, _, err := g.enter(t, key, KindNone)
+	b, e, _, err := g.enter(t, key, KindNone)
 	if err != nil || e.shadow[lane] != 0 {
 		return err
 	}
-	b := &tb.buckets[i]
 	b.words[g.codec.WordOf(lane)].FetchAddInt(t, g.codec.Spread(int64(1)<<uint(e.slot), lane)+interleave.SeqIncrement)
 	prim.MarkLinPoint(g.w, t)
 	e.shadow[lane] = 1
@@ -86,8 +85,8 @@ func (g *GSet) collect(t prim.Thread, b *bucket, e *entry) (int64, bool) {
 // migrate sets the key's bit in lane 0 of the new generation: writers are
 // excluded, so directory presence implies some lane's bit landed (claim and
 // XADD share one gate-reader critical section).
-func (g *GSet) migrate(t prim.Thread, _ *bucket, _ *entry, nt *table, ni int, ne *entry) {
-	nt.buckets[ni].words[g.codec.WordOf(0)].FetchAddInt(t,
+func (g *GSet) migrate(t prim.Thread, _ *bucket, _ *entry, nb *bucket, ne *entry) {
+	nb.words[g.codec.WordOf(0)].FetchAddInt(t,
 		g.codec.Spread(int64(1)<<uint(ne.slot), 0)+interleave.SeqIncrement)
 	ne.shadow[0] = 1
 }

@@ -510,7 +510,7 @@ func TestKeyedGSetWitnessFreeNotStrongLin(t *testing.T) {
 // TestKeyedMapStrongLinSameKeyMultiWord: two lanes incrementing one key
 // striped over two words (width=25), with an epoch-validated reader. Two
 // processes — the binding first write's landed-flag step (see
-// MonotoneMap.bound) pushes the dedicated-reader three-process version past
+// MonotoneMap.grow) pushes the dedicated-reader three-process version past
 // any workable node budget. The write/write race still pits binder against non-binder lane,
 // and the reader's two-word validated collect still overlaps the other
 // lane's inc end to end.

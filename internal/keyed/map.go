@@ -42,12 +42,6 @@ import (
 type MonotoneMap struct {
 	engine
 	mask int64 // per-field stored cap: 1<<width - 1; client cap is mask-1
-	// bound[gen&1] holds the landed flags of table generation gen, slot s of
-	// bucket i at [i*slots+s]: written true by the binding first writer
-	// right after its payload XADD. Writers hold the gate, so they only see
-	// the installed table, whose flags a build (of the next generation, the
-	// other parity) never overwrites.
-	bound [2][]prim.AnyRegister
 }
 
 // NewMonotoneMap builds a keyed monotone map for lanes process lanes.
@@ -100,11 +94,10 @@ func (m *MonotoneMap) write(t prim.Thread, key string, kind Kind, x int64) error
 	lane := t.ID() % m.lanes
 	m.gate.RLock()
 	defer m.gate.RUnlock()
-	tb, i, e, first, err := m.enter(t, key, kind)
+	b, e, first, err := m.enter(t, key, kind)
 	if err != nil {
 		return err
 	}
-	flag := m.bound[tb.gen&1][i*m.cfg.slots+e.slot]
 	if e.kind != kind {
 		// The refusal commits "key is bound to the other kind", so it must
 		// linearize after the binding first write — which may not have
@@ -115,7 +108,7 @@ func (m *MonotoneMap) write(t prim.Thread, key string, kind Kind, x int64) error
 		// weak-fairness conditional read (one un-enabled step in the
 		// simulated world, a read spin in the real one), bounded by the
 		// binder's claim→XADD→flag window of two shared steps.
-		prim.AwaitAny(m.w, t, flag, func(v any) bool { return v == true })
+		prim.AwaitAny(m.w, t, b.bound[e.slot], func(v any) bool { return v == true })
 		return ErrKindMismatch
 	}
 	cur, next := e.shadow[lane], x
@@ -127,13 +120,13 @@ func (m *MonotoneMap) write(t prim.Thread, key string, kind Kind, x int64) error
 		return nil
 	}
 	pl := e.slot*m.lanes + lane
-	tb.buckets[i].words[m.codec.WordOf(pl)].FetchAddInt(t, m.codec.FieldDelta(cur, next, pl))
+	b.words[m.codec.WordOf(pl)].FetchAddInt(t, m.codec.FieldDelta(cur, next, pl))
 	prim.MarkLinPoint(m.w, t)
 	e.shadow[lane] = next
 	if first {
-		flag.WriteAny(t, true)
+		b.bound[e.slot].WriteAny(t, true)
 	}
-	tb.buckets[i].epoch.FetchAddInt(t, 1)
+	b.epoch.FetchAddInt(t, 1)
 	return nil
 }
 
@@ -169,8 +162,16 @@ func (m *MonotoneMap) Kind(t prim.Thread, key string) Kind {
 // the field range is reserved for the max registers' existence bias.
 func (m *MonotoneMap) FieldCap() int64 { return m.mask - 1 }
 
+// grow allocates the generation's bound flags as one named block: bucket
+// b's are bound[b*slots : (b+1)*slots]. Slot s's flag is written true by
+// the key's binding first writer right after its payload XADD; a
+// conflicting-kind writer awaits it before refusing (see write).
 func (m *MonotoneMap) grow(tb *table, prefix string) {
-	m.bound[tb.gen&1] = prim.AnyRegisters(m.w, prefix+".bound", len(tb.buckets)*m.cfg.slots, false)
+	ns := m.cfg.slots
+	bound := prim.AnyRegisters(m.w, prefix+".bound", len(tb.buckets)*ns, false)
+	for b := range tb.buckets {
+		tb.buckets[b].bound = bound[b*ns : (b+1)*ns : (b+1)*ns]
+	}
 }
 
 func (m *MonotoneMap) collect(t prim.Thread, b *bucket, e *entry) (int64, bool) {
@@ -193,7 +194,7 @@ func (m *MonotoneMap) collect(t prim.Thread, b *bucket, e *entry) (int64, bool) 
 
 // migrate copies every lane's exact field and marks the slot bound: writers
 // are gate-excluded, so every migrated entry's binding write has landed.
-func (m *MonotoneMap) migrate(t prim.Thread, ob *bucket, oe *entry, nt *table, ni int, ne *entry) {
+func (m *MonotoneMap) migrate(t prim.Thread, ob *bucket, oe *entry, nb *bucket, ne *entry) {
 	for l := 0; l < m.lanes; l++ {
 		opl := oe.slot*m.lanes + l
 		v := m.codec.Lane(ob.words[m.codec.WordOf(opl)].FetchAddInt(t, 0), opl)
@@ -202,7 +203,7 @@ func (m *MonotoneMap) migrate(t prim.Thread, ob *bucket, oe *entry, nt *table, n
 			continue
 		}
 		npl := ne.slot*m.lanes + l
-		nt.buckets[ni].words[m.codec.WordOf(npl)].FetchAddInt(t, m.codec.FieldDelta(0, v, npl))
+		nb.words[m.codec.WordOf(npl)].FetchAddInt(t, m.codec.FieldDelta(0, v, npl))
 	}
-	m.bound[nt.gen&1][ni*m.cfg.slots+ne.slot].WriteAny(t, true)
+	nb.bound[ne.slot].WriteAny(t, true)
 }
