@@ -62,7 +62,8 @@ type bucket struct {
 type entry struct {
 	slot int
 	kind Kind // the map's binding; KindNone in a GSet
-	// shadow[l] mirrors lane l's field value. Each field has a single
+	// shadow[l] mirrors what lane l's field holds for this key: the map's
+	// value, or 1 once the set's bit is set. Each field has a single
 	// writer (the lane owner), so the owner's private mirror is exact and
 	// saves the pre-write word read on the hot path; only lane l's owner
 	// (or Rehash, with writers excluded) ever touches shadow[l].
@@ -165,8 +166,9 @@ func (e *engine) lookup(t prim.Thread, key string) (*bucket, *entry) {
 // comment). A collect hit commits at the word read that observed it. The
 // table pointer is read fresh on every attempt; a rehash overlapping an
 // attempt leaves the old generation frozen, so the epoch witness stays
-// sound. en is nil for a directory miss.
-func (e *engine) read(t prim.Thread, key string) (v int64, en *entry) {
+// sound. It returns the collected value and key's entry, nil for a
+// directory miss.
+func (e *engine) read(t prim.Thread, key string) (int64, *entry) {
 	for {
 		b, en := e.lookup(t, key)
 		if en == nil {
