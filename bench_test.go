@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"stronglin/internal/baseline"
+	"stronglin/internal/cluster"
 	"stronglin/internal/core"
 	"stronglin/internal/history"
 	"stronglin/internal/keyed"
@@ -21,7 +22,9 @@ import (
 	"stronglin/internal/spec"
 )
 
-// The benchmarks regenerate the E-PERF/E-WIDTH tables of EXPERIMENTS.md.
+// The benchmarks time the paper's constructions against their linearizable
+// and universal-primitive comparators; the E-* tags name the experiment
+// families the README's "Benchmarks & experiments" section describes.
 // Parallel benchmarks run exactly benchProcs workers with EXCLUSIVE process
 // identities: the single-writer constructions (per-process lanes, snapshot
 // components) require that at most one goroutine acts as process i.
@@ -175,6 +178,24 @@ func BenchmarkSet(b *testing.B) {
 			}
 		})
 	})
+	b.Run("mutex-map", func(b *testing.B) {
+		var mu sync.Mutex
+		m := make(map[int64]struct{})
+		var next int64
+		parallelWithIDs(b, func(t prim.Thread, i int) {
+			mu.Lock()
+			if i%2 == 0 {
+				next++
+				m[next] = struct{}{}
+			} else {
+				for k := range m {
+					delete(m, k)
+					break
+				}
+			}
+			mu.Unlock()
+		})
+	})
 }
 
 // E-PERF row 8: queues (the impossibility-side objects).
@@ -233,6 +254,23 @@ func BenchmarkShardedCounter(b *testing.B) {
 			parallelWithIDs(b, func(t prim.Thread, i int) { c.Inc(t) })
 		})
 	}
+	// The shards=4-packed row wrapped in the ownership-routing discipline
+	// (internal/cluster): every inc also pays Table.Route's record read,
+	// drain-slot occupy/release and record re-validation. The gap to that
+	// row is the routing tier's per-request protocol cost with no network
+	// in the way.
+	b.Run("shards=4-packed-routed", func(b *testing.B) {
+		w := prim.NewRealWorld()
+		c := shard.NewCounter(w, "c", benchProcs, 4, shard.WithBound(1<<40))
+		tb := cluster.NewTable(w, "route", benchProcs, 0, "counter")
+		noop := func() {}
+		parallelWithIDs(b, func(t prim.Thread, i int) {
+			inc := func(int, int64) error { c.Inc(t); return nil }
+			if err := tb.Route(t, t.ID(), "counter", inc, noop, noop); err != nil {
+				b.Error(err) // a worker goroutine may not call Fatal
+			}
+		})
+	})
 }
 
 func BenchmarkShardedMaxRegister(b *testing.B) {

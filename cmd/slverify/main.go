@@ -110,7 +110,7 @@ func validateD11() {
 		}
 		fmt.Printf("  %-28s (n=%d, k=%d)  %s\n", d.Name, d.N, d.K, verdict)
 	}
-	fmt.Println("  known discrepancies (pinned by tests, see EXPERIMENTS.md E-D11):")
+	fmt.Println("  known discrepancies (pinned by internal/agreement/kordering_test.go):")
 	fmt.Println("   - m-stuttering stack with the paper's n(m+1)+1 pops:")
 	if err := agreement.ValidateDefinition11(agreement.StutteringStackPaperDescriptor(2, 1)); err != nil {
 		fmt.Printf("       %v\n", err)

@@ -183,7 +183,7 @@ func StutteringStackDescriptor(n, m int) Descriptor {
 
 // StutteringStackPaperDescriptor is StutteringStackDescriptor with the
 // paper's dec length n(m+1)+1; it exists so the validator can exhibit the
-// insufficiency (see EXPERIMENTS.md, E-D11 finding 2).
+// insufficiency (pinned by TestStutteringStackPaperLengthInsufficient).
 func StutteringStackPaperDescriptor(n, m int) Descriptor {
 	d := StutteringStackDescriptor(n, m)
 	d.Dec = func(i int) []spec.Op {

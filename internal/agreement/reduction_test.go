@@ -230,7 +230,8 @@ func TestReductionDeterministicAdversaryFailsAgainstSLQueue(t *testing.T) {
 	}
 }
 
-// The violation frequency is a quantitative handle for EXPERIMENTS.md: count
+// The violation frequency is a quantitative handle on Lemma 12, the census
+// examples/setagreement prints over all four implementations: count
 // violations over a fixed seed range for both queues.
 func TestReductionViolationCensus(t *testing.T) {
 	if testing.Short() {

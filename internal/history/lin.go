@@ -1,10 +1,6 @@
 package history
 
-import (
-	"fmt"
-
-	"stronglin/internal/spec"
-)
+import "stronglin/internal/spec"
 
 // LinEntry is one element of a linearization witness.
 type LinEntry struct {
@@ -101,17 +97,4 @@ func allCompletedDone(h History, done bitset) bool {
 		}
 	}
 	return true
-}
-
-// FormatWitness renders a linearization witness.
-func FormatWitness(h History, w []LinEntry) string {
-	byID := make(map[int]OpRecord, len(h.Ops))
-	for _, o := range h.Ops {
-		byID[o.ID] = o
-	}
-	parts := make([]string, len(w))
-	for i, e := range w {
-		parts[i] = fmt.Sprintf("%v=%s", byID[e.OpID].Op, e.Resp)
-	}
-	return fmt.Sprintf("%v", parts)
 }

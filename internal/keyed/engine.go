@@ -116,25 +116,29 @@ func (tb *table) bucket(key string) *bucket {
 	return &tb.buckets[int(Hash(key)%uint64(len(tb.buckets)))]
 }
 
-// claim returns key's directory entry, assigning the next free slot, bound
-// to kind, on first sight. first reports that THIS call made the entry. The
+// claim returns key's directory entry in b, assigning the next free slot,
+// bound to kind, on first sight; the new entry gets shadow, or a zeroed one
+// if shadow is nil. first reports that THIS call made the entry. The
 // critical section performs no shared-memory (prim) step, so it never
 // blocks across a scheduler yield point.
-func (b *bucket) claim(key string, slots, lanes int, kind Kind) (e *entry, first bool, err error) {
-	if e = b.lookup(key); e != nil {
-		return e, false, nil
+func (e *engine) claim(b *bucket, key string, kind Kind, shadow []int64) (en *entry, first bool, err error) {
+	if en = b.lookup(key); en != nil {
+		return en, false, nil
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if e = b.dir[key]; e != nil {
-		return e, false, nil
+	if en = b.dir[key]; en != nil {
+		return en, false, nil
 	}
-	if len(b.dir) >= slots {
+	if len(b.dir) >= e.cfg.slots {
 		return nil, false, ErrFull
 	}
-	e = &entry{slot: len(b.dir), kind: kind, shadow: make([]int64, lanes)}
-	b.dir[key] = e
-	return e, true, nil
+	if shadow == nil {
+		shadow = make([]int64, e.lanes)
+	}
+	en = &entry{slot: len(b.dir), kind: kind, shadow: shadow}
+	b.dir[key] = en
+	return en, true, nil
 }
 
 func (b *bucket) lookup(key string) *entry {
@@ -147,7 +151,7 @@ func (b *bucket) lookup(key string) *entry {
 // the gate shared) and claims key's entry in its bucket.
 func (e *engine) enter(t prim.Thread, key string, kind Kind) (*bucket, *entry, bool, error) {
 	b := e.table.ReadAny(t).(*table).bucket(key)
-	en, first, err := b.claim(key, e.cfg.slots, e.lanes, kind)
+	en, first, err := e.claim(b, key, kind, nil)
 	return b, en, first, err
 }
 
@@ -189,8 +193,18 @@ func (e *engine) read(t prim.Thread, key string) (int64, *entry) {
 // named block per field) and migrates its exact value, then flips the table
 // pointer — flip-after-migrate, so an acked write is either migrated exactly
 // or lands in the new generation. On ErrFull from the target shape the old
-// table stays installed untouched, and a later Rehash builds under fresh
-// names.
+// table stays installed, and a later Rehash builds under fresh names.
+//
+// Each new entry takes its old entry's shadow rather than a fresh copy.
+// Sharing is safe. Writers are gate-excluded, so no lane owner touches a
+// shadow until the flip, and after it only the new entry is written. The
+// map's migrate copies each lane's exact field, which the shadow already
+// mirrors. The set's migrate lands the key's bit in lane 0 and sets
+// shadow[0]; any other lane's 1 still implies membership, which is all a
+// set shadow guards (a repeat add from that lane stays a no-op). An ErrFull
+// abort leaves the old table consistent for the same reasons: the map's
+// shadows are unchanged, and a set entry only gains shadow[0] = 1 for a
+// key that is already a member.
 func (e *engine) Rehash(t prim.Thread, buckets int) error {
 	if buckets < 1 || buckets > e.cfg.maxBuckets {
 		return fmt.Errorf("keyed: bucket count %d outside [1, %d]", buckets, e.cfg.maxBuckets)
@@ -206,7 +220,7 @@ func (e *engine) Rehash(t prim.Thread, buckets int) error {
 		ob := &old.buckets[i]
 		for key, oe := range ob.dir {
 			nb := nt.bucket(key)
-			ne, _, err := nb.claim(key, e.cfg.slots, e.lanes, oe.kind)
+			ne, _, err := e.claim(nb, key, oe.kind, oe.shadow)
 			if err != nil {
 				return err
 			}

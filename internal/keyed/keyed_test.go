@@ -403,36 +403,65 @@ func TestKeyedMapRehashAfterFailedRehash(t *testing.T) {
 	}
 }
 
-// TestKeyedRehashAllocsPerBucket pins the block-allocated generations: an
-// empty 8-lane rehash from 4096 to 8192 buckets makes at most 2 heap
-// objects per new bucket (one named block per field, not a named register
-// per word, epoch and bound flag).
+// TestKeyedRehashAllocsPerBucket pins what one 8-lane rehash from 4096 to
+// 8192 buckets allocates. Empty, it makes at most 2 heap objects per new
+// bucket (one named block per field, not a named register per word, epoch
+// and bound flag). With 4096 resident keys, each migrated key adds its new
+// entry and directory slot but no new lanes x 8 B shadow: the new entry
+// takes the old entry's.
 func TestKeyedRehashAllocsPerBucket(t *testing.T) {
-	const lanes, from, to = 8, 4096, 8192
+	const lanes, from, to, resident = 8, 4096, 8192, 4096
+	// 214 B per key measured with Go 1.24: a 48 B entry plus the new
+	// directory maps' growth. A fresh shadow per key adds 64 B (278 B).
+	const maxBytesPerKey = 246
 	th := prim.RealThread(0)
-	cases := []struct {
-		name   string
-		rehash func() error
-	}{
-		{"map", func() func() error {
-			m := NewMonotoneMap(prim.NewRealWorld(), "km", lanes, WithBuckets(from))
-			return func() error { return m.Rehash(th, to) }
-		}()},
-		{"gset", func() func() error {
-			g := NewGSet(prim.NewRealWorld(), "kg", lanes, WithBuckets(from))
-			return func() error { return g.Rehash(th, to) }
-		}()},
+	keys := make([]string, resident)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%d", i)
 	}
-	for _, c := range cases {
+	cases := []struct {
+		name  string
+		build func(keys []string) func() error
+	}{
+		{"map", func(keys []string) func() error {
+			m := NewMonotoneMap(prim.NewRealWorld(), "km", lanes, WithBuckets(from))
+			for _, k := range keys {
+				if err := m.Inc(th, k); err != nil {
+					t.Fatalf("map: Inc(%s): %v", k, err)
+				}
+			}
+			return func() error { return m.Rehash(th, to) }
+		}},
+		{"gset", func(keys []string) func() error {
+			g := NewGSet(prim.NewRealWorld(), "kg", lanes, WithBuckets(from))
+			for _, k := range keys {
+				if err := g.Add(th, k); err != nil {
+					t.Fatalf("gset: Add(%s): %v", k, err)
+				}
+			}
+			return func() error { return g.Rehash(th, to) }
+		}},
+	}
+	measure := func(name string, rehash func() error) (mallocs, bytes uint64) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := c.rehash()
+		err := rehash()
 		runtime.ReadMemStats(&after)
 		if err != nil {
-			t.Fatalf("%s: Rehash: %v", c.name, err)
+			t.Fatalf("%s: Rehash: %v", name, err)
 		}
-		if per := float64(after.Mallocs-before.Mallocs) / to; per > 2 {
-			t.Errorf("%s: rehash %d->%d made %.1f allocs per new bucket, want <= 2", c.name, from, to, per)
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+	}
+	for _, c := range cases {
+		mallocs, emptyBytes := measure(c.name, c.build(nil))
+		if per := float64(mallocs) / to; per > 2 {
+			t.Errorf("%s: empty rehash %d->%d made %.1f allocs per new bucket, want <= 2", c.name, from, to, per)
+		}
+		_, bytes := measure(c.name, c.build(keys))
+		per := float64(bytes-emptyBytes) / resident
+		if per > maxBytesPerKey {
+			t.Errorf("%s: rehash %d->%d allocated %.1f B per migrated key beyond the empty rehash, want <= %d",
+				c.name, from, to, per, maxBytesPerKey)
 		}
 	}
 }

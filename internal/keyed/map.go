@@ -194,11 +194,12 @@ func (m *MonotoneMap) collect(t prim.Thread, b *bucket, e *entry) (int64, bool) 
 
 // migrate copies every lane's exact field and marks the slot bound: writers
 // are gate-excluded, so every migrated entry's binding write has landed.
+// The fields equal the shadow ne shares with oe, which therefore stays
+// exact.
 func (m *MonotoneMap) migrate(t prim.Thread, ob *bucket, oe *entry, nb *bucket, ne *entry) {
 	for l := 0; l < m.lanes; l++ {
 		opl := oe.slot*m.lanes + l
 		v := m.codec.Lane(ob.words[m.codec.WordOf(opl)].FetchAddInt(t, 0), opl)
-		ne.shadow[l] = v
 		if v == 0 {
 			continue
 		}
