@@ -567,9 +567,9 @@ func BenchmarkKeyedMap(b *testing.B) {
 
 // E-KEYED: one empty rehash, 4096 -> 8192 buckets at 8 lanes and default
 // shapes (map: 64 words + 8 bound flags per bucket; gset: 3 words). A
-// bucket generation is one named block per field, so allocs/op stays near
-// one per new bucket (its directory map) rather than one named register per
-// word, epoch and bound flag. Run with -benchmem.
+// bucket generation is one flat block per field and a directory is made at
+// its bucket's first key, so allocs/op is a handful per rehash, not one or
+// more per new bucket. Run with -benchmem.
 func BenchmarkKeyedRehash(b *testing.B) {
 	const lanes, from, to = 8, 4096, 8192
 	th := prim.RealThread(0)

@@ -36,9 +36,9 @@ import (
 // another.
 const keyPartitions = 4
 
-// kmaxKeyLen caps client-supplied keys. Keys index directory maps and ride
-// in query strings; an unbounded key is an allocation a single request
-// controls.
+// kmaxKeyLen caps client-supplied keys. Keys are stored in directory
+// entries, compared on every lookup and ride in query strings; an unbounded
+// key is an allocation a single request controls.
 const kmaxKeyLen = 128
 
 func keyedPartition(key string) int {

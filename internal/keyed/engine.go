@@ -50,16 +50,22 @@ type table struct {
 	buckets []bucket
 }
 
+// bucket is one k-XADD engine. Its registers are views into its
+// generation's blocks; its directory is outside the shared-memory model.
 type bucket struct {
-	words []prim.FetchAddInt
+	words prim.FetchAddIntBlock
 	epoch prim.FetchAddInt
-	bound []prim.AnyRegister // per slot; the map's grow fills it (see MonotoneMap)
+	bound prim.AnyRegisterBlock // per slot; the map's grow fills it (see MonotoneMap)
 
-	mu  sync.RWMutex
-	dir map[string]*entry
+	mu sync.RWMutex
+	// dir[i] is the key in slot i, so dir[i].slot == i. Slots are handed
+	// out in claim order and never freed; the slice is allocated at the
+	// bucket's first claim with room for every slot.
+	dir []*entry
 }
 
 type entry struct {
+	key  string
 	slot int
 	kind Kind // the map's binding; KindNone in a GSet
 	// shadow[l] mirrors what lane l's field holds for this key: the map's
@@ -104,9 +110,8 @@ func (e *engine) buildTable(gen int64, buckets int) *table {
 	tb := &table{gen: gen, buckets: make([]bucket, buckets)}
 	for b := range tb.buckets {
 		bk := &tb.buckets[b]
-		bk.words = words[b*nw : (b+1)*nw : (b+1)*nw]
-		bk.epoch = epochs[b]
-		bk.dir = make(map[string]*entry)
+		bk.words = words.Slice(b*nw, (b+1)*nw)
+		bk.epoch = epochs.At(b)
 	}
 	e.lay.grow(tb, prefix)
 	return tb
@@ -127,24 +132,37 @@ func (e *engine) claim(b *bucket, key string, kind Kind, shadow []int64) (en *en
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if en = b.dir[key]; en != nil {
+	if en = b.find(key); en != nil {
 		return en, false, nil
 	}
 	if len(b.dir) >= e.cfg.slots {
 		return nil, false, ErrFull
 	}
+	if b.dir == nil {
+		b.dir = make([]*entry, 0, e.cfg.slots)
+	}
 	if shadow == nil {
 		shadow = make([]int64, e.lanes)
 	}
-	en = &entry{slot: len(b.dir), kind: kind, shadow: shadow}
-	b.dir[key] = en
+	en = &entry{key: key, slot: len(b.dir), kind: kind, shadow: shadow}
+	b.dir = append(b.dir, en)
 	return en, true, nil
 }
 
 func (b *bucket) lookup(key string) *entry {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return b.dir[key]
+	return b.find(key)
+}
+
+// find scans the directory for key; the caller holds b.mu.
+func (b *bucket) find(key string) *entry {
+	for _, en := range b.dir {
+		if en.key == key {
+			return en
+		}
+	}
+	return nil
 }
 
 // enter starts a write of key: it reads the table pointer (the caller holds
@@ -191,7 +209,9 @@ func (e *engine) read(t prim.Thread, key string) (int64, *entry) {
 // so concurrent growers don't compound). It blocks writers on the gate,
 // claims every key of the frozen directory in a new bucket generation (one
 // named block per field) and migrates its exact value, then flips the table
-// pointer — flip-after-migrate, so an acked write is either migrated exactly
+// pointer. Keys migrate bucket by bucket in slot order, so a table built from
+// the same key sequence rehashes to the same slots every time. It is
+// flip-after-migrate, so an acked write is either migrated exactly
 // or lands in the new generation. On ErrFull from the target shape the old
 // table stays installed, and a later Rehash builds under fresh names.
 //
@@ -218,9 +238,9 @@ func (e *engine) Rehash(t prim.Thread, buckets int) error {
 	nt := e.buildTable(old.gen+1, buckets)
 	for i := range old.buckets {
 		ob := &old.buckets[i]
-		for key, oe := range ob.dir {
-			nb := nt.bucket(key)
-			ne, _, err := e.claim(nb, key, oe.kind, oe.shadow)
+		for _, oe := range ob.dir {
+			nb := nt.bucket(oe.key)
+			ne, _, err := e.claim(nb, oe.key, oe.kind, oe.shadow)
 			if err != nil {
 				return err
 			}

@@ -54,7 +54,7 @@ func (g *GSet) Add(t prim.Thread, key string) error {
 	if err != nil || e.shadow[lane] != 0 {
 		return err
 	}
-	b.words[g.codec.WordOf(lane)].FetchAddInt(t, g.codec.Spread(int64(1)<<uint(e.slot), lane)+interleave.SeqIncrement)
+	b.words.At(g.codec.WordOf(lane)).FetchAddInt(t, g.codec.Spread(int64(1)<<uint(e.slot), lane)+interleave.SeqIncrement)
 	prim.MarkLinPoint(g.w, t)
 	e.shadow[lane] = 1
 	b.epoch.FetchAddInt(t, 1)
@@ -74,8 +74,8 @@ func (g *GSet) grow(*table, string) {}
 
 func (g *GSet) collect(t prim.Thread, b *bucket, e *entry) (int64, bool) {
 	mask := g.slotMask[e.slot]
-	for wi := range b.words {
-		if uint64(g.codec.Payload(b.words[wi].FetchAddInt(t, 0)))&mask != 0 {
+	for wi := range b.words.Len() {
+		if uint64(g.codec.Payload(b.words.At(wi).FetchAddInt(t, 0)))&mask != 0 {
 			return 1, true
 		}
 	}
@@ -86,7 +86,7 @@ func (g *GSet) collect(t prim.Thread, b *bucket, e *entry) (int64, bool) {
 // excluded, so directory presence implies some lane's bit landed (claim and
 // XADD share one gate-reader critical section).
 func (g *GSet) migrate(t prim.Thread, _ *bucket, _ *entry, nb *bucket, ne *entry) {
-	nb.words[g.codec.WordOf(0)].FetchAddInt(t,
+	nb.words.At(g.codec.WordOf(0)).FetchAddInt(t,
 		g.codec.Spread(int64(1)<<uint(ne.slot), 0)+interleave.SeqIncrement)
 	ne.shadow[0] = 1
 }

@@ -4,13 +4,14 @@
 //
 // Both objects are one construction. Keys hash (fnv-1a 64) to buckets; each
 // bucket is its own k-XADD engine on the interleave.MultiPacked codec, with
-// a directory that assigns slots to keys first-come-first-served. A key owns
-// one fetch&add field per writer lane, and a read collects the key's words
-// and validates them with a closing witness read. One unexported engine
-// (engine.go) holds everything the two share: the table pointer, the bucket
-// directory, the validated read, Rehash and Stats. The objects are two
-// layouts over it, each saying only what a field holds, what a write adds
-// and how a collect combines:
+// a directory that assigns slots to keys first-come-first-served: entry i of
+// the directory array holds slot i's key, and a lookup scans at most `slots`
+// entries. A key owns one fetch&add field per writer lane, and a read
+// collects the key's words and validates them with a closing witness read.
+// One unexported engine (engine.go) holds everything the two share: the
+// table pointer, the bucket directory, the validated read, Rehash and Stats.
+// The objects are two layouts over it, each saying only what a field holds,
+// what a write adds and how a collect combines:
 //
 //   - GSet — a grow-only set over string keys. Lane l's field in a bucket is
 //     a slot-bitmap, so an add is ONE fetch&add of a single bit plus a
@@ -43,15 +44,17 @@
 // # Rehash: growth rides the cutover discipline
 //
 // Bucket counts grow at runtime without losing an acked update, by the
-// flip-after-migrate recipe of the snapshot's live re-base. The bucket array lives behind a single table
-// pointer register. Writers hold a shared (read) lock on the rehash gate for
-// the duration of one write; Rehash takes the gate exclusively — so the old
-// table is frozen while it migrates — claims every directory entry in a new
-// generation of buckets, has the layout copy its exact value, and only then
-// flips the table pointer. A generation is one named register block per
-// bucket field (words, epochs, the map's bound flags —
-// prim.FetchAddInts/AnyRegisters), not one name per register, so a rehash
-// claims O(1) names however many buckets it builds.
+// flip-after-migrate recipe of the snapshot's live re-base. The bucket array
+// lives behind a single table pointer register. Writers hold a shared (read)
+// lock on the rehash gate for the duration of one write; Rehash takes the
+// gate exclusively — so the old table is frozen while it migrates — claims
+// every directory entry in a new generation of buckets, in slot order, has
+// the layout copy its exact value, and only then flips the table pointer. A
+// generation is one named register block per bucket field (words, epochs,
+// the map's bound flags — prim.FetchAddInts/AnyRegisters), and a bucket's
+// registers are views into those blocks. A rehash thus claims O(1) names
+// however many buckets it builds; the real world backs each block with one
+// flat slice, and a bucket's directory is allocated at its first key.
 // Readers never touch the gate: one table-pointer read inside the op's
 // interval suffices. If a rehash overlaps the read, the old
 // generation it collected from was FROZEN from the gate's acquisition on, so

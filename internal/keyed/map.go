@@ -108,7 +108,7 @@ func (m *MonotoneMap) write(t prim.Thread, key string, kind Kind, x int64) error
 		// weak-fairness conditional read (one un-enabled step in the
 		// simulated world, a read spin in the real one), bounded by the
 		// binder's claim→XADD→flag window of two shared steps.
-		prim.AwaitAny(m.w, t, b.bound[e.slot], func(v any) bool { return v == true })
+		prim.AwaitAny(m.w, t, b.bound.At(e.slot), func(v any) bool { return v == true })
 		return ErrKindMismatch
 	}
 	cur, next := e.shadow[lane], x
@@ -120,11 +120,11 @@ func (m *MonotoneMap) write(t prim.Thread, key string, kind Kind, x int64) error
 		return nil
 	}
 	pl := e.slot*m.lanes + lane
-	b.words[m.codec.WordOf(pl)].FetchAddInt(t, m.codec.FieldDelta(cur, next, pl))
+	b.words.At(m.codec.WordOf(pl)).FetchAddInt(t, m.codec.FieldDelta(cur, next, pl))
 	prim.MarkLinPoint(m.w, t)
 	e.shadow[lane] = next
 	if first {
-		b.bound[e.slot].WriteAny(t, true)
+		b.bound.At(e.slot).WriteAny(t, true)
 	}
 	b.epoch.FetchAddInt(t, 1)
 	return nil
@@ -170,7 +170,7 @@ func (m *MonotoneMap) grow(tb *table, prefix string) {
 	ns := m.cfg.slots
 	bound := prim.AnyRegisters(m.w, prefix+".bound", len(tb.buckets)*ns, false)
 	for b := range tb.buckets {
-		tb.buckets[b].bound = bound[b*ns : (b+1)*ns : (b+1)*ns]
+		tb.buckets[b].bound = bound.Slice(b*ns, (b+1)*ns)
 	}
 }
 
@@ -180,7 +180,7 @@ func (m *MonotoneMap) collect(t prim.Thread, b *bucket, e *entry) (int64, bool) 
 	perWord := m.codec.LanesPerWord()
 	var acc int64
 	for wi := m.codec.WordOf(lo); wi <= m.codec.WordOf(hi); wi++ {
-		word := b.words[wi].FetchAddInt(t, 0)
+		word := b.words.At(wi).FetchAddInt(t, 0)
 		for pl := max(lo, wi*perWord); pl <= min(hi, wi*perWord+perWord-1); pl++ {
 			if v := m.codec.Lane(word, pl); e.kind == KindMax {
 				acc = max(acc, v)
@@ -199,12 +199,12 @@ func (m *MonotoneMap) collect(t prim.Thread, b *bucket, e *entry) (int64, bool) 
 func (m *MonotoneMap) migrate(t prim.Thread, ob *bucket, oe *entry, nb *bucket, ne *entry) {
 	for l := 0; l < m.lanes; l++ {
 		opl := oe.slot*m.lanes + l
-		v := m.codec.Lane(ob.words[m.codec.WordOf(opl)].FetchAddInt(t, 0), opl)
+		v := m.codec.Lane(ob.words.At(m.codec.WordOf(opl)).FetchAddInt(t, 0), opl)
 		if v == 0 {
 			continue
 		}
 		npl := ne.slot*m.lanes + l
-		nb.words[m.codec.WordOf(npl)].FetchAddInt(t, m.codec.FieldDelta(0, v, npl))
+		nb.words.At(m.codec.WordOf(npl)).FetchAddInt(t, m.codec.FieldDelta(0, v, npl))
 	}
-	nb.bound[ne.slot].WriteAny(t, true)
+	nb.bound.At(ne.slot).WriteAny(t, true)
 }

@@ -16,49 +16,104 @@ import (
 // lazily allocating them does not perturb determinism.
 //
 // Finite arrays allocated all at once go through FetchAddInts and
-// AnyRegisters instead. A block named "A" of n objects reserves the name "A"
-// and every element name "A[0]" .. "A[n-1]", exactly as if each element had
-// been allocated under its own name: a world that backs the block with one
-// contiguous allocation (BlockAllocator) still panics on a block over a
-// claimed name, on an individual claim of "A[i]" against the block, and on a
-// block over a base whose elements were claimed one by one. Worlds without
-// the capability get the n individually named objects, so the simulated world
-// sees the same objects, stepped the same way.
+// AnyRegisters instead, which return a block value rather than one interface
+// per element. A block named "A" of n objects reserves the name "A" and every
+// element name "A[0]" .. "A[n-1]", exactly as if each element had been
+// allocated under its own name. The real world backs the block with one flat
+// slice under one name claim, and still panics on a block over a claimed
+// name, on an individual claim of "A[i]" against the block, and on a block
+// over a base whose elements were claimed one by one. Every other world backs
+// it with the n individually named objects, so the simulated world sees the
+// same objects, stepped the same way: element i of a block is the object
+// named "A[i]".
 
-// BlockAllocator is implemented by worlds that can back a block of n
-// same-kind base objects with a single allocation and a single name claim
-// (the real world). It is an optional capability, like Awaiter: the element
-// objects behave exactly like individually allocated ones.
-type BlockAllocator interface {
-	FetchAddInts(name string, n int, init int64) []FetchAddInt
-	AnyRegisters(name string, n int, init any) []AnyRegister
+// FetchAddIntBlock is a block of machine-word fetch&add registers (see
+// FetchAddInts). The zero value is an empty block.
+type FetchAddIntBlock struct {
+	flat []realFetchAddInt // the real world's backing
+	objs []FetchAddInt     // every other world's: objs[i] is named name[i]
 }
 
 // FetchAddInts allocates n machine-word fetch&add registers, each initially
 // init, as the block name (elements name[0] .. name[n-1]; see the block
 // reservation rule above).
-func FetchAddInts(w World, name string, n int, init int64) []FetchAddInt {
-	if b, ok := w.(BlockAllocator); ok {
-		return b.FetchAddInts(name, n, init)
+func FetchAddInts(w World, name string, n int, init int64) FetchAddIntBlock {
+	if rw, ok := w.(*RealWorld); ok {
+		rw.claimBlock(name, n)
+		flat := make([]realFetchAddInt, n)
+		for i := range flat {
+			flat[i].v.Store(init)
+		}
+		return FetchAddIntBlock{flat: flat}
 	}
-	out := make([]FetchAddInt, n)
-	for i := range out {
-		out[i] = w.FetchAddInt(indexName(name, i), init)
+	objs := make([]FetchAddInt, n)
+	for i := range objs {
+		objs[i] = w.FetchAddInt(indexName(name, i), init)
 	}
-	return out
+	return FetchAddIntBlock{objs: objs}
+}
+
+// Len returns the number of registers in the block.
+func (b FetchAddIntBlock) Len() int { return len(b.flat) + len(b.objs) }
+
+// At returns register i of the block.
+func (b FetchAddIntBlock) At(i int) FetchAddInt {
+	if b.flat != nil {
+		return &b.flat[i]
+	}
+	return b.objs[i]
+}
+
+// Slice returns the view of registers lo .. hi-1, sharing their storage.
+func (b FetchAddIntBlock) Slice(lo, hi int) FetchAddIntBlock {
+	if b.flat != nil {
+		return FetchAddIntBlock{flat: b.flat[lo:hi:hi]}
+	}
+	return FetchAddIntBlock{objs: b.objs[lo:hi:hi]}
+}
+
+// AnyRegisterBlock is a block of opaque-value registers (see AnyRegisters).
+// The zero value is an empty block.
+type AnyRegisterBlock struct {
+	flat []realAnyRegister
+	objs []AnyRegister
 }
 
 // AnyRegisters allocates n opaque-value registers, each initially init, as
 // the block name (elements name[0] .. name[n-1]).
-func AnyRegisters(w World, name string, n int, init any) []AnyRegister {
-	if b, ok := w.(BlockAllocator); ok {
-		return b.AnyRegisters(name, n, init)
+func AnyRegisters(w World, name string, n int, init any) AnyRegisterBlock {
+	if rw, ok := w.(*RealWorld); ok {
+		rw.claimBlock(name, n)
+		flat := make([]realAnyRegister, n)
+		for i := range flat {
+			flat[i].v.Store(init)
+		}
+		return AnyRegisterBlock{flat: flat}
 	}
-	out := make([]AnyRegister, n)
-	for i := range out {
-		out[i] = w.AnyRegister(indexName(name, i), init)
+	objs := make([]AnyRegister, n)
+	for i := range objs {
+		objs[i] = w.AnyRegister(indexName(name, i), init)
 	}
-	return out
+	return AnyRegisterBlock{objs: objs}
+}
+
+// Len returns the number of registers in the block.
+func (b AnyRegisterBlock) Len() int { return len(b.flat) + len(b.objs) }
+
+// At returns register i of the block.
+func (b AnyRegisterBlock) At(i int) AnyRegister {
+	if b.flat != nil {
+		return &b.flat[i]
+	}
+	return b.objs[i]
+}
+
+// Slice returns the view of registers lo .. hi-1, sharing their storage.
+func (b AnyRegisterBlock) Slice(lo, hi int) AnyRegisterBlock {
+	if b.flat != nil {
+		return AnyRegisterBlock{flat: b.flat[lo:hi:hi]}
+	}
+	return AnyRegisterBlock{objs: b.objs[lo:hi:hi]}
 }
 
 // TASArray is an infinite array of readable test&set objects.

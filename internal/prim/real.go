@@ -12,9 +12,10 @@ import (
 // hardware concurrency (stress tests, benchmarks). Object names must be
 // unique, and a block (FetchAddInts, AnyRegisters) named "A" of n objects
 // reserves "A" and every element name "A[0]" .. "A[n-1]" — while claiming
-// only the one name and backing the elements with one contiguous slice, so a
-// block costs O(1) names however large it is. Any overlap between blocks and
-// individually named objects panics; allocation is safe for concurrent use.
+// only the one name and backing the elements with one flat slice, so a block
+// costs O(1) names and one allocation however large it is. Any overlap
+// between blocks and individually named objects panics; allocation is safe
+// for concurrent use.
 type RealWorld struct {
 	mu    sync.Mutex
 	names map[string]struct{}
@@ -28,7 +29,6 @@ type RealWorld struct {
 
 var _ World = (*RealWorld)(nil)
 var _ Awaiter = (*RealWorld)(nil)
-var _ BlockAllocator = (*RealWorld)(nil)
 
 // AwaitAny implements Awaiter by spinning on the register, yielding the
 // processor between probes. The real scheduler provides the weak fairness the
@@ -87,32 +87,6 @@ func (w *RealWorld) claimBlock(name string, n int) {
 
 func panicDuplicate(name string) {
 	panic(fmt.Sprintf("prim: duplicate base object name %q", name))
-}
-
-// FetchAddInts allocates a block of n machine-word fetch&add registers backed
-// by one contiguous slice.
-func (w *RealWorld) FetchAddInts(name string, n int, init int64) []FetchAddInt {
-	w.claimBlock(name, n)
-	block := make([]realFetchAddInt, n)
-	out := make([]FetchAddInt, n)
-	for i := range block {
-		block[i].v.Store(init)
-		out[i] = &block[i]
-	}
-	return out
-}
-
-// AnyRegisters allocates a block of n opaque-value registers backed by one
-// contiguous slice.
-func (w *RealWorld) AnyRegisters(name string, n int, init any) []AnyRegister {
-	w.claimBlock(name, n)
-	block := make([]realAnyRegister, n)
-	out := make([]AnyRegister, n)
-	for i := range block {
-		block[i].v.Store(init)
-		out[i] = &block[i]
-	}
-	return out
 }
 
 // Register allocates an atomic read/write register.

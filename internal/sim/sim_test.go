@@ -381,9 +381,10 @@ func TestDuplicateObjectNamePanics(t *testing.T) {
 	w.TAS("x")
 }
 
-// TestBlockFallbackNamesElements: the simulated world has no block
-// capability, so a prim block is n objects named name[i], each its own base
-// object at the block's init, and its duplicate check guards every element.
+// TestBlockFallbackNamesElements: only the real world backs a prim block
+// with a flat slice, so in the simulated world a block is n objects named
+// name[i], each its own base object at the block's init, and its duplicate
+// check guards every element.
 func TestBlockFallbackNamesElements(t *testing.T) {
 	w := NewSoloWorld()
 	prim.FetchAddInts(w, "blk", 2, 5)
@@ -402,6 +403,36 @@ func TestBlockFallbackNamesElements(t *testing.T) {
 		}
 	}()
 	w.Register("blk[1]", 0)
+}
+
+// TestBlockElementIsNamedObject: element i of a block, and element j of a
+// Slice(lo, hi) view, is the simulated object named name[i] (name[lo+j]), so
+// an engine stepping a block steps exactly the objects a per-name
+// allocation would have, and model checks see the same trees.
+func TestBlockElementIsNamedObject(t *testing.T) {
+	w := NewSoloWorld()
+	th := SoloThread(0)
+	fs := prim.FetchAddInts(w, "f", 4, 0)
+	rs := prim.AnyRegisters(w, "r", 3, false)
+	if fs.Len() != 4 || rs.Len() != 3 {
+		t.Fatalf("Len = %d, %d; want 4, 3", fs.Len(), rs.Len())
+	}
+	for i := 0; i < fs.Len(); i++ {
+		fs.At(i).FetchAddInt(th, int64(10+i))
+	}
+	view := fs.Slice(1, 3)
+	view.At(1).FetchAddInt(th, 100) // f[2]
+	for i, want := range []int64{10, 11, 112, 13} {
+		if st, ok := w.PeekObject(fmt.Sprintf("f[%d]", i)); !ok || st.I64 != want {
+			t.Fatalf("f[%d] = %+v, %v; want %d", i, st, ok, want)
+		}
+	}
+	rs.Slice(1, 3).At(1).WriteAny(th, true) // r[2]
+	for i, want := range []any{false, false, true} {
+		if st, ok := w.PeekObject(fmt.Sprintf("r[%d]", i)); !ok || st.Val != want {
+			t.Fatalf("r[%d] = %+v, %v; want %v", i, st, ok, want)
+		}
+	}
 }
 
 func TestExecutionStringIsStable(t *testing.T) {

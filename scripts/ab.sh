@@ -9,8 +9,10 @@
 # runs first switching each pair so drift on the host does not favour
 # either side. A workload whose compare table still has an `unresolved` row
 # (run-to-run spread above the bound) then gets further pairs, one at a
-# time, until none is left or it has run 10 pairs; rows still unresolved at
-# that cap are printed. Each side's runs land in a JSONL file under
+# time, until none is left or it has run 10 pairs. Each row still unresolved
+# at that cap is printed with the side whose spread exceeds the bound (base,
+# head or both) and by how much, so a claim that a noisy base blocks shows in
+# the gate's own output. Each side's runs land in a JSONL file under
 # .bench_build/ab/, and the script exits with `benchmark/run.sh compare base
 # head`'s status: 1 if any end-to-end metric of head is worse than base's by
 # more than its BENCHMARK.json bound. A run that checks a wrong answer also
@@ -62,6 +64,32 @@ compare() { bash benchmark/run.sh compare "$out/base.jsonl" "$out/head.jsonl"; }
 # unresolved prints the compare rows whose verdict is unresolved.
 unresolved() { { compare || true; } | awk '$NF == "unresolved"'; }
 
+# noisy reads unresolved compare rows and names, for each, the side whose
+# spread (interquartile distance over median, as compare computes it from the
+# quartiles it prints) exceeds the row's bound, and by how many points.
+noisy() {
+  awk -v bounds="$(python3 -c 'import json; [print(m["name"], m["bound"]) for m in json.load(open("BENCHMARK.json"))["end_to_end"]]')" '
+    BEGIN {
+      n = split(bounds, lines, "\n")
+      for (i = 1; i <= n; i++) { split(lines[i], f, " "); bound[f[1]] = 100 * f[2] }
+    }
+    function spread(med, q1, q3,   d) {
+      d = q3 - q1
+      if (med == 0) return 0
+      return 100 * (d < 0 ? -d : d) / (med < 0 ? -med : med)
+    }
+    function side(name, s, bd) {
+      return s > bd ? sprintf("%s %.1f%% (%.1f points over)", name, s, s - bd) : sprintf("%s %.1f%%", name, s)
+    }
+    {
+      gsub(/[][,]/, " ")
+      $0 = $0 # medA q1A q3A medB q1B q3B are now $3..$8
+      bd = bound[$2]; a = spread($3, $4, $5); b = spread($6, $7, $8)
+      who = (a > bd && b > bd) ? "both" : (a > bd ? "base" : "head")
+      printf "ab: %s %s: %s spread above the %.0f%% bound; %s, %s\n", $1, $2, who, bd, side("base", a, bd), side("head", b, bd)
+    }'
+}
+
 for seed in 1 2 3; do
   pair "$seed" $workloads
 done
@@ -74,6 +102,7 @@ left=$(unresolved)
 if [ -n "$left" ]; then
   echo "ab: rows still unresolved at the 10-pair cap:" >&2
   echo "$left" >&2
+  echo "$left" | noisy >&2
 fi
 
 compare
