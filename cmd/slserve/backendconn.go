@@ -12,6 +12,7 @@ import (
 	"net/http/httputil"
 	neturl "net/url"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -48,6 +49,13 @@ type backendConn struct {
 	c   net.Conn
 	br  *bufio.Reader
 	req []byte // request buffer, reused per connection
+
+	// ctx is the context whose end tears the connection down, and stop
+	// unregisters that teardown. The registration outlives an exchange:
+	// the data path runs every exchange under the listener's context, so
+	// it registers once per connection instead of once per round trip.
+	ctx  context.Context
+	stop func() bool
 }
 
 // newBackendPool parses a backend base URL, which must be http://host[:port].
@@ -65,12 +73,12 @@ func newBackendPool(base string, timeout time.Duration, maxIdle int, dials *obs.
 }
 
 // roundTrip sends method uri carrying X-SL-Gen: gen and returns the status
-// and the body, which the caller owns. Any error or Connection: close closes
+// and dst with the body appended. Any error or Connection: close closes
 // the connection; otherwise it returns to the idle pool. The pool replays
 // only what net/http would: a GET whose reused idle connection failed before
 // any response byte arrived is redialed once. A POST is never replayed here.
-func (p *backendPool) roundTrip(ctx context.Context, method, uri string, gen int64) (code int, body []byte, err error) {
-	bc := p.get()
+func (p *backendPool) roundTrip(ctx context.Context, method, uri string, gen int64, dst []byte) (code int, body []byte, err error) {
+	bc := p.get(ctx)
 	reused := bc != nil
 	for {
 		if bc == nil {
@@ -79,11 +87,11 @@ func (p *backendPool) roundTrip(ctx context.Context, method, uri string, gen int
 			}
 		}
 		var keep, silent bool
-		code, body, keep, silent, err = p.exchange(ctx, bc, method, uri, gen)
+		code, body, keep, silent, err = p.exchange(ctx, bc, method, uri, gen, dst)
 		if err == nil && keep {
 			p.put(bc)
 		} else {
-			bc.c.Close()
+			bc.close()
 		}
 		if err == nil || !reused || !silent || ctx.Err() != nil || errors.Is(err, os.ErrDeadlineExceeded) {
 			break
@@ -96,7 +104,7 @@ func (p *backendPool) roundTrip(ctx context.Context, method, uri string, gen int
 		}
 		bc, reused = nil, false
 	}
-	if err != nil && ctx.Err() != nil {
+	if err != nil && ctx.Err() != nil && err != ctx.Err() {
 		err = fmt.Errorf("%w: %v", ctx.Err(), err)
 	}
 	return code, body, err
@@ -106,13 +114,17 @@ func (p *backendPool) roundTrip(ctx context.Context, method, uri string, gen int
 // before any response byte arrived. A cancelled ctx tears the connection
 // down by moving its deadline into the past; since that teardown can land
 // after the exchange returns, such a connection is never kept.
-func (p *backendPool) exchange(ctx context.Context, bc *backendConn, method, uri string, gen int64) (code int, body []byte, keep, silent bool, err error) {
+func (p *backendPool) exchange(ctx context.Context, bc *backendConn, method, uri string, gen int64, dst []byte) (code int, body []byte, keep, silent bool, err error) {
 	if err = bc.c.SetDeadline(time.Now().Add(p.timeout)); err != nil {
 		return 0, nil, false, true, err
 	}
-	stop := context.AfterFunc(ctx, func() { bc.c.SetDeadline(time.Unix(1, 0)) })
+	// Checked after the deadline is set: a teardown that ran before the
+	// set would be overwritten by it, so its context must be seen here.
+	if err = ctx.Err(); err != nil {
+		return 0, nil, false, true, err
+	}
 	defer func() {
-		if !stop() {
+		if ctx.Err() != nil {
 			keep = false
 		}
 	}()
@@ -133,14 +145,40 @@ func (p *backendPool) exchange(ctx context.Context, bc *backendConn, method, uri
 	if _, err = bc.br.Peek(1); err != nil {
 		return 0, nil, false, true, err
 	}
-	code, body, keep, err = readResponse(bc.br, method)
+	code, body, keep, err = readResponse(bc.br, method, dst)
 	return code, body, keep, false, err
 }
 
-// readResponse parses one HTTP/1.1 response in place. Only three headers
-// matter: Content-Length, Transfer-Encoding: chunked (a large graceful gset
-// seed read is chunked) and Connection: close. keep is false on any error.
-func readResponse(br *bufio.Reader, method string) (code int, body []byte, keep bool, err error) {
+// watch makes ctx's end tear bc down mid-exchange. It reports false when
+// the teardown of the context bc watched before already ran, which leaves
+// bc's deadline unusable.
+func (bc *backendConn) watch(ctx context.Context) bool {
+	if bc.ctx == ctx {
+		return true
+	}
+	if bc.stop != nil && !bc.stop() {
+		return false
+	}
+	bc.ctx, bc.stop = ctx, nil
+	if ctx.Done() != nil {
+		bc.stop = context.AfterFunc(ctx, func() { bc.c.SetDeadline(time.Unix(1, 0)) })
+	}
+	return true
+}
+
+// close closes the connection and drops its teardown registration.
+func (bc *backendConn) close() {
+	if bc.stop != nil {
+		bc.stop()
+	}
+	bc.c.Close()
+}
+
+// readResponse parses one HTTP/1.1 response in place and appends its body
+// to dst. Only three headers matter: Content-Length, Transfer-Encoding:
+// chunked (a large graceful gset seed read is chunked) and Connection:
+// close. keep is false on any error.
+func readResponse(br *bufio.Reader, method string, dst []byte) (code int, body []byte, keep bool, err error) {
 	line, err := br.ReadSlice('\n')
 	if err != nil {
 		return 0, nil, false, err
@@ -189,17 +227,20 @@ func readResponse(br *bufio.Reader, method string) (code int, body []byte, keep 
 	if code == http.StatusOK {
 		limit = okBodyLimit
 	}
+	body = dst
 	switch {
 	case method == http.MethodHead:
 	case chunked:
 		cr := httputil.NewChunkedReader(br)
-		if body, err = io.ReadAll(io.LimitReader(cr, int64(limit)+1)); err == nil && len(body) > limit {
+		var b []byte
+		if b, err = io.ReadAll(io.LimitReader(cr, int64(limit)+1)); err == nil && len(b) > limit {
 			if code == http.StatusOK {
 				return 0, nil, false, errors.New("backend answer over the body limit")
 			}
-			body = body[:limit]
+			b = b[:limit]
 			_, err = io.Copy(io.Discard, cr)
 		}
+		body = append(body, b...)
 		for err == nil { // the trailer section, ended by an empty line
 			if h, lerr := br.ReadSlice('\n'); lerr != nil {
 				err = lerr
@@ -211,8 +252,9 @@ func readResponse(br *bufio.Reader, method string) (code int, body []byte, keep 
 		if length > limit && code == http.StatusOK {
 			return 0, nil, false, fmt.Errorf("backend answer of %d bytes over the body limit", length)
 		}
-		body = make([]byte, min(length, limit))
-		if _, err = io.ReadFull(br, body); err == nil && length > limit {
+		n := min(length, limit)
+		body = slices.Grow(body, n)[:len(body)+n]
+		if _, err = io.ReadFull(br, body[len(dst):]); err == nil && length > limit {
 			_, err = br.Discard(length - limit)
 		}
 	default:
@@ -247,20 +289,29 @@ func (p *backendPool) dial(ctx context.Context) (*backendConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &backendConn{c: c, br: bufio.NewReader(c)}, nil
+	bc := &backendConn{c: c, br: bufio.NewReader(c)}
+	bc.watch(ctx)
+	return bc, nil
 }
 
-func (p *backendPool) get() *backendConn {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := len(p.idle)
-	if n == 0 {
-		return nil
+// get takes the warmest idle connection that can watch ctx, or nil.
+func (p *backendPool) get(ctx context.Context) *backendConn {
+	for {
+		p.mu.Lock()
+		n := len(p.idle)
+		if n == 0 {
+			p.mu.Unlock()
+			return nil
+		}
+		bc := p.idle[n-1]
+		p.idle[n-1] = nil
+		p.idle = p.idle[:n-1]
+		p.mu.Unlock()
+		if bc.watch(ctx) {
+			return bc
+		}
+		bc.close()
 	}
-	bc := p.idle[n-1]
-	p.idle[n-1] = nil
-	p.idle = p.idle[:n-1]
-	return bc
 }
 
 func (p *backendPool) put(bc *backendConn) {
@@ -271,7 +322,7 @@ func (p *backendPool) put(bc *backendConn) {
 	}
 	p.mu.Unlock()
 	if bc != nil {
-		bc.c.Close()
+		bc.close()
 	}
 }
 
@@ -281,6 +332,6 @@ func (p *backendPool) closeIdle() {
 	p.idle = nil
 	p.mu.Unlock()
 	for _, bc := range idle {
-		bc.c.Close()
+		bc.close()
 	}
 }

@@ -48,11 +48,11 @@ func TestBackendPoolAnswers(t *testing.T) {
 	p := f.pools[0]
 
 	for i := 0; i < 8; i++ { // 8/8 announces: past the crit watermark
-		if _, err := f.do(ctx, 0, 0, http.MethodPost, "/counter/inc"); err != nil {
+		if _, err := f.do(ctx, 0, 0, http.MethodPost, "/counter/inc", nil); err != nil {
 			t.Fatalf("inc %d: %v", i, err)
 		}
 	}
-	body, err := f.do(ctx, 0, 0, http.MethodGet, "/counter")
+	body, err := f.do(ctx, 0, 0, http.MethodGet, "/counter", nil)
 	if err != nil || !strings.Contains(string(body), `"value":8`) {
 		t.Fatalf("counter read = %s, %v; want value 8", body, err)
 	}
@@ -62,11 +62,11 @@ func TestBackendPoolAnswers(t *testing.T) {
 
 	// A large answer: a 1000-element set is several KiB of body.
 	for x := 0; x < 1000; x++ {
-		if _, err := f.do(ctx, 0, 0, http.MethodPost, fmt.Sprintf("/gset?x=%d", x)); err != nil {
+		if _, err := f.do(ctx, 0, 0, http.MethodPost, fmt.Sprintf("/gset?x=%d", x), nil); err != nil {
 			t.Fatalf("gset add %d: %v", x, err)
 		}
 	}
-	body, err = f.do(ctx, 0, 0, http.MethodGet, "/gset")
+	body, err = f.do(ctx, 0, 0, http.MethodGet, "/gset", nil)
 	if err != nil {
 		t.Fatalf("gset read: %v", err)
 	}
@@ -78,26 +78,26 @@ func TestBackendPoolAnswers(t *testing.T) {
 	}
 
 	// 409: a generation below the fence floor.
-	if _, err := f.do(ctx, 0, 5, http.MethodPost, "/fence?obj=maxreg&gen=5"); err != nil {
+	if _, err := f.do(ctx, 0, 5, http.MethodPost, "/fence?obj=maxreg&gen=5", nil); err != nil {
 		t.Fatalf("fence: %v", err)
 	}
-	if _, err := f.do(ctx, 0, 4, http.MethodGet, "/maxreg"); !errors.Is(err, cluster.ErrFenced) {
+	if _, err := f.do(ctx, 0, 4, http.MethodGet, "/maxreg", nil); !errors.Is(err, cluster.ErrFenced) {
 		t.Fatalf("read below the floor = %v, want ErrFenced", err)
 	}
 
 	// A structured 503 with Retry-After: /healthz past the crit watermark.
-	_, err = f.do(ctx, 0, 0, http.MethodGet, "/healthz")
+	_, err = f.do(ctx, 0, 0, http.MethodGet, "/healthz", nil)
 	var se *statusError
 	if !errors.As(err, &se) || se.code != http.StatusServiceUnavailable || !se.retryable || se.retryAfter != time.Second {
 		t.Fatalf("healthz at crit = %#v, want a retryable 503 with a 1s retry-after", err)
 	}
 
-	_, err = f.do(ctx, 0, 0, http.MethodGet, "/map/get?k=ghost")
+	_, err = f.do(ctx, 0, 0, http.MethodGet, "/map/get?k=ghost", nil)
 	if !errors.As(err, &se) || se.code != http.StatusNotFound || se.retryable || se.reason == "" {
 		t.Fatalf("unknown key = %#v, want a non-retryable 404 with a reason", err)
 	}
 	// A HEAD answer carries a Content-Length but no body.
-	_, err = f.do(ctx, 0, 0, http.MethodHead, "/counter/inc")
+	_, err = f.do(ctx, 0, 0, http.MethodHead, "/counter/inc", nil)
 	if !errors.As(err, &se) || se.code != http.StatusMethodNotAllowed {
 		t.Fatalf("HEAD /counter/inc = %#v, want 405", err)
 	}
@@ -132,7 +132,7 @@ func TestBackendPoolConnectionClose(t *testing.T) {
 	defer ts.Close()
 	f := wireFrontend(t, time.Second, ts.URL)
 	for i := 0; i < 3; i++ {
-		if _, err := f.do(context.Background(), 0, 0, http.MethodGet, "/counter"); err != nil {
+		if _, err := f.do(context.Background(), 0, 0, http.MethodGet, "/counter", nil); err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}
 		if n := idleCount(f.pools[0]); n != 0 {
@@ -157,7 +157,7 @@ func TestBackendPoolBodyLimit(t *testing.T) {
 	defer ts.Close()
 	f := wireFrontend(t, time.Second, ts.URL)
 	for _, uri := range []string{"/length", "/chunked"} {
-		if body, err := f.do(context.Background(), 0, 0, http.MethodGet, uri); err == nil {
+		if body, err := f.do(context.Background(), 0, 0, http.MethodGet, uri, nil); err == nil {
 			t.Fatalf("%s: %d-byte body accepted, want an error", uri, len(body))
 		}
 		if n := idleCount(f.pools[0]); n != 0 {
@@ -178,11 +178,11 @@ func TestBackendPoolSilentBackend(t *testing.T) {
 	defer ts.Close()
 	const timeout = 200 * time.Millisecond
 	f := wireFrontend(t, timeout, ts.URL)
-	if _, err := f.do(context.Background(), 0, 0, http.MethodGet, "/warm"); err != nil {
+	if _, err := f.do(context.Background(), 0, 0, http.MethodGet, "/warm", nil); err != nil {
 		t.Fatalf("warm-up: %v", err)
 	}
 	start := time.Now()
-	_, err := f.do(context.Background(), 0, 0, http.MethodGet, "/counter")
+	_, err := f.do(context.Background(), 0, 0, http.MethodGet, "/counter", nil)
 	elapsed := time.Since(start)
 	if !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("silent backend = %v, want a deadline error", err)
@@ -208,7 +208,7 @@ func TestBackendPoolCancelMidRead(t *testing.T) {
 	f := wireFrontend(t, 30*time.Second, ts.URL)
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(20*time.Millisecond, cancel)
-	if _, err := f.do(ctx, 0, 0, http.MethodGet, "/counter"); !errors.Is(err, context.Canceled) {
+	if _, err := f.do(ctx, 0, 0, http.MethodGet, "/counter", nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled read = %v, want context.Canceled", err)
 	}
 	select {
@@ -246,7 +246,7 @@ func TestBackendPoolStaleAfterRestart(t *testing.T) {
 
 	restart()
 	dials := f.dials.Load()
-	if _, err := f.do(ctx, 0, 0, http.MethodGet, "/counter"); err != nil {
+	if _, err := f.do(ctx, 0, 0, http.MethodGet, "/counter", nil); err != nil {
 		t.Fatalf("GET on a stale connection = %v, want a transparent redial", err)
 	}
 	if d := f.dials.Load() - dials; d != 1 {
@@ -256,16 +256,16 @@ func TestBackendPoolStaleAfterRestart(t *testing.T) {
 
 	restart()
 	dials = f.dials.Load()
-	if _, err := f.do(ctx, 0, 0, http.MethodPost, "/counter/inc"); err == nil {
+	if _, err := f.do(ctx, 0, 0, http.MethodPost, "/counter/inc", nil); err == nil {
 		t.Fatal("POST on a stale connection succeeded: the pool replayed it")
 	}
 	if d := f.dials.Load() - dials; d != 0 {
 		t.Fatalf("POST redialed %d times, want 0", d)
 	}
-	if _, err := f.do(ctx, 0, 0, http.MethodPost, "/counter/inc"); err != nil {
+	if _, err := f.do(ctx, 0, 0, http.MethodPost, "/counter/inc", nil); err != nil {
 		t.Fatalf("POST after the stale one: %v", err)
 	}
-	body, err := f.do(ctx, 0, 0, http.MethodGet, "/counter")
+	body, err := f.do(ctx, 0, 0, http.MethodGet, "/counter", nil)
 	if err != nil || !strings.Contains(string(body), `"value":1`) {
 		t.Fatalf("counter = %s, %v; want exactly the one POST that succeeded", body, err)
 	}
@@ -315,7 +315,7 @@ func FuzzBackendResponse(f *testing.F) {
 			server.Write(answer)
 		}()
 		p.put(&backendConn{c: client, br: bufio.NewReader(client)})
-		code, body, err := p.roundTrip(context.Background(), http.MethodPost, "/counter/inc", 0)
+		code, body, err := p.roundTrip(context.Background(), http.MethodPost, "/counter/inc", 0, nil)
 		switch {
 		case err != nil && idleCount(p) != 0:
 			t.Fatalf("connection pooled after %v", err)
@@ -329,20 +329,27 @@ func FuzzBackendResponse(f *testing.F) {
 }
 
 // BenchmarkFrontendProxyHop is one frontend-to-backend round trip: f.do
-// against a real backend on loopback, both tiers in this process.
+// against a real backend on loopback, both tiers in this process, reading
+// each answer into one reused buffer as the proxy reads into its response.
+// The keyed rows run on a key that exists from their first round trip.
 func BenchmarkFrontendProxyHop(b *testing.B) {
 	ts := startWire(b, newServer(4, 2, 0).wire())
 	defer ts.Close()
 	f := wireFrontend(b, time.Second, ts.URL)
 	ctx := context.Background()
+	var buf []byte
 	for _, bc := range []struct{ name, method, uri string }{
 		{"get", http.MethodGet, "/counter"},
 		{"post", http.MethodPost, "/counter/inc"},
+		{"map_inc", http.MethodPost, "/map/inc?k=bench"},
+		{"map_get", http.MethodGet, "/map/get?k=bench"},
+		{"kgset_add", http.MethodPost, "/kgset/add?k=bench"},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := f.do(ctx, 0, 0, bc.method, bc.uri); err != nil {
+				var err error
+				if buf, err = f.do(ctx, 0, 0, bc.method, bc.uri, buf[:0]); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -3,7 +3,6 @@ package main
 import (
 	"sync"
 
-	"stronglin"
 	"stronglin/internal/obs"
 )
 
@@ -30,24 +29,28 @@ import (
 //
 // The mechanics are leader/follower with no dedicated goroutines, in the
 // style of a combining funnel: the first arrival at an idle coalescer runs
-// solo; arrivals while an operation is in flight fold themselves into the
-// single `next` batch, whose creator parks as the next leader and is released
-// when the current operation finishes. Arrival order is a mutex, so folding
-// is plain field updates; batch results are published by the happens-before
-// edges of the two channel closes.
+// solo, with no batch at all; arrivals while an operation is in flight fold
+// themselves into the single `next` batch, whose creator parks as the next
+// leader and is released when the current operation finishes. Arrival
+// order is a mutex, so folding is plain field updates; batch results are
+// published by the happens-before edges of the two wait groups' Done.
 
-// batch is one coalesced unit of work: the folded write payload going in,
-// the leader-published result coming out.
+// batch is one contended coalesced unit of work: the folded write payload
+// going in, the leader-published result coming out. It is one allocation
+// for up to len(reqs0) members.
 type batch struct {
-	start chan struct{} // closed when this batch's leader may run (nil for a solo leader)
-	done  chan struct{} // closed when the leader has applied the batch
-	n     int64         // requests folded into this batch
+	start sync.WaitGroup // done when this batch's leader may run
+	done  sync.WaitGroup // done when the leader has applied the batch
+	n     int64          // requests folded into this batch
 
 	reqs []args  // folded writes, one per member (grouped by identity at apply)
 	errs []error // leader-published per-member write results, indexed like reqs
 
 	res result // leader-published shared read result
 	err error
+
+	reqs0 [4]args
+	errs0 [4]error
 }
 
 // coalescer serializes one kind of engine operation and folds concurrent
@@ -63,63 +66,53 @@ type coalescer struct {
 	absorbed *obs.Counter   // follower requests absorbed into a leader's batch (size-1 each)
 }
 
-// do folds one request into a batch and returns that batch after its engine
-// operation has been applied. fold runs under the coalescer mutex (field
-// updates only — no engine steps, no blocking); apply runs the single engine
-// operation and publishes results onto the batch. Exactly one goroutine per
-// batch runs apply.
-func (co *coalescer) do(fold func(*batch), apply func(*batch)) *batch {
+// join enters one request into the funnel. A nil batch means the request
+// runs its engine step solo, now: the funnel was idle and held reports
+// that the caller owns it until it calls finish, or the funnel is drained
+// and the caller runs outside it. Otherwise the request joined the next
+// batch as member idx, storing a in it when fold is set; member 0 created
+// the batch and leads it (lead), every other member waits for b.done.
+func (co *coalescer) join(a args, fold bool) (b *batch, idx int, held bool) {
 	co.mu.Lock()
+	defer co.mu.Unlock()
 	if co.closed {
 		// The funnel is draining for shutdown: run uncoalesced, entirely
 		// outside it. Claiming busy (or calling finish) from here would hand
 		// the funnel state machine to a request that no longer participates
 		// in it — finish could release a parked leader whose predecessor is
 		// still applying. The bypass touches neither.
-		co.mu.Unlock()
-		b := &batch{done: make(chan struct{}), n: 1}
-		fold(b)
-		co.size.Observe(1)
-		apply(b)
-		close(b.done)
-		return b
+		return nil, 0, false
 	}
 	if !co.busy {
 		// Idle: run solo, uncoalesced. This is the steady-state fast path —
 		// one mutex acquire on each side of the engine op.
 		co.busy = true
-		b := &batch{done: make(chan struct{}), n: 1}
-		fold(b)
-		co.mu.Unlock()
-		co.run(b, apply)
-		return b
+		return nil, 0, true
 	}
-	b := co.next
-	leader := b == nil
-	if leader {
-		b = &batch{start: make(chan struct{}), done: make(chan struct{}), n: 1}
+	b = co.next
+	if b == nil {
+		b = new(batch)
+		b.start.Add(1)
+		b.done.Add(1)
+		b.reqs = b.reqs0[:0]
 		co.next = b
-	} else {
-		b.n++
 	}
-	fold(b)
-	co.mu.Unlock()
-	if leader {
-		<-b.start // released by the in-flight operation's finish
-		co.run(b, apply)
-	} else {
-		<-b.done
+	idx = int(b.n)
+	b.n++
+	if fold {
+		b.reqs = append(b.reqs, a)
 	}
-	return b
+	return b, idx, false
 }
 
-// run applies a batch and then hands the coalescer to the waiting next
-// leader (or marks it idle). The hand-off is deferred so a panicking engine
-// op (which drops its request's connection, see wire.go) cannot wedge every
-// later request.
-func (co *coalescer) run(b *batch, apply func(*batch)) {
+// lead waits until the in-flight operation hands the funnel over, applies
+// b and then hands the funnel on to the waiting next leader. The hand-off is
+// deferred so a panicking engine op (which drops its request's connection,
+// see wire.go) cannot wedge every later request.
+func (co *coalescer) lead(b *batch, apply func(*batch)) {
+	b.start.Wait()
 	defer func() {
-		close(b.done)
+		b.done.Done()
 		co.finish()
 	}()
 	co.size.Observe(b.n)
@@ -132,7 +125,7 @@ func (co *coalescer) run(b *batch, apply func(*batch)) {
 // finish releases the parked next leader, if any; otherwise the coalescer
 // goes idle. Popping `next` under the mutex is what closes the batch to new
 // members: every fold into it happened before the pop, so the released
-// leader reads the folded payload race-free through the start-channel close.
+// leader reads the folded payload race-free through the start release.
 func (co *coalescer) finish() {
 	co.mu.Lock()
 	nxt := co.next
@@ -142,7 +135,7 @@ func (co *coalescer) finish() {
 	}
 	co.mu.Unlock()
 	if nxt != nil {
-		close(nxt.start)
+		nxt.start.Done()
 	}
 }
 
@@ -151,7 +144,7 @@ func (co *coalescer) finish() {
 // request that joins the funnel after graceful shutdown begins can park as
 // the NEXT leader behind a slow in-flight batch — the listener's drain then
 // waits on a request that is itself waiting on the funnel, and the drain
-// deadline kills both. Setting the flag under the mutex means every do()
+// deadline kills both. Setting the flag under the mutex means every join
 // either saw it (and bypassed) or had already joined a batch whose leader
 // chain was complete before drain returned; in-flight batches finish
 // normally either way.
@@ -162,29 +155,45 @@ func (co *coalescer) drain() {
 }
 
 // run performs one request's engine step under a lane lease, through the
-// op's coalescer when it has one.
+// op's coalescer when it has one. A request that finds the coalescer idle
+// runs its step directly, allocating nothing.
 func (s *server) run(d *op, a args) (result, error) {
-	var res result
-	var err error
-	switch d.co {
-	case coShare:
-		// Concurrent reads share one validated read: the leader's read lies
-		// inside every member's request interval.
-		b := s.co[d.stat].do(
-			func(*batch) {},
-			func(b *batch) {
-				s.pool.With(func(t stronglin.Thread) { b.res, b.err = d.apply(s, t, a) })
-			})
-		return b.res, b.err
-	case coFold:
-		var idx int
-		b := s.co[d.stat].do(
-			func(b *batch) { idx = len(b.reqs); b.reqs = append(b.reqs, a) },
-			func(b *batch) { s.applyFolded(d, b) })
-		return res, b.errs[idx]
+	if d.co == coNone {
+		return s.step(d, a)
 	}
-	s.pool.With(func(t stronglin.Thread) { res, err = d.apply(s, t, a) })
-	return res, err
+	co := s.co[d.stat]
+	b, idx, held := co.join(a, d.co == coFold)
+	if b == nil {
+		if held {
+			defer co.finish()
+		}
+		co.size.Observe(1)
+		return s.step(d, a)
+	}
+	if idx == 0 {
+		co.lead(b, func(b *batch) {
+			if d.co == coFold {
+				s.applyFolded(d, b)
+			} else {
+				// Concurrent reads share one validated read: the leader's
+				// read lies inside every member's request interval.
+				b.res, b.err = s.step(d, a)
+			}
+		})
+	} else {
+		b.done.Wait()
+	}
+	if d.co == coFold {
+		return result{}, b.errs[idx]
+	}
+	return b.res, b.err
+}
+
+// step runs d's engine step on a under a lane lease.
+func (s *server) step(d *op, a args) (result, error) {
+	l := s.pool.Acquire()
+	defer l.Release()
+	return d.apply(s, l.Thread(), a)
 }
 
 // applyFolded is a folding coalescer's apply: the batch's writes group by
@@ -197,39 +206,44 @@ func (s *server) run(d *op, a args) (result, error) {
 // each member fits alone — falls back to per-request steps, and only the
 // requests genuinely past the budget fail.
 func (s *server) applyFolded(d *op, b *batch) {
-	b.errs = make([]error, len(b.reqs))
-	s.pool.With(func(t stronglin.Thread) {
-		if len(b.reqs) == 1 {
-			_, b.errs[0] = d.apply(s, t, b.reqs[0])
-			return
-		}
-		groups := make(map[args][]int, len(b.reqs))
-		for i, a := range b.reqs {
-			id := d.ack.ident(a)
-			groups[id] = append(groups[id], i)
-		}
-		for id, idxs := range groups {
-			a := id
-			if d.ack != ackSet {
-				a.n = b.reqs[idxs[0]].n
-				for _, i := range idxs[1:] {
-					if n := b.reqs[i].n; d.ack == ackSum {
-						a.n += n
-					} else if n > a.n {
-						a.n = n
-					}
+	if n := len(b.reqs); n <= len(b.errs0) {
+		b.errs = b.errs0[:n]
+	} else {
+		b.errs = make([]error, n)
+	}
+	l := s.pool.Acquire()
+	defer l.Release()
+	t := l.Thread()
+	if len(b.reqs) == 1 {
+		_, b.errs[0] = d.apply(s, t, b.reqs[0])
+		return
+	}
+	groups := make(map[args][]int, len(b.reqs))
+	for i, a := range b.reqs {
+		id := d.ack.ident(a)
+		groups[id] = append(groups[id], i)
+	}
+	for id, idxs := range groups {
+		a := id
+		if d.ack != ackSet {
+			a.n = b.reqs[idxs[0]].n
+			for _, i := range idxs[1:] {
+				if n := b.reqs[i].n; d.ack == ackSum {
+					a.n += n
+				} else if n > a.n {
+					a.n = n
 				}
 			}
-			_, err := d.apply(s, t, a)
-			if err != nil && d.ack == ackSum && len(idxs) > 1 {
-				for _, i := range idxs {
-					_, b.errs[i] = d.apply(s, t, b.reqs[i])
-				}
-				continue
-			}
+		}
+		_, err := d.apply(s, t, a)
+		if err != nil && d.ack == ackSum && len(idxs) > 1 {
 			for _, i := range idxs {
-				b.errs[i] = err
+				_, b.errs[i] = d.apply(s, t, b.reqs[i])
 			}
+			continue
 		}
-	})
+		for _, i := range idxs {
+			b.errs[i] = err
+		}
+	}
 }

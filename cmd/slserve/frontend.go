@@ -128,7 +128,7 @@ func newFrontend(cfg frontendConfig) (*frontend, error) {
 	}
 	for _, d := range objects {
 		if d.ack != ackNone {
-			f.ledgers[d.stat] = &ledger{kind: d.ack, vals: make(map[args]int64)}
+			f.ledgers[d.stat] = &ledger{kind: d.ack, vals: make(map[args]*int64)}
 		}
 	}
 	for i := 0; i < cfg.slots; i++ {
@@ -177,11 +177,14 @@ func (f *frontend) registerMetrics() {
 
 // ledger is one routed write's acked history, keyed by the write's
 // identity (ackKind.ident): the sum or the max of the acked values per key,
-// or the set of acked elements.
+// or the set of acked elements. An entry is updated through its pointer,
+// never by assigning its map key again: a map assignment stores the key it
+// is handed even when the key is present, and a folded write's key is a
+// view of its request's buffer.
 type ledger struct {
 	kind ackKind
 	mu   sync.Mutex
-	vals map[args]int64
+	vals map[args]*int64
 }
 
 // fold folds one acked write in; sign -1 withdraws a sum ack whose slot a
@@ -191,10 +194,18 @@ type ledger struct {
 func (l *ledger) fold(a args, sign int64) {
 	id := l.kind.ident(a)
 	l.mu.Lock()
-	if v, ok := l.vals[id]; l.kind == ackSum {
-		l.vals[id] = v + sign*a.n
-	} else if !ok || a.n > v {
-		l.vals[id] = a.n
+	switch v := l.vals[id]; {
+	case v == nil:
+		n := a.n
+		if l.kind == ackSum {
+			n *= sign
+		}
+		id.key = strings.Clone(id.key) // the new identity outlives the request
+		l.vals[id] = &n
+	case l.kind == ackSum:
+		*v += sign * a.n
+	case a.n > *v:
+		*v = a.n
 	}
 	l.mu.Unlock()
 }
@@ -203,8 +214,10 @@ func (l *ledger) fold(a args, sign int64) {
 func (l *ledger) get(a args) (int64, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	v, ok := l.vals[l.kind.ident(a)]
-	return v, ok
+	if v := l.vals[l.kind.ident(a)]; v != nil {
+		return *v, true
+	}
+	return 0, false
 }
 
 func (l *ledger) value(a args) int64 {
@@ -225,7 +238,7 @@ func (l *ledger) entries(keep func(args) bool) []args {
 	var out []args
 	for id, v := range l.vals {
 		if l.kind != ackSet {
-			id.n = v
+			id.n = *v
 		}
 		if keep(id) {
 			out = append(out, id)
@@ -421,7 +434,7 @@ func (f *frontend) readBack(ctx context.Context, d *op, owner int, gen int64, k 
 	if d.keyed {
 		uri += "?k=" + neturl.QueryEscape(k)
 	}
-	body, err := f.do(ctx, owner, gen, http.MethodGet, uri)
+	body, err := f.do(ctx, owner, gen, http.MethodGet, uri, nil)
 	var se *statusError
 	if errors.As(err, &se) && se.code == http.StatusNotFound {
 		return result{}, nil
@@ -443,7 +456,7 @@ func (f *frontend) postFence(ctx context.Context, owner int, key string, gen int
 
 // post issues a migration POST at owner carrying gen; any non-200 is an error.
 func (f *frontend) post(ctx context.Context, owner int, gen int64, uri string) error {
-	_, err := f.do(ctx, owner, gen, http.MethodPost, uri)
+	_, err := f.do(ctx, owner, gen, http.MethodPost, uri, nil)
 	return err
 }
 
@@ -462,27 +475,28 @@ func (e *statusError) Error() string {
 	return fmt.Sprintf("status %d (%s)", e.code, e.reason)
 }
 
-// do is the one backend HTTP call: carries the ownership generation, maps
-// 409 to cluster.ErrFenced (Route re-routes on it) and any other non-200 to
-// a *statusError decoded from the uniform error shape.
-func (f *frontend) do(ctx context.Context, owner int, gen int64, method, uri string) ([]byte, error) {
-	code, body, err := f.pools[owner].roundTrip(ctx, method, uri, gen)
+// do is the one backend HTTP call: carries the ownership generation,
+// appends a 200's body to dst, maps 409 to cluster.ErrFenced (Route
+// re-routes on it) and any other non-200 to a *statusError decoded from the
+// uniform error shape. On an error it returns dst as it was.
+func (f *frontend) do(ctx context.Context, owner int, gen int64, method, uri string, dst []byte) ([]byte, error) {
+	code, body, err := f.pools[owner].roundTrip(ctx, method, uri, gen, dst)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	switch code {
 	case http.StatusOK:
 		return body, nil
 	case http.StatusConflict:
-		return nil, cluster.ErrFenced
+		return dst, cluster.ErrFenced
 	}
 	var e struct {
 		Error             string `json:"error"`
 		Retryable         bool   `json:"retryable"`
 		RetryAfterSeconds int64  `json:"retry_after_seconds"`
 	}
-	json.Unmarshal(body, &e) // any other body leaves the zero shape: not retryable
-	return nil, &statusError{
+	json.Unmarshal(body[len(dst):], &e) // any other body leaves the zero shape: not retryable
+	return dst, &statusError{
 		code:       code,
 		reason:     e.Error,
 		retryable:  e.Retryable,
@@ -567,24 +581,25 @@ func (f *frontend) serveRouted(w *respWriter, r *request, d *op, a args, perr er
 
 	t := prim.RealThread(1)
 	key := d.route(a)
-	uri := r.target
 	const maxBackoff = 250 * time.Millisecond
 	backoff := 5 * time.Millisecond
-	var body []byte
+	n0 := len(w.body)
 	for attempt := 0; ; attempt++ {
-		var sErr *statusError
+		// The owner's answer lands straight in w's body; a raced handoff
+		// can refuse the request after it did, so a refusal cuts it off.
 		err := f.tb.Route(t, slot, key, func(owner int, gen int64) (err error) {
-			body, err = f.do(r.ctx, owner, gen, r.method, uri)
+			w.body, err = f.do(r.ctx, owner, gen, r.method, r.target, w.body)
 			return err
 		}, ack, unack)
 
 		if err == nil {
 			w.ctype = "application/json"
-			w.body = append(w.body, body...)
 			return
 		}
+		w.body = w.body[:n0]
 		retryable := true
 		sleep := backoff
+		var sErr *statusError // declared past the success return: errors.As moves it to the heap
 		switch {
 		case errors.As(err, &sErr):
 			retryable = sErr.retryable
@@ -810,5 +825,5 @@ func runFrontend(ctx context.Context) error {
 		return err
 	}
 	fmt.Printf("slserve: frontend over %d backends, listening on %s\n", len(backends), ln.Addr())
-	return serveUntil(ctx, stop, ln, func() {}, f.wire(), nil)
+	return serveUntil(ctx, stop, ln, func() {}, f.wire(), startDebug(f.reg))
 }

@@ -89,7 +89,8 @@
 // watermarks are derived at scrape time from the registers themselves, so
 // serving them costs the protocol paths nothing. With -debug-addr HOST:PORT
 // a second listener additionally serves /metrics and net/http/pprof (the
-// profiling surface stays off the public port).
+// profiling surface stays off the public port), on either tier, with
+// request bodies capped at 64 KiB.
 //
 // Load is generated outside this command: benchmark/run.sh builds slserve
 // from a tree, starts it with its default flags and checks every answer
@@ -121,7 +122,7 @@ import (
 
 var (
 	addr      = flag.String("addr", ":8080", "listen address (serve mode)")
-	debugAddr = flag.String("debug-addr", "", "extra listener serving /metrics and net/http/pprof (serve mode; empty = none)")
+	debugAddr = flag.String("debug-addr", "", "extra listener serving /metrics and net/http/pprof, on either tier (empty = none)")
 	lanes     = flag.Int("lanes", 8, "process identities in the lane pool")
 	shards    = flag.Int("shards", 4, "fetch&add cores per sharded object (<= lanes)")
 	bound     = flag.Int64("bound", 0, "value domain [0,bound] for maxreg values, gset elements and snapshot components; packs the shard registers and the snapshot into machine words when the encodings fit (0 = unbounded wide registers)")
@@ -193,20 +194,10 @@ func serveLoop(ctx context.Context, srv *server, ln net.Listener) error {
 	if *rollover {
 		srv.startRollover(ctx, *rolloverEvery)
 	}
-	var dbg *http.Server
-	if *debugAddr != "" {
-		dbg = &http.Server{Addr: *debugAddr, Handler: srv.debugHandler(), ReadHeaderTimeout: readHeaderTimeout}
-		go func() {
-			if err := dbg.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintln(os.Stderr, "slserve: debug listener:", err)
-			}
-		}()
-		fmt.Printf("slserve: debug listener (metrics + pprof) on %s\n", *debugAddr)
-	}
 	// Close the coalescing funnels before the HTTP drain: requests that are
 	// already in flight when the drain stops accepting must not park behind
 	// a slow batch as its next leader, or the drain deadline kills them.
-	return serveUntil(ctx, stop, ln, srv.drainCoalescers, srv.wire(), dbg)
+	return serveUntil(ctx, stop, ln, srv.drainCoalescers, srv.wire(), startDebug(srv.reg))
 }
 
 // serveUntil is both tiers' listen/drain skeleton: serve ws on ln until
@@ -801,21 +792,42 @@ func (s *server) unavailable(w *respWriter, code int, reason string, retryable b
 	writeErr(w, code, reason, retryable, retryAfter)
 }
 
-// debugHandler is the -debug-addr surface: the same /metrics plus
-// net/http/pprof, mounted explicitly so the profiler never leaks onto the
-// public mux (and the default mux stays untouched).
-func (s *server) debugHandler() http.Handler {
+// debugBodyLimit caps request bodies on the -debug-addr listener. Its one
+// body reader, /debug/pprof/symbol, takes a list of addresses; past the cap
+// it answers the read error and the connection closes.
+const debugBodyLimit = 64 << 10
+
+// debugHandler is the -debug-addr surface of either tier: reg's /metrics
+// plus net/http/pprof, mounted explicitly so the profiler never leaks onto
+// the public mux (and the default mux stays untouched).
+func debugHandler(reg *obs.Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", promContentType)
-		s.reg.WritePrometheus(w)
+		reg.WritePrometheus(w)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
+	return http.MaxBytesHandler(mux, debugBodyLimit)
+}
+
+// startDebug serves debugHandler(reg) on -debug-addr and returns the server
+// for the drain, or nil when the flag is empty.
+func startDebug(reg *obs.Registry) *http.Server {
+	if *debugAddr == "" {
+		return nil
+	}
+	dbg := &http.Server{Addr: *debugAddr, Handler: debugHandler(reg), ReadHeaderTimeout: readHeaderTimeout}
+	go func() {
+		if err := dbg.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+			fmt.Fprintln(os.Stderr, "slserve: debug listener:", err)
+		}
+	}()
+	fmt.Printf("slserve: debug listener (metrics + pprof) on %s\n", *debugAddr)
+	return dbg
 }
 
 // promContentType is the Prometheus text exposition format, version 0.0.4.

@@ -675,8 +675,7 @@ func TestCoalescerFoldsAndShares(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		co.do(
-			func(b *batch) { b.reqs = append(b.reqs, args{n: 1}) },
+		coDo(&co, args{n: 1},
 			func(b *batch) {
 				batches.Add(1)
 				<-gate // hold the coalescer busy while the followers arrive
@@ -706,8 +705,7 @@ func TestCoalescerFoldsAndShares(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results <- co.do(
-				func(b *batch) { b.reqs = append(b.reqs, args{n: 1}) },
+			results <- coDo(&co, args{n: 1},
 				func(b *batch) {
 					batches.Add(1)
 					applied.Add(int64(len(b.reqs)))
@@ -749,6 +747,27 @@ func TestCoalescerFoldsAndShares(t *testing.T) {
 	if co.busy || co.next != nil {
 		t.Fatalf("coalescer not idle after drain: busy=%v next=%v", co.busy, co.next)
 	}
+}
+
+// coDo is one folded request through co, the way server.run drives it:
+// solo when the funnel is idle (apply then gets a batch of its own), else
+// as the leader or a follower of the next batch. It returns the batch the
+// request's result was published on.
+func coDo(co *coalescer, a args, apply func(*batch)) *batch {
+	b, idx, held := co.join(a, true)
+	switch {
+	case b == nil:
+		if held {
+			defer co.finish()
+		}
+		b = &batch{n: 1, reqs: []args{a}}
+		apply(b)
+	case idx == 0:
+		co.lead(b, apply)
+	default:
+		b.done.Wait()
+	}
+	return b
 }
 
 // TestCoalescedIncsPreserveCount floods /counter/inc through the coalescing

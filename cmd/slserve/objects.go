@@ -196,11 +196,8 @@ var objects = []*op{
 	{path: "/map/get", method: http.MethodGet, stat: "map_get",
 		object: "map", keyed: true, body: bodyValueKind, degraded: []string{"map_inc", "map_max"},
 		apply: func(s *server, t stronglin.Thread, a args) (result, error) {
-			v, err := s.kmap.Get(t, a.key)
-			if err != nil {
-				return result{}, err
-			}
-			return result{value: v, kind: s.kmap.Kind(t, a.key).String()}, nil
+			v, kind, err := s.kmap.GetKind(t, a.key)
+			return result{value: v, kind: kind.String()}, err
 		}},
 	{path: "/clock/tick", method: http.MethodPost, stat: "clock_tick", body: bodyOK,
 		apply: func(s *server, t stronglin.Thread, _ args) (result, error) {
@@ -302,14 +299,12 @@ func (d *op) route(a args) string {
 // restricts the table to the ops a tier serves.
 func lookupOp(w *respWriter, r *request, serves func(*op) bool) *op {
 	var pick *op
-	var allowed []string
+	known := false
 	for _, d := range opsByPath[r.path] {
 		if !serves(d) {
 			continue
 		}
-		if !slices.Contains(allowed, d.method) {
-			allowed = append(allowed, d.method)
-		}
+		known = true
 		if d.method == r.method && (pick == nil || !pick.satisfied(r.query)) {
 			pick = d
 		}
@@ -317,7 +312,13 @@ func lookupOp(w *respWriter, r *request, serves func(*op) bool) *op {
 	switch {
 	case pick != nil:
 		return pick
-	case len(allowed) > 0:
+	case known:
+		var allowed []string
+		for _, d := range opsByPath[r.path] {
+			if serves(d) && !slices.Contains(allowed, d.method) {
+				allowed = append(allowed, d.method)
+			}
+		}
 		slices.Sort(allowed)
 		writeErr(w, http.StatusMethodNotAllowed, strings.Join(allowed, " or ")+" only", false, 0)
 	default:

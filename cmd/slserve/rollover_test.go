@@ -348,7 +348,7 @@ func TestCoalescerDrainVsJoinRace(t *testing.T) {
 	go func() {
 		// The slow in-flight batch a SIGTERM races: its apply is wedged on
 		// an engine op that outlives the drain decision.
-		co.do(func(b *batch) { b.reqs = append(b.reqs, args{n: 1}) }, func(*batch) {
+		coDo(&co, args{n: 1}, func(*batch) {
 			close(started)
 			<-block
 		})
@@ -360,7 +360,7 @@ func TestCoalescerDrainVsJoinRace(t *testing.T) {
 
 	done := make(chan struct{})
 	go func() {
-		co.do(func(b *batch) { b.reqs = append(b.reqs, args{n: 1}) }, func(*batch) {})
+		coDo(&co, args{n: 1}, func(*batch) {})
 		close(done)
 	}()
 	select {
@@ -402,44 +402,28 @@ func TestGracefulShutdownDrains(t *testing.T) {
 }
 
 // TestSlowHeaderClientDisconnected: every listener slserve opens — the
-// backend, its -debug-addr and the frontend — hangs up on a client that
-// dribbles a partial request line, instead of holding the connection and
-// its goroutine forever.
+// backend, the frontend and either tier's -debug-addr — hangs up on a
+// client that dribbles a partial request line, instead of holding the
+// connection and its goroutine forever. The tiers read the same flags, so
+// they run one after the other, each with a -debug-addr of its own.
 func TestSlowHeaderClientDisconnected(t *testing.T) {
-	freeAddr := func() string {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln.Close()
-		return ln.Addr().String()
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	setFlag(t, rollover, false)
-	setFlag(t, debugAddr, freeAddr())
-	setFlag(t, addr, freeAddr())
-	setFlag(t, backendsFlag, "http://"+ln.Addr().String())
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	backendDone, frontDone := make(chan error, 1), make(chan error, 1)
-	go func() { backendDone <- serveLoop(ctx, newServer(4, 2, 0), ln) }()
-	go func() { frontDone <- runFrontend(ctx) }()
-
-	targets := []string{ln.Addr().String(), *debugAddr, *addr}
-	errc := make(chan error, len(targets))
-	for _, a := range targets {
-		go func() { errc <- dribble(a) }()
-	}
-	for range targets {
-		if err := <-errc; err != nil {
-			t.Error(err)
+	run := func(serve func(context.Context) error, targets ...string) {
+		t.Helper()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		done := make(chan error, 1)
+		go func() { done <- serve(ctx) }()
+		errc := make(chan error, len(targets))
+		for _, a := range targets {
+			go func() { errc <- dribble(a) }()
 		}
-	}
-	cancel()
-	for _, done := range []chan error{backendDone, frontDone} {
+		for range targets {
+			if err := <-errc; err != nil {
+				t.Error(err)
+			}
+		}
+		cancel()
 		select {
 		case err := <-done:
 			if err != nil {
@@ -449,6 +433,30 @@ func TestSlowHeaderClientDisconnected(t *testing.T) {
 			t.Fatal("listener did not drain")
 		}
 	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	setFlag(t, debugAddr, freeAddr(t))
+	run(func(ctx context.Context) error { return serveLoop(ctx, newServer(4, 2, 0), ln) },
+		ln.Addr().String(), *debugAddr)
+
+	setFlag(t, debugAddr, freeAddr(t))
+	setFlag(t, addr, freeAddr(t))
+	setFlag(t, backendsFlag, startWire(t, newServer(4, 2, 0).wire()).URL)
+	run(runFrontend, *debugAddr, *addr)
+}
+
+// freeAddr is a loopback address nothing listens on.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
 }
 
 // dribble sends half a request line to addr and waits for the server to

@@ -37,6 +37,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"stronglin/internal/obs"
 )
@@ -46,7 +47,11 @@ import (
 // head is always parsed whole from the buffer.
 const maxHeadBytes = 8 << 10
 
-// request is one parsed request head, copied out of the read buffer.
+// request is one parsed request head. Its strings are views of the
+// connection's read buffer, not copies: they stay valid until the answer is
+// framed, because the buffer refills only when the next head is read. A
+// handler that keeps a request string past its answer (a directory key, a
+// ledger identity) must store a clone.
 type request struct {
 	ctx    context.Context // ends when the server is closed or its drain times out
 	method string
@@ -272,6 +277,9 @@ func (ws *wireServer) serveConn(sc *serverConn) {
 		w = respWriter{code: http.StatusOK, hdr: w.hdr[:0], body: w.body[:0]}
 		code, reason := http.StatusRequestHeaderFieldsTooLarge, "request head larger than 8 KiB"
 		if err == nil {
+			// req's strings view head in the read buffer. Discard moves no
+			// bytes; only the next head's read refills the buffer, after
+			// this answer is framed.
 			code, reason = parseHead(head, &req)
 			sc.br.Discard(len(head))
 		} else if !errors.Is(err, bufio.ErrBufferFull) {
@@ -372,7 +380,7 @@ func parseHead(head []byte, r *request) (code int, reason string) {
 			return http.StatusBadRequest, "malformed request target"
 		}
 	}
-	r.method = string(method)
+	r.method = view(method)
 	var body, expect bool
 	for len(rest) > 0 {
 		var h []byte
@@ -401,7 +409,7 @@ func parseHead(head []byte, r *request) (code int, reason string) {
 			}
 		case bytes.EqualFold(name, []byte("X-SL-Gen")):
 			if r.gen == "" {
-				r.gen = string(value)
+				r.gen = view(value)
 			}
 		}
 	}
@@ -411,7 +419,7 @@ func parseHead(head []byte, r *request) (code int, reason string) {
 	case body:
 		return http.StatusBadRequest, "request bodies are not accepted"
 	}
-	r.target = string(target)
+	r.target = view(target)
 	path, q, _ := strings.Cut(r.target, "?")
 	if strings.Contains(path, "%") {
 		var err error
@@ -421,6 +429,11 @@ func parseHead(head []byte, r *request) (code int, reason string) {
 	}
 	r.path, r.query = path, query(q)
 	return 0, ""
+}
+
+// view is b as a string without a copy, valid while b's bytes stay put.
+func view(b []byte) string {
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
 // isToken reports whether b is a non-empty RFC 9110 token (a method or a

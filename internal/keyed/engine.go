@@ -2,6 +2,7 @@ package keyed
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -121,12 +122,15 @@ func (tb *table) bucket(key string) *bucket {
 	return &tb.buckets[int(Hash(key)%uint64(len(tb.buckets)))]
 }
 
-// claim returns key's directory entry in b, assigning the next free slot,
-// bound to kind, on first sight; the new entry gets shadow, or a zeroed one
-// if shadow is nil. first reports that THIS call made the entry. The
-// critical section performs no shared-memory (prim) step, so it never
-// blocks across a scheduler yield point.
-func (e *engine) claim(b *bucket, key string, kind Kind, shadow []int64) (en *entry, first bool, err error) {
+// claim returns key's directory entry in b, assigning the next free slot
+// on first sight. A write's new entry is bound to kind, with a zeroed
+// shadow and its own copy of key: the caller's key may view a buffer that
+// is reused once the call returns (a server's request). Rehash passes the
+// old entry as from, whose key, kind and shadow the new entry takes over.
+// first reports that THIS call made the entry. The critical section
+// performs no shared-memory (prim) step, so it never blocks across a
+// scheduler yield point.
+func (e *engine) claim(b *bucket, key string, kind Kind, from *entry) (en *entry, first bool, err error) {
 	if en = b.lookup(key); en != nil {
 		return en, false, nil
 	}
@@ -141,10 +145,11 @@ func (e *engine) claim(b *bucket, key string, kind Kind, shadow []int64) (en *en
 	if b.dir == nil {
 		b.dir = make([]*entry, 0, e.cfg.slots)
 	}
-	if shadow == nil {
-		shadow = make([]int64, e.lanes)
+	if from != nil {
+		en = &entry{key: from.key, slot: len(b.dir), kind: from.kind, shadow: from.shadow}
+	} else {
+		en = &entry{key: strings.Clone(key), slot: len(b.dir), kind: kind, shadow: make([]int64, e.lanes)}
 	}
-	en = &entry{key: key, slot: len(b.dir), kind: kind, shadow: shadow}
 	b.dir = append(b.dir, en)
 	return en, true, nil
 }
@@ -240,7 +245,7 @@ func (e *engine) Rehash(t prim.Thread, buckets int) error {
 		ob := &old.buckets[i]
 		for _, oe := range ob.dir {
 			nb := nt.bucket(oe.key)
-			ne, _, err := e.claim(nb, oe.key, oe.kind, oe.shadow)
+			ne, _, err := e.claim(nb, oe.key, oe.kind, oe)
 			if err != nil {
 				return err
 			}

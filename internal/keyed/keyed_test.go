@@ -237,6 +237,30 @@ func TestKeyedMapSequential(t *testing.T) {
 	}
 }
 
+// TestKeyedMapGetKindAgreesWithGetAndKind: GetKind's one read answers
+// what Get followed by Kind does, on counter, max and unknown keys.
+func TestKeyedMapGetKindAgreesWithGetAndKind(t *testing.T) {
+	w := sim.NewSoloWorld()
+	m := NewMonotoneMap(w, "m", 2, WithBuckets(2), WithSlots(4), WithWidth(16))
+	t0, t1 := sim.SoloThread(0), sim.SoloThread(1)
+	for _, err := range []error{m.IncBy(t0, "hits", 3), m.Inc(t1, "hits"), m.Max(t0, "peak", 7), m.Max(t1, "floor", 0)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, key := range []string{"hits", "peak", "floor", "ghost"} {
+		v, kind, err := m.GetKind(t1, key)
+		wv, werr := m.Get(t0, key)
+		wkind := m.Kind(t0, key)
+		if v != wv || kind != wkind || err != werr {
+			t.Errorf("GetKind(%s) = %d, %v, %v; Get + Kind = %d, %v, %v", key, v, kind, err, wv, wkind, werr)
+		}
+	}
+	if _, kind, err := m.GetKind(t0, "ghost"); kind != KindNone || err != ErrUnknownKey {
+		t.Errorf("GetKind(ghost) = %v, %v; want none, ErrUnknownKey", kind, err)
+	}
+}
+
 func TestKeyedConstructorValidation(t *testing.T) {
 	cases := []func(){
 		func() { NewGSet(sim.NewSoloWorld(), "g", 0) },
@@ -1091,6 +1115,7 @@ func checkZeroAllocs(t *testing.T, g *GSet, m *MonotoneMap, packed bool) {
 		{"map-inc", func() { _ = m.Inc(th, "hits") }},
 		{"map-max", func() { v++; _ = m.Max(th, "peak", v) }},
 		{"map-get", func() { _, _ = m.Get(th, "hits") }},
+		{"map-getkind", func() { _, _, _ = m.GetKind(th, "peak") }},
 	}
 	for _, c := range checks {
 		if avg := testing.AllocsPerRun(200, c.fn); avg != 0 {

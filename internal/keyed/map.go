@@ -133,7 +133,20 @@ func (m *MonotoneMap) write(t prim.Thread, key string, kind Kind, x int64) error
 // Get returns key's combined value (sum of lanes for a counter, max for a
 // max register), or ErrUnknownKey, through the engine's validated read.
 func (m *MonotoneMap) Get(t prim.Thread, key string) (int64, error) {
-	return decode(m.read(t, key))
+	v, _, err := m.GetKind(t, key)
+	return v, err
+}
+
+// GetKind is Get plus the kind key is bound to, taken from the entry the
+// one validated read holds: what Get followed by Kind answers, without a
+// second directory scan.
+func (m *MonotoneMap) GetKind(t prim.Thread, key string) (int64, Kind, error) {
+	acc, e := m.read(t, key)
+	v, err := decode(acc, e)
+	if err != nil {
+		return 0, KindNone, err
+	}
+	return v, e.kind, nil
 }
 
 // decode turns a collect of e into Get's answer. An all-zero collect means
