@@ -36,8 +36,7 @@ import (
 // published by the happens-before edges of the two wait groups' Done.
 
 // batch is one contended coalesced unit of work: the folded write payload
-// going in, the leader-published result coming out. It is one allocation
-// for up to len(reqs0) members.
+// going in, the leader-published result coming out.
 type batch struct {
 	start sync.WaitGroup // done when this batch's leader may run
 	done  sync.WaitGroup // done when the leader has applied the batch
@@ -48,9 +47,6 @@ type batch struct {
 
 	res result // leader-published shared read result
 	err error
-
-	reqs0 [4]args
-	errs0 [4]error
 }
 
 // coalescer serializes one kind of engine operation and folds concurrent
@@ -94,7 +90,6 @@ func (co *coalescer) join(a args, fold bool) (b *batch, idx int, held bool) {
 		b = new(batch)
 		b.start.Add(1)
 		b.done.Add(1)
-		b.reqs = b.reqs0[:0]
 		co.next = b
 	}
 	idx = int(b.n)
@@ -154,24 +149,42 @@ func (co *coalescer) drain() {
 	co.mu.Unlock()
 }
 
-// run performs one request's engine step under a lane lease, through the
-// op's coalescer when it has one. A request that finds the coalescer idle
-// runs its step directly, allocating nothing.
-func (s *server) run(d *op, a args) (result, error) {
-	if d.co == coNone {
-		return s.step(d, a)
-	}
-	co := s.co[d.stat]
-	b, idx, held := co.join(a, d.co == coFold)
+// do runs one request through the funnel. A request that finds it idle
+// (or drained) runs solo() directly, allocating nothing; otherwise it
+// joins the next batch, storing a in it when fold is set, and either leads
+// it, running apply on the whole batch, or waits for its leader. A folded
+// member answers with its own entry of the batch's errs, a shared read
+// with the leader's result. solo and apply are only called, never kept, so
+// the caller's closures stay on its stack.
+func (co *coalescer) do(a args, fold bool, solo func() (result, error), apply func(*batch)) (result, error) {
+	b, idx, held := co.join(a, fold)
 	if b == nil {
 		if held {
 			defer co.finish()
 		}
 		co.size.Observe(1)
-		return s.step(d, a)
+		return solo()
 	}
 	if idx == 0 {
-		co.lead(b, func(b *batch) {
+		co.lead(b, apply)
+	} else {
+		b.done.Wait()
+	}
+	if fold {
+		return result{}, b.errs[idx]
+	}
+	return b.res, b.err
+}
+
+// run performs one request's engine step under a lane lease, through the
+// op's coalescer when it has one.
+func (s *server) run(d *op, a args) (result, error) {
+	if d.co == coNone {
+		return s.step(d, a)
+	}
+	return s.co[d.stat].do(a, d.co == coFold,
+		func() (result, error) { return s.step(d, a) },
+		func(b *batch) {
 			if d.co == coFold {
 				s.applyFolded(d, b)
 			} else {
@@ -180,13 +193,6 @@ func (s *server) run(d *op, a args) (result, error) {
 				b.res, b.err = s.step(d, a)
 			}
 		})
-	} else {
-		b.done.Wait()
-	}
-	if d.co == coFold {
-		return result{}, b.errs[idx]
-	}
-	return b.res, b.err
 }
 
 // step runs d's engine step on a under a lane lease.
@@ -206,11 +212,7 @@ func (s *server) step(d *op, a args) (result, error) {
 // each member fits alone — falls back to per-request steps, and only the
 // requests genuinely past the budget fail.
 func (s *server) applyFolded(d *op, b *batch) {
-	if n := len(b.reqs); n <= len(b.errs0) {
-		b.errs = b.errs0[:n]
-	} else {
-		b.errs = make([]error, n)
-	}
+	b.errs = make([]error, len(b.reqs))
 	l := s.pool.Acquire()
 	defer l.Release()
 	t := l.Thread()

@@ -659,29 +659,55 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
-// TestCoalescerFoldsAndShares drives the leader/follower batching directly
-// with a gated leader: while the first operation is parked in apply, every
-// later arrival must fold into the single next batch, whose leader then runs
-// ONE apply carrying the whole folded payload — and every member of a shared
-// batch reads the same leader-published result. This is the deterministic
-// mechanics check; the HTTP-level count preservation rides
+// TestCoalescerFoldsAndShares drives the leader/follower batching of
+// coalescer.do, the dispatch server.run uses, with a gated leader: while the
+// first operation is parked in its solo step, every later arrival must join
+// the single next batch, whose leader then runs ONE apply over the whole
+// batch. A folding batch carries every member's payload and each member
+// answers with its own entry of the published errs; every member of a
+// shared batch returns the leader's published result. This is the
+// deterministic mechanics check; the HTTP-level count preservation rides
 // TestCoalescedIncsPreserveCount and TestConcurrentClients.
 func TestCoalescerFoldsAndShares(t *testing.T) {
+	for _, fold := range []bool{true, false} {
+		name := "share"
+		if fold {
+			name = "fold"
+		}
+		t.Run(name, func(t *testing.T) { testCoalescerBatch(t, fold) })
+	}
+}
+
+func testCoalescerBatch(t *testing.T, fold bool) {
 	var co coalescer
 	var applied atomic.Int64 // folded payload summed across applies
 	var batches atomic.Int64
 	gate := make(chan struct{})
+	// apply publishes each folded member's payload back as its error, so a
+	// member handed another's entry answers with the wrong n.
+	apply := func(b *batch) {
+		batches.Add(1)
+		b.errs = make([]error, len(b.reqs))
+		for i, a := range b.reqs {
+			applied.Add(a.n)
+			b.errs[i] = fmt.Errorf("member %d", a.n)
+		}
+		b.res.value = 200
+	}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		coDo(&co, args{n: 1},
-			func(b *batch) {
-				batches.Add(1)
+		res, err := co.do(args{n: 1000}, fold,
+			func() (result, error) {
 				<-gate // hold the coalescer busy while the followers arrive
-				applied.Add(int64(len(b.reqs)))
-				b.res.value = 100
-			})
+				applied.Add(1000)
+				return result{value: 100}, nil
+			},
+			func(*batch) { t.Error("the idle arrival led a batch instead of running solo") })
+		if err != nil || res.value != 100 {
+			t.Errorf("solo request got (%v, %v), want its own step's (100, nil)", res.value, err)
+		}
 	}()
 	waitFor := func(cond func() bool) {
 		t.Helper()
@@ -700,46 +726,57 @@ func TestCoalescerFoldsAndShares(t *testing.T) {
 	})
 
 	const followers = 16
-	results := make(chan *batch, followers)
-	for i := 0; i < followers; i++ {
+	errs := make(chan error, followers)
+	for i := 1; i <= followers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results <- coDo(&co, args{n: 1},
-				func(b *batch) {
-					batches.Add(1)
-					applied.Add(int64(len(b.reqs)))
-					b.res.value = 200
-				})
+			res, err := co.do(args{n: int64(i)}, fold,
+				func() (result, error) {
+					t.Error("a request arriving at a busy coalescer ran solo")
+					return result{}, nil
+				}, apply)
+			switch {
+			case fold && (err == nil || err.Error() != fmt.Sprintf("member %d", i)):
+				errs <- fmt.Errorf("folded member %d answered %v, not its own entry", i, err)
+			case !fold && (err != nil || res.value != 200):
+				errs <- fmt.Errorf("shared member %d got (%v, %v), not the leader's published result", i, res.value, err)
+			}
 		}()
 	}
-	// Every follower folds into the one pending batch before the gate opens.
+	// Every follower joins the one pending batch before the gate opens.
 	waitFor(func() bool {
 		co.mu.Lock()
 		defer co.mu.Unlock()
 		return co.next != nil && co.next.n == followers
 	})
 	close(gate)
-	wg.Wait()
-	close(results)
+	// The solo step's finish releases the parked batch; a funnel it never
+	// hands on wedges every follower.
+	finished := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(finished)
+	}()
+	select {
+	case <-finished:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the parked batch was never released after the solo step returned")
+	}
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
 
-	if got := applied.Load(); got != followers+1 {
-		t.Fatalf("applied payload sums to %d, want %d (a fold was lost or double-applied)", got, followers+1)
+	want := int64(1000)
+	if fold {
+		want += followers * (followers + 1) / 2
 	}
-	if got := batches.Load(); got != 2 {
-		t.Fatalf("ran %d applies, want 2 (the gated solo leader + one folded batch)", got)
+	if got := applied.Load(); got != want {
+		t.Fatalf("applied payload sums to %d, want %d (a fold was lost, double-applied or stored by a shared read)", got, want)
 	}
-	var shared *batch
-	for b := range results {
-		if shared == nil {
-			shared = b
-		}
-		if b != shared || b.res.value != 200 {
-			t.Fatal("followers did not share the one folded batch's published result")
-		}
-	}
-	if shared.n != followers {
-		t.Fatalf("folded batch carried n=%d, want %d", shared.n, followers)
+	if got := batches.Load(); got != 1 {
+		t.Fatalf("ran %d batch applies, want 1 (every follower in one batch)", got)
 	}
 	// After the dust settles the coalescer is idle again.
 	co.mu.Lock()
@@ -747,27 +784,6 @@ func TestCoalescerFoldsAndShares(t *testing.T) {
 	if co.busy || co.next != nil {
 		t.Fatalf("coalescer not idle after drain: busy=%v next=%v", co.busy, co.next)
 	}
-}
-
-// coDo is one folded request through co, the way server.run drives it:
-// solo when the funnel is idle (apply then gets a batch of its own), else
-// as the leader or a follower of the next batch. It returns the batch the
-// request's result was published on.
-func coDo(co *coalescer, a args, apply func(*batch)) *batch {
-	b, idx, held := co.join(a, true)
-	switch {
-	case b == nil:
-		if held {
-			defer co.finish()
-		}
-		b = &batch{n: 1, reqs: []args{a}}
-		apply(b)
-	case idx == 0:
-		co.lead(b, apply)
-	default:
-		b.done.Wait()
-	}
-	return b
 }
 
 // TestCoalescedIncsPreserveCount floods /counter/inc through the coalescing

@@ -348,10 +348,11 @@ func TestCoalescerDrainVsJoinRace(t *testing.T) {
 	go func() {
 		// The slow in-flight batch a SIGTERM races: its apply is wedged on
 		// an engine op that outlives the drain decision.
-		coDo(&co, args{n: 1}, func(*batch) {
+		co.do(args{n: 1}, true, func() (result, error) {
 			close(started)
 			<-block
-		})
+			return result{}, nil
+		}, nil)
 		close(inflight)
 	}()
 	<-started
@@ -360,7 +361,7 @@ func TestCoalescerDrainVsJoinRace(t *testing.T) {
 
 	done := make(chan struct{})
 	go func() {
-		coDo(&co, args{n: 1}, func(*batch) {})
+		co.do(args{n: 1}, true, func() (result, error) { return result{}, nil }, nil)
 		close(done)
 	}()
 	select {
