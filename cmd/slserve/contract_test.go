@@ -52,9 +52,6 @@ func statsKeys(t *testing.T, h string) []string {
 	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
 		t.Fatalf("/stats body: %v", err)
 	}
-	// The -coalesce switch is gone; its /stats flag is the one key a
-	// server may or may not report.
-	delete(m, "coalesce")
 	var keys []string
 	flatKeys("", m, &keys)
 	sort.Strings(keys)
@@ -146,8 +143,7 @@ func TestWireContractBackend(t *testing.T) {
 		"watermark_state", "rollovers", "rollovers_refused", "counter_epoch_generation",
 		"maxreg_epoch_generation", "gset_epoch_generation", "msnapshot_rebase",
 		"kgset", "kmap", "counter_fence_floor", "maxreg_fence_floor", "gset_fence_floor",
-		"kgset_fence_floors", "map_fence_floors", "fence_rejects", "coalesce_absorbed",
-		"lanes_in_use", "lease_acquires",
+		"kgset_fence_floors", "map_fence_floors", "fence_rejects", "lanes_in_use", "lease_acquires",
 		"counter_inc", "counter_read", "maxreg_write", "maxreg_read", "gset_add", "gset_has",
 		"gset_elems", "snapshot_update", "snapshot_scan", "msnapshot_update", "msnapshot_scan",
 		"clock_tick", "clock_read", "kgset_add", "kgset_has", "map_inc", "map_max", "map_get",
@@ -184,10 +180,6 @@ func TestWireContractBackend(t *testing.T) {
 	for _, e := range []string{"counter_inc", "counter_add", "counter", "maxreg", "gset", "kgset_add", "kgset_has",
 		"map_inc", "map_max", "map_get", "snapshot", "msnapshot", "clock_tick", "clock", "stats", "metrics"} {
 		wantFams = append(wantFams, "slserve_endpoint_"+e+"_duration_ns")
-	}
-	for _, c := range []string{"counter_inc", "counter_read", "maxreg_read", "gset_add", "gset_elems",
-		"snapshot_scan", "msnapshot_scan", "kgset_add", "map_inc", "map_max"} {
-		wantFams = append(wantFams, "slserve_coalesce_"+c+"_batch_size", "slserve_coalesce_"+c+"_absorbed_total")
 	}
 	for _, o := range []string{"counter", "maxreg", "gset", "kgset_p0", "kgset_p1", "kgset_p2", "kgset_p3",
 		"map_p0", "map_p1", "map_p2", "map_p3"} {

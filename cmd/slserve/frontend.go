@@ -825,5 +825,5 @@ func runFrontend(ctx context.Context) error {
 		return err
 	}
 	fmt.Printf("slserve: frontend over %d backends, listening on %s\n", len(backends), ln.Addr())
-	return serveUntil(ctx, stop, ln, func() {}, f.wire(), startDebug(f.reg))
+	return serveUntil(ctx, stop, ln, f.wire(), startDebug(f.reg))
 }

@@ -70,27 +70,23 @@
 // default is off): each combining read and multi-word scan publishes its
 // validated result keyed by the epoch/anchor it validated at, and
 // steady-state reads re-validate with ONE fresh register read instead of a
-// full collect. The server additionally folds concurrent same-kind
-// requests into one engine operation: N simultaneous
-// counter increments become a single XADD of their sum, concurrent gset adds
-// one pass over the distinct elements, and concurrent GETs of an object share
-// one validated view — see coalesce.go for the leader/follower mechanics and
-// why both directions preserve per-request strong linearizability.
+// full collect. Every request runs its own engine step under a leased
+// lane: the engines are wait-free, and a fetch&add observation depends only
+// on the set of operations before it, so concurrent requests need no
+// combining for correctness or for order.
 //
 // GET /metrics serves the Prometheus text format from the internal/obs
 // registry: request counts/errors/latency (aggregate AND a per-endpoint
 // duration histogram family), per-object helping telemetry (deposits,
 // adopts, adopt misses, retries, pressure raises), cache hit/miss/refresh
-// counters, coalesced batch-size histograms with absorbed-request counters,
-// retry-round histograms, lane-lease waits/steals, and the LIFETIME
-// WATERMARKS — epoch
-// announce counts against the 2⁴⁸ budget, per-word sequence fields against
-// the mod-2¹⁶ wrap, clock references against the Algorithm 1 capacity. The
-// watermarks are derived at scrape time from the registers themselves, so
-// serving them costs the protocol paths nothing. With -debug-addr HOST:PORT
-// a second listener additionally serves /metrics and net/http/pprof (the
-// profiling surface stays off the public port), on either tier, with
-// request bodies capped at 64 KiB.
+// counters, retry-round histograms, lane-lease waits/steals, and the LIFETIME
+// WATERMARKS — epoch announce counts against the 2⁴⁸ budget, per-word
+// sequence fields against the mod-2¹⁶ wrap, clock references against the
+// Algorithm 1 capacity. The watermarks are derived at scrape time from the
+// registers themselves, so serving them costs the protocol paths nothing.
+// With -debug-addr HOST:PORT a second listener additionally serves /metrics
+// and net/http/pprof (the profiling surface stays off the public port), on
+// either tier, with request bodies capped at 64 KiB.
 //
 // Load is generated outside this command: benchmark/run.sh builds slserve
 // from a tree, starts it with its default flags and checks every answer
@@ -115,6 +111,7 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+	"unicode/utf8"
 
 	"stronglin"
 	"stronglin/internal/obs"
@@ -169,8 +166,7 @@ func main() {
 
 // runServe is serve mode: listen until the context is cancelled or a
 // SIGTERM/SIGINT lands, then drain and exit cleanly — stop accepting, let
-// every in-flight request (coalescing leaders and the followers parked on
-// their batches included) finish inside -drain-timeout, and return nil so
+// every in-flight request finish inside -drain-timeout, and return nil so
 // the process exits 0. Orchestrators read that exit as a clean handoff;
 // anything else (a listener error, an overrun drain) returns the error and
 // exits 1.
@@ -194,17 +190,13 @@ func serveLoop(ctx context.Context, srv *server, ln net.Listener) error {
 	if *rollover {
 		srv.startRollover(ctx, *rolloverEvery)
 	}
-	// Close the coalescing funnels before the HTTP drain: requests that are
-	// already in flight when the drain stops accepting must not park behind
-	// a slow batch as its next leader, or the drain deadline kills them.
-	return serveUntil(ctx, stop, ln, srv.drainCoalescers, srv.wire(), startDebug(srv.reg))
+	return serveUntil(ctx, stop, ln, srv.wire(), startDebug(srv.reg))
 }
 
 // serveUntil is both tiers' listen/drain skeleton: serve ws on ln until
-// ctx (a signal context, stop its cancel) ends, then run beforeDrain and
-// gracefully shut ws and the -debug-addr server (if any) down within
-// -drain-timeout.
-func serveUntil(ctx context.Context, stop func(), ln net.Listener, beforeDrain func(), ws *wireServer, dbg *http.Server) error {
+// ctx (a signal context, stop its cancel) ends, then gracefully shut ws
+// and the -debug-addr server (if any) down within -drain-timeout.
+func serveUntil(ctx context.Context, stop func(), ln net.Listener, ws *wireServer, dbg *http.Server) error {
 	errc := make(chan error, 1)
 	go func() { errc <- ws.serve(ln) }()
 	select {
@@ -214,7 +206,6 @@ func serveUntil(ctx context.Context, stop func(), ln net.Listener, beforeDrain f
 	}
 	stop() // a second signal during the drain kills the process the hard way
 	fmt.Println("slserve: signal received, draining")
-	beforeDrain()
 	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := ws.shutdown(dctx); err != nil {
@@ -338,13 +329,12 @@ type server struct {
 	endpointDur map[string]*obs.Histogram
 
 	// The object table's per-server state, built once in registerMetrics
-	// and read-only after: one coalescer per coalesced op and one op
-	// counter per /stats key (both by stat name), and one ownership fence
-	// per route key. A routing tier moving an object away raises its
-	// fence (the cluster handoff protocol's 409 surface); fenceRejects
-	// counts requests refused below a floor. The keyed universe fences per
-	// key partition — the routing tier moves partitions, not single keys.
-	co           map[string]*coalescer
+	// and read-only after: one op counter per /stats key (by stat name),
+	// and one ownership fence per route key. A routing tier moving an
+	// object away raises its fence (the cluster handoff protocol's 409
+	// surface); fenceRejects counts requests refused below a floor. The
+	// keyed universe fences per key partition — the routing tier moves
+	// partitions, not single keys.
 	ops          map[string]*atomic.Int64
 	fences       map[string]*fenceGate
 	fenceRejects atomic.Int64
@@ -577,11 +567,7 @@ func (s *server) registerMetrics() {
 	// Per-endpoint request-duration histogram family: the same observation
 	// the aggregate slserve_request_duration_ns gets, split by URL path so a
 	// slow endpoint (a contended scan, a clock walk) is visible on its own.
-	// Coalescing telemetry per coalesced op: batch sizes (one observation
-	// per applied batch) and the requests absorbed into another request's
-	// batch — the engine operations that never happened.
 	s.endpointDur = make(map[string]*obs.Histogram)
-	s.co = make(map[string]*coalescer)
 	s.ops = make(map[string]*atomic.Int64)
 	endpoint := func(path string) {
 		if s.endpointDur[path] == nil {
@@ -593,12 +579,6 @@ func (s *server) registerMetrics() {
 		endpoint(d.path)
 		if s.ops[d.stat] == nil {
 			s.ops[d.stat] = new(atomic.Int64)
-		}
-		if d.co != coNone {
-			s.co[d.stat] = &coalescer{
-				size:     s.reg.Histogram("slserve_coalesce_"+d.stat+"_batch_size", d.stat+" requests folded per coalesced batch"),
-				absorbed: s.reg.Counter("slserve_coalesce_"+d.stat+"_absorbed_total", d.stat+" requests absorbed into another request's batch (engine operations saved)"),
-			}
 		}
 	}
 	endpoint("/stats")
@@ -699,7 +679,7 @@ func (s *server) serve(w *respWriter, r *request) {
 }
 
 // serveOp is every object's backend handler: X-SL-Gen (routed objects
-// only) → parse → fence gate → engine step (coalesced or direct) → typed
+// only) → parse → fence gate → engine step under a lane lease → typed
 // error mapping → op count → body. The fence gate holds its read side over
 // the engine step, so a concurrent /fence raise waits for it.
 func (s *server) serveOp(w *respWriter, r *request, d *op) {
@@ -717,7 +697,7 @@ func (s *server) serveOp(w *respWriter, r *request, d *op) {
 		return
 	}
 	var res result
-	step := func() { res, err = s.run(d, a) }
+	step := func() { res, err = s.step(d, a) }
 	if d.object == "" {
 		step()
 	} else if !s.fences[d.route(a)].admit(gen, step) {
@@ -730,6 +710,13 @@ func (s *server) serveOp(w *respWriter, r *request, d *op) {
 	}
 	s.ops[d.stat].Add(1)
 	writeBody(w, d.body, res)
+}
+
+// step runs d's engine step on a under a lane lease.
+func (s *server) step(d *op, a args) (result, error) {
+	l := s.pool.Acquire()
+	defer l.Release()
+	return d.apply(s, l.Thread(), a)
 }
 
 // healthz degrades with the watermark state instead of lying until the
@@ -766,11 +753,45 @@ func writeErr(w *respWriter, code int, reason string, retryable bool, retryAfter
 	if retryAfter > 0 {
 		w.setHeader("Retry-After", strconv.FormatInt(retryAfter, 10))
 	}
-	quoted, _ := json.Marshal(reason) // a string always marshals
-	b := append(append(w.body, `{"error":`...), quoted...)
+	b := appendQuoted(append(w.body, `{"error":`...), reason)
 	b = strconv.AppendInt(append(b, `,"retry_after_seconds":`...), retryAfter, 10)
 	b = strconv.AppendBool(append(b, `,"retryable":`...), retryable)
 	w.body = append(b, "}\n"...)
+}
+
+// appendQuoted appends s as a JSON string, byte for byte what
+// encoding/json writes: the short escapes, other control bytes and <, >, &
+// as \u00XX, invalid UTF-8 as \ufffd, and U+2028/U+2029 escaped.
+func appendQuoted(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	for i := 0; i < len(s); {
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == '"' || c == '\\':
+			b = append(b, '\\', byte(c))
+		case c == '\b':
+			b = append(b, `\b`...)
+		case c == '\f':
+			b = append(b, `\f`...)
+		case c == '\n':
+			b = append(b, `\n`...)
+		case c == '\r':
+			b = append(b, `\r`...)
+		case c == '\t':
+			b = append(b, `\t`...)
+		case c < 0x20 || c == '<' || c == '>' || c == '&':
+			b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+		case c == utf8.RuneError && size == 1:
+			b = append(b, `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			b = append(b, '\\', 'u', '2', '0', '2', hex[c&0xf])
+		default:
+			b = append(b, s[i:i+size]...)
+		}
+		i += size
+	}
+	return append(b, '"')
 }
 
 // writeOK is /healthz's plain-text 200.
@@ -932,11 +953,8 @@ type statsSnapshot struct {
 	KGSetFenceFloors  []int64 `json:"kgset_fence_floors"`
 	MapFenceFloors    []int64 `json:"map_fence_floors"`
 	FenceRejects      int64   `json:"fence_rejects"`
-	// Coalescing: how many requests rode another request's batch instead
-	// of running their own engine operation.
-	CoalesceAbsorbed int64 `json:"coalesce_absorbed"`
-	LanesInUse       int   `json:"lanes_in_use"`
-	Acquires         int64 `json:"lease_acquires"`
+	LanesInUse        int     `json:"lanes_in_use"`
+	Acquires          int64   `json:"lease_acquires"`
 }
 
 // keyedStats is one keyed object's table/growth telemetry in /stats — the
@@ -951,25 +969,6 @@ type keyedStats struct {
 	Rehashes       int64 `json:"rehashes"`
 	ReadRetries    int64 `json:"read_retries"`
 	EpochAnnounces int64 `json:"epoch_announces"`
-}
-
-// coalesceAbsorbed totals the follower requests every coalescer absorbed —
-// the engine operations batching saved.
-func (s *server) coalesceAbsorbed() int64 {
-	var n int64
-	for _, co := range s.co {
-		n += co.absorbed.Load()
-	}
-	return n
-}
-
-// drainCoalescers closes every coalescing funnel for shutdown: in-flight
-// batches finish, later arrivals run uncoalesced instead of parking behind
-// them (see coalescer.drain for the race this removes).
-func (s *server) drainCoalescers() {
-	for _, co := range s.co {
-		co.drain()
-	}
 }
 
 func (s *server) snapshot() statsSnapshot {
@@ -1017,7 +1016,6 @@ func (s *server) snapshot() statsSnapshot {
 		KGSetFenceFloors:  s.keyedFloors("kgset"),
 		MapFenceFloors:    s.keyedFloors("map"),
 		FenceRejects:      s.fenceRejects.Load(),
-		CoalesceAbsorbed:  s.coalesceAbsorbed(),
 		LanesInUse:        s.pool.InUse(),
 		Acquires:          acquires,
 	}

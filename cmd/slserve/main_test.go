@@ -144,11 +144,7 @@ func TestEndpoints(t *testing.T) {
 	if got := stats["lanes_in_use"].(float64); got != 0 {
 		t.Fatalf("stats lanes_in_use = %v, want 0", got)
 	}
-	// The serving configuration: caches on, coalescing on (solo batches under
-	// sequential load — nothing to absorb), cache blocks present per object.
-	if got := stats["coalesce_absorbed"].(float64); got != 0 {
-		t.Fatalf("stats coalesce_absorbed = %v under sequential load, want 0", got)
-	}
+	// The serving configuration: caches on, cache blocks present per object.
 	for _, key := range []string{"counter_cache", "maxreg_cache", "gset_cache", "msnapshot_cache"} {
 		if _, ok := stats[key].(map[string]any); !ok {
 			t.Fatalf("stats %s missing or malformed: %v", key, stats[key])
@@ -371,8 +367,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"slserve_lease_acquires_total",
 		"slserve_lease_waits_total",
 		"slserve_lanes_in_use",
-		// PR 7: view-/combine-cache telemetry, the per-endpoint duration
-		// family, and the coalescing instruments.
+		// View-/combine-cache telemetry and the per-endpoint duration family.
 		"slserve_counter_cache_hits_total",
 		"slserve_counter_cache_misses_total",
 		"slserve_counter_cache_refreshes_total",
@@ -380,8 +375,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"slserve_msnapshot_cache_misses_total",
 		"slserve_endpoint_counter_inc_duration_ns_count",
 		"slserve_endpoint_msnapshot_duration_ns_count",
-		"slserve_coalesce_counter_inc_batch_size_count",
-		"slserve_coalesce_msnapshot_scan_absorbed_total",
 	} {
 		if !strings.Contains(text, "\n"+name+" ") && !strings.Contains(text, "\n"+name+"{") {
 			t.Errorf("expected sample line for %s in /metrics", name)
@@ -659,136 +652,9 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
-// TestCoalescerFoldsAndShares drives the leader/follower batching of
-// coalescer.do, the dispatch server.run uses, with a gated leader: while the
-// first operation is parked in its solo step, every later arrival must join
-// the single next batch, whose leader then runs ONE apply over the whole
-// batch. A folding batch carries every member's payload and each member
-// answers with its own entry of the published errs; every member of a
-// shared batch returns the leader's published result. This is the
-// deterministic mechanics check; the HTTP-level count preservation rides
-// TestCoalescedIncsPreserveCount and TestConcurrentClients.
-func TestCoalescerFoldsAndShares(t *testing.T) {
-	for _, fold := range []bool{true, false} {
-		name := "share"
-		if fold {
-			name = "fold"
-		}
-		t.Run(name, func(t *testing.T) { testCoalescerBatch(t, fold) })
-	}
-}
-
-func testCoalescerBatch(t *testing.T, fold bool) {
-	var co coalescer
-	var applied atomic.Int64 // folded payload summed across applies
-	var batches atomic.Int64
-	gate := make(chan struct{})
-	// apply publishes each folded member's payload back as its error, so a
-	// member handed another's entry answers with the wrong n.
-	apply := func(b *batch) {
-		batches.Add(1)
-		b.errs = make([]error, len(b.reqs))
-		for i, a := range b.reqs {
-			applied.Add(a.n)
-			b.errs[i] = fmt.Errorf("member %d", a.n)
-		}
-		b.res.value = 200
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		res, err := co.do(args{n: 1000}, fold,
-			func() (result, error) {
-				<-gate // hold the coalescer busy while the followers arrive
-				applied.Add(1000)
-				return result{value: 100}, nil
-			},
-			func(*batch) { t.Error("the idle arrival led a batch instead of running solo") })
-		if err != nil || res.value != 100 {
-			t.Errorf("solo request got (%v, %v), want its own step's (100, nil)", res.value, err)
-		}
-	}()
-	waitFor := func(cond func() bool) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for !cond() {
-			if time.Now().After(deadline) {
-				t.Fatal("coalescer never reached the expected state")
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	waitFor(func() bool {
-		co.mu.Lock()
-		defer co.mu.Unlock()
-		return co.busy
-	})
-
-	const followers = 16
-	errs := make(chan error, followers)
-	for i := 1; i <= followers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := co.do(args{n: int64(i)}, fold,
-				func() (result, error) {
-					t.Error("a request arriving at a busy coalescer ran solo")
-					return result{}, nil
-				}, apply)
-			switch {
-			case fold && (err == nil || err.Error() != fmt.Sprintf("member %d", i)):
-				errs <- fmt.Errorf("folded member %d answered %v, not its own entry", i, err)
-			case !fold && (err != nil || res.value != 200):
-				errs <- fmt.Errorf("shared member %d got (%v, %v), not the leader's published result", i, res.value, err)
-			}
-		}()
-	}
-	// Every follower joins the one pending batch before the gate opens.
-	waitFor(func() bool {
-		co.mu.Lock()
-		defer co.mu.Unlock()
-		return co.next != nil && co.next.n == followers
-	})
-	close(gate)
-	// The solo step's finish releases the parked batch; a funnel it never
-	// hands on wedges every follower.
-	finished := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(finished)
-	}()
-	select {
-	case <-finished:
-	case <-time.After(10 * time.Second):
-		t.Fatal("the parked batch was never released after the solo step returned")
-	}
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-
-	want := int64(1000)
-	if fold {
-		want += followers * (followers + 1) / 2
-	}
-	if got := applied.Load(); got != want {
-		t.Fatalf("applied payload sums to %d, want %d (a fold was lost, double-applied or stored by a shared read)", got, want)
-	}
-	if got := batches.Load(); got != 1 {
-		t.Fatalf("ran %d batch applies, want 1 (every follower in one batch)", got)
-	}
-	// After the dust settles the coalescer is idle again.
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if co.busy || co.next != nil {
-		t.Fatalf("coalescer not idle after drain: busy=%v next=%v", co.busy, co.next)
-	}
-}
-
-// TestCoalescedIncsPreserveCount floods /counter/inc through the coalescing
-// server: whatever the batching folds, the final counter must equal the
-// request count exactly — a lost or double-counted fold shows here.
+// TestCoalescedIncsPreserveCount floods /counter/inc from concurrent
+// clients, each request its own engine step: the final counter must equal
+// the request count exactly — a lost or double-counted increment shows here.
 func TestCoalescedIncsPreserveCount(t *testing.T) {
 	srv := newServer(4, 2, 0)
 	ts := startWire(t, srv.wire())
@@ -830,15 +696,8 @@ func TestCoalescedIncsPreserveCount(t *testing.T) {
 	json.NewDecoder(resp.Body).Decode(&out)
 	resp.Body.Close()
 	if got := out["value"].(float64); got != clients*reqs {
-		t.Fatalf("counter after coalesced flood = %v, want %d", got, clients*reqs)
+		t.Fatalf("counter after concurrent flood = %v, want %d", got, clients*reqs)
 	}
-	// The batch-size histogram saw every applied batch; the absorbed counter
-	// and the histogram must agree with the request count exactly.
-	if n := srv.co["counter_inc"].size.Count(); n == 0 {
-		t.Fatal("coalescer batch-size histogram never observed a batch")
-	}
-	t.Logf("inc batches applied: %d for %d requests (%d absorbed)",
-		srv.co["counter_inc"].size.Count(), clients*reqs, srv.co["counter_inc"].absorbed.Load())
 }
 
 // TestClockCapacityExhaustion: the clock's budget is finite; requests past

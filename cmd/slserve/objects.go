@@ -2,13 +2,12 @@ package main
 
 // The object table: one descriptor per (path, method) of the served
 // surface. Both tiers dispatch from it. The backend derives its handler,
-// fence gates, coalescers, op counters and per-endpoint histograms from
-// the table; the frontend derives its routes, acked ledgers, seeding and
-// degraded reads. The wrapper around every object — fence gate, lane
-// lease, coalescer, uniform error shape, ack fold, seed — does not depend
-// on the object, which is the composition argument for strong
-// linearizability made concrete: each descriptor only says how to parse
-// its query and which engine step to run.
+// fence gates, op counters and per-endpoint histograms from the table; the
+// frontend derives its routes, acked ledgers, seeding and degraded reads.
+// The wrapper around every object — fence gate, lane lease, uniform error
+// shape, ack fold, seed — does not depend on the object, which is the
+// composition argument for strong linearizability made concrete: each
+// descriptor only says how to parse its query and which engine step to run.
 
 import (
 	"errors"
@@ -52,8 +51,7 @@ const (
 	bodyView                       // {"view":[...]}
 )
 
-// ackKind is how the frontend folds an acked write into its ledger, and
-// how the backend coalescer folds concurrent writes into one engine step.
+// ackKind is how the frontend folds an acked write into its ledger.
 type ackKind int
 
 const (
@@ -63,23 +61,14 @@ const (
 	ackSet                 // every acked element
 )
 
-// ident is a write's identity in its ledger and in a coalesced batch:
-// sum and max writes to one key fold together; a set write is its element.
+// ident is a write's identity in its ledger: sum and max writes to one key
+// fold into one entry; a set write is its element.
 func (k ackKind) ident(a args) args {
 	if k == ackSet {
 		return a
 	}
 	return args{key: a.key}
 }
-
-// coMode selects an op's coalescing (coalesce.go).
-type coMode int
-
-const (
-	coNone  coMode = iota
-	coShare        // concurrent reads share one engine read
-	coFold         // concurrent writes fold by ack kind into one step per identity
-)
 
 // param is an op's integer query parameter, accepted in [min, max(s)].
 // An optional parameter may be absent and then leaves n at 1.
@@ -97,15 +86,13 @@ func counterCap(*server) int64 { return counterBound }
 // op is one descriptor.
 type op struct {
 	path, method string
-	// stat names the /stats op counter and, for a coalesced op, the
-	// slserve_coalesce_<stat>_* families.
+	// stat names the /stats op counter.
 	stat string
 	// object is the routed object ("" = served by the backend only, never
 	// fenced); a keyed object routes and fences by key partition.
 	object string
 	keyed  bool
 	param  *param
-	co     coMode
 	apply  func(s *server, t stronglin.Thread, a args) (result, error)
 	body   bodyShape
 	// ack is the frontend's ledger fold for a routed write. read is the
@@ -126,14 +113,14 @@ type op struct {
 // The served objects. Adding an object is one entry per (path, method).
 var objects = []*op{
 	{path: "/counter/inc", method: http.MethodPost, stat: "counter_inc",
-		object: "counter", co: coFold, apply: counterAdd, body: bodyOK,
+		object: "counter", apply: counterAdd, body: bodyOK,
 		ack: ackSum, read: "/counter", seed: "/counter/add"},
 	// The migration surface: a routing tier seeds a new owner's counter
 	// with one add instead of replaying N increments.
 	{path: "/counter/add", method: http.MethodPost, stat: "counter_inc",
 		object: "counter", param: &param{name: "d", max: counterCap}, apply: counterAdd, body: bodyOK},
 	{path: "/counter", method: http.MethodGet, stat: "counter_read",
-		object: "counter", co: coShare, body: bodyValue, degraded: []string{"counter_inc"},
+		object: "counter", body: bodyValue, degraded: []string{"counter_inc"},
 		apply: func(s *server, t stronglin.Thread, _ args) (result, error) {
 			return result{value: s.counter.Read(t)}, nil
 		}},
@@ -144,12 +131,12 @@ var objects = []*op{
 			return result{}, nil
 		}},
 	{path: "/maxreg", method: http.MethodGet, stat: "maxreg_read",
-		object: "maxreg", co: coShare, body: bodyValue, degraded: []string{"maxreg_write"},
+		object: "maxreg", body: bodyValue, degraded: []string{"maxreg_write"},
 		apply: func(s *server, t stronglin.Thread, _ args) (result, error) {
 			return result{value: s.maxreg.ReadMax(t)}, nil
 		}},
 	{path: "/gset", method: http.MethodPost, stat: "gset_add",
-		object: "gset", param: &param{name: "x", max: valueCap}, co: coFold, body: bodyOK, ack: ackSet, read: "/gset",
+		object: "gset", param: &param{name: "x", max: valueCap}, body: bodyOK, ack: ackSet, read: "/gset",
 		apply: func(s *server, t stronglin.Thread, a args) (result, error) {
 			s.gset.Add(t, a.n)
 			return result{}, nil
@@ -161,12 +148,12 @@ var objects = []*op{
 			return result{member: s.gset.Has(t, a.n)}, nil
 		}},
 	{path: "/gset", method: http.MethodGet, stat: "gset_elems",
-		object: "gset", co: coShare, body: bodyElems, degraded: []string{"gset_add"},
+		object: "gset", body: bodyElems, degraded: []string{"gset_add"},
 		apply: func(s *server, t stronglin.Thread, _ args) (result, error) {
 			return result{elems: s.gset.Elems(t)}, nil
 		}},
 	{path: "/kgset/add", method: http.MethodPost, stat: "kgset_add",
-		object: "kgset", keyed: true, co: coFold, body: bodyOK, ack: ackSet,
+		object: "kgset", keyed: true, body: bodyOK, ack: ackSet,
 		apply: func(s *server, t stronglin.Thread, a args) (result, error) {
 			return result{}, growFull(
 				func() error { return s.kgset.Add(t, a.key) },
@@ -179,7 +166,7 @@ var objects = []*op{
 		}},
 	{path: "/map/inc", method: http.MethodPost, stat: "map_inc",
 		object: "map", keyed: true, param: &param{name: "d", min: 1, max: fieldCap, optional: true},
-		co: coFold, body: bodyOK, ack: ackSum, read: "/map/get",
+		body: bodyOK, ack: ackSum, read: "/map/get",
 		apply: func(s *server, t stronglin.Thread, a args) (result, error) {
 			return result{}, growFull(
 				func() error { return s.kmap.IncBy(t, a.key, a.n) },
@@ -187,7 +174,7 @@ var objects = []*op{
 		}},
 	{path: "/map/max", method: http.MethodPost, stat: "map_max",
 		object: "map", keyed: true, param: &param{name: "v", max: fieldCap},
-		co: coFold, body: bodyOK, ack: ackMax,
+		body: bodyOK, ack: ackMax,
 		apply: func(s *server, t stronglin.Thread, a args) (result, error) {
 			return result{}, growFull(
 				func() error { return s.kmap.Max(t, a.key, a.n) },
@@ -230,7 +217,7 @@ func snapshotOps(name string, engine func(*server) *stronglin.Snapshot) []*op {
 				return result{}, nil
 			}},
 		{path: "/" + name, method: http.MethodGet, stat: name + "_scan",
-			co: coShare, body: bodyView,
+			body: bodyView,
 			apply: func(s *server, t stronglin.Thread, _ args) (result, error) {
 				return result{elems: engine(s).Scan(t)}, nil
 			}},
@@ -241,8 +228,8 @@ func snapshotOps(name string, engine func(*server) *stronglin.Snapshot) []*op {
 // reference budget is spent and no further operation exists to serve.
 var errClockSpent = errors.New("clock capacity exhausted")
 
-// counterAdd is the counter's one engine step: an increment (n = 1), a
-// folded batch of them, or a migration add.
+// counterAdd is the counter's one engine step: an increment (n = 1) or a
+// migration add.
 func counterAdd(s *server, t stronglin.Thread, a args) (result, error) {
 	if a.n > 0 {
 		s.counter.Add(t, a.n)

@@ -3,9 +3,12 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net"
 	"net/http"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -79,56 +82,65 @@ func rawRequest(method, target string) []byte {
 	return []byte(method + " " + target + " HTTP/1.1\r\nHost: t\r\n\r\n")
 }
 
+// probe is one request of a zero-alloc check and the status it answers.
+type probe struct {
+	method, target string
+	code           int
+}
+
 // checkZeroAllocs runs each request once to create its state (the keys
 // exist from then on), then requires 0 allocations per request.
-func checkZeroAllocs(t *testing.T, base string, reqs [][2]string) {
+func checkZeroAllocs(t *testing.T, base string, reqs []probe) {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
 	rc := dialRaw(t, base)
 	for _, r := range reqs {
-		req := rawRequest(r[0], r[1])
+		req := rawRequest(r.method, r.target)
 		code, body, ok := rc.exchange(req)
-		if !ok || code != http.StatusOK {
-			t.Fatalf("%s %s: %d %s", r[0], r[1], code, body)
+		if !ok || code != r.code {
+			t.Fatalf("%s %s: %d %s, want %d", r.method, r.target, code, body, r.code)
 		}
 		failed := false
 		avg := testing.AllocsPerRun(200, func() {
-			if code, _, ok := rc.exchange(req); !ok || code != http.StatusOK {
+			if code, _, ok := rc.exchange(req); !ok || code != r.code {
 				failed = true
 			}
 		})
 		if failed {
-			t.Fatalf("%s %s failed during the measurement", r[0], r[1])
+			t.Fatalf("%s %s failed during the measurement", r.method, r.target)
 		}
 		if avg != 0 {
-			t.Errorf("%s %s: %v allocs/request, want 0", r[0], r[1], avg)
+			t.Errorf("%s %s: %v allocs/request, want 0", r.method, r.target, avg)
 		}
 	}
 }
 
 // servedRequests are the steady-state requests that must allocate nothing,
 // keyed ones on keys that already exist.
-var servedRequests = [][2]string{
-	{http.MethodPost, "/counter/inc"},
-	{http.MethodGet, "/counter"},
-	{http.MethodPost, "/maxreg?v=9"},
-	{http.MethodGet, "/maxreg"},
-	{http.MethodPost, "/gset?x=5"},
-	{http.MethodGet, "/gset?x=5"},
-	{http.MethodPost, "/kgset/add?k=alpha"},
-	{http.MethodGet, "/kgset/has?k=alpha"},
-	{http.MethodPost, "/map/inc?k=hits"},
-	{http.MethodPost, "/map/max?k=peak&v=7"},
-	{http.MethodGet, "/map/get?k=hits"},
+var servedRequests = []probe{
+	{http.MethodPost, "/counter/inc", http.StatusOK},
+	{http.MethodGet, "/counter", http.StatusOK},
+	{http.MethodPost, "/maxreg?v=9", http.StatusOK},
+	{http.MethodGet, "/maxreg", http.StatusOK},
+	{http.MethodPost, "/gset?x=5", http.StatusOK},
+	{http.MethodGet, "/gset?x=5", http.StatusOK},
+	{http.MethodPost, "/kgset/add?k=alpha", http.StatusOK},
+	{http.MethodGet, "/kgset/has?k=alpha", http.StatusOK},
+	{http.MethodPost, "/map/inc?k=hits", http.StatusOK},
+	{http.MethodPost, "/map/max?k=peak&v=7", http.StatusOK},
+	{http.MethodGet, "/map/get?k=hits", http.StatusOK},
 }
 
 // TestBackendRequestPathZeroAllocs: the backend's steady-state request
-// path, from the head's bytes to the framed answer, allocates nothing.
+// path, from the head's bytes to the framed answer, allocates nothing; nor
+// do the constant 404s of a key never written and of an unknown path.
 func TestBackendRequestPathZeroAllocs(t *testing.T) {
 	ts := startWire(t, newServer(4, 2, 0).wire())
-	checkZeroAllocs(t, ts.URL, servedRequests)
+	checkZeroAllocs(t, ts.URL, append(servedRequests,
+		probe{http.MethodGet, "/map/get?k=absent", http.StatusNotFound},
+		probe{http.MethodGet, "/nope", http.StatusNotFound}))
 }
 
 // TestFrontendRequestPathZeroAllocs: the same through the routing tier,
@@ -198,4 +210,49 @@ func TestRetainedKeysOutliveTheirRequest(t *testing.T) {
 			t.Errorf("ledger holds %d keys, want 2", n)
 		}
 	})
+}
+
+// BenchmarkBackendConns drives one in-process backend (8 lanes, 4 shards)
+// from N keep-alive connections at once, each sending POST /counter/inc or
+// GET /counter back to back. ns/op is wall time per request across all
+// connections; req/s is its inverse.
+func BenchmarkBackendConns(b *testing.B) {
+	for _, rq := range []struct{ name, method, target string }{
+		{"inc", http.MethodPost, "/counter/inc"},
+		{"read", http.MethodGet, "/counter"},
+	} {
+		req := rawRequest(rq.method, rq.target)
+		for _, conns := range []int{2, 64, 256} {
+			b.Run(fmt.Sprintf("%s/%d", rq.name, conns), func(b *testing.B) {
+				base := startWire(b, newServer(8, 4, 0).wire()).URL
+				rcs := make([]*rawConn, conns)
+				for i := range rcs {
+					rcs[i] = dialRaw(b, base)
+				}
+				var left atomic.Int64
+				left.Store(int64(b.N))
+				var failed atomic.Bool
+				var wg sync.WaitGroup
+				b.ResetTimer()
+				for _, rc := range rcs {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for left.Add(-1) >= 0 {
+							if code, _, ok := rc.exchange(req); !ok || code != http.StatusOK {
+								failed.Store(true)
+								return
+							}
+						}
+					}()
+				}
+				wg.Wait()
+				b.StopTimer()
+				if failed.Load() {
+					b.Fatalf("%s %s failed", rq.method, rq.target)
+				}
+				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+			})
+		}
+	}
 }

@@ -263,8 +263,7 @@ func TestAutoRolloverUnderLoad(t *testing.T) {
 // (the SIGTERM path) while steps and requests are in flight. The contract
 // under the race: serveLoop drains and returns nil in time, and every
 // increment the server ACKED before the drain finished is in the counter —
-// a coalescer batch or a mid-Step migration must not eat acked requests on
-// the way down.
+// a mid-Step migration must not eat acked requests on the way down.
 func TestShutdownRacesRolloverMidStep(t *testing.T) {
 	setFlag(t, watermarkBudget, int64(32))
 	setFlag(t, rollover, true)
@@ -328,55 +327,6 @@ func TestShutdownRacesRolloverMidStep(t *testing.T) {
 	}
 	if srv.rebaser.Stats().Rollovers < 1 {
 		t.Fatalf("no rollover completed during the soak — the race window never opened")
-	}
-}
-
-// TestCoalescerDrainVsJoinRace is the drain-vs-join shutdown regression: a
-// request arriving AFTER graceful drain begins must not park in the funnel
-// behind a slow in-flight batch. Pre-fix, the arrival became the parked
-// next leader of a coalescer whose current apply was still running —
-// http.Server.Shutdown then waited on a request that was itself waiting on
-// the funnel, and the drain deadline killed both. Post-fix, drain() closes
-// the funnel atomically (the flag is checked under the same mutex that
-// admits joiners) and the arrival applies solo while the old batch is still
-// blocked.
-func TestCoalescerDrainVsJoinRace(t *testing.T) {
-	var co coalescer
-	block := make(chan struct{})
-	started := make(chan struct{})
-	inflight := make(chan struct{})
-	go func() {
-		// The slow in-flight batch a SIGTERM races: its apply is wedged on
-		// an engine op that outlives the drain decision.
-		co.do(args{n: 1}, true, func() (result, error) {
-			close(started)
-			<-block
-			return result{}, nil
-		}, nil)
-		close(inflight)
-	}()
-	<-started
-
-	co.drain()
-
-	done := make(chan struct{})
-	go func() {
-		co.do(args{n: 1}, true, func() (result, error) { return result{}, nil }, nil)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("post-drain request parked in the funnel behind a blocked batch")
-	}
-
-	// The wedged batch still finishes normally once its engine op returns —
-	// drain must not orphan in-flight work.
-	close(block)
-	select {
-	case <-inflight:
-	case <-time.After(2 * time.Second):
-		t.Fatal("in-flight batch never completed after drain")
 	}
 }
 

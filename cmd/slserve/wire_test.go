@@ -174,11 +174,12 @@ func TestWireEdges(t *testing.T) {
 
 // TestWirePanicClosesOnlyItsConnection: an engine step that panics drops
 // its own connection, unanswered, as net/http's per-request recover did.
-// The counter's coalescer hands off in a deferred call, so every later
-// increment runs (and panics) instead of parking behind the dead leader,
-// and other connections are served throughout.
+// The step releases its lane lease in a deferred call, so the pool gets
+// each lane back: with two lanes, the three panics would otherwise leave
+// the later requests waiting for a lane forever. Other connections are
+// served throughout.
 func TestWirePanicClosesOnlyItsConnection(t *testing.T) {
-	srv := newServer(4, 2, 0)
+	srv := newServer(2, 2, 0)
 	srv.counter = nil // every counter step dereferences it
 	ts := startWire(t, srv.wire())
 	for i := 0; i < 3; i++ {
@@ -349,7 +350,8 @@ func TestBodiesMatchEncodingJSON(t *testing.T) {
 			t.Errorf("writeBody(%v, %+v) = %q, want %q", tc.shape, tc.res, got, want)
 		}
 	}
-	for _, reason := range []string{"unknown path", `say "x" <&> é` + "\x01 ", "\xff"} {
+	for _, reason := range []string{"unknown path", `say "x" <&> é` + "\x01 ", "\xff",
+		"line\u2028para\u2029 \b\f\n\r\t\\ \ufffd\x7f"} {
 		var w respWriter
 		writeErr(&w, http.StatusBadRequest, reason, true, 3)
 		want := encode(map[string]any{"error": reason, "retryable": true, "retry_after_seconds": 3})
