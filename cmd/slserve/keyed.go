@@ -49,13 +49,19 @@ func keyedPartition(key string) int {
 func queryKey(q query) (string, error) {
 	key := q.Get("k")
 	if key == "" {
-		return "", errors.New(`missing query parameter "k"`)
+		return "", errMissingKey
 	}
 	if len(key) > kmaxKeyLen {
-		return "", fmt.Errorf("key longer than %d bytes", kmaxKeyLen)
+		return "", errKeyTooLong
 	}
 	return key, nil
 }
+
+// queryKey's 400 reasons, built once.
+var (
+	errMissingKey = errors.New(`missing query parameter "k"`)
+	errKeyTooLong = fmt.Errorf("key longer than %d bytes", kmaxKeyLen)
+)
 
 // writeOpErr maps an engine step's typed errors onto the uniform error
 // shape. None are retryable: the clock's budget is terminal, an unknown key

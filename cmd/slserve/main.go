@@ -306,6 +306,7 @@ type server struct {
 	clock         *stronglin.LogicalClock
 	kgset         *stronglin.KeyedGSet   // sparse keyed universe: hashed grow-only set
 	kmap          *stronglin.MonotoneMap // sparse keyed universe: per-key counters / max registers
+	outOfRange    map[*param]error       // each parameter's 400 reason under this server's bounds
 
 	// reg is this server's metric registry (per-server, not the package
 	// default: tests build several servers per process). The data listener
@@ -500,6 +501,12 @@ func newServerCfg(lanes, shards int, bound, clockBudget int64, scanBudget int, c
 	}
 	s.rebaser = reb
 	s.targetNames = reb.Targets()
+	s.outOfRange = map[*param]error{}
+	for _, d := range objects {
+		if d.param != nil {
+			s.outOfRange[d.param] = d.param.outOfRange(d.param.max(s))
+		}
+	}
 	s.registerMetrics()
 	return s
 }

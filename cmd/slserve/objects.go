@@ -77,6 +77,14 @@ type param struct {
 	min      int64
 	max      func(*server) int64
 	optional bool
+	// missing and unbounded (outside [min, MaxInt64], the frontend's check)
+	// are its 400 reasons, built once; server.outOfRange holds a backend's.
+	missing, unbounded error
+}
+
+// outOfRange is p's 400 reason for a value outside [p.min, hi].
+func (p *param) outOfRange(hi int64) error {
+	return fmt.Errorf("query parameter %q must be an integer in [%d, %d]", p.name, p.min, hi)
 }
 
 func valueCap(s *server) int64 { return s.maxValue }
@@ -240,6 +248,13 @@ func counterAdd(s *server, t stronglin.Thread, a args) (result, error) {
 // opsByPath indexes the table by path, in table order.
 var opsByPath = map[string][]*op{}
 
+// methods is every method the table serves; notAllowed[set] is the 405
+// reason naming a set of them, bit i standing for methods[i].
+var (
+	methods    = [...]string{http.MethodGet, http.MethodPost}
+	notAllowed = [...]string{1: "GET only", 2: "POST only", 3: "GET or POST only"}
+)
+
 // routeKeys is every route key the table routes: the dense objects, then
 // one key per keyed partition (kgset.pN, map.pN). The frontend's ownership
 // table carries exactly these, the backend's /fence accepts exactly these,
@@ -252,6 +267,10 @@ func init() {
 	routesOf := map[string][]string{}
 	for _, d := range objects {
 		opsByPath[d.path] = append(opsByPath[d.path], d)
+		if p := d.param; p != nil {
+			p.missing = fmt.Errorf("missing query parameter %q", p.name)
+			p.unbounded = p.outOfRange(math.MaxInt64)
+		}
 		if d.object == "" {
 			continue
 		}
@@ -286,12 +305,12 @@ func (d *op) route(a args) string {
 // restricts the table to the ops a tier serves.
 func lookupOp(w *respWriter, r *request, serves func(*op) bool) *op {
 	var pick *op
-	known := false
+	allowed := 0 // the method set served on the path
 	for _, d := range opsByPath[r.path] {
 		if !serves(d) {
 			continue
 		}
-		known = true
+		allowed |= 1 << slices.Index(methods[:], d.method)
 		if d.method == r.method && (pick == nil || !pick.satisfied(r.query)) {
 			pick = d
 		}
@@ -299,15 +318,8 @@ func lookupOp(w *respWriter, r *request, serves func(*op) bool) *op {
 	switch {
 	case pick != nil:
 		return pick
-	case known:
-		var allowed []string
-		for _, d := range opsByPath[r.path] {
-			if serves(d) && !slices.Contains(allowed, d.method) {
-				allowed = append(allowed, d.method)
-			}
-		}
-		slices.Sort(allowed)
-		writeErr(w, http.StatusMethodNotAllowed, strings.Join(allowed, " or ")+" only", false, 0)
+	case allowed != 0:
+		writeErr(w, http.StatusMethodNotAllowed, notAllowed[allowed], false, 0)
 	default:
 		notFound(w)
 	}
@@ -344,18 +356,44 @@ func (d *op) parse(q query, s *server) (args, error) {
 		if p.optional {
 			return a, nil
 		}
-		return a, fmt.Errorf("missing query parameter %q", p.name)
+		return a, p.missing
 	}
 	hi := int64(math.MaxInt64)
 	if s != nil {
 		hi = p.max(s)
 	}
-	v, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil || v < p.min || v > hi {
-		return a, fmt.Errorf("query parameter %q must be an integer in [%d, %d]", p.name, p.min, hi)
+	if v, ok := atoi64(raw); ok && v >= p.min && v <= hi {
+		a.n = v
+		return a, nil
 	}
-	a.n = v
-	return a, nil
+	if s == nil {
+		return a, p.unbounded
+	}
+	return a, s.outOfRange[p]
+}
+
+// atoi64 is strconv.ParseInt(s, 10, 64) without its error value, which
+// allocates: an optional sign, then decimal digits, within int64.
+func atoi64(s string) (int64, bool) {
+	neg := strings.HasPrefix(s, "-")
+	if neg || strings.HasPrefix(s, "+") {
+		s = s[1:]
+	}
+	var n int64 // accumulated negatively, so MinInt64 fits
+	for i := range len(s) {
+		d := int64(s[i]) - '0'
+		if d < 0 || d > 9 || n < (math.MinInt64+d)/10 {
+			return 0, false
+		}
+		n = n*10 - d
+	}
+	if s == "" || !neg && n == math.MinInt64 {
+		return 0, false
+	}
+	if neg {
+		return n, true
+	}
+	return -n, true
 }
 
 // writeURI is the request URI of a write of a through d: the frontend's

@@ -135,12 +135,16 @@ var servedRequests = []probe{
 
 // TestBackendRequestPathZeroAllocs: the backend's steady-state request
 // path, from the head's bytes to the framed answer, allocates nothing; nor
-// do the constant 404s of a key never written and of an unknown path.
+// do the constant 404s of a key never written and of an unknown path, a
+// 405, and the 400s of a malformed and of a missing parameter.
 func TestBackendRequestPathZeroAllocs(t *testing.T) {
 	ts := startWire(t, newServer(4, 2, 0).wire())
 	checkZeroAllocs(t, ts.URL, append(servedRequests,
 		probe{http.MethodGet, "/map/get?k=absent", http.StatusNotFound},
-		probe{http.MethodGet, "/nope", http.StatusNotFound}))
+		probe{http.MethodGet, "/nope", http.StatusNotFound},
+		probe{http.MethodPut, "/counter", http.StatusMethodNotAllowed},
+		probe{http.MethodPost, "/maxreg?v=abc", http.StatusBadRequest},
+		probe{http.MethodPost, "/maxreg", http.StatusBadRequest}))
 }
 
 // TestFrontendRequestPathZeroAllocs: the same through the routing tier,

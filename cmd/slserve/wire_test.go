@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	neturl "net/url"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -209,6 +210,21 @@ func TestQueryGet(t *testing.T) {
 	}
 }
 
+// TestAtoi64: atoi64 accepts exactly what strconv.ParseInt(s, 10, 64) does,
+// with the same value.
+func TestAtoi64(t *testing.T) {
+	for _, s := range []string{
+		"", "0", "-0", "+0", "7", "+7", "-7", "007", "abc", "1a", "a1", " 1", "1 ", "+", "-", "--1", "+-1",
+		"1_000", "0x10", "1e3", "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+		"-9223372036854775809", "00009223372036854775807", "18446744073709551616", "99999999999999999999",
+	} {
+		want, err := strconv.ParseInt(s, 10, 64)
+		if got, ok := atoi64(s); ok != (err == nil) || got != want && ok {
+			t.Errorf("atoi64(%q) = %d, %v; ParseInt = %d, %v", s, got, ok, want, err)
+		}
+	}
+}
+
 // headsOf splits a request stream into heads the way the server frames
 // them: each ends at its first blank line. A trailing partial head is the
 // last element.
@@ -350,8 +366,13 @@ func TestBodiesMatchEncodingJSON(t *testing.T) {
 			t.Errorf("writeBody(%v, %+v) = %q, want %q", tc.shape, tc.res, got, want)
 		}
 	}
+	// The 405 and 400 reasons too: built once, per method set and parameter.
+	v := opsByPath["/maxreg"][0].param
 	for _, reason := range []string{"unknown path", `say "x" <&> é` + "\x01 ", "\xff",
-		"line\u2028para\u2029 \b\f\n\r\t\\ \ufffd\x7f"} {
+		"line\u2028para\u2029 \b\f\n\r\t\\ \ufffd\x7f",
+		notAllowed[1], notAllowed[2], notAllowed[3],
+		v.outOfRange(defaultMaxValue).Error(), v.unbounded.Error(), v.missing.Error(),
+		errMissingKey.Error(), errKeyTooLong.Error()} {
 		var w respWriter
 		writeErr(&w, http.StatusBadRequest, reason, true, 3)
 		want := encode(map[string]any{"error": reason, "retryable": true, "retry_after_seconds": 3})

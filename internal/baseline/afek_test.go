@@ -173,32 +173,3 @@ func TestAfekSnapshotLinearizableSmallConfig(t *testing.T) {
 		return true
 	})
 }
-
-func TestAfekSnapshotRealWorldStress(t *testing.T) {
-	const procs = 4
-	w := prim.NewRealWorld()
-	s := NewAfekSnapshot(w, "afek", procs)
-	h := history.Stress(history.StressConfig{
-		Procs:      procs,
-		OpsPerProc: 15,
-		Gen: func(p, i int) history.StressOp {
-			if i%2 == 0 {
-				v := int64(p*100 + i)
-				return history.StressOp{
-					Op: spec.MkOp(spec.MethodUpdate, int64(p), v),
-					Run: func(t prim.Thread) string {
-						s.Update(t, v)
-						return spec.RespOK
-					},
-				}
-			}
-			return history.StressOp{
-				Op:  spec.MkOp(spec.MethodScan),
-				Run: func(t prim.Thread) string { return spec.RespVec(s.Scan(t)) },
-			}
-		},
-	})
-	if res := history.CheckLinearizable(h, spec.Snapshot{}); !res.Ok {
-		t.Fatalf("stress history not linearizable: %s", h.String())
-	}
-}

@@ -141,42 +141,6 @@ func TestHWQueueNotStronglyLinearizable(t *testing.T) {
 	t.Logf("counterexample: %s", res.Counterexample)
 }
 
-func TestHWQueueRealWorldStress(t *testing.T) {
-	// Strict per-process enq/deq alternation with the SPINNING dequeue (the
-	// original algorithm): each process enqueues before it dequeues, so
-	// every started dequeue has an undequeued item to find and the workload
-	// is deadlock-free. (Single-scan "empty" responses are deliberately not
-	// used here — they are unsound; see TestHWQueueBoundedEmptinessUnsound.)
-	const procs = 4
-	w := prim.NewRealWorld()
-	q := NewHWQueue(w, "q", 4096)
-	var next [procs]int64
-	h := history.Stress(history.StressConfig{
-		Procs:      procs,
-		OpsPerProc: 40,
-		Gen: func(p, i int) history.StressOp {
-			if i%2 == 0 {
-				next[p]++
-				v := int64(p+1) + (next[p]-1)*procs
-				return history.StressOp{
-					Op: spec.MkOp(spec.MethodEnq, v),
-					Run: func(t prim.Thread) string {
-						q.Enqueue(t, v)
-						return spec.RespOK
-					},
-				}
-			}
-			return history.StressOp{
-				Op:  spec.MkOp(spec.MethodDeq),
-				Run: func(t prim.Thread) string { return spec.RespInt(q.Dequeue(t)) },
-			}
-		},
-	})
-	if res := history.CheckLinearizable(h, spec.Queue{}); !res.Ok {
-		t.Fatalf("stress history not linearizable: %s", h.String())
-	}
-}
-
 // Reproduction finding (discovered by the randomized stress harness, pinned
 // here deterministically): interpreting a fruitless single scan as an
 // "empty" response is NOT linearizable. Witness with 4 processes:

@@ -335,8 +335,8 @@ func TestMultiwordHelpedOpsAllocFree(t *testing.T) {
 // runs keep every round validating, so this pins the helped engine's
 // decode/update equivalence; the adopt path's values are pinned by the
 // crafted race and the sim checks above, and cross-checked against the
-// sequential spec under real concurrency by cmd/slfuzz's
-// multiword-help workload.)
+// sequential spec under real concurrency by the multiword-help row of the
+// root package's TestStressLinearizable.)
 func FuzzMultiwordHelpedVsWideSnapshot(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{250, 125, 60, 30, 15, 7, 3, 1})

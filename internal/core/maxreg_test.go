@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"stronglin/internal/history"
 	"stronglin/internal/prim"
 	"stronglin/internal/sim"
 	"stronglin/internal/spec"
@@ -263,38 +262,5 @@ func TestWideReadsRaceRaisingWriters(t *testing.T) {
 	rwg.Wait()
 	if got := m.ReadMax(prim.RealThread(0)); got != rounds {
 		t.Fatalf("final ReadMax = %d, want %d", got, rounds)
-	}
-}
-
-func TestFAMaxRegisterRealWorldStress(t *testing.T) {
-	w := prim.NewRealWorld()
-	const procs = 4
-	m := NewFAMaxRegister(w, "max", procs)
-	rngs := make([]*rand.Rand, procs)
-	for p := range rngs {
-		rngs[p] = rand.New(rand.NewSource(int64(p) + 1))
-	}
-	h := history.Stress(history.StressConfig{
-		Procs:      procs,
-		OpsPerProc: 30,
-		Gen: func(p, i int) history.StressOp {
-			if rngs[p].Intn(2) == 0 {
-				v := int64(rngs[p].Intn(20))
-				return history.StressOp{
-					Op: spec.MkOp(spec.MethodWriteMax, v),
-					Run: func(t prim.Thread) string {
-						m.WriteMax(t, v)
-						return spec.RespOK
-					},
-				}
-			}
-			return history.StressOp{
-				Op:  spec.MkOp(spec.MethodReadMax),
-				Run: func(t prim.Thread) string { return spec.RespInt(m.ReadMax(t)) },
-			}
-		},
-	})
-	if res := history.CheckLinearizable(h, spec.MaxRegister{}); !res.Ok {
-		t.Fatalf("stress history not linearizable: %s", h.String())
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"math/rand"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -719,42 +718,6 @@ func FuzzMultiwordVsWideSnapshot(f *testing.F) {
 }
 
 // --- randomized stress under real goroutine concurrency ----------------------
-
-func TestMultiwordSnapshotRealWorldStress(t *testing.T) {
-	w := prim.NewRealWorld()
-	const procs = 4
-	s := NewFASnapshot(w, "snap", procs, WithSnapshotBound(mwBound2)) // 1 lane/word x 4 words
-	if !s.Multiword() {
-		t.Fatal("stress config must stripe")
-	}
-	rngs := make([]*rand.Rand, procs)
-	for p := range rngs {
-		rngs[p] = rand.New(rand.NewSource(int64(p) + 53))
-	}
-	h := history.Stress(history.StressConfig{
-		Procs:      procs,
-		OpsPerProc: 25,
-		Gen: func(p, i int) history.StressOp {
-			if rngs[p].Intn(2) == 0 {
-				v := int64(rngs[p].Intn(1 << 16))
-				return history.StressOp{
-					Op: spec.MkOp(spec.MethodUpdate, int64(p), v),
-					Run: func(t prim.Thread) string {
-						s.Update(t, v)
-						return spec.RespOK
-					},
-				}
-			}
-			return history.StressOp{
-				Op:  spec.MkOp(spec.MethodScan),
-				Run: func(t prim.Thread) string { return spec.RespVec(s.Scan(t)) },
-			}
-		},
-	})
-	if res := history.CheckLinearizable(h, spec.Snapshot{}); !res.Ok {
-		t.Fatalf("stress history not linearizable: %s", h.String())
-	}
-}
 
 // TestMultiwordConcurrentScansComparable is the race-stress form of the
 // 4-proc property the exploration cap keeps out of the exhaustive envelope:

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
 	"stronglin/internal/history"
-	"stronglin/internal/prim"
 	"stronglin/internal/sim"
 	"stronglin/internal/spec"
 )
@@ -683,96 +681,4 @@ func FuzzPackedVsWideSnapshot(f *testing.F) {
 			t.Fatalf("final packed Scan = %v, wide Scan = %v", p, v)
 		}
 	})
-}
-
-func TestPackedSnapshotRealWorldStress(t *testing.T) {
-	w := prim.NewRealWorld()
-	const procs, bound = 4, 7 // 4 x 3 = 12 bits: packs
-	s := NewFASnapshot(w, "snap", procs, WithSnapshotBound(bound))
-	if !s.Packed() {
-		t.Fatal("stress config must pack")
-	}
-	rngs := make([]*rand.Rand, procs)
-	for p := range rngs {
-		rngs[p] = rand.New(rand.NewSource(int64(p) + 47))
-	}
-	h := history.Stress(history.StressConfig{
-		Procs:      procs,
-		OpsPerProc: 25,
-		Gen: func(p, i int) history.StressOp {
-			if rngs[p].Intn(2) == 0 {
-				v := int64(rngs[p].Intn(bound + 1))
-				return history.StressOp{
-					Op: spec.MkOp(spec.MethodUpdate, int64(p), v),
-					Run: func(t prim.Thread) string {
-						s.Update(t, v)
-						return spec.RespOK
-					},
-				}
-			}
-			return history.StressOp{
-				Op:  spec.MkOp(spec.MethodScan),
-				Run: func(t prim.Thread) string { return spec.RespVec(s.Scan(t)) },
-			}
-		},
-	})
-	if res := history.CheckLinearizable(h, spec.Snapshot{}); !res.Ok {
-		t.Fatalf("stress history not linearizable: %s", h.String())
-	}
-}
-
-// --- randomized stress under real goroutine concurrency ----------------------
-
-func TestPackedMaxRegisterRealWorldStress(t *testing.T) {
-	w := prim.NewRealWorld()
-	const procs, bound = 4, 14 // 4 x 15 = 60 bits: packs
-	m := NewFAMaxRegister(w, "max", procs, WithMaxRegBound(bound))
-	if !m.Packed() {
-		t.Fatal("stress config must pack")
-	}
-	rngs := make([]*rand.Rand, procs)
-	for p := range rngs {
-		rngs[p] = rand.New(rand.NewSource(int64(p) + 41))
-	}
-	h := history.Stress(history.StressConfig{
-		Procs:      procs,
-		OpsPerProc: 40,
-		Gen: func(p, i int) history.StressOp {
-			if rngs[p].Intn(2) == 0 {
-				v := int64(rngs[p].Intn(bound + 1))
-				return history.StressOp{Op: spec.MkOp(spec.MethodWriteMax, v),
-					Run: func(t prim.Thread) string { m.WriteMax(t, v); return spec.RespOK }}
-			}
-			return history.StressOp{Op: spec.MkOp(spec.MethodReadMax),
-				Run: func(t prim.Thread) string { return spec.RespInt(m.ReadMax(t)) }}
-		},
-	})
-	if res := history.CheckLinearizable(h, spec.MaxRegister{}); !res.Ok {
-		t.Fatalf("stress history not linearizable:\n%s", h.String())
-	}
-}
-
-func TestPackedCounterRealWorldStress(t *testing.T) {
-	w := prim.NewRealWorld()
-	const procs = 4
-	c := NewFACounter(w, "c", WithCounterBound(1<<30))
-	rngs := make([]*rand.Rand, procs)
-	for p := range rngs {
-		rngs[p] = rand.New(rand.NewSource(int64(p) + 43))
-	}
-	h := history.Stress(history.StressConfig{
-		Procs:      procs,
-		OpsPerProc: 40,
-		Gen: func(p, i int) history.StressOp {
-			if rngs[p].Intn(3) == 0 {
-				return history.StressOp{Op: spec.MkOp(spec.MethodRead),
-					Run: func(t prim.Thread) string { return spec.RespInt(c.Read(t)) }}
-			}
-			return history.StressOp{Op: spec.MkOp(spec.MethodInc),
-				Run: func(t prim.Thread) string { c.Inc(t); return spec.RespOK }}
-		},
-	})
-	if res := history.CheckLinearizable(h, spec.MonotonicCounter{}); !res.Ok {
-		t.Fatalf("stress history not linearizable:\n%s", h.String())
-	}
 }

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
-	"stronglin/internal/history"
 	"stronglin/internal/prim"
 	"stronglin/internal/sim"
 	"stronglin/internal/spec"
@@ -98,39 +96,6 @@ func TestTASSetStrongLinComposedThm10(t *testing.T) {
 		}
 	}
 	verifySL(t, 2, setup, spec.TakeSet{})
-}
-
-func TestTASSetRealWorldStress(t *testing.T) {
-	const procs = 4
-	w := prim.NewRealWorld()
-	s := NewTASSetFromTAS(w, "s")
-	rngs := make([]*rand.Rand, procs)
-	for p := range rngs {
-		rngs[p] = rand.New(rand.NewSource(int64(p) + 41))
-	}
-	next := make([]int64, procs)
-	h := history.Stress(history.StressConfig{
-		Procs:      procs,
-		OpsPerProc: 25,
-		Gen: func(p, i int) history.StressOp {
-			if rngs[p].Intn(2) == 0 {
-				// Unique item per put: proc p puts p+1, p+1+procs, ...
-				next[p]++
-				x := int64(p+1) + (next[p]-1)*procs
-				return history.StressOp{
-					Op:  spec.MkOp(spec.MethodPut, x),
-					Run: func(t prim.Thread) string { return s.Put(t, x) },
-				}
-			}
-			return history.StressOp{
-				Op:  spec.MkOp(spec.MethodTake),
-				Run: func(t prim.Thread) string { return s.Take(t) },
-			}
-		},
-	})
-	if res := history.CheckLinearizable(h, spec.TakeSet{}); !res.Ok {
-		t.Fatalf("stress history not linearizable: %s", h.String())
-	}
 }
 
 func TestTASSetNoDuplicateTakes(t *testing.T) {

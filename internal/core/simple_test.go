@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"stronglin/internal/history"
-	"stronglin/internal/prim"
 	"stronglin/internal/sim"
 	"stronglin/internal/spec"
 )
@@ -238,46 +237,4 @@ func TestSimpleLogicalClockStrongLin(t *testing.T) {
 		}
 	}
 	verifySL(t, 2, setup, spec.LogicalClock{})
-}
-
-func TestSimpleCounterRealWorldStress(t *testing.T) {
-	w := prim.NewRealWorld()
-	const procs = 4
-	c := NewCounterFromFA(w, "ctr", procs)
-	rngs := make([]*rand.Rand, procs)
-	for p := range rngs {
-		rngs[p] = rand.New(rand.NewSource(int64(p) + 21))
-	}
-	h := history.Stress(history.StressConfig{
-		Procs:      procs,
-		OpsPerProc: 12,
-		Gen: func(p, i int) history.StressOp {
-			switch rngs[p].Intn(3) {
-			case 0:
-				return history.StressOp{
-					Op: spec.MkOp(spec.MethodInc),
-					Run: func(t prim.Thread) string {
-						c.Inc(t)
-						return spec.RespOK
-					},
-				}
-			case 1:
-				return history.StressOp{
-					Op: spec.MkOp(spec.MethodDec),
-					Run: func(t prim.Thread) string {
-						c.Dec(t)
-						return spec.RespOK
-					},
-				}
-			default:
-				return history.StressOp{
-					Op:  spec.MkOp(spec.MethodRead),
-					Run: func(t prim.Thread) string { return spec.RespInt(c.Read(t)) },
-				}
-			}
-		},
-	})
-	if res := history.CheckLinearizable(h, spec.Counter{}); !res.Ok {
-		t.Fatalf("stress history not linearizable: %s", h.String())
-	}
 }

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
-	"stronglin/internal/history"
 	"stronglin/internal/prim"
 	"stronglin/internal/sim"
 	"stronglin/internal/spec"
@@ -84,39 +82,6 @@ func TestFASnapshotStrongLinSameValueUpdate(t *testing.T) {
 		}
 	}
 	verifySL(t, 2, setup, spec.Snapshot{})
-}
-
-func TestFASnapshotRealWorldStress(t *testing.T) {
-	w := prim.NewRealWorld()
-	const procs = 4
-	s := NewFASnapshot(w, "snap", procs)
-	rngs := make([]*rand.Rand, procs)
-	for p := range rngs {
-		rngs[p] = rand.New(rand.NewSource(int64(p) + 11))
-	}
-	h := history.Stress(history.StressConfig{
-		Procs:      procs,
-		OpsPerProc: 25,
-		Gen: func(p, i int) history.StressOp {
-			if rngs[p].Intn(2) == 0 {
-				v := int64(rngs[p].Intn(8))
-				return history.StressOp{
-					Op: spec.MkOp(spec.MethodUpdate, int64(p), v),
-					Run: func(t prim.Thread) string {
-						s.Update(t, v)
-						return spec.RespOK
-					},
-				}
-			}
-			return history.StressOp{
-				Op:  spec.MkOp(spec.MethodScan),
-				Run: func(t prim.Thread) string { return spec.RespVec(s.Scan(t)) },
-			}
-		},
-	})
-	if res := history.CheckLinearizable(h, spec.Snapshot{}); !res.Ok {
-		t.Fatalf("stress history not linearizable: %s", h.String())
-	}
 }
 
 // TestWideUpdateUnchangedValueAllocFree: the wide Update compares the new

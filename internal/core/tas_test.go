@@ -1,11 +1,9 @@
 package core
 
 import (
-	"math/rand"
 	"sync"
 	"testing"
 
-	"stronglin/internal/history"
 	"stronglin/internal/prim"
 	"stronglin/internal/sim"
 	"stronglin/internal/spec"
@@ -182,43 +180,4 @@ func TestMultiShotTASStrongLinComposedCor7(t *testing.T) {
 		}
 	}
 	verifySL(t, 2, setup, spec.MultiShotTAS{})
-}
-
-func TestMultiShotTASRealWorldStress(t *testing.T) {
-	const procs = 4
-	w := prim.NewRealWorld()
-	m := NewMultiShotTASFromPrimitives(w, "ms", procs)
-	rngs := make([]*rand.Rand, procs)
-	for p := range rngs {
-		rngs[p] = rand.New(rand.NewSource(int64(p) + 31))
-	}
-	h := history.Stress(history.StressConfig{
-		Procs:      procs,
-		OpsPerProc: 20,
-		Gen: func(p, i int) history.StressOp {
-			switch rngs[p].Intn(3) {
-			case 0:
-				return history.StressOp{
-					Op:  spec.MkOp(spec.MethodTAS),
-					Run: func(t prim.Thread) string { return spec.RespInt(m.TestAndSet(t)) },
-				}
-			case 1:
-				return history.StressOp{
-					Op: spec.MkOp(spec.MethodReset),
-					Run: func(t prim.Thread) string {
-						m.Reset(t)
-						return spec.RespOK
-					},
-				}
-			default:
-				return history.StressOp{
-					Op:  spec.MkOp(spec.MethodRead),
-					Run: func(t prim.Thread) string { return spec.RespInt(m.Read(t)) },
-				}
-			}
-		},
-	})
-	if res := history.CheckLinearizable(h, spec.MultiShotTAS{}); !res.Ok {
-		t.Fatalf("stress history not linearizable: %s", h.String())
-	}
 }

@@ -8,8 +8,8 @@ import (
 // NaiveCodec is the "natural idea" the paper rejects in Section 3.1: give
 // process i the consecutive bits i*d .. (i+1)*d-1 of the shared word. It
 // bounds the value each process can store at 2^d - 1, which is why the
-// constructions use interleaved lanes instead. It exists for the E-ABL2
-// ablation and as a contrast in the documentation.
+// constructions use interleaved lanes instead. The tests keep it as the
+// contrast: its fields overflow where the interleaved lanes do not.
 type NaiveCodec struct {
 	n, d int
 	max  *big.Int

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"math/rand"
 	"testing"
 
 	"stronglin/internal/history"
@@ -524,132 +523,6 @@ func TestPackedShardedGSetStrongLinAddHasMix(t *testing.T) {
 	verifySL(t, 2, setup, spec.GSet{})
 }
 
-func TestPackedShardedCounterRealWorldStress(t *testing.T) {
-	w := prim.NewRealWorld()
-	const procs = 4
-	c := NewCounter(w, "c", procs, 2, WithBound(1<<30))
-	if !c.Packed() {
-		t.Fatal("stress config must pack")
-	}
-	rngs := stressRngs(procs, 53)
-	h := history.Stress(history.StressConfig{
-		Procs:      procs,
-		OpsPerProc: 40,
-		Gen: func(p, i int) history.StressOp {
-			if rngs[p].Intn(3) == 0 {
-				return history.StressOp{Op: spec.MkOp(spec.MethodRead),
-					Run: func(t prim.Thread) string { return spec.RespInt(c.Read(t)) }}
-			}
-			return history.StressOp{Op: spec.MkOp(spec.MethodInc),
-				Run: func(t prim.Thread) string { c.Inc(t); return spec.RespOK }}
-		},
-	})
-	if res := history.CheckLinearizable(h, spec.MonotonicCounter{}); !res.Ok {
-		t.Fatalf("stress history not linearizable:\n%s", h.String())
-	}
-}
-
-func TestPackedShardedMaxRegisterRealWorldStress(t *testing.T) {
-	w := prim.NewRealWorld()
-	const procs, bound = 4, 14 // 2 lanes/shard x 15 bits = 30: packs
-	m := NewMaxRegister(w, "m", procs, 2, WithBound(bound))
-	if !m.Packed() {
-		t.Fatal("stress config must pack")
-	}
-	rngs := stressRngs(procs, 59)
-	h := history.Stress(history.StressConfig{
-		Procs:      procs,
-		OpsPerProc: 30,
-		Gen: func(p, i int) history.StressOp {
-			if rngs[p].Intn(2) == 0 {
-				v := int64(rngs[p].Intn(bound + 1))
-				return history.StressOp{Op: spec.MkOp(spec.MethodWriteMax, v),
-					Run: func(t prim.Thread) string { m.WriteMax(t, v); return spec.RespOK }}
-			}
-			return history.StressOp{Op: spec.MkOp(spec.MethodReadMax),
-				Run: func(t prim.Thread) string { return spec.RespInt(m.ReadMax(t)) }}
-		},
-	})
-	if res := history.CheckLinearizable(h, spec.MaxRegister{}); !res.Ok {
-		t.Fatalf("stress history not linearizable:\n%s", h.String())
-	}
-}
-
-// --- Randomized stress under real goroutine concurrency ----------------------
-
-func TestShardedCounterRealWorldStress(t *testing.T) {
-	w := prim.NewRealWorld()
-	const procs = 4
-	c := NewCounter(w, "c", procs, 2)
-	rngs := stressRngs(procs, 11)
-	h := history.Stress(history.StressConfig{
-		Procs:      procs,
-		OpsPerProc: 40,
-		Gen: func(p, i int) history.StressOp {
-			if rngs[p].Intn(3) == 0 {
-				return history.StressOp{Op: spec.MkOp(spec.MethodRead),
-					Run: func(t prim.Thread) string { return spec.RespInt(c.Read(t)) }}
-			}
-			return history.StressOp{Op: spec.MkOp(spec.MethodInc),
-				Run: func(t prim.Thread) string { c.Inc(t); return spec.RespOK }}
-		},
-	})
-	if res := history.CheckLinearizable(h, spec.MonotonicCounter{}); !res.Ok {
-		t.Fatalf("stress history not linearizable:\n%s", h.String())
-	}
-}
-
-func TestShardedMaxRegisterRealWorldStress(t *testing.T) {
-	w := prim.NewRealWorld()
-	const procs = 4
-	m := NewMaxRegister(w, "m", procs, 2)
-	rngs := stressRngs(procs, 23)
-	h := history.Stress(history.StressConfig{
-		Procs:      procs,
-		OpsPerProc: 30,
-		Gen: func(p, i int) history.StressOp {
-			if rngs[p].Intn(2) == 0 {
-				v := int64(rngs[p].Intn(16))
-				return history.StressOp{Op: spec.MkOp(spec.MethodWriteMax, v),
-					Run: func(t prim.Thread) string { m.WriteMax(t, v); return spec.RespOK }}
-			}
-			return history.StressOp{Op: spec.MkOp(spec.MethodReadMax),
-				Run: func(t prim.Thread) string { return spec.RespInt(m.ReadMax(t)) }}
-		},
-	})
-	if res := history.CheckLinearizable(h, spec.MaxRegister{}); !res.Ok {
-		t.Fatalf("stress history not linearizable:\n%s", h.String())
-	}
-}
-
-func TestShardedGSetRealWorldStress(t *testing.T) {
-	w := prim.NewRealWorld()
-	const procs = 4
-	g := NewGSet(w, "g", procs, 2)
-	rngs := stressRngs(procs, 37)
-	h := history.Stress(history.StressConfig{
-		Procs:      procs,
-		OpsPerProc: 40,
-		Gen: func(p, i int) history.StressOp {
-			x := int64(rngs[p].Intn(8))
-			if rngs[p].Intn(2) == 0 {
-				return history.StressOp{Op: spec.MkOp(spec.MethodAdd, x),
-					Run: func(t prim.Thread) string { g.Add(t, x); return spec.RespOK }}
-			}
-			return history.StressOp{Op: spec.MkOp(spec.MethodHas, x),
-				Run: func(t prim.Thread) string {
-					if g.Has(t, x) {
-						return "1"
-					}
-					return "0"
-				}}
-		},
-	})
-	if res := history.CheckLinearizable(h, spec.GSet{}); !res.Ok {
-		t.Fatalf("stress history not linearizable:\n%s", h.String())
-	}
-}
-
 // --- helped combining reads: exhaustive model checks (PR 5) ------------------
 
 // The helped sharded reads are verified in layers, because the shard
@@ -663,9 +536,10 @@ func TestShardedGSetRealWorldStress(t *testing.T) {
 // on many branches; (2) a crafted-schedule deterministic adoption
 // (TestShardedHelpedAdoptCraftedRace: lin-checked, adopted value pinned);
 // (3) the storm progress witnesses below, where adoption is what bounds
-// the reader; (4) real-concurrency stress via the budget-0 slfuzz
-// workloads. The witness-free-adoption hazard itself is pinned once, in
-// internal/core (TestMultiwordAdoptUnanchoredNotStrongLin) — the shard
+// the reader; (4) real-concurrency stress via the budget-0 rows of the
+// root package's TestStressLinearizable. The witness-free-adoption hazard
+// itself is pinned once, in internal/core
+// (TestMultiwordAdoptUnanchoredNotStrongLin) — the shard
 // adopt performs the structurally identical closing epoch witness through
 // the shared validatedRead.
 
@@ -859,12 +733,4 @@ func TestShardedHelpedReadWaitFreeUnderStorm(t *testing.T) {
 		}
 	}
 	t.Logf("helped read own steps: %d under storms 6/12/24/48 (fixed budget %d)", base, fixedBudget)
-}
-
-func stressRngs(procs int, seed int64) []*rand.Rand {
-	out := make([]*rand.Rand, procs)
-	for p := range out {
-		out[p] = rand.New(rand.NewSource(seed + int64(p)))
-	}
-	return out
 }

@@ -5,6 +5,64 @@ import (
 	"testing"
 )
 
+// Registry returns the specifications of every object studied in the
+// repository, for the tests that sweep all of them.
+func Registry() []Spec {
+	return []Spec{
+		MaxRegister{},
+		Snapshot{},
+		Counter{},
+		MonotonicCounter{},
+		LogicalClock{},
+		GSet{},
+		RWRegister{},
+		ReadableTAS{},
+		MultiShotTAS{},
+		FetchInc{},
+		TakeSet{},
+		Queue{},
+		Stack{},
+		MultiplicityQueue{},
+		MultiplicityStack{},
+		StutteringQueue{M: 1},
+		StutteringStack{M: 1},
+		OutOfOrderQueue{K: 2},
+		KeyedMap{},
+	}
+}
+
+// ProbeOps returns a small set of operations that exercise the named
+// specification, for generic metamorphic tests.
+func ProbeOps(name string) []Op {
+	switch name {
+	case "maxregister":
+		return []Op{MkOp(MethodWriteMax, 1), MkOp(MethodWriteMax, 3), MkOp(MethodReadMax)}
+	case "snapshot":
+		return []Op{MkOp(MethodUpdate, 0, 2), MkOp(MethodUpdate, 1, 1), MkOp(MethodScan)}
+	case "counter":
+		return []Op{MkOp(MethodInc), MkOp(MethodDec), MkOp(MethodRead)}
+	case "monocounter", "logicalclock":
+		return []Op{MkOp(MethodInc), MkOp(MethodTick), MkOp(MethodRead)}
+	case "gset":
+		return []Op{MkOp(MethodAdd, 1), MkOp(MethodAdd, 2), MkOp(MethodHas, 1)}
+	case "keyedmap":
+		return []Op{MkOp(MethodMapInc, 1, 1), MkOp(MethodMapMax, 2, 5), MkOp(MethodMapGet, 1), MkOp(MethodMapGet, 3)}
+	case "register":
+		return []Op{MkOp(MethodWrite, 1), MkOp(MethodWrite, 2), MkOp(MethodRead)}
+	case "readable-tas", "multishot-tas":
+		return []Op{MkOp(MethodTAS), MkOp(MethodRead), MkOp(MethodReset)}
+	case "fetchinc":
+		return []Op{MkOp(MethodFAI), MkOp(MethodRead)}
+	case "set":
+		return []Op{MkOp(MethodPut, 1), MkOp(MethodPut, 2), MkOp(MethodTake)}
+	default: // queue/stack families
+		return []Op{
+			MkOp(MethodEnq, 1), MkOp(MethodEnq, 2), MkOp(MethodDeq),
+			MkOp(MethodPush, 1), MkOp(MethodPush, 2), MkOp(MethodPop),
+		}
+	}
+}
+
 func TestRegistryComplete(t *testing.T) {
 	specs := Registry()
 	if len(specs) < 15 {
