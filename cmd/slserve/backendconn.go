@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
-	"net/http/httputil"
 	neturl "net/url"
 	"os"
 	"slices"
@@ -72,9 +70,10 @@ func newBackendPool(base string, timeout time.Duration, maxIdle int, dials *obs.
 	return &backendPool{addr: addr, host: u.Host, timeout: timeout, maxIdle: maxIdle, dials: dials}, nil
 }
 
-// roundTrip sends method uri carrying X-SL-Gen: gen and returns the status
-// and dst with the body appended. Any error or Connection: close closes
-// the connection; otherwise it returns to the idle pool. The pool replays
+// roundTrip sends method uri carrying X-SL-Gen: gen (none for a negative
+// gen) and returns the status and dst with the body appended. Any error or
+// Connection: close closes the connection; otherwise it returns to the
+// idle pool. The pool replays
 // only what net/http would: a GET whose reused idle connection failed before
 // any response byte arrived is redialed once. A POST is never replayed here.
 func (p *backendPool) roundTrip(ctx context.Context, method, uri string, gen int64, dst []byte) (code int, body []byte, err error) {
@@ -99,7 +98,7 @@ func (p *backendPool) roundTrip(ctx context.Context, method, uri string, gen int
 		// The backend closed this connection while it sat idle (a restart,
 		// a drain). Its idle siblings were opened to the same process.
 		p.closeIdle()
-		if method != http.MethodGet {
+		if method != methodGet {
 			break
 		}
 		bc, reused = nil, false
@@ -133,9 +132,11 @@ func (p *backendPool) exchange(ctx context.Context, bc *backendConn, method, uri
 	bc.req = append(bc.req, uri...)
 	bc.req = append(bc.req, " HTTP/1.1\r\nHost: "...)
 	bc.req = append(bc.req, p.host...)
-	bc.req = append(bc.req, "\r\nX-SL-Gen: "...)
-	bc.req = strconv.AppendInt(bc.req, gen, 10)
-	if method == http.MethodPost {
+	if gen >= 0 {
+		bc.req = append(bc.req, "\r\nX-SL-Gen: "...)
+		bc.req = strconv.AppendInt(bc.req, gen, 10)
+	}
+	if method == methodPost {
 		bc.req = append(bc.req, "\r\nContent-Length: 0"...)
 	}
 	bc.req = append(bc.req, "\r\n\r\n"...)
@@ -175,9 +176,10 @@ func (bc *backendConn) close() {
 }
 
 // readResponse parses one HTTP/1.1 response in place and appends its body
-// to dst. Only three headers matter: Content-Length, Transfer-Encoding:
-// chunked (a large graceful gset seed read is chunked) and Connection:
-// close. keep is false on any error.
+// to dst. Only two headers matter: Content-Length, which every slserve
+// answer carries (wire.go), and Connection: close. An answer framed any
+// other way, a chunked one included, is an error. keep is false on any
+// error.
 func readResponse(br *bufio.Reader, method string, dst []byte) (code int, body []byte, keep bool, err error) {
 	line, err := br.ReadSlice('\n')
 	if err != nil {
@@ -191,7 +193,7 @@ func readResponse(br *bufio.Reader, method string, dst []byte) (code int, body [
 	if !ok || code < 100 || (line[12] != ' ' && line[12] != '\r' && line[12] != '\n') {
 		return 0, nil, false, fmt.Errorf("malformed status line %q", line)
 	}
-	length, chunked := -1, false
+	length := -1
 	keep = line[7] == '1'
 	for {
 		h, err := br.ReadSlice('\n')
@@ -213,10 +215,7 @@ func readResponse(br *bufio.Reader, method string, dst []byte) (code int, body [
 				return 0, nil, false, fmt.Errorf("malformed Content-Length %q", value)
 			}
 		case bytes.EqualFold(name, []byte("Transfer-Encoding")):
-			if !bytes.EqualFold(value, []byte("chunked")) {
-				return 0, nil, false, fmt.Errorf("unsupported Transfer-Encoding %q", value)
-			}
-			chunked = true
+			return 0, nil, false, fmt.Errorf("unsupported Transfer-Encoding %q", value)
 		case bytes.EqualFold(name, []byte("Connection")):
 			if bytes.EqualFold(value, []byte("close")) {
 				keep = false
@@ -224,32 +223,14 @@ func readResponse(br *bufio.Reader, method string, dst []byte) (code int, body [
 		}
 	}
 	limit := errBodyLimit
-	if code == http.StatusOK {
+	if code == statusOK {
 		limit = okBodyLimit
 	}
 	body = dst
 	switch {
-	case method == http.MethodHead:
-	case chunked:
-		cr := httputil.NewChunkedReader(br)
-		var b []byte
-		if b, err = io.ReadAll(io.LimitReader(cr, int64(limit)+1)); err == nil && len(b) > limit {
-			if code == http.StatusOK {
-				return 0, nil, false, errors.New("backend answer over the body limit")
-			}
-			b = b[:limit]
-			_, err = io.Copy(io.Discard, cr)
-		}
-		body = append(body, b...)
-		for err == nil { // the trailer section, ended by an empty line
-			if h, lerr := br.ReadSlice('\n'); lerr != nil {
-				err = lerr
-			} else if len(bytes.TrimRight(h, "\r\n")) == 0 {
-				break
-			}
-		}
+	case method == methodHead:
 	case length >= 0:
-		if length > limit && code == http.StatusOK {
+		if length > limit && code == statusOK {
 			return 0, nil, false, fmt.Errorf("backend answer of %d bytes over the body limit", length)
 		}
 		n := min(length, limit)

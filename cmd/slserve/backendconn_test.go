@@ -37,8 +37,8 @@ func idleCount(p *backendPool) int {
 }
 
 // TestBackendPoolAnswers drives f.do against real backends: a 200 with
-// Content-Length reuses one connection, a large chunked GET /gset parses
-// whole, and the error statuses map as the proxy expects.
+// Content-Length reuses one connection, a large GET /gset parses whole, and
+// the error statuses map as the proxy expects.
 func TestBackendPoolAnswers(t *testing.T) {
 	setFlag(t, watermarkBudget, int64(8))
 	ts := startWire(t, newServer(4, 2, 0).wire())
@@ -144,26 +144,51 @@ func TestBackendPoolConnectionClose(t *testing.T) {
 	}
 }
 
-// TestBackendPoolBodyLimit: a 200 over 1 MiB is an error, whether framed by
-// Content-Length or chunked, and the connection is not kept.
+// TestBackendPoolBodyLimit: a 200 over 1 MiB is an error, and the
+// connection is not kept.
 func TestBackendPoolBodyLimit(t *testing.T) {
 	big := bytes.Repeat([]byte("x"), okBodyLimit+1)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/length" {
-			w.Header().Set("Content-Length", fmt.Sprint(len(big)))
-		}
+		w.Header().Set("Content-Length", fmt.Sprint(len(big)))
 		w.Write(big)
 	}))
 	defer ts.Close()
 	f := wireFrontend(t, time.Second, ts.URL)
-	for _, uri := range []string{"/length", "/chunked"} {
-		if body, err := f.do(context.Background(), 0, 0, http.MethodGet, uri, nil); err == nil {
-			t.Fatalf("%s: %d-byte body accepted, want an error", uri, len(body))
-		}
-		if n := idleCount(f.pools[0]); n != 0 {
-			t.Fatalf("%s: idle = %d after an over-limit body, want 0", uri, n)
+	if body, err := f.do(context.Background(), 0, 0, http.MethodGet, "/length", nil); err == nil {
+		t.Fatalf("%d-byte body accepted, want an error", len(body))
+	}
+	if n := idleCount(f.pools[0]); n != 0 {
+		t.Fatalf("idle = %d after an over-limit body, want 0", n)
+	}
+}
+
+// TestBackendPoolRefusesChunked: backends always send Content-Length, so a
+// chunked answer, however small, is an error and its connection is closed.
+func TestBackendPoolRefusesChunked(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"value":0}` + "\n"))
+		w.(http.Flusher).Flush() // sends the head without a length: chunked
+	}))
+	defer ts.Close()
+	f := wireFrontend(t, time.Second, ts.URL)
+	if body, err := f.do(context.Background(), 0, 0, http.MethodGet, "/chunked", nil); err == nil {
+		t.Fatalf("chunked answer accepted as %q, want an error", body)
+	}
+	if n := idleCount(f.pools[0]); n != 0 {
+		t.Fatalf("idle = %d after a chunked answer, want 0", n)
+	}
+	for _, answer := range chunkedAnswers {
+		if code, _, idle, err := rawAnswer(t, []byte(answer)); err == nil || idle != 0 {
+			t.Errorf("%q: status %d, err %v, idle %d; want an error and a closed connection", answer, code, err, idle)
 		}
 	}
+}
+
+// chunkedAnswers are backend answers framed by Transfer-Encoding: chunked,
+// one whole and one cut short.
+var chunkedAnswers = []string{
+	"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\n[1,2]\r\n0\r\nX-Trailer: 1\r\n\r\n",
+	"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nfffff\r\nxx",
 }
 
 // TestBackendPoolSilentBackend: a backend that accepts a request and never
@@ -271,60 +296,67 @@ func TestBackendPoolStaleAfterRestart(t *testing.T) {
 	}
 }
 
+// rawAnswer sends POST /counter/inc on a pooled connection whose backend
+// answers with the given bytes, and returns what roundTrip made of them and
+// how many connections the pool then holds idle.
+func rawAnswer(t *testing.T, answer []byte) (code int, body []byte, idle int, err error) {
+	p, err := newBackendPool("http://127.0.0.1:1", time.Second, 1, obs.NewRegistry().Counter("dials", ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, server := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer server.Close()
+		br := bufio.NewReader(server)
+		for {
+			line, err := br.ReadSlice('\n')
+			if err != nil {
+				return
+			}
+			if string(line) == "\r\n" {
+				break
+			}
+		}
+		server.Write(answer)
+	}()
+	p.put(&backendConn{c: client, br: bufio.NewReader(client)})
+	code, body, err = p.roundTrip(context.Background(), http.MethodPost, "/counter/inc", 0, nil)
+	idle = idleCount(p)
+	p.closeIdle()
+	<-done
+	return code, body, idle, err
+}
+
 // FuzzBackendResponse feeds arbitrary bytes as a backend's answer to a
 // reused pooled connection: no panic, no body over its limit, and a
 // connection that failed to parse never goes back to the pool.
 func FuzzBackendResponse(f *testing.F) {
-	for _, seed := range []string{
+	for _, seed := range append([]string{
 		"HTTP/1.1 200 OK\r\nContent-Length: 12\r\n\r\n{\"value\":1}\n",
-		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\n[1,2]\r\n0\r\nX-Trailer: 1\r\n\r\n",
 		"HTTP/1.1 409 Conflict\r\nContent-Length: 2\r\n\r\n{}",
 		"HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1\r\nContent-Length: 59\r\n\r\n{\"error\":\"x\",\"retryable\":true,\"retry_after_seconds\":1}\n    ",
 		"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 0\r\n\r\n",
 		"HTTP/1.1 200 OK\r\nContent-Length: 2000000\r\n\r\nxx",
 		"HTTP/1.1 500 Oops\r\nContent-Length: 5000\r\n\r\n" + strings.Repeat("e", 5000),
-		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nfffff\r\nxx",
 		"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n",
 		"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip\r\n\r\n",
 		"HTTP/1.0 200 OK\r\n\r\n",
 		"garbage\r\n\r\n",
 		"",
-	} {
+	}, chunkedAnswers...) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, answer []byte) {
-		p, err := newBackendPool("http://127.0.0.1:1", time.Second, 1, obs.NewRegistry().Counter("dials", ""))
-		if err != nil {
-			t.Fatal(err)
-		}
-		client, server := net.Pipe()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			defer server.Close()
-			br := bufio.NewReader(server)
-			for {
-				line, err := br.ReadSlice('\n')
-				if err != nil {
-					return
-				}
-				if string(line) == "\r\n" {
-					break
-				}
-			}
-			server.Write(answer)
-		}()
-		p.put(&backendConn{c: client, br: bufio.NewReader(client)})
-		code, body, err := p.roundTrip(context.Background(), http.MethodPost, "/counter/inc", 0, nil)
+		code, body, idle, err := rawAnswer(t, answer)
 		switch {
-		case err != nil && idleCount(p) != 0:
+		case err != nil && idle != 0:
 			t.Fatalf("connection pooled after %v", err)
 		case err == nil && code == http.StatusOK && len(body) > okBodyLimit,
 			err == nil && code != http.StatusOK && len(body) > errBodyLimit:
 			t.Fatalf("%d-byte body for status %d", len(body), code)
 		}
-		p.closeIdle()
-		<-done
 	})
 }
 

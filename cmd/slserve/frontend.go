@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"net/http"
 	neturl "net/url"
 	"os"
 	"os/signal"
@@ -93,6 +92,7 @@ type frontend struct {
 	tb     *cluster.Table
 	health *cluster.Health
 	pools  []*backendPool // one per cfg.backends entry, same index
+	probes []*backendPool // the health checker's, one idle connection each
 	slots  chan int
 	kick   chan struct{} // reconciler wake signal (coalesced)
 
@@ -134,21 +134,32 @@ func newFrontend(cfg frontendConfig) (*frontend, error) {
 	for i := 0; i < cfg.slots; i++ {
 		f.slots <- i
 	}
-	f.health = cluster.NewHealth(cfg.backends, cfg.health, func(int64) {
+	f.health = cluster.NewHealth(len(cfg.backends), f.probe, cfg.health, func(int64) {
 		select {
 		case f.kick <- struct{}{}:
 		default:
 		}
 	})
 	f.registerMetrics()
+	probeTimeout := cfg.health.WithDefaults().Timeout
 	for _, b := range cfg.backends {
 		p, err := newBackendPool(b, cfg.routeTimeout, cfg.slots, f.dials)
 		if err != nil {
 			return nil, err
 		}
 		f.pools = append(f.pools, p)
+		// The health probes' own pool (b parsed just above): its dials
+		// stay out of slfront_backend_dials_total.
+		p, _ = newBackendPool(b, probeTimeout, 1, nil)
+		f.probes = append(f.probes, p)
 	}
 	return f, nil
+}
+
+// probe is the health checker's GET /healthz of backend i.
+func (f *frontend) probe(ctx context.Context, i int) (int, error) {
+	code, _, err := f.probes[i].roundTrip(ctx, methodGet, "/healthz", -1, nil)
+	return code, err
 }
 
 func (f *frontend) registerMetrics() {
@@ -434,9 +445,9 @@ func (f *frontend) readBack(ctx context.Context, d *op, owner int, gen int64, k 
 	if d.keyed {
 		uri += "?k=" + neturl.QueryEscape(k)
 	}
-	body, err := f.do(ctx, owner, gen, http.MethodGet, uri, nil)
+	body, err := f.do(ctx, owner, gen, methodGet, uri, nil)
 	var se *statusError
-	if errors.As(err, &se) && se.code == http.StatusNotFound {
+	if errors.As(err, &se) && se.code == statusNotFound {
 		return result{}, nil
 	}
 	if err != nil {
@@ -456,7 +467,7 @@ func (f *frontend) postFence(ctx context.Context, owner int, key string, gen int
 
 // post issues a migration POST at owner carrying gen; any non-200 is an error.
 func (f *frontend) post(ctx context.Context, owner int, gen int64, uri string) error {
-	_, err := f.do(ctx, owner, gen, http.MethodPost, uri, nil)
+	_, err := f.do(ctx, owner, gen, methodPost, uri, nil)
 	return err
 }
 
@@ -485,9 +496,9 @@ func (f *frontend) do(ctx context.Context, owner int, gen int64, method, uri str
 		return dst, err
 	}
 	switch code {
-	case http.StatusOK:
+	case statusOK:
 		return body, nil
-	case http.StatusConflict:
+	case statusConflict:
 		return dst, cluster.ErrFenced
 	}
 	var e struct {
@@ -516,7 +527,7 @@ func (f *frontend) wire() *wireServer {
 // object except the backend-only writes (/counter/add, the seeding
 // surface), which carry no ack.
 func routes(d *op) bool {
-	return d.object != "" && (d.method == http.MethodGet || d.ack != ackNone)
+	return d.object != "" && (d.method == methodGet || d.ack != ackNone)
 }
 
 func (f *frontend) serve(w *respWriter, r *request) {
@@ -543,7 +554,7 @@ func (f *frontend) serve(w *respWriter, r *request) {
 	a, perr := d.parse(q, nil)
 	if perr != nil && d.keyed {
 		if _, kerr := queryKey(q); kerr != nil {
-			writeErr(w, http.StatusBadRequest, kerr.Error(), false, 0)
+			writeErr(w, statusBadRequest, kerr.Error(), false, 0)
 			return
 		}
 	}
@@ -574,7 +585,7 @@ func (f *frontend) serveRouted(w *respWriter, r *request, d *op, a args, perr er
 	select {
 	case slot = <-f.slots:
 	case <-r.ctx.Done():
-		writeErr(w, http.StatusServiceUnavailable, "server closed while waiting for a router slot", true, 1)
+		writeErr(w, statusServiceUnavailable, "server closed while waiting for a router slot", true, 1)
 		return
 	}
 	defer func() { f.slots <- slot }()
@@ -633,7 +644,7 @@ func (f *frontend) serveRouted(w *respWriter, r *request, d *op, a args, perr er
 		select {
 		case <-time.After(jittered):
 		case <-r.ctx.Done():
-			writeErr(w, http.StatusServiceUnavailable, "server closed during retry backoff", true, 0)
+			writeErr(w, statusServiceUnavailable, "server closed during retry backoff", true, 0)
 			return
 		}
 		// Doubling stops at the cap: unchecked, 5ms·2^41 wraps negative,
@@ -651,17 +662,17 @@ func (f *frontend) serveRouted(w *respWriter, r *request, d *op, a args, perr er
 // retryable, because "accepted" without an owner would be an ack no seed is
 // obligated to carry.
 func (f *frontend) refuse(w *respWriter, d *op, a args, perr error, key string, err error) {
-	if d.method == http.MethodGet && f.cfg.degradedReads {
+	if d.method == methodGet && f.cfg.degradedReads {
 		f.degraded.Inc()
 		w.setHeader("X-SL-Degraded", "true")
 		if perr != nil {
-			writeErr(w, http.StatusBadRequest, perr.Error(), false, 0)
+			writeErr(w, statusBadRequest, perr.Error(), false, 0)
 			return
 		}
 		res, ok := f.fromLedgers(d, a)
 		if !ok {
 			// The same 404 the owner gives a key never written.
-			writeErr(w, http.StatusNotFound, "unknown key", false, 0)
+			writeErr(w, statusNotFound, "unknown key", false, 0)
 			return
 		}
 		writeBody(w, d.body, res)
@@ -671,8 +682,12 @@ func (f *frontend) refuse(w *respWriter, d *op, a args, perr error, key string, 
 	if retryAfter < 1 {
 		retryAfter = 1
 	}
-	writeErr(w, http.StatusServiceUnavailable,
-		fmt.Sprintf("no reachable owner for %s: %v", key, err), true, retryAfter)
+	startErr(w, statusServiceUnavailable, retryAfter)
+	b := appendEscaped(w.body, "no reachable owner for ")
+	b = appendEscaped(b, key)
+	b = appendEscaped(b, ": ")
+	w.body = appendEscaped(b, err.Error())
+	endErr(w, true, retryAfter)
 }
 
 // mapKinds names the monotone map's key kinds by the ledger that acked them.
@@ -764,8 +779,8 @@ func (f *frontend) snapshotStats() frontStats {
 }
 
 func (f *frontend) stats(w *respWriter, r *request) {
-	if r.method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only", false, 0)
+	if r.method != methodGet {
+		writeErr(w, statusMethodNotAllowed, "GET only", false, 0)
 		return
 	}
 	writeJSON(w, f.snapshotStats())
@@ -776,7 +791,7 @@ func (f *frontend) stats(w *respWriter, r *request) {
 // should know from the load balancer, not the error rate.
 func (f *frontend) healthz(w *respWriter) {
 	if len(f.health.View().Candidates()) == 0 {
-		writeErr(w, http.StatusServiceUnavailable, "no live backend", true, 1)
+		writeErr(w, statusServiceUnavailable, "no live backend", true, 1)
 		return
 	}
 	writeOK(w)

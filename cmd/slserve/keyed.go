@@ -23,7 +23,6 @@ package main
 import (
 	"errors"
 	"fmt"
-	"net/http"
 
 	"stronglin"
 )
@@ -72,19 +71,19 @@ func (s *server) writeOpErr(w *respWriter, err error) {
 	switch {
 	case errors.Is(err, errClockSpent):
 		s.clockRejects.Inc()
-		s.unavailable(w, http.StatusServiceUnavailable, "clock capacity exhausted: the Algorithm 1 reference budget is terminal", false)
+		s.unavailable(w, statusServiceUnavailable, "clock capacity exhausted: the Algorithm 1 reference budget is terminal", false)
 	case errors.Is(err, stronglin.ErrKeyedUnknownKey):
-		writeErr(w, http.StatusNotFound, "unknown key", false, 0)
+		writeErr(w, statusNotFound, "unknown key", false, 0)
 	case errors.Is(err, stronglin.ErrKeyedKindMismatch):
-		writeErr(w, http.StatusBadRequest, "key is bound to the other kind (counter vs max)", false, 0)
+		writeErr(w, statusBadRequest, "key is bound to the other kind (counter vs max)", false, 0)
 	case errors.Is(err, stronglin.ErrKeyedBudget):
-		writeErr(w, http.StatusServiceUnavailable, "per-lane field budget exhausted for this key", false, 0)
+		writeErr(w, statusServiceUnavailable, "per-lane field budget exhausted for this key", false, 0)
 	case errors.Is(err, stronglin.ErrKeyedFull):
-		writeErr(w, http.StatusServiceUnavailable, "bucket slots exhausted at the growth cap", false, 0)
+		writeErr(w, statusServiceUnavailable, "bucket slots exhausted at the growth cap", false, 0)
 	case errors.Is(err, stronglin.ErrKeyedRange):
-		writeErr(w, http.StatusBadRequest, "delta or value outside the field range", false, 0)
+		writeErr(w, statusBadRequest, "delta or value outside the field range", false, 0)
 	default:
-		writeErr(w, http.StatusInternalServerError, err.Error(), false, 0)
+		writeErr(w, statusInternalServerError, err.Error(), false, 0)
 	}
 }
 

@@ -85,8 +85,9 @@
 // Algorithm 1 capacity. The watermarks are derived at scrape time from the
 // registers themselves, so serving them costs the protocol paths nothing.
 // With -debug-addr HOST:PORT a second listener additionally serves /metrics
-// and net/http/pprof (the profiling surface stays off the public port), on
-// either tier, with request bodies capped at 64 KiB.
+// and the pprof profiles (the profiling surface stays off the public port),
+// on either tier. It is served by the wire server, so request bodies are
+// refused, and /debug/pprof/symbol is gone (debug.go).
 //
 // Load is generated outside this command: benchmark/run.sh builds slserve
 // from a tree, starts it with its default flags and checks every answer
@@ -101,8 +102,6 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strconv"
@@ -119,7 +118,7 @@ import (
 
 var (
 	addr      = flag.String("addr", ":8080", "listen address (serve mode)")
-	debugAddr = flag.String("debug-addr", "", "extra listener serving /metrics and net/http/pprof, on either tier (empty = none)")
+	debugAddr = flag.String("debug-addr", "", "extra listener serving /metrics and the pprof profiles, on either tier (empty = none)")
 	lanes     = flag.Int("lanes", 8, "process identities in the lane pool")
 	shards    = flag.Int("shards", 4, "fetch&add cores per sharded object (<= lanes)")
 	bound     = flag.Int64("bound", 0, "value domain [0,bound] for maxreg values, gset elements and snapshot components; packs the shard registers and the snapshot into machine words when the encodings fit (0 = unbounded wide registers)")
@@ -196,7 +195,7 @@ func serveLoop(ctx context.Context, srv *server, ln net.Listener) error {
 // serveUntil is both tiers' listen/drain skeleton: serve ws on ln until
 // ctx (a signal context, stop its cancel) ends, then gracefully shut ws
 // and the -debug-addr server (if any) down within -drain-timeout.
-func serveUntil(ctx context.Context, stop func(), ln net.Listener, ws *wireServer, dbg *http.Server) error {
+func serveUntil(ctx context.Context, stop func(), ln net.Listener, ws *wireServer, dbg *wireServer) error {
 	errc := make(chan error, 1)
 	go func() { errc <- ws.serve(ln) }()
 	select {
@@ -212,7 +211,8 @@ func serveUntil(ctx context.Context, stop func(), ln net.Listener, ws *wireServe
 		return fmt.Errorf("drain: %w", err)
 	}
 	if dbg != nil {
-		if err := dbg.Shutdown(dctx); err != nil {
+		dbg.cancel() // a CPU profile or trace in flight ends and answers now
+		if err := dbg.shutdown(dctx); err != nil {
 			return fmt.Errorf("drain: %w", err)
 		}
 	}
@@ -277,18 +277,23 @@ func (g *fenceGate) Floor() int64 {
 	return g.floor
 }
 
-// reqGen extracts the request's ownership generation. Requests without the
-// header (direct single-node clients) are never fenced.
-func reqGen(r *request) (int64, error) {
-	raw := r.gen
-	if raw == "" {
-		return int64(^uint64(0) >> 1), nil
+// reqGen extracts the request's ownership generation; false means a
+// malformed X-SL-Gen. Requests without the header (direct single-node
+// clients) are never fenced.
+func reqGen(r *request) (int64, bool) {
+	if r.gen == "" {
+		return math.MaxInt64, true
 	}
-	g, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil || g < 0 {
-		return 0, fmt.Errorf("X-SL-Gen must be a non-negative integer, got %q", raw)
-	}
-	return g, nil
+	g, ok := atoi64(r.gen)
+	return g, ok && g >= 0
+}
+
+// badGen is the 400 of a malformed X-SL-Gen, whose reason quotes it as
+// fmt's %q does.
+func badGen(w *respWriter, raw string) {
+	startErr(w, statusBadRequest, 0)
+	w.body = appendGoQuoted(appendEscaped(w.body, "X-SL-Gen must be a non-negative integer, got "), raw)
+	endErr(w, false, 0)
 }
 
 // server owns one world: the lane pool, the sharded objects, the Theorem 2
@@ -347,7 +352,7 @@ type server struct {
 // on, just elsewhere.
 func (s *server) fenced(w *respWriter) {
 	s.fenceRejects.Add(1)
-	writeErr(w, http.StatusConflict, "generation fenced: object ownership moved", true, 0)
+	writeErr(w, statusConflict, "generation fenced: object ownership moved", true, 0)
 }
 
 // snapWords is the word budget the server grants its dedicated multi-word
@@ -692,15 +697,15 @@ func (s *server) serve(w *respWriter, r *request) {
 func (s *server) serveOp(w *respWriter, r *request, d *op) {
 	gen := int64(math.MaxInt64)
 	if d.object != "" {
-		var err error
-		if gen, err = reqGen(r); err != nil {
-			writeErr(w, http.StatusBadRequest, err.Error(), false, 0)
+		var ok bool
+		if gen, ok = reqGen(r); !ok {
+			badGen(w, r.gen)
 			return
 		}
 	}
 	a, err := d.parse(r.query, s)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error(), false, 0)
+		writeErr(w, statusBadRequest, err.Error(), false, 0)
 		return
 	}
 	var res result
@@ -736,9 +741,9 @@ func (s *server) healthz(w *respWriter) {
 	st := s.rebaser.State(stronglin.Thread(0))
 	switch st {
 	case stronglin.WatermarkCrit:
-		s.unavailable(w, http.StatusServiceUnavailable, "watermark critical: a budget is nearly spent and a live re-base is in flight or due", true)
+		s.unavailable(w, statusServiceUnavailable, "watermark critical: a budget is nearly spent and a live re-base is in flight or due", true)
 	case stronglin.WatermarkWarn:
-		s.unavailable(w, http.StatusTooManyRequests, "watermark warn: a live re-base is due", true)
+		s.unavailable(w, statusTooManyRequests, "watermark warn: a live re-base is due", true)
 	default:
 		writeOK(w)
 	}
@@ -752,26 +757,36 @@ func (s *server) healthz(w *respWriter) {
 // appears, as 0, so the shape never varies); retryAfter > 0 additionally
 // sets the Retry-After header for clients that only speak HTTP.
 func writeErr(w *respWriter, code int, reason string, retryable bool, retryAfter int64) {
-	if retryAfter < 0 {
-		retryAfter = 0
-	}
+	startErr(w, code, retryAfter)
+	w.body = appendEscaped(w.body, reason)
+	endErr(w, retryable, retryAfter)
+}
+
+// startErr begins writeErr's answer up to its reason, which the caller
+// appends JSON-escaped; endErr closes it. A reason built from parts is
+// escaped part by part instead of being built as one string.
+func startErr(w *respWriter, code int, retryAfter int64) {
 	w.code = code
 	w.ctype = "application/json"
 	if retryAfter > 0 {
 		w.setHeader("Retry-After", strconv.FormatInt(retryAfter, 10))
 	}
-	b := appendQuoted(append(w.body, `{"error":`...), reason)
-	b = strconv.AppendInt(append(b, `,"retry_after_seconds":`...), retryAfter, 10)
+	w.body = append(w.body, `{"error":"`...)
+}
+
+func endErr(w *respWriter, retryable bool, retryAfter int64) {
+	b := strconv.AppendInt(append(w.body, `","retry_after_seconds":`...), max(retryAfter, 0), 10)
 	b = strconv.AppendBool(append(b, `,"retryable":`...), retryable)
 	w.body = append(b, "}\n"...)
 }
 
-// appendQuoted appends s as a JSON string, byte for byte what
-// encoding/json writes: the short escapes, other control bytes and <, >, &
-// as \u00XX, invalid UTF-8 as \ufffd, and U+2028/U+2029 escaped.
-func appendQuoted(b []byte, s string) []byte {
+// appendEscaped appends s as the inside of a JSON string, byte for byte
+// what encoding/json writes: the short escapes, other control bytes and <,
+// >, & as \u00XX, invalid UTF-8 as \ufffd, and U+2028/U+2029 escaped. Each
+// rune is escaped on its own, so escaping strings one after another escapes
+// their concatenation when no rune straddles a boundary.
+func appendEscaped(b []byte, s string) []byte {
 	const hex = "0123456789abcdef"
-	b = append(b, '"')
 	for i := 0; i < len(s); {
 		c, size := utf8.DecodeRuneInString(s[i:])
 		switch {
@@ -798,7 +813,22 @@ func appendQuoted(b []byte, s string) []byte {
 		}
 		i += size
 	}
-	return append(b, '"')
+	return b
+}
+
+// appendGoQuoted appends strconv.Quote(s) JSON-escaped, one rune at a time:
+// Quote decides each rune's form from that rune alone, so no quoted copy of
+// s is built.
+func appendGoQuoted(b []byte, s string) []byte {
+	b = append(b, `\"`...)
+	var q [16]byte // the longest form of one rune, "\U0010ffff", with its quotes
+	for i := 0; i < len(s); {
+		_, size := utf8.DecodeRuneInString(s[i:])
+		r := strconv.AppendQuote(q[:0], s[i:i+size])
+		b = appendEscaped(b, view(r[1:len(r)-1]))
+		i += size
+	}
+	return append(b, `\"`...)
 }
 
 // writeOK is /healthz's plain-text 200.
@@ -820,44 +850,6 @@ func (s *server) unavailable(w *respWriter, code int, reason string, retryable b
 	writeErr(w, code, reason, retryable, retryAfter)
 }
 
-// debugBodyLimit caps request bodies on the -debug-addr listener. Its one
-// body reader, /debug/pprof/symbol, takes a list of addresses; past the cap
-// it answers the read error and the connection closes.
-const debugBodyLimit = 64 << 10
-
-// debugHandler is the -debug-addr surface of either tier: reg's /metrics
-// plus net/http/pprof, mounted explicitly so the profiler never leaks onto
-// the public mux (and the default mux stays untouched).
-func debugHandler(reg *obs.Registry) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", promContentType)
-		reg.WritePrometheus(w)
-	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return http.MaxBytesHandler(mux, debugBodyLimit)
-}
-
-// startDebug serves debugHandler(reg) on -debug-addr and returns the server
-// for the drain, or nil when the flag is empty.
-func startDebug(reg *obs.Registry) *http.Server {
-	if *debugAddr == "" {
-		return nil
-	}
-	dbg := &http.Server{Addr: *debugAddr, Handler: debugHandler(reg), ReadHeaderTimeout: readHeaderTimeout}
-	go func() {
-		if err := dbg.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-			fmt.Fprintln(os.Stderr, "slserve: debug listener:", err)
-		}
-	}()
-	fmt.Printf("slserve: debug listener (metrics + pprof) on %s\n", *debugAddr)
-	return dbg
-}
-
 // promContentType is the Prometheus text exposition format, version 0.0.4.
 const promContentType = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -871,7 +863,7 @@ func writeMetrics(w *respWriter, reg *obs.Registry) {
 func writeJSON(w *respWriter, v any) {
 	w.ctype = "application/json"
 	if err := json.NewEncoder(w).Encode(v); err != nil {
-		writeErr(w, http.StatusInternalServerError, err.Error(), false, 0)
+		writeErr(w, statusInternalServerError, err.Error(), false, 0)
 	}
 }
 
@@ -881,18 +873,18 @@ func writeJSON(w *respWriter, v any) {
 // in flight anymore (raise holds the gate's write side), so the caller may
 // read the object's authoritative value and migrate it.
 func (s *server) fenceHandler(w *respWriter, r *request) {
-	if r.method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST only", false, 0)
+	if r.method != methodPost {
+		writeErr(w, statusMethodNotAllowed, "POST only", false, 0)
 		return
 	}
 	g := s.fences[r.query.Get("obj")]
 	if g == nil {
-		writeErr(w, http.StatusBadRequest, "obj must be one of "+strings.Join(routeKeys, ", "), false, 0)
+		writeErr(w, statusBadRequest, "obj must be one of "+strings.Join(routeKeys, ", "), false, 0)
 		return
 	}
 	gen, err := strconv.ParseInt(r.query.Get("gen"), 10, 64)
 	if err != nil || gen < 0 {
-		writeErr(w, http.StatusBadRequest, "gen must be a non-negative integer", false, 0)
+		writeErr(w, statusBadRequest, "gen must be a non-negative integer", false, 0)
 		return
 	}
 	writeJSON(w, map[string]any{"ok": true, "floor": g.raise(gen)})
@@ -1052,8 +1044,8 @@ func (s *server) statsDoc() map[string]any {
 }
 
 func (s *server) stats(w *respWriter, r *request) {
-	if r.method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only", false, 0)
+	if r.method != methodGet {
+		writeErr(w, statusMethodNotAllowed, "GET only", false, 0)
 		return
 	}
 	writeJSON(w, s.statsDoc())

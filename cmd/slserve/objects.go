@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net/http"
 	neturl "net/url"
 	"slices"
 	"strconv"
@@ -120,59 +119,59 @@ type op struct {
 
 // The served objects. Adding an object is one entry per (path, method).
 var objects = []*op{
-	{path: "/counter/inc", method: http.MethodPost, stat: "counter_inc",
+	{path: "/counter/inc", method: methodPost, stat: "counter_inc",
 		object: "counter", apply: counterAdd, body: bodyOK,
 		ack: ackSum, read: "/counter", seed: "/counter/add"},
 	// The migration surface: a routing tier seeds a new owner's counter
 	// with one add instead of replaying N increments.
-	{path: "/counter/add", method: http.MethodPost, stat: "counter_inc",
+	{path: "/counter/add", method: methodPost, stat: "counter_inc",
 		object: "counter", param: &param{name: "d", max: counterCap}, apply: counterAdd, body: bodyOK},
-	{path: "/counter", method: http.MethodGet, stat: "counter_read",
+	{path: "/counter", method: methodGet, stat: "counter_read",
 		object: "counter", body: bodyValue, degraded: []string{"counter_inc"},
 		apply: func(s *server, t stronglin.Thread, _ args) (result, error) {
 			return result{value: s.counter.Read(t)}, nil
 		}},
-	{path: "/maxreg", method: http.MethodPost, stat: "maxreg_write",
+	{path: "/maxreg", method: methodPost, stat: "maxreg_write",
 		object: "maxreg", param: &param{name: "v", max: valueCap}, body: bodyOK, ack: ackMax, read: "/maxreg",
 		apply: func(s *server, t stronglin.Thread, a args) (result, error) {
 			s.maxreg.WriteMax(t, a.n)
 			return result{}, nil
 		}},
-	{path: "/maxreg", method: http.MethodGet, stat: "maxreg_read",
+	{path: "/maxreg", method: methodGet, stat: "maxreg_read",
 		object: "maxreg", body: bodyValue, degraded: []string{"maxreg_write"},
 		apply: func(s *server, t stronglin.Thread, _ args) (result, error) {
 			return result{value: s.maxreg.ReadMax(t)}, nil
 		}},
-	{path: "/gset", method: http.MethodPost, stat: "gset_add",
+	{path: "/gset", method: methodPost, stat: "gset_add",
 		object: "gset", param: &param{name: "x", max: valueCap}, body: bodyOK, ack: ackSet, read: "/gset",
 		apply: func(s *server, t stronglin.Thread, a args) (result, error) {
 			s.gset.Add(t, a.n)
 			return result{}, nil
 		}},
 	// GET /gset?x=N is a membership query; without x it lists the set.
-	{path: "/gset", method: http.MethodGet, stat: "gset_has",
+	{path: "/gset", method: methodGet, stat: "gset_has",
 		object: "gset", param: &param{name: "x", max: valueCap}, body: bodyMember, degraded: []string{"gset_add"},
 		apply: func(s *server, t stronglin.Thread, a args) (result, error) {
 			return result{member: s.gset.Has(t, a.n)}, nil
 		}},
-	{path: "/gset", method: http.MethodGet, stat: "gset_elems",
+	{path: "/gset", method: methodGet, stat: "gset_elems",
 		object: "gset", body: bodyElems, degraded: []string{"gset_add"},
 		apply: func(s *server, t stronglin.Thread, _ args) (result, error) {
 			return result{elems: s.gset.Elems(t)}, nil
 		}},
-	{path: "/kgset/add", method: http.MethodPost, stat: "kgset_add",
+	{path: "/kgset/add", method: methodPost, stat: "kgset_add",
 		object: "kgset", keyed: true, body: bodyOK, ack: ackSet,
 		apply: func(s *server, t stronglin.Thread, a args) (result, error) {
 			return result{}, growFull(
 				func() error { return s.kgset.Add(t, a.key) },
 				func() error { return s.kgset.Rehash(t, 2*s.kgset.Buckets(t)) })
 		}},
-	{path: "/kgset/has", method: http.MethodGet, stat: "kgset_has",
+	{path: "/kgset/has", method: methodGet, stat: "kgset_has",
 		object: "kgset", keyed: true, body: bodyMember, degraded: []string{"kgset_add"},
 		apply: func(s *server, t stronglin.Thread, a args) (result, error) {
 			return result{member: s.kgset.Has(t, a.key)}, nil
 		}},
-	{path: "/map/inc", method: http.MethodPost, stat: "map_inc",
+	{path: "/map/inc", method: methodPost, stat: "map_inc",
 		object: "map", keyed: true, param: &param{name: "d", min: 1, max: fieldCap, optional: true},
 		body: bodyOK, ack: ackSum, read: "/map/get",
 		apply: func(s *server, t stronglin.Thread, a args) (result, error) {
@@ -180,7 +179,7 @@ var objects = []*op{
 				func() error { return s.kmap.IncBy(t, a.key, a.n) },
 				func() error { return s.kmap.Rehash(t, 2*s.kmap.Buckets(t)) })
 		}},
-	{path: "/map/max", method: http.MethodPost, stat: "map_max",
+	{path: "/map/max", method: methodPost, stat: "map_max",
 		object: "map", keyed: true, param: &param{name: "v", max: fieldCap},
 		body: bodyOK, ack: ackMax,
 		apply: func(s *server, t stronglin.Thread, a args) (result, error) {
@@ -188,20 +187,20 @@ var objects = []*op{
 				func() error { return s.kmap.Max(t, a.key, a.n) },
 				func() error { return s.kmap.Rehash(t, 2*s.kmap.Buckets(t)) })
 		}},
-	{path: "/map/get", method: http.MethodGet, stat: "map_get",
+	{path: "/map/get", method: methodGet, stat: "map_get",
 		object: "map", keyed: true, body: bodyValueKind, degraded: []string{"map_inc", "map_max"},
 		apply: func(s *server, t stronglin.Thread, a args) (result, error) {
 			v, kind, err := s.kmap.GetKind(t, a.key)
 			return result{value: v, kind: kind.String()}, err
 		}},
-	{path: "/clock/tick", method: http.MethodPost, stat: "clock_tick", body: bodyOK,
+	{path: "/clock/tick", method: methodPost, stat: "clock_tick", body: bodyOK,
 		apply: func(s *server, t stronglin.Thread, _ args) (result, error) {
 			if s.clock.TryTick(t) != nil {
 				return result{}, errClockSpent
 			}
 			return result{}, nil
 		}},
-	{path: "/clock", method: http.MethodGet, stat: "clock_read", body: bodyValue,
+	{path: "/clock", method: methodGet, stat: "clock_read", body: bodyValue,
 		apply: func(s *server, t stronglin.Thread, _ args) (result, error) {
 			v, err := s.clock.TryRead(t)
 			if err != nil {
@@ -218,13 +217,13 @@ var objects = []*op{
 // the multi-word k-XADD engine at any lane count.
 func snapshotOps(name string, engine func(*server) *stronglin.Snapshot) []*op {
 	return []*op{
-		{path: "/" + name, method: http.MethodPost, stat: name + "_update",
+		{path: "/" + name, method: methodPost, stat: name + "_update",
 			param: &param{name: "v", max: valueCap}, body: bodyOK,
 			apply: func(s *server, t stronglin.Thread, a args) (result, error) {
 				engine(s).Update(t, a.n)
 				return result{}, nil
 			}},
-		{path: "/" + name, method: http.MethodGet, stat: name + "_scan",
+		{path: "/" + name, method: methodGet, stat: name + "_scan",
 			body: bodyView,
 			apply: func(s *server, t stronglin.Thread, _ args) (result, error) {
 				return result{elems: engine(s).Scan(t)}, nil
@@ -251,7 +250,7 @@ var opsByPath = map[string][]*op{}
 // methods is every method the table serves; notAllowed[set] is the 405
 // reason naming a set of them, bit i standing for methods[i].
 var (
-	methods    = [...]string{http.MethodGet, http.MethodPost}
+	methods    = [...]string{methodGet, methodPost}
 	notAllowed = [...]string{1: "GET only", 2: "POST only", 3: "GET or POST only"}
 )
 
@@ -319,7 +318,7 @@ func lookupOp(w *respWriter, r *request, serves func(*op) bool) *op {
 	case pick != nil:
 		return pick
 	case allowed != 0:
-		writeErr(w, http.StatusMethodNotAllowed, notAllowed[allowed], false, 0)
+		writeErr(w, statusMethodNotAllowed, notAllowed[allowed], false, 0)
 	default:
 		notFound(w)
 	}
@@ -332,7 +331,7 @@ func (d *op) satisfied(q query) bool {
 
 // notFound is the uniform 404 of an unknown path, on both tiers.
 func notFound(w *respWriter) {
-	writeErr(w, http.StatusNotFound, "unknown path", false, 0)
+	writeErr(w, statusNotFound, "unknown path", false, 0)
 }
 
 // parse extracts the op's arguments: k for a keyed op, then its integer

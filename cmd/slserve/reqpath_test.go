@@ -77,15 +77,17 @@ func (rc *rawConn) exchange(req []byte) (code int, body []byte, ok bool) {
 	}
 }
 
-// rawRequest is the request head a minimal client sends.
-func rawRequest(method, target string) []byte {
-	return []byte(method + " " + target + " HTTP/1.1\r\nHost: t\r\n\r\n")
+// rawRequest is the request head a minimal client sends, plus hdr: extra
+// header lines, each ending in CRLF.
+func rawRequest(method, target, hdr string) []byte {
+	return []byte(method + " " + target + " HTTP/1.1\r\nHost: t\r\n" + hdr + "\r\n")
 }
 
 // probe is one request of a zero-alloc check and the status it answers.
 type probe struct {
 	method, target string
 	code           int
+	hdr            string // extra header lines for rawRequest
 }
 
 // checkZeroAllocs runs each request once to create its state (the keys
@@ -97,7 +99,7 @@ func checkZeroAllocs(t *testing.T, base string, reqs []probe) {
 	}
 	rc := dialRaw(t, base)
 	for _, r := range reqs {
-		req := rawRequest(r.method, r.target)
+		req := rawRequest(r.method, r.target, r.hdr)
 		code, body, ok := rc.exchange(req)
 		if !ok || code != r.code {
 			t.Fatalf("%s %s: %d %s, want %d", r.method, r.target, code, body, r.code)
@@ -120,31 +122,33 @@ func checkZeroAllocs(t *testing.T, base string, reqs []probe) {
 // servedRequests are the steady-state requests that must allocate nothing,
 // keyed ones on keys that already exist.
 var servedRequests = []probe{
-	{http.MethodPost, "/counter/inc", http.StatusOK},
-	{http.MethodGet, "/counter", http.StatusOK},
-	{http.MethodPost, "/maxreg?v=9", http.StatusOK},
-	{http.MethodGet, "/maxreg", http.StatusOK},
-	{http.MethodPost, "/gset?x=5", http.StatusOK},
-	{http.MethodGet, "/gset?x=5", http.StatusOK},
-	{http.MethodPost, "/kgset/add?k=alpha", http.StatusOK},
-	{http.MethodGet, "/kgset/has?k=alpha", http.StatusOK},
-	{http.MethodPost, "/map/inc?k=hits", http.StatusOK},
-	{http.MethodPost, "/map/max?k=peak&v=7", http.StatusOK},
-	{http.MethodGet, "/map/get?k=hits", http.StatusOK},
+	{http.MethodPost, "/counter/inc", http.StatusOK, ""},
+	{http.MethodGet, "/counter", http.StatusOK, ""},
+	{http.MethodPost, "/maxreg?v=9", http.StatusOK, ""},
+	{http.MethodGet, "/maxreg", http.StatusOK, ""},
+	{http.MethodPost, "/gset?x=5", http.StatusOK, ""},
+	{http.MethodGet, "/gset?x=5", http.StatusOK, ""},
+	{http.MethodPost, "/kgset/add?k=alpha", http.StatusOK, ""},
+	{http.MethodGet, "/kgset/has?k=alpha", http.StatusOK, ""},
+	{http.MethodPost, "/map/inc?k=hits", http.StatusOK, ""},
+	{http.MethodPost, "/map/max?k=peak&v=7", http.StatusOK, ""},
+	{http.MethodGet, "/map/get?k=hits", http.StatusOK, ""},
 }
 
 // TestBackendRequestPathZeroAllocs: the backend's steady-state request
 // path, from the head's bytes to the framed answer, allocates nothing; nor
 // do the constant 404s of a key never written and of an unknown path, a
-// 405, and the 400s of a malformed and of a missing parameter.
+// 405, the 400s of a malformed and of a missing parameter, and the 400 of a
+// malformed X-SL-Gen, whose reason quotes it.
 func TestBackendRequestPathZeroAllocs(t *testing.T) {
 	ts := startWire(t, newServer(4, 2, 0).wire())
 	checkZeroAllocs(t, ts.URL, append(servedRequests,
-		probe{http.MethodGet, "/map/get?k=absent", http.StatusNotFound},
-		probe{http.MethodGet, "/nope", http.StatusNotFound},
-		probe{http.MethodPut, "/counter", http.StatusMethodNotAllowed},
-		probe{http.MethodPost, "/maxreg?v=abc", http.StatusBadRequest},
-		probe{http.MethodPost, "/maxreg", http.StatusBadRequest}))
+		probe{http.MethodGet, "/map/get?k=absent", http.StatusNotFound, ""},
+		probe{http.MethodGet, "/nope", http.StatusNotFound, ""},
+		probe{http.MethodPut, "/counter", http.StatusMethodNotAllowed, ""},
+		probe{http.MethodPost, "/maxreg?v=abc", http.StatusBadRequest, ""},
+		probe{http.MethodPost, "/maxreg", http.StatusBadRequest, ""},
+		probe{http.MethodPost, "/counter/inc", http.StatusBadRequest, "X-SL-Gen: <zebra\"\xff>\r\n"}))
 }
 
 // TestFrontendRequestPathZeroAllocs: the same through the routing tier,
@@ -165,7 +169,7 @@ func TestFrontendRequestPathZeroAllocs(t *testing.T) {
 // ("" = any body).
 func mustExchange(t *testing.T, rc *rawConn, method, target, want string) {
 	t.Helper()
-	code, body, ok := rc.exchange(rawRequest(method, target))
+	code, body, ok := rc.exchange(rawRequest(method, target, ""))
 	if !ok {
 		t.Fatalf("%s %s: the connection failed", method, target)
 	}
@@ -225,7 +229,7 @@ func BenchmarkBackendConns(b *testing.B) {
 		{"inc", http.MethodPost, "/counter/inc"},
 		{"read", http.MethodGet, "/counter"},
 	} {
-		req := rawRequest(rq.method, rq.target)
+		req := rawRequest(rq.method, rq.target, "")
 		for _, conns := range []int{2, 64, 256} {
 			b.Run(fmt.Sprintf("%s/%d", rq.name, conns), func(b *testing.B) {
 				base := startWire(b, newServer(8, 4, 0).wire()).URL

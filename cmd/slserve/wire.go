@@ -1,9 +1,10 @@
 package main
 
-// The data listeners' HTTP/1.1 server, shared by both tiers: one goroutine
-// per connection reads a request head, parses it in place, runs the tier's
-// handler inline and appends the framed response to a per-connection
-// buffer, which goes out in one write once no pipelined request is waiting.
+// The HTTP/1.1 server of every slserve listener: both tiers' data listeners
+// and the -debug-addr listener (debug.go). One goroutine per connection
+// reads a request head, parses it in place, runs the listener's handler
+// inline and appends the framed response to a per-connection buffer, which
+// goes out in one write once no pipelined request is waiting.
 // net/http.Server spends about twice the CPU per request (a background read
 // goroutine, per-request header maps and contexts, a chunking writer); the
 // served subset is narrow enough to need none of that:
@@ -28,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	neturl "net/url"
 	"os"
 	"runtime/debug"
@@ -41,6 +41,52 @@ import (
 
 	"stronglin/internal/obs"
 )
+
+// The methods slserve serves, and the statuses it answers.
+const (
+	methodGet  = "GET"
+	methodPost = "POST"
+	methodHead = "HEAD"
+
+	statusOK                          = 200
+	statusBadRequest                  = 400
+	statusNotFound                    = 404
+	statusMethodNotAllowed            = 405
+	statusConflict                    = 409
+	statusExpectationFailed           = 417
+	statusTooManyRequests             = 429
+	statusRequestHeaderFieldsTooLarge = 431
+	statusInternalServerError         = 500
+	statusServiceUnavailable          = 503
+)
+
+// statusText is code's reason phrase, "" for a code slserve does not
+// answer itself (the frontend forwards a backend's refusal with its code).
+func statusText(code int) string {
+	switch code {
+	case statusOK:
+		return "OK"
+	case statusBadRequest:
+		return "Bad Request"
+	case statusNotFound:
+		return "Not Found"
+	case statusMethodNotAllowed:
+		return "Method Not Allowed"
+	case statusConflict:
+		return "Conflict"
+	case statusExpectationFailed:
+		return "Expectation Failed"
+	case statusTooManyRequests:
+		return "Too Many Requests"
+	case statusRequestHeaderFieldsTooLarge:
+		return "Request Header Fields Too Large"
+	case statusInternalServerError:
+		return "Internal Server Error"
+	case statusServiceUnavailable:
+		return "Service Unavailable"
+	}
+	return ""
+}
 
 // maxHeadBytes caps a request head: request line, headers and the blank
 // line that ends them. It is also the connection's read buffer size, so a
@@ -274,8 +320,8 @@ func (ws *wireServer) serveConn(sc *serverConn) {
 		}
 		head, err := sc.readHead()
 		req = request{ctx: ws.ctx}
-		w = respWriter{code: http.StatusOK, hdr: w.hdr[:0], body: w.body[:0]}
-		code, reason := http.StatusRequestHeaderFieldsTooLarge, "request head larger than 8 KiB"
+		w = respWriter{code: statusOK, hdr: w.hdr[:0], body: w.body[:0]}
+		code, reason := statusRequestHeaderFieldsTooLarge, "request head larger than 8 KiB"
 		if err == nil {
 			// req's strings view head in the read buffer. Discard moves no
 			// bytes; only the next head's read refills the buffer, after
@@ -363,21 +409,21 @@ func parseHead(head []byte, r *request) (code int, reason string) {
 	method, line, ok1 := bytes.Cut(line, []byte(" "))
 	target, proto, ok2 := bytes.Cut(line, []byte(" "))
 	if !ok1 || !ok2 || !isToken(method) {
-		return http.StatusBadRequest, "malformed request line"
+		return statusBadRequest, "malformed request line"
 	}
 	switch string(proto) {
 	case "HTTP/1.1":
 	case "HTTP/1.0":
 		r.close = true
 	default:
-		return http.StatusBadRequest, "only HTTP/1.1 and HTTP/1.0 are served"
+		return statusBadRequest, "only HTTP/1.1 and HTTP/1.0 are served"
 	}
 	if len(target) == 0 || target[0] != '/' {
-		return http.StatusBadRequest, "request target must be an absolute path"
+		return statusBadRequest, "request target must be an absolute path"
 	}
 	for _, c := range target {
 		if c <= ' ' || c == 0x7f {
-			return http.StatusBadRequest, "malformed request target"
+			return statusBadRequest, "malformed request target"
 		}
 	}
 	r.method = view(method)
@@ -391,7 +437,7 @@ func parseHead(head []byte, r *request) (code int, reason string) {
 		}
 		name, value, ok := bytes.Cut(h, []byte(":"))
 		if !ok || !isToken(name) {
-			return http.StatusBadRequest, "malformed header line"
+			return statusBadRequest, "malformed header line"
 		}
 		value = bytes.Trim(value, " \t")
 		switch {
@@ -415,16 +461,16 @@ func parseHead(head []byte, r *request) (code int, reason string) {
 	}
 	switch {
 	case expect: // the client holds its body back until told to send it
-		return http.StatusExpectationFailed, "request bodies are not accepted"
+		return statusExpectationFailed, "request bodies are not accepted"
 	case body:
-		return http.StatusBadRequest, "request bodies are not accepted"
+		return statusBadRequest, "request bodies are not accepted"
 	}
 	r.target = view(target)
 	path, q, _ := strings.Cut(r.target, "?")
 	if strings.Contains(path, "%") {
 		var err error
 		if path, err = neturl.PathUnescape(path); err != nil {
-			return http.StatusBadRequest, "malformed request target"
+			return statusBadRequest, "malformed request target"
 		}
 	}
 	r.path, r.query = path, query(q)
@@ -452,7 +498,7 @@ func isToken(b []byte) bool {
 func (sc *serverConn) frame(w *respWriter, method string, closeAfter bool) {
 	b := append(sc.out, "HTTP/1.1 "...)
 	b = strconv.AppendInt(b, int64(w.code), 10)
-	b = append(append(append(b, ' '), http.StatusText(w.code)...), "\r\n"...)
+	b = append(append(append(b, ' '), statusText(w.code)...), "\r\n"...)
 	if w.ctype != "" {
 		b = append(append(append(b, "Content-Type: "...), w.ctype...), "\r\n"...)
 	}
@@ -462,7 +508,7 @@ func (sc *serverConn) frame(w *respWriter, method string, closeAfter bool) {
 		b = append(b, "\r\nConnection: close"...)
 	}
 	b = append(b, "\r\n\r\n"...)
-	if method != http.MethodHead {
+	if method != methodHead {
 		b = append(b, w.body...)
 	}
 	sc.out = b

@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -16,6 +18,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"stronglin/internal/cluster"
 )
 
 // testServer is a data-path server on a loopback listener.
@@ -378,6 +382,43 @@ func TestBodiesMatchEncodingJSON(t *testing.T) {
 		want := encode(map[string]any{"error": reason, "retryable": true, "retry_after_seconds": 3})
 		if string(w.body) != want {
 			t.Errorf("writeErr(%q) = %q, want %q", reason, w.body, want)
+		}
+	}
+	// The reasons built in place from their parts: a malformed X-SL-Gen,
+	// quoted as %q quotes it, and the frontend's 503 without an owner.
+	odd := []string{"zebra", "", `a"b\c`, "<&>", "\xff\xe2\x82 \xe2\x82\xac", "é\u2028\x00\x7f\t", "\U0010ffff\ufffd"}
+	for _, raw := range odd {
+		var w respWriter
+		badGen(&w, raw)
+		reason := fmt.Sprintf("X-SL-Gen must be a non-negative integer, got %q", raw)
+		if want := encode(map[string]any{"error": reason, "retryable": false, "retry_after_seconds": 0}); string(w.body) != want {
+			t.Errorf("badGen(%q) = %q, want %q", raw, w.body, want)
+		}
+	}
+	f := newTestFrontend(t, []string{"http://127.0.0.1:1"}, fastHealth())
+	d := opsByPath["/counter/inc"][0]
+	errs := []error{cluster.ErrNoOwner}
+	for _, s := range odd {
+		errs = append(errs, errors.New(s))
+	}
+	for _, err := range errs {
+		var w respWriter
+		f.refuse(&w, d, args{}, nil, "map.p3", err)
+		reason := fmt.Sprintf("no reachable owner for %s: %v", "map.p3", err)
+		if want := encode(map[string]any{"error": reason, "retryable": true, "retry_after_seconds": 1}); string(w.body) != want {
+			t.Errorf("refuse(%v) = %q, want %q", err, w.body, want)
+		}
+	}
+}
+
+// TestStatusTextMatchesNetHTTP: every status slserve answers, each
+// writeErr code and parseHead's 417 and 431, has net/http's reason phrase.
+func TestStatusTextMatchesNetHTTP(t *testing.T) {
+	for _, code := range []int{statusOK, statusBadRequest, statusNotFound, statusMethodNotAllowed,
+		statusConflict, statusExpectationFailed, statusTooManyRequests,
+		statusRequestHeaderFieldsTooLarge, statusInternalServerError, statusServiceUnavailable} {
+		if got, want := statusText(code), http.StatusText(code); got == "" || got != want {
+			t.Errorf("statusText(%d) = %q, want %q", code, got, want)
 		}
 	}
 }

@@ -61,6 +61,24 @@ func TestRendezvousOwnerProperties(t *testing.T) {
 	}
 }
 
+// httpProbe is a Probe that GETs base's /healthz within timeout, as the
+// frontend probes a backend.
+func httpProbe(base string, timeout time.Duration) cluster.Probe {
+	cl := &http.Client{Timeout: timeout}
+	return func(ctx context.Context, _ int) (int, error) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/healthz", nil)
+		if err != nil {
+			return 0, err
+		}
+		resp, err := cl.Do(req)
+		if err != nil {
+			return 0, err
+		}
+		resp.Body.Close()
+		return resp.StatusCode, nil
+	}
+}
+
 // TestHealthLadderTransitions walks one backend through the slserve
 // /healthz ladder and checks the debounced classification: 200 = up, 429 =
 // degraded immediately (alive — no debounce between the live states), 503
@@ -78,9 +96,8 @@ func TestHealthLadderTransitions(t *testing.T) {
 	defer ts.Close()
 
 	var epochs []int64
-	h := cluster.NewHealth([]string{ts.URL}, cluster.HealthConfig{
+	h := cluster.NewHealth(1, httpProbe(ts.URL, time.Second), cluster.HealthConfig{
 		Interval:  time.Hour, // sweeps are driven manually
-		Timeout:   time.Second,
 		DownAfter: 2, UpAfter: 2,
 	}, func(ep int64) { epochs = append(epochs, ep) })
 	ctx := context.Background()
@@ -140,8 +157,8 @@ func TestHealthLadderTransitions(t *testing.T) {
 func TestHealthUnreachableBackend(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	ts.Close() // dead on arrival
-	h := cluster.NewHealth([]string{ts.URL}, cluster.HealthConfig{
-		Interval: time.Hour, Timeout: 200 * time.Millisecond, DownAfter: 2, UpAfter: 2,
+	h := cluster.NewHealth(1, httpProbe(ts.URL, 200*time.Millisecond), cluster.HealthConfig{
+		Interval: time.Hour, DownAfter: 2, UpAfter: 2,
 	}, nil)
 	ctx := context.Background()
 	h.Sweep(ctx)

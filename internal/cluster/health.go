@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,7 +9,8 @@ import (
 
 // HealthConfig tunes the active checker.
 type HealthConfig struct {
-	// Interval between probe sweeps; Timeout bounds each probe.
+	// Interval between probe sweeps; Timeout bounds each probe, which the
+	// Probe enforces (it defaults to Interval).
 	Interval, Timeout time.Duration
 	// DownAfter consecutive bad probes (unreachable or 503) take a backend
 	// down; UpAfter consecutive good probes (200/429) bring it back. Both
@@ -18,7 +18,8 @@ type HealthConfig struct {
 	DownAfter, UpAfter int
 }
 
-func (c HealthConfig) withDefaults() HealthConfig {
+// WithDefaults fills in the zero fields.
+func (c HealthConfig) WithDefaults() HealthConfig {
 	if c.Interval <= 0 {
 		c.Interval = 250 * time.Millisecond
 	}
@@ -34,6 +35,16 @@ func (c HealthConfig) withDefaults() HealthConfig {
 	return c
 }
 
+// Probe asks backend i for its /healthz status; an error means the backend
+// did not answer.
+type Probe func(ctx context.Context, i int) (status int, err error)
+
+// The /healthz statuses that keep a backend a candidate owner.
+const (
+	statusOK              = 200
+	statusTooManyRequests = 429
+)
+
 // Health actively probes each backend's /healthz and classifies it through
 // the slserve watermark ladder: 200 = up, 429 = degraded (alive, shedding —
 // keeps its ownerships), 503 or unreachable = counting toward down (a 503
@@ -42,9 +53,8 @@ func (c HealthConfig) withDefaults() HealthConfig {
 // thresholds, and every sweep that changes any state bumps the view epoch
 // and notifies the owner (the frontend's reconciler).
 type Health struct {
-	urls []string
-	cfg  HealthConfig
-	cl   *http.Client
+	probe Probe
+	cfg   HealthConfig
 
 	states []atomic.Int32 // BackendState per backend
 	epoch  atomic.Int64
@@ -58,20 +68,17 @@ type Health struct {
 	goodRuns []int
 }
 
-// NewHealth builds a checker over the backend base URLs. onChange may be
-// nil. No probes run until Start or Sweep.
-func NewHealth(urls []string, cfg HealthConfig, onChange func(epoch int64)) *Health {
-	cfg = cfg.withDefaults()
-	h := &Health{
-		urls:     urls,
-		cfg:      cfg,
-		cl:       &http.Client{Timeout: cfg.Timeout},
-		states:   make([]atomic.Int32, len(urls)),
-		badRuns:  make([]int, len(urls)),
-		goodRuns: make([]int, len(urls)),
+// NewHealth builds a checker over n backends that probe reaches. onChange
+// may be nil. No probes run until Start or Sweep.
+func NewHealth(n int, probe Probe, cfg HealthConfig, onChange func(epoch int64)) *Health {
+	return &Health{
+		probe:    probe,
+		cfg:      cfg.WithDefaults(),
+		states:   make([]atomic.Int32, n),
+		badRuns:  make([]int, n),
+		goodRuns: make([]int, n),
 		onChange: onChange,
 	}
-	return h
 }
 
 // Start runs probe sweeps every Interval until ctx is done.
@@ -94,21 +101,21 @@ func (h *Health) Start(ctx context.Context) {
 // transitions; it returns true if any state changed. Exported so tests and
 // the frontend's startup path can drive the checker deterministically.
 func (h *Health) Sweep(ctx context.Context) bool {
-	good := make([]bool, len(h.urls))
-	degraded := make([]bool, len(h.urls))
+	good := make([]bool, len(h.states))
+	degraded := make([]bool, len(h.states))
 	var wg sync.WaitGroup
-	for i := range h.urls {
+	for i := range h.states {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			good[i], degraded[i] = h.probe(ctx, h.urls[i])
+			good[i], degraded[i] = h.classify(ctx, i)
 		}(i)
 	}
 	wg.Wait()
 
 	h.mu.Lock()
 	changed := false
-	for i := range h.urls {
+	for i := range h.states {
 		old := BackendState(h.states[i].Load())
 		next := old
 		if good[i] {
@@ -145,22 +152,16 @@ func (h *Health) Sweep(ctx context.Context) bool {
 	return changed
 }
 
-// probe classifies one /healthz answer: good (alive) and whether it was a
-// shedding (429) answer.
-func (h *Health) probe(ctx context.Context, url string) (good, degraded bool) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/healthz", nil)
-	if err != nil {
-		return false, false
-	}
-	resp, err := h.cl.Do(req)
-	if err != nil {
-		return false, false
-	}
-	resp.Body.Close()
+// classify probes backend i once: good (alive) and whether it answered
+// shedding (429).
+func (h *Health) classify(ctx context.Context, i int) (good, degraded bool) {
+	status, err := h.probe(ctx, i)
 	switch {
-	case resp.StatusCode == http.StatusOK:
+	case err != nil:
+		return false, false
+	case status == statusOK:
 		return true, false
-	case resp.StatusCode == http.StatusTooManyRequests:
+	case status == statusTooManyRequests:
 		return true, true
 	default: // 503 and anything unexpected count toward down
 		return false, false
@@ -175,8 +176,8 @@ func (h *Health) Epoch() int64 { return h.epoch.Load() }
 
 // View snapshots the membership: a backend is a candidate owner unless Down.
 func (h *Health) View() View {
-	v := View{Epoch: h.epoch.Load(), Alive: make([]bool, len(h.urls))}
-	for i := range h.urls {
+	v := View{Epoch: h.epoch.Load(), Alive: make([]bool, len(h.states))}
+	for i := range h.states {
 		v.Alive[i] = BackendState(h.states[i].Load()) != StateDown
 	}
 	return v
