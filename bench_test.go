@@ -445,7 +445,10 @@ func BenchmarkPackedGSet(b *testing.B) {
 // lanes=2 and 8 slots a KeyedGSet bucket is 16 payload bits — one word — so
 // Add is a directory lookup plus one XADD and Has an epoch-validated
 // single-word collect; both must run at 0 allocs/op. The multiword rows keep
-// the wider default bucket honest: same ops, more words per collect.
+// the wider default bucket honest: same ops, more words per collect. The
+// resident rows run the default 8-lane set with 20k keys in it (the keyed
+// benchmark workload's s%05d family), so Has scans full directories: of
+// present keys, and of 20k keys never added (a%05d).
 func BenchmarkKeyedGSet(b *testing.B) {
 	th := prim.RealThread(0)
 	keys := benchKeyUniverse(16)
@@ -497,13 +500,34 @@ func BenchmarkKeyedGSet(b *testing.B) {
 			g.Has(th, keys[i&15])
 		}
 	})
+	var resident *keyed.GSet
+	residentHas := func(b *testing.B, keys []string, want bool) {
+		if resident == nil {
+			resident = keyed.NewGSet(prim.NewRealWorld(), "kg", residentLanes)
+			for i, k := range residentKeys("s") {
+				growFull(b, func() error { return resident.Add(prim.RealThread(i%residentLanes), k) },
+					func() error { return resident.Rehash(th, 2*resident.Buckets(th)) })
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if resident.Has(th, keys[i%len(keys)]) != want {
+				b.Fatalf("Has(%s) = %v", keys[i%len(keys)], !want)
+			}
+		}
+	}
+	b.Run("resident-has", func(b *testing.B) { residentHas(b, shuffledKeys("s"), true) })
+	b.Run("resident-has-absent", func(b *testing.B) { residentHas(b, shuffledKeys("a"), false) })
 }
 
 // E-KEYED: the monotone map's packed shape — slots=1, lanes=2, width=24
 // packs the bucket's two fields into one word, so IncBy is shadow-read plus
 // one in-field XADD and Get a single-word validated collect, 0 allocs/op.
 // The multiword rows run the default bucket (8 slots x 32 bits: one field
-// per word) for contrast.
+// per word) for contrast. resident-get reads, in a shuffled order, the
+// default 8-lane map holding the keyed benchmark workload's 40k keys: 20k
+// counters (i%05d) and 20k max registers (m%05d).
 func BenchmarkKeyedMap(b *testing.B) {
 	const lanes = 2
 	th := prim.RealThread(0)
@@ -511,11 +535,8 @@ func BenchmarkKeyedMap(b *testing.B) {
 	mk := func(opts ...keyed.Option) *keyed.MonotoneMap {
 		m := keyed.NewMonotoneMap(prim.NewRealWorld(), "km", lanes, opts...)
 		for _, k := range keys {
-			for m.IncBy(th, k, 1) == keyed.ErrFull {
-				if err := m.Rehash(th, 2*m.Buckets(th)); err != nil {
-					b.Fatal(err)
-				}
-			}
+			growFull(b, func() error { return m.IncBy(th, k, 1) },
+				func() error { return m.Rehash(th, 2*m.Buckets(th)) })
 		}
 		return m
 	}
@@ -563,6 +584,62 @@ func BenchmarkKeyedMap(b *testing.B) {
 			}
 		}
 	})
+	var resident *keyed.MonotoneMap
+	b.Run("resident-get", func(b *testing.B) {
+		if resident == nil {
+			resident = keyed.NewMonotoneMap(prim.NewRealWorld(), "km", residentLanes)
+			grow := func() error { return resident.Rehash(th, 2*resident.Buckets(th)) }
+			for i, k := range residentKeys("i") {
+				growFull(b, func() error { return resident.Inc(prim.RealThread(i%residentLanes), k) }, grow)
+			}
+			for i, k := range residentKeys("m") {
+				growFull(b, func() error { return resident.Max(prim.RealThread(i%residentLanes), k, 0) }, grow)
+			}
+		}
+		keys := append(shuffledKeys("i"), shuffledKeys("m")...)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := resident.Get(th, keys[i%len(keys)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// residentLanes and residentKeys are the keyed benchmark workload's shape:
+// an 8-lane server and 20k keys per family, named prefix%05d.
+const residentLanes = 8
+
+func residentKeys(prefix string) []string {
+	keys := make([]string, 20_000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("%s%05d", prefix, i)
+	}
+	return keys
+}
+
+// shuffledKeys is residentKeys in a fixed random order, so a read loop over
+// it touches buckets in no pattern.
+func shuffledKeys(prefix string) []string {
+	keys := residentKeys(prefix)
+	rand.New(rand.NewSource(1)).Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	return keys
+}
+
+// growFull runs write, doubling the table through grow on ErrFull (slserve's
+// growth rule).
+func growFull(b *testing.B, write, grow func() error) {
+	err := write()
+	for err == keyed.ErrFull {
+		if gerr := grow(); gerr != nil {
+			b.Fatal(gerr)
+		}
+		err = write()
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
 }
 
 // E-KEYED: one empty rehash, 4096 -> 8192 buckets at 8 lanes and default
@@ -612,11 +689,8 @@ func mkKeyedGSet(b *testing.B, th prim.Thread, keys []string, opts ...keyed.Opti
 	b.Helper()
 	g := keyed.NewGSet(prim.NewRealWorld(), "kg", 2, opts...)
 	for _, k := range keys {
-		for g.Add(th, k) == keyed.ErrFull {
-			if err := g.Rehash(th, 2*g.Buckets(th)); err != nil {
-				b.Fatal(err)
-			}
-		}
+		growFull(b, func() error { return g.Add(th, k) },
+			func() error { return g.Rehash(th, 2*g.Buckets(th)) })
 	}
 	return g
 }

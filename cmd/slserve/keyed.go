@@ -89,10 +89,11 @@ func (s *server) writeOpErr(w *respWriter, err error) {
 
 // growFull runs op, and on ErrFull doubles the object's bucket table (the
 // flip-after-migrate rehash) and retries, until op stops failing with
-// ErrFull or growth itself refuses (the cap, or an unsplittable hash
-// clump). Terminates: the bucket count strictly doubles per round, so grow
-// errors out at the cap after O(log maxBuckets) rounds. Racing growers are
-// safe — Rehash to a not-larger count is a no-op.
+// ErrFull or growth itself refuses at the cap (a doubling always fits: each
+// key keeps its side, so a new bucket takes keys from one old bucket).
+// Terminates: the bucket count strictly doubles per round, so grow errors
+// out at the cap after O(log maxBuckets) rounds. Racing growers are safe —
+// Rehash to a not-larger count is a no-op.
 func growFull(op func() error, grow func() error) error {
 	err := op()
 	for errors.Is(err, stronglin.ErrKeyedFull) {

@@ -58,11 +58,16 @@ type bucket struct {
 	epoch prim.FetchAddInt
 	bound prim.AnyRegisterBlock // per slot; the map's grow fills it (see MonotoneMap)
 
-	mu sync.RWMutex
-	// dir[i] is the key in slot i, so dir[i].slot == i. Slots are handed
-	// out in claim order and never freed; the slice is allocated at the
-	// bucket's first claim with room for every slot.
-	dir []*entry
+	mu sync.Mutex // serializes claims; lookups take no lock
+	// n counts the directory's entries: dir[i] is the key in slot i (so
+	// dir[i].slot == i) and tags[i] is its hash tag, which a scan compares
+	// before dereferencing the entry. Slots are handed out in claim order and
+	// never freed. Both arrays are allocated at the bucket's first claim with
+	// room for every slot, and a claim writes entry i before it raises n past
+	// i, so a lookup that loads n scans dir[:n] and tags[:n] lock-free.
+	n    atomic.Int32
+	dir  []*entry
+	tags []uint8
 }
 
 type entry struct {
@@ -118,86 +123,170 @@ func (e *engine) buildTable(gen int64, buckets int) *table {
 	return tb
 }
 
-func (tb *table) bucket(key string) *bucket {
-	return &tb.buckets[int(Hash(key)%uint64(len(tb.buckets)))]
+// candidates returns the indices of the two buckets of tb a key with hash
+// h may live in: h mod n and a finalizer of h mod n. The second is
+// independent of the first and of the routing partition (h mod the
+// partition count), which fixes the first one's residue on a backend that
+// owns only some partitions.
+func (tb *table) candidates(h uint64) (int, int) {
+	n := uint64(len(tb.buckets))
+	return int(h % n), int(fmix64(h) % n)
 }
 
-// claim returns key's directory entry in b, assigning the next free slot
-// on first sight. A write's new entry is bound to kind, with a zeroed
-// shadow and its own copy of key: the caller's key may view a buffer that
-// is reused once the call returns (a server's request). Rehash passes the
-// old entry as from, whose key, kind and shadow the new entry takes over.
-// first reports that THIS call made the entry. The critical section
+// tag is a key's directory tag: the top byte of its hash.
+func tag(h uint64) uint8 { return uint8(h >> 56) }
+
+// fmix64 is murmur3's 64-bit finalizer.
+func fmix64(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
+
+// find returns the bucket and entry of key, whose hash is h, in tb, or nil,
+// nil. It scans the first candidate, then the second, so a claim may land
+// between the two scans; a miss in both is still a sound "absent" at the
+// first scan. A key has one entry, in one candidate, and a directory is
+// append-only within its generation: had the key been in the second
+// candidate at the first scan, the second scan would find it, and the first
+// scan saw it absent from the first. So at the instant of the first scan the
+// key was in neither directory, and since its entry is inserted before its
+// first payload XADD, no write of it had linearized.
+func (tb *table) find(key string, h uint64) (*bucket, *entry) {
+	i1, i2 := tb.candidates(h)
+	b := &tb.buckets[i1]
+	if en := b.scan(key, tag(h)); en != nil {
+		return b, en
+	}
+	if i2 != i1 {
+		b = &tb.buckets[i2]
+		if en := b.scan(key, tag(h)); en != nil {
+			return b, en
+		}
+	}
+	return nil, nil
+}
+
+// claim returns the bucket and directory entry of key, whose hash is h, in
+// tb, assigning a slot on first sight. It locks both candidate buckets, in
+// bucket-index order, and inserts the key into the one with fewer entries,
+// the first candidate on a tie ("balanced allocations": two choices keep
+// the fullest bucket within O(log log n) of the mean, where one choice lets
+// it drift O(log n / log log n) above it). ErrFull means both candidates are
+// full. first reports that THIS call made the entry. The critical section
 // performs no shared-memory (prim) step, so it never blocks across a
 // scheduler yield point.
-func (e *engine) claim(b *bucket, key string, kind Kind, from *entry) (en *entry, first bool, err error) {
-	if en = b.lookup(key); en != nil {
-		return en, false, nil
+func (e *engine) claim(tb *table, key string, h uint64, kind Kind) (b *bucket, en *entry, first bool, err error) {
+	if b, en = tb.find(key, h); en != nil {
+		return b, en, false, nil
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if en = b.find(key); en != nil {
-		return en, false, nil
+	i1, i2 := tb.candidates(h)
+	b1, b2 := &tb.buckets[i1], &tb.buckets[i2]
+	lo, hi := b1, b2
+	if i2 < i1 {
+		lo, hi = b2, b1
 	}
-	if len(b.dir) >= e.cfg.slots {
-		return nil, false, ErrFull
+	lo.mu.Lock()
+	defer lo.mu.Unlock()
+	if hi != lo {
+		hi.mu.Lock()
+		defer hi.mu.Unlock()
+	}
+	if b, en = tb.find(key, h); en != nil {
+		return b, en, false, nil
+	}
+	b = b1
+	if b2.n.Load() < b1.n.Load() {
+		b = b2
+	}
+	if en, err = e.insert(b, key, h, kind, nil); err != nil {
+		return nil, nil, false, err
+	}
+	return b, en, true, nil
+}
+
+// insert gives key, whose hash is h, the next free slot of b, or fails with
+// ErrFull. The caller holds b.mu or is the only one who can reach b (a
+// rehash's new table before the flip). A write's new entry is bound to
+// kind, with a zeroed shadow and its own copy of key: the caller's key may
+// view a buffer that is reused once the call returns (a server's request).
+// Rehash passes the old entry as from, whose key, kind and shadow the new
+// entry takes over.
+func (e *engine) insert(b *bucket, key string, h uint64, kind Kind, from *entry) (*entry, error) {
+	slot := int(b.n.Load())
+	if slot >= e.cfg.slots {
+		return nil, ErrFull
 	}
 	if b.dir == nil {
-		b.dir = make([]*entry, 0, e.cfg.slots)
+		b.dir = make([]*entry, e.cfg.slots)
+		b.tags = make([]uint8, e.cfg.slots)
 	}
+	var en *entry
 	if from != nil {
-		en = &entry{key: from.key, slot: len(b.dir), kind: from.kind, shadow: from.shadow}
+		en = &entry{key: from.key, slot: slot, kind: from.kind, shadow: from.shadow}
 	} else {
-		en = &entry{key: strings.Clone(key), slot: len(b.dir), kind: kind, shadow: make([]int64, e.lanes)}
+		en = &entry{key: strings.Clone(key), slot: slot, kind: kind, shadow: make([]int64, e.lanes)}
 	}
-	b.dir = append(b.dir, en)
-	return en, true, nil
+	b.dir[slot], b.tags[slot] = en, tag(h)
+	b.n.Store(int32(slot + 1))
+	return en, nil
 }
 
-func (b *bucket) lookup(key string) *entry {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.find(key)
+// entries returns the directory's entries in slot order.
+func (b *bucket) entries() []*entry {
+	n := b.n.Load()
+	if n == 0 {
+		return nil
+	}
+	return b.dir[:n]
 }
 
-// find scans the directory for key; the caller holds b.mu.
-func (b *bucket) find(key string) *entry {
-	for _, en := range b.dir {
-		if en.key == key {
-			return en
+// scan looks for key among the directory entries tagged tg. It needs no
+// lock: the arrays are read only below the count, which a claim raises
+// after writing the entry.
+func (b *bucket) scan(key string, tg uint8) *entry {
+	n := b.n.Load()
+	if n == 0 {
+		return nil
+	}
+	dir, tags := b.dir[:n], b.tags[:n]
+	for i := range tags {
+		if tags[i] == tg && dir[i].key == key {
+			return dir[i]
 		}
 	}
 	return nil
 }
 
 // enter starts a write of key: it reads the table pointer (the caller holds
-// the gate shared) and claims key's entry in its bucket.
+// the gate shared) and claims key's entry in one of its candidate buckets.
 func (e *engine) enter(t prim.Thread, key string, kind Kind) (*bucket, *entry, bool, error) {
-	b := e.table.ReadAny(t).(*table).bucket(key)
-	en, first, err := e.claim(b, key, kind, nil)
-	return b, en, first, err
+	return e.claim(e.table.ReadAny(t).(*table), key, Hash(key), kind)
 }
 
-// lookup reads the table pointer and finds key's entry (nil if absent).
+// lookup reads the table pointer and finds key's bucket and entry (nil, nil
+// if absent).
 func (e *engine) lookup(t prim.Thread, key string) (*bucket, *entry) {
-	b := e.table.ReadAny(t).(*table).bucket(key)
-	return b, b.lookup(key)
+	return e.table.ReadAny(t).(*table).find(key, Hash(key))
 }
 
-// read is the one validated read of both objects. A directory miss commits
-// "absent": the entry is inserted before its first payload XADD, so no write
-// of the key had linearized. Otherwise it snapshots the bucket epoch,
-// collects the key's words and re-reads the epoch, retrying until the two
-// reads are equal; the closing epoch read is the read's final shared step,
-// which pins the collected value to a real instant (see the package
-// comment). A collect hit commits at the word read that observed it. The
-// table pointer is read fresh on every attempt; a rehash overlapping an
-// attempt leaves the old generation frozen, so the epoch witness stays
-// sound. It returns the collected value and key's entry, nil for a
-// directory miss.
+// read is the one validated read of both objects. A miss in both candidate
+// directories commits "absent" at the first scan (see find). Otherwise it
+// snapshots the bucket epoch, collects the key's words and re-reads the
+// epoch, retrying until the two reads are equal; the closing epoch read is
+// the read's final shared step, which pins the collected value to a real
+// instant (see the package comment). A collect hit commits at the word read
+// that observed it. The table pointer is read fresh on every attempt; a
+// rehash overlapping an attempt leaves the old generation frozen, so the
+// epoch witness stays sound. It returns the collected value and key's
+// entry, nil for a directory miss.
 func (e *engine) read(t prim.Thread, key string) (int64, *entry) {
+	h := Hash(key)
 	for {
-		b, en := e.lookup(t, key)
+		b, en := e.table.ReadAny(t).(*table).find(key, h)
 		if en == nil {
 			return 0, nil
 		}
@@ -214,11 +303,13 @@ func (e *engine) read(t prim.Thread, key string) (int64, *entry) {
 // so concurrent growers don't compound). It blocks writers on the gate,
 // claims every key of the frozen directory in a new bucket generation (one
 // named block per field) and migrates its exact value, then flips the table
-// pointer. Keys migrate bucket by bucket in slot order, so a table built from
-// the same key sequence rehashes to the same slots every time. It is
-// flip-after-migrate, so an acked write is either migrated exactly
-// or lands in the new generation. On ErrFull from the target shape the old
-// table stays installed, and a later Rehash builds under fresh names.
+// pointer. Keys migrate bucket by bucket in slot order, each to the
+// candidate of the same side it held (see migrateSlot), so a table built
+// from the same key sequence rehashes to the same buckets and slots every
+// time, and a rehash to a multiple of the bucket count always fits. It is
+// flip-after-migrate, so an acked write is either migrated exactly or lands
+// in the new generation. On ErrFull from the target shape the old table
+// stays installed, and a later Rehash builds under fresh names.
 //
 // Each new entry takes its old entry's shadow rather than a fresh copy.
 // Sharing is safe. Writers are gate-excluded, so no lane owner touches a
@@ -243,9 +334,8 @@ func (e *engine) Rehash(t prim.Thread, buckets int) error {
 	nt := e.buildTable(old.gen+1, buckets)
 	for i := range old.buckets {
 		ob := &old.buckets[i]
-		for _, oe := range ob.dir {
-			nb := nt.bucket(oe.key)
-			ne, _, err := e.claim(nb, oe.key, oe.kind, oe)
+		for _, oe := range ob.entries() {
+			nb, ne, err := e.migrateSlot(old, i, nt, oe)
 			if err != nil {
 				return err
 			}
@@ -255,6 +345,32 @@ func (e *engine) Rehash(t prim.Thread, buckets int) error {
 	e.table.WriteAny(t, nt)
 	e.rehashes.Add(1)
 	return nil
+}
+
+// migrateSlot gives oe, which sits in bucket i of old, a slot in nt. The key
+// keeps its side: if bucket i is its first candidate in old it goes to its
+// first candidate in nt, otherwise to its second. When len(nt.buckets) is a
+// multiple of len(old.buckets) both of a key's candidates in nt are
+// congruent to its old ones modulo len(old.buckets), so every new bucket
+// takes its keys from one old bucket and never overflows. Greedy two-choice
+// placement has no such bound: it can fill both candidates of some key, and
+// since a rehash is deterministic the same doubling would fail every time.
+// For any other count a key whose side is full takes its other candidate;
+// ErrFull means both are full.
+func (e *engine) migrateSlot(old *table, i int, nt *table, oe *entry) (*bucket, *entry, error) {
+	h := Hash(oe.key)
+	o1, _ := old.candidates(h)
+	n1, n2 := nt.candidates(h)
+	if i != o1 {
+		n1, n2 = n2, n1
+	}
+	nb := &nt.buckets[n1]
+	ne, err := e.insert(nb, oe.key, h, oe.kind, oe)
+	if err == ErrFull && n2 != n1 {
+		nb = &nt.buckets[n2]
+		ne, err = e.insert(nb, oe.key, h, oe.kind, oe)
+	}
+	return nb, ne, err
 }
 
 // Buckets returns the current bucket count.
@@ -276,9 +392,7 @@ func (e *engine) Stats(t prim.Thread) Stats {
 	}
 	for i := range tb.buckets {
 		b := &tb.buckets[i]
-		b.mu.RLock()
-		st.Keys += len(b.dir)
-		b.mu.RUnlock()
+		st.Keys += int(b.n.Load())
 		st.EpochAnnounces += b.epoch.FetchAddInt(t, 0)
 	}
 	return st

@@ -5,9 +5,14 @@
 // Both objects are one construction. Keys hash (fnv-1a 64) to buckets; each
 // bucket is its own k-XADD engine on the interleave.MultiPacked codec, with
 // a directory that assigns slots to keys first-come-first-served: entry i of
-// the directory array holds slot i's key, and a lookup scans at most `slots`
-// entries. A key owns one fetch&add field per writer lane, and a read
-// collects the key's words and validates them with a closing witness read.
+// the directory array holds slot i's key, next to a one-byte tag (the top
+// byte of the key's hash) that a lookup compares before the key. A key has
+// two candidate buckets, the hash and a finalizer of it, each mod the bucket
+// count; its first write claims a slot in the candidate with fewer entries
+// (the first on a tie), so one crowded bucket rarely forces a rehash. A
+// lookup scans both candidates' directories. A key owns one fetch&add field
+// per writer lane, and a read collects the key's words and validates them
+// with a closing witness read.
 // One unexported engine (engine.go) holds everything the two share: the
 // table pointer, the bucket directory, the validated read, Rehash and Stats.
 // The objects are two layouts over it, each saying only what a field holds,
@@ -71,7 +76,8 @@ import "errors"
 // Errors returned by keyed objects. All are terminal for the op that
 // received them; ErrFull is resolved by Rehash to a larger bucket count.
 var (
-	// ErrFull means the key's bucket has no free slot. Grow with Rehash.
+	// ErrFull means both of the key's candidate buckets are out of free
+	// slots. Grow with Rehash.
 	ErrFull = errors.New("keyed: bucket slots exhausted; rehash to more buckets")
 	// ErrBudget means the per-(key, lane) field cannot absorb the update
 	// without overflowing its binary field.

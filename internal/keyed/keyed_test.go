@@ -350,33 +350,40 @@ func TestKeyedGSetErrFullThenRehashRecovers(t *testing.T) {
 }
 
 // pickFailedRehashKeys returns four keys that fill a 2-bucket x 2-slot
-// table exactly, overflow one bucket at 3 buckets (three share a residue
-// mod 3) and fit again at 4 buckets.
-func pickFailedRehashKeys() []string {
-	var keys []string
-	fits := func(buckets int) bool {
-		n := make([]int, buckets)
+// table exactly, make Rehash(3) fail with ErrFull and fit a fresh table
+// rehashed to 4 buckets. It asks the engine itself, so the keys follow
+// whatever placement rule claim applies.
+func pickFailedRehashKeys(t *testing.T) []string {
+	th := prim.RealThread(0)
+	// rehash adds keys to a fresh 2x2 set and grows it to n buckets; it
+	// reports false if the keys do not fit 2x2.
+	rehash := func(keys []string, n int) (bool, error) {
+		g := NewGSet(prim.NewRealWorld(), "pick", 1, WithBuckets(2), WithSlots(2))
 		for _, k := range keys {
-			b := Hash(k) % uint64(buckets)
-			if n[b]++; n[b] > 2 {
-				return false
+			if g.Add(th, k) != nil {
+				return false, nil
 			}
 		}
-		return true
+		return true, g.Rehash(th, n)
 	}
-	for i := 0; ; i++ {
-		keys = append(keys[:0], fmt.Sprintf("r%d", i), fmt.Sprintf("r%d", i+1), fmt.Sprintf("r%d", i+2), fmt.Sprintf("r%d", i+3))
-		if fits(2) && !fits(3) && fits(4) {
+	for i := 0; i < 10_000; i++ {
+		keys := []string{fmt.Sprintf("r%d", i), fmt.Sprintf("r%d", i+1), fmt.Sprintf("r%d", i+2), fmt.Sprintf("r%d", i+3)}
+		if ok, err := rehash(keys, 3); !ok || !errors.Is(err, ErrFull) {
+			continue
+		}
+		if _, err := rehash(keys, 4); err == nil {
 			return keys
 		}
 	}
+	t.Fatal("no four keys fill 2x2, overflow at 3 buckets and fit at 4")
+	return nil
 }
 
 // TestKeyedGSetRehashAfterFailedRehash: a Rehash that fails with ErrFull at
 // its target count must not brick the next one — each table build takes
 // fresh block names, so the retry cannot collide with the failed attempt's.
 func TestKeyedGSetRehashAfterFailedRehash(t *testing.T) {
-	keys := pickFailedRehashKeys()
+	keys := pickFailedRehashKeys(t)
 	g := NewGSet(prim.NewRealWorld(), "kg", 1, WithBuckets(2), WithSlots(2))
 	t0 := prim.RealThread(0)
 	for _, k := range keys {
@@ -403,7 +410,7 @@ func TestKeyedGSetRehashAfterFailedRehash(t *testing.T) {
 // TestKeyedMapRehashAfterFailedRehash is the MonotoneMap twin of
 // TestKeyedGSetRehashAfterFailedRehash.
 func TestKeyedMapRehashAfterFailedRehash(t *testing.T) {
-	keys := pickFailedRehashKeys()
+	keys := pickFailedRehashKeys(t)
 	m := NewMonotoneMap(prim.NewRealWorld(), "km", 1, WithBuckets(2), WithSlots(2))
 	t0 := prim.RealThread(0)
 	for i, k := range keys {
@@ -516,11 +523,13 @@ func TestKeyedRehashAllocsPerBucket(t *testing.T) {
 		keys[i] = fmt.Sprintf("key-%d", i)
 	}
 	// The byte bounds sit above what Go 1.24 measures. Per new bucket: map
-	// 808 B (64 words, 8 bound flags, a 160 B header), gset 192 B; one
+	// 824 B (64 words, 8 bound flags, a 176 B header), gset 208 B; one
 	// interface per register and a Go map per directory made them 1,960 B
-	// and 240 B at 1.0 allocs each. Per migrated key: map 117 B (a 64 B
-	// entry, 8-slot directories), gset 167 B (16-slot directories); a fresh
-	// shadow per key would add 64 B.
+	// and 240 B at 1.0 allocs each. Per migrated key: map 131 B (a 64 B
+	// entry, 8-slot directories and their tags), gset 198 B (16-slot ones);
+	// a fresh shadow per key would add 64 B. Two candidate buckets per key
+	// leave fewer buckets empty than one did (117 B and 167 B), so more
+	// directories are allocated.
 	cases := []struct {
 		name                string
 		maxBucketB, maxKeyB float64
@@ -1066,6 +1075,210 @@ func TestKeyedConcurrentConvergence(t *testing.T) {
 		if got, err := m.Get(th, k); err != nil || got != want {
 			t.Fatalf("Get(%s) = %d, %v; oracle replay %d", k, got, err, want)
 		}
+	}
+}
+
+// TestKeyedTwoChoiceClaimRace: eight goroutines, one per lane, first-claim
+// the same keys at once, each key with two distinct candidate buckets, so
+// claims of one key race for both candidates' locks. Afterwards every key
+// has exactly one entry across its candidates, the tables track exactly the
+// distinct keys, and every map value is the sum of its increments.
+func TestKeyedTwoChoiceClaimRace(t *testing.T) {
+	const lanes, buckets, slots, rounds = 8, 16, 16, 3
+	w := prim.NewRealWorld()
+	m := NewMonotoneMap(w, "rm", lanes, WithBuckets(buckets), WithSlots(slots))
+	g := NewGSet(w, "rg", lanes, WithBuckets(buckets), WithSlots(slots))
+	th := prim.RealThread(0)
+	tb := m.table.ReadAny(th).(*table)
+	var keys []string
+	cands := make([]int, buckets) // keys that may land in each bucket
+	for i := 0; len(keys) < 48; i++ {
+		k := fmt.Sprintf("c%d", i)
+		if b1, b2 := tb.candidates(Hash(k)); b1 != b2 {
+			keys = append(keys, k)
+			cands[b1]++
+			cands[b2]++
+		}
+	}
+	for b, n := range cands {
+		if n > slots {
+			t.Fatalf("bucket %d is a candidate of %d keys, more than its %d slots: claims could see ErrFull", b, n, slots)
+		}
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for p := 0; p < lanes; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			th := prim.RealThread(p)
+			<-start
+			for r := 0; r < rounds; r++ {
+				for _, k := range keys {
+					if err := m.IncBy(th, k, int64(p+1)); err != nil {
+						t.Errorf("IncBy(%s): %v", k, err)
+						return
+					}
+					if err := g.Add(th, k); err != nil {
+						t.Errorf("Add(%s): %v", k, err)
+						return
+					}
+				}
+			}
+		}(p)
+	}
+	close(start)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	const want = rounds * lanes * (lanes + 1) / 2
+	for _, e := range []*engine{&m.engine, &g.engine} {
+		tb := e.table.ReadAny(th).(*table)
+		for _, k := range keys {
+			b1, b2 := tb.candidates(Hash(k))
+			n := 0
+			for _, b := range []int{b1, b2} {
+				for _, en := range tb.buckets[b].entries() {
+					if en.key == k {
+						n++
+					}
+				}
+			}
+			if n != 1 {
+				t.Errorf("%s: %s has %d entries across buckets %d and %d, want 1", e.name, k, n, b1, b2)
+			}
+		}
+		if st := e.Stats(th); st.Keys != len(keys) || st.Rehashes != 0 {
+			t.Errorf("%s: stats = %+v, want %d keys and no rehash", e.name, st, len(keys))
+		}
+	}
+	for _, k := range keys {
+		if v, err := m.Get(th, k); err != nil || v != want {
+			t.Errorf("Get(%s) = %d, %v; want %d", k, v, err, want)
+		}
+		if !g.Has(th, k) {
+			t.Errorf("Has(%s) = false", k)
+		}
+	}
+}
+
+// TestKeyedDoublingAlwaysFits grows a one-slot map and a two-slot set to a
+// few thousand keys by doubling alone: every ErrFull is answered with
+// Rehash(2n), which must fit, as slserve's growFull assumes. A rehash that
+// re-ran the writers' greedy two-choice placement would fill both
+// candidates of some key within a few hundred buckets, and fail the same
+// way on every retry.
+func TestKeyedDoublingAlwaysFits(t *testing.T) {
+	const maxBuckets = 1 << 20
+	th := prim.RealThread(0)
+	m := NewMonotoneMap(prim.NewRealWorld(), "dm", 1, WithBuckets(1), WithSlots(1), WithMaxBuckets(maxBuckets))
+	g := NewGSet(prim.NewRealWorld(), "dg", 1, WithBuckets(1), WithSlots(2), WithMaxBuckets(maxBuckets))
+	objects := []struct {
+		name  string
+		keys  int
+		e     *engine
+		write func(k string, i int) error
+	}{
+		{"map", 2000, &m.engine, func(k string, i int) error { return m.IncBy(th, k, int64(i%7+1)) }},
+		{"set", 3000, &g.engine, func(k string, _ int) error { return g.Add(th, k) }},
+	}
+	for _, ob := range objects {
+		doublings := 0
+		for i := 0; i < ob.keys; i++ {
+			k := fmt.Sprintf("g%05d", i)
+			err := ob.write(k, i)
+			for errors.Is(err, ErrFull) {
+				n := ob.e.Buckets(th)
+				if gerr := ob.e.Rehash(th, 2*n); gerr != nil {
+					t.Fatalf("%s: key %d: Rehash(%d -> %d) = %v", ob.name, i, n, 2*n, gerr)
+				}
+				doublings++
+				err = ob.write(k, i)
+			}
+			if err != nil {
+				t.Fatalf("%s: write %s: %v", ob.name, k, err)
+			}
+		}
+		st := ob.e.Stats(th)
+		t.Logf("%s: %d keys in %d buckets x %d slots after %d doublings", ob.name, st.Keys, st.Buckets, st.Slots, doublings)
+		if st.Keys != ob.keys {
+			t.Fatalf("%s: %d keys, want %d", ob.name, st.Keys, ob.keys)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		k := fmt.Sprintf("g%05d", i)
+		if v, err := m.Get(th, k); err != nil || v != int64(i%7+1) {
+			t.Fatalf("Get(%s) = %d, %v; want %d", k, v, err, i%7+1)
+		}
+	}
+	for i := 0; i < 3000; i++ {
+		if k := fmt.Sprintf("g%05d", i); !g.Has(th, k) {
+			t.Fatalf("Has(%s) = false", k)
+		}
+	}
+}
+
+// TestKeyedPreloadFill pins how many buckets the benchmark's keyed preload
+// ends in: 20k counter keys (i%05d) and 20k max keys (m%05d) in the map and
+// 20k keys (s%05d) in the set, written from 8 lanes in a seeded shuffle,
+// each table doubling on ErrFull as slserve grows it. With two candidate
+// buckets per key the map fits in 8,192 buckets of 8 slots and the set in
+// 2,048 of 16; one candidate per key takes 32,768 and 4,096.
+func TestKeyedPreloadFill(t *testing.T) {
+	const lanes, perFamily, maxMapBuckets, maxSetBuckets = 8, 20_000, 8192, 2048
+	w := prim.NewRealWorld()
+	m := NewMonotoneMap(w, "fm", lanes)
+	g := NewGSet(w, "fg", lanes)
+	type write struct {
+		fam byte
+		i   int
+	}
+	var ops []write
+	for _, fam := range []byte{'i', 'm', 's'} {
+		for i := 0; i < perFamily; i++ {
+			ops = append(ops, write{fam, i})
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	rng.Shuffle(len(ops), func(i, j int) { ops[i], ops[j] = ops[j], ops[i] })
+	grow := func(th prim.Thread, write func() error, e *engine) {
+		err := write()
+		for errors.Is(err, ErrFull) {
+			if gerr := e.Rehash(th, 2*e.Buckets(th)); gerr != nil {
+				t.Fatalf("Rehash(%d): %v", 2*e.Buckets(th), gerr)
+			}
+			err = write()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for n, op := range ops {
+		th := prim.RealThread(n % lanes)
+		k := fmt.Sprintf("%c%05d", op.fam, op.i)
+		switch op.fam {
+		case 'i':
+			grow(th, func() error { return m.Inc(th, k) }, &m.engine)
+		case 'm':
+			grow(th, func() error { return m.Max(th, k, 0) }, &m.engine)
+		case 's':
+			grow(th, func() error { return g.Add(th, k) }, &g.engine)
+		}
+	}
+	th := prim.RealThread(0)
+	ms, gs := m.Stats(th), g.Stats(th)
+	t.Logf("map: %d keys in %d buckets x %d slots (%.0f%% full); set: %d keys in %d buckets x %d slots (%.0f%% full)",
+		ms.Keys, ms.Buckets, ms.Slots, 100*float64(ms.Keys)/float64(ms.Buckets*ms.Slots),
+		gs.Keys, gs.Buckets, gs.Slots, 100*float64(gs.Keys)/float64(gs.Buckets*gs.Slots))
+	if ms.Keys != 2*perFamily || gs.Keys != perFamily {
+		t.Fatalf("keys = %d map, %d set; want %d, %d", ms.Keys, gs.Keys, 2*perFamily, perFamily)
+	}
+	if ms.Buckets > maxMapBuckets {
+		t.Errorf("map preload ended in %d buckets, want <= %d", ms.Buckets, maxMapBuckets)
+	}
+	if gs.Buckets > maxSetBuckets {
+		t.Errorf("set preload ended in %d buckets, want <= %d", gs.Buckets, maxSetBuckets)
 	}
 }
 

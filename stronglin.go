@@ -525,7 +525,8 @@ const (
 // Keyed-universe errors. All are terminal for the op that received them;
 // ErrKeyedFull is resolved by Rehash to a larger bucket count.
 var (
-	// ErrKeyedFull means the key's bucket has no free slot; grow with Rehash.
+	// ErrKeyedFull means both of the key's candidate buckets are full; grow
+	// with Rehash.
 	ErrKeyedFull = keyed.ErrFull
 	// ErrKeyedBudget means the per-(key, lane) field cannot absorb the update.
 	ErrKeyedBudget = keyed.ErrBudget
