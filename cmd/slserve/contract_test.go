@@ -244,6 +244,9 @@ func TestWireContractFrontend(t *testing.T) {
 		"cluster_fences_total", "cluster_handoff_duration_ns", "cluster_handoff_failures_total",
 		"cluster_handoffs_total", "cluster_raced_total", "cluster_reroutes_total",
 		"cluster_retries_total", "cluster_steals_total", "slfront_backend_dials_total",
+		"slfront_counter_inc_ledger_entries", "slfront_gset_add_ledger_entries",
+		"slfront_kgset_add_ledger_entries", "slfront_map_inc_ledger_entries",
+		"slfront_map_max_ledger_entries", "slfront_maxreg_write_ledger_entries",
 		"slfront_request_duration_ns", "slfront_request_errors_total", "slfront_requests_total",
 	}
 	if !slices.Equal(fams, wantFams) {

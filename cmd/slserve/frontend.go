@@ -28,6 +28,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"maps"
 	"math/rand"
 	"net"
 	neturl "net/url"
@@ -178,6 +179,12 @@ func (f *frontend) registerMetrics() {
 	f.reg.CounterFunc("cluster_raced_total", "requests refused retryable because a handoff stole their slot", f.tb.Stats.Raced.Load)
 	f.reg.CounterFunc("cluster_steals_total", "drain slots stolen at handoff drain timeout", f.tb.Stats.Steals.Load)
 	f.reg.CounterFunc("cluster_fences_total", "ownership records fenced: at each handoff's start, and at a reconcile pass's start for every key whose owner left the view", f.tb.Stats.Fences.Load)
+	for _, stat := range slices.Sorted(maps.Keys(f.ledgers)) {
+		l := f.ledgers[stat]
+		f.reg.GaugeFunc("slfront_"+stat+"_ledger_entries",
+			stat+" acked ledger entries: keys, elements, or 1 once a dense sum or max is acked",
+			func() int64 { return int64(l.size()) })
+	}
 	for i := range f.cfg.backends {
 		i := i
 		f.reg.GaugeFunc(fmt.Sprintf("cluster_backend_%d_state", i),

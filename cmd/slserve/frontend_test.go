@@ -490,6 +490,39 @@ func TestFrontendMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestFrontendLedgerEntriesGauges: N acked keyed writes of distinct keys
+// through a frontend read N on their ledgers' /metrics gauges; a repeat
+// write of a key folds into its entry, and a write kind never acked reads 0.
+func TestFrontendLedgerEntriesGauges(t *testing.T) {
+	const n = 25
+	ts := startWire(t, newServer(4, 2, 0).wire())
+	defer ts.Close()
+	f := newTestFrontend(t, []string{ts.URL}, fastHealth())
+	ctx := context.Background()
+	f.health.Sweep(ctx)
+	f.reconcileOnce(ctx)
+	h := startWire(t, f.wire()).URL
+	for round := 0; round < 2; round++ {
+		for i := 0; i < n; i++ {
+			for _, target := range []string{fmt.Sprintf("/kgset/add?k=s%d", i), fmt.Sprintf("/map/inc?k=c%d&d=2", i)} {
+				if rec := feReq(t, h, http.MethodPost, target); rec.Code != http.StatusOK {
+					t.Fatalf("POST %s = %d %s", target, rec.Code, rec.Body.String())
+				}
+			}
+		}
+	}
+	text := feReq(t, h, http.MethodGet, "/metrics").Body.String()
+	for _, sample := range []string{
+		fmt.Sprintf("slfront_kgset_add_ledger_entries %d", n),
+		fmt.Sprintf("slfront_map_inc_ledger_entries %d", n),
+		"slfront_map_max_ledger_entries 0",
+	} {
+		if !strings.Contains(text, "\n"+sample+"\n") {
+			t.Errorf("want sample line %q in /metrics", sample)
+		}
+	}
+}
+
 // TestKeyedRoutesCoverEveryPartition: every partition a key can hash to has
 // a route the ownership table carries, every route the frontend carries is
 // an object the backend's /fence accepts, and every fenceable object is

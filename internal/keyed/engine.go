@@ -15,12 +15,13 @@ import (
 // MonotoneMap embed it and supply a layout, which decides what a key's
 // fields hold and how they combine.
 type engine struct {
-	w     prim.World
-	name  string
-	lanes int
-	cfg   config
-	codec interleave.MultiPacked
-	lay   layout
+	w      prim.World
+	name   string
+	lanes  int
+	cfg    config
+	codec  interleave.MultiPacked
+	lay    layout
+	shadow int // a new entry's shadow words: one per lane (map), per 64 lanes (set)
 
 	table prim.AnyRegister // *table
 	gate  sync.RWMutex     // writers share it; Rehash takes it exclusively
@@ -37,48 +38,66 @@ type layout interface {
 	// grow allocates the object's own state for a new table generation,
 	// under the block-name prefix of its words and epochs.
 	grow(tb *table, prefix string)
-	// collect reads key e's words in b and folds them into one value. hit
+	// collect reads key e's words at r and folds them into one value. hit
 	// commits the value without the closing witness: it is true only for a
 	// value no later write can retract.
-	collect(t prim.Thread, b *bucket, e *entry) (v int64, hit bool)
-	// migrate copies old entry oe's exact value into ne, its fresh claim in
-	// bucket nb of the new generation. Writers are excluded.
-	migrate(t prim.Thread, ob *bucket, oe *entry, nb *bucket, ne *entry)
+	collect(t prim.Thread, r ref, e *entry) (v int64, hit bool)
+	// migrate copies key e's exact value from its place in the old
+	// generation to its place in the new one. Writers are excluded.
+	migrate(t prim.Thread, e *entry, from, to ref)
 }
 
+// table is one bucket generation. Its registers are one named block per
+// field, addressed by bucket index: bucket b's words are words[b*nw :
+// (b+1)*nw], its epoch is epochs[b], and the map's bound flag of slot s is
+// bound[b*slots+s]. The directories are outside the shared-memory model.
 type table struct {
-	gen     int64 // completed rehash cutovers
-	buckets []bucket
+	gen       int64 // completed rehash cutovers
+	nw, slots int   // words and slots per bucket
+	buckets   []bucket
+	words     prim.FetchAddIntBlock
+	epochs    prim.FetchAddIntBlock
+	bound     prim.AnyRegisterBlock // the map's grow fills it (see MonotoneMap)
 }
 
-// bucket is one k-XADD engine. Its registers are views into its
-// generation's blocks; its directory is outside the shared-memory model.
+// bucket is one k-XADD engine's directory. Its registers live in its
+// table's blocks.
 type bucket struct {
-	words prim.FetchAddIntBlock
-	epoch prim.FetchAddInt
-	bound prim.AnyRegisterBlock // per slot; the map's grow fills it (see MonotoneMap)
-
 	mu sync.Mutex // serializes claims; lookups take no lock
-	// n counts the directory's entries: dir[i] is the key in slot i (so
-	// dir[i].slot == i) and tags[i] is its hash tag, which a scan compares
-	// before dereferencing the entry. Slots are handed out in claim order and
-	// never freed. Both arrays are allocated at the bucket's first claim with
-	// room for every slot, and a claim writes entry i before it raises n past
-	// i, so a lookup that loads n scans dir[:n] and tags[:n] lock-free.
+	// n counts the directory's entries: dir[i] is the key in slot i and
+	// tags[i] is its hash tag, which a scan compares before dereferencing
+	// the entry. Slots are handed out in claim order and never freed. Both
+	// arrays are allocated at the bucket's first claim with room for every
+	// slot, and a claim writes entry i before it raises n past i, so a lookup
+	// that loads n scans dir[:n] and tags[:n] lock-free.
 	n    atomic.Int32
 	dir  []*entry
 	tags []uint8
 }
 
+// ref is where a key lives in one table generation: slot s of bucket b.
+type ref struct {
+	tb   *table
+	b, s int
+}
+
+func (r ref) word(i int) prim.FetchAddInt { return r.tb.words.At(r.b*r.tb.nw + i) }
+func (r ref) epoch() prim.FetchAddInt     { return r.tb.epochs.At(r.b) }
+func (r ref) bound() prim.AnyRegister     { return r.tb.bound.At(r.b*r.tb.slots + r.s) }
+
+// entry is a key's identity, independent of its table generation: its slot
+// is its index in the directory that holds it, so Rehash hands the same
+// entry to the new generation.
 type entry struct {
 	key  string
-	slot int
 	kind Kind // the map's binding; KindNone in a GSet
-	// shadow[l] mirrors what lane l's field holds for this key: the map's
-	// value, or 1 once the set's bit is set. Each field has a single
-	// writer (the lane owner), so the owner's private mirror is exact and
-	// saves the pre-write word read on the hot path; only lane l's owner
-	// (or Rehash, with writers excluded) ever touches shadow[l].
+	// shadow mirrors what each lane's field holds for this key: the map's
+	// value in shadow[l], the set's bit as bit l%64 of shadow[l/64]. Each
+	// field has a single writer (the lane owner), so the owner's private
+	// mirror is exact and saves the pre-write word read on the hot path; only
+	// lane l's owner (or Rehash, with writers excluded) ever changes lane
+	// l's part. The set's lanes share a word, so it is read and set
+	// atomically.
 	shadow []int64
 }
 
@@ -100,24 +119,21 @@ func configure(kind string, lanes, slots int, opts []Option) config {
 }
 
 // init installs the first table generation.
-func (e *engine) init(w prim.World, name string, lanes int, cfg config, codec interleave.MultiPacked, lay layout) {
-	e.w, e.name, e.lanes, e.cfg, e.codec, e.lay = w, name, lanes, cfg, codec, lay
+func (e *engine) init(w prim.World, name string, lanes int, cfg config, codec interleave.MultiPacked, lay layout, shadow int) {
+	e.w, e.name, e.lanes, e.cfg, e.codec, e.lay, e.shadow = w, name, lanes, cfg, codec, lay, shadow
 	e.table = w.AnyRegister(name+".table", e.buildTable(0, cfg.buckets))
 }
 
-// buildTable allocates a bucket generation as one named block per field:
-// bucket b's words are words[b*W : (b+1)*W] and its epoch is epoch[b].
+// buildTable allocates a bucket generation as one named block per field.
 func (e *engine) buildTable(gen int64, buckets int) *table {
 	prefix := fmt.Sprintf("%s.g%d", e.name, e.builds)
 	e.builds++
 	nw := e.codec.Words()
-	words := prim.FetchAddInts(e.w, prefix+".words", buckets*nw, 0)
-	epochs := prim.FetchAddInts(e.w, prefix+".epoch", buckets, 0)
-	tb := &table{gen: gen, buckets: make([]bucket, buckets)}
-	for b := range tb.buckets {
-		bk := &tb.buckets[b]
-		bk.words = words.Slice(b*nw, (b+1)*nw)
-		bk.epoch = epochs.At(b)
+	tb := &table{
+		gen: gen, nw: nw, slots: e.cfg.slots,
+		buckets: make([]bucket, buckets),
+		words:   prim.FetchAddInts(e.w, prefix+".words", buckets*nw, 0),
+		epochs:  prim.FetchAddInts(e.w, prefix+".epoch", buckets, 0),
 	}
 	e.lay.grow(tb, prefix)
 	return tb
@@ -146,8 +162,8 @@ func fmix64(h uint64) uint64 {
 	return h
 }
 
-// find returns the bucket and entry of key, whose hash is h, in tb, or nil,
-// nil. It scans the first candidate, then the second, so a claim may land
+// find returns the place and entry of key, whose hash is h, in tb, or a nil
+// entry. It scans the first candidate, then the second, so a claim may land
 // between the two scans; a miss in both is still a sound "absent" at the
 // first scan. A key has one entry, in one candidate, and a directory is
 // append-only within its generation: had the key been in the second
@@ -155,121 +171,102 @@ func fmix64(h uint64) uint64 {
 // scan saw it absent from the first. So at the instant of the first scan the
 // key was in neither directory, and since its entry is inserted before its
 // first payload XADD, no write of it had linearized.
-func (tb *table) find(key string, h uint64) (*bucket, *entry) {
+func (tb *table) find(key string, h uint64) (ref, *entry) {
 	i1, i2 := tb.candidates(h)
-	b := &tb.buckets[i1]
-	if en := b.scan(key, tag(h)); en != nil {
-		return b, en
+	if s, en := tb.buckets[i1].scan(key, tag(h)); en != nil {
+		return ref{tb, i1, s}, en
 	}
 	if i2 != i1 {
-		b = &tb.buckets[i2]
-		if en := b.scan(key, tag(h)); en != nil {
-			return b, en
+		if s, en := tb.buckets[i2].scan(key, tag(h)); en != nil {
+			return ref{tb, i2, s}, en
 		}
 	}
-	return nil, nil
+	return ref{}, nil
 }
 
-// claim returns the bucket and directory entry of key, whose hash is h, in
-// tb, assigning a slot on first sight. It locks both candidate buckets, in
+// claim returns the place and directory entry of key, whose hash is h, in
+// tb, making the entry on first sight. It locks both candidate buckets, in
 // bucket-index order, and inserts the key into the one with fewer entries,
 // the first candidate on a tie ("balanced allocations": two choices keep
 // the fullest bucket within O(log log n) of the mean, where one choice lets
 // it drift O(log n / log log n) above it). ErrFull means both candidates are
 // full. first reports that THIS call made the entry. The critical section
 // performs no shared-memory (prim) step, so it never blocks across a
-// scheduler yield point.
-func (e *engine) claim(tb *table, key string, h uint64, kind Kind) (b *bucket, en *entry, first bool, err error) {
-	if b, en = tb.find(key, h); en != nil {
-		return b, en, false, nil
+// scheduler yield point. A new entry has a zeroed shadow and its own copy
+// of key: the caller's key may view a buffer that is reused once the call
+// returns (a server's request).
+func (e *engine) claim(tb *table, key string, h uint64, kind Kind) (r ref, en *entry, first bool, err error) {
+	if r, en = tb.find(key, h); en != nil {
+		return r, en, false, nil
 	}
 	i1, i2 := tb.candidates(h)
-	b1, b2 := &tb.buckets[i1], &tb.buckets[i2]
-	lo, hi := b1, b2
-	if i2 < i1 {
-		lo, hi = b2, b1
-	}
-	lo.mu.Lock()
-	defer lo.mu.Unlock()
+	lo, hi := min(i1, i2), max(i1, i2)
+	tb.buckets[lo].mu.Lock()
+	defer tb.buckets[lo].mu.Unlock()
 	if hi != lo {
-		hi.mu.Lock()
-		defer hi.mu.Unlock()
+		tb.buckets[hi].mu.Lock()
+		defer tb.buckets[hi].mu.Unlock()
 	}
-	if b, en = tb.find(key, h); en != nil {
-		return b, en, false, nil
+	if r, en = tb.find(key, h); en != nil {
+		return r, en, false, nil
 	}
-	b = b1
-	if b2.n.Load() < b1.n.Load() {
-		b = b2
+	if tb.buckets[i2].n.Load() < tb.buckets[i1].n.Load() {
+		i1 = i2
 	}
-	if en, err = e.insert(b, key, h, kind, nil); err != nil {
-		return nil, nil, false, err
+	if tb.full(i1) {
+		return ref{}, nil, false, ErrFull
 	}
-	return b, en, true, nil
+	en = &entry{key: strings.Clone(key), kind: kind, shadow: make([]int64, e.shadow)}
+	return tb.insert(i1, en, h), en, true, nil
 }
 
-// insert gives key, whose hash is h, the next free slot of b, or fails with
-// ErrFull. The caller holds b.mu or is the only one who can reach b (a
-// rehash's new table before the flip). A write's new entry is bound to
-// kind, with a zeroed shadow and its own copy of key: the caller's key may
-// view a buffer that is reused once the call returns (a server's request).
-// Rehash passes the old entry as from, whose key, kind and shadow the new
-// entry takes over.
-func (e *engine) insert(b *bucket, key string, h uint64, kind Kind, from *entry) (*entry, error) {
-	slot := int(b.n.Load())
-	if slot >= e.cfg.slots {
-		return nil, ErrFull
+// full reports whether bucket b of tb has no free slot.
+func (tb *table) full(b int) bool { return int(tb.buckets[b].n.Load()) >= tb.slots }
+
+// insert gives en, whose key hashes to h, the next free slot of bucket b,
+// which must not be full. The caller holds the bucket's lock or is the only
+// one who can reach it (a rehash's new table before the flip).
+func (tb *table) insert(b int, en *entry, h uint64) ref {
+	bk := &tb.buckets[b]
+	s := int(bk.n.Load())
+	if bk.dir == nil {
+		bk.dir = make([]*entry, tb.slots)
+		bk.tags = make([]uint8, tb.slots)
 	}
-	if b.dir == nil {
-		b.dir = make([]*entry, e.cfg.slots)
-		b.tags = make([]uint8, e.cfg.slots)
-	}
-	var en *entry
-	if from != nil {
-		en = &entry{key: from.key, slot: slot, kind: from.kind, shadow: from.shadow}
-	} else {
-		en = &entry{key: strings.Clone(key), slot: slot, kind: kind, shadow: make([]int64, e.lanes)}
-	}
-	b.dir[slot], b.tags[slot] = en, tag(h)
-	b.n.Store(int32(slot + 1))
-	return en, nil
+	bk.dir[s], bk.tags[s] = en, tag(h)
+	bk.n.Store(int32(s + 1))
+	return ref{tb, b, s}
 }
 
 // entries returns the directory's entries in slot order.
-func (b *bucket) entries() []*entry {
-	n := b.n.Load()
-	if n == 0 {
-		return nil
-	}
-	return b.dir[:n]
-}
+func (b *bucket) entries() []*entry { return b.dir[:b.n.Load()] }
 
-// scan looks for key among the directory entries tagged tg. It needs no
-// lock: the arrays are read only below the count, which a claim raises
-// after writing the entry.
-func (b *bucket) scan(key string, tg uint8) *entry {
+// scan looks for key among the directory entries tagged tg and returns its
+// slot and entry, or a nil entry. It needs no lock: the arrays are read
+// only below the count, which a claim raises after writing the entry.
+func (b *bucket) scan(key string, tg uint8) (int, *entry) {
 	n := b.n.Load()
-	if n == 0 {
-		return nil
+	if n == 0 { // b.dir is written at the first claim, before n is raised
+		return 0, nil
 	}
 	dir, tags := b.dir[:n], b.tags[:n]
 	for i := range tags {
 		if tags[i] == tg && dir[i].key == key {
-			return dir[i]
+			return i, dir[i]
 		}
 	}
-	return nil
+	return 0, nil
 }
 
 // enter starts a write of key: it reads the table pointer (the caller holds
 // the gate shared) and claims key's entry in one of its candidate buckets.
-func (e *engine) enter(t prim.Thread, key string, kind Kind) (*bucket, *entry, bool, error) {
+func (e *engine) enter(t prim.Thread, key string, kind Kind) (ref, *entry, bool, error) {
 	return e.claim(e.table.ReadAny(t).(*table), key, Hash(key), kind)
 }
 
-// lookup reads the table pointer and finds key's bucket and entry (nil, nil
-// if absent).
-func (e *engine) lookup(t prim.Thread, key string) (*bucket, *entry) {
+// lookup reads the table pointer and finds key's place and entry (a nil
+// entry if absent).
+func (e *engine) lookup(t prim.Thread, key string) (ref, *entry) {
 	return e.table.ReadAny(t).(*table).find(key, Hash(key))
 }
 
@@ -286,13 +283,14 @@ func (e *engine) lookup(t prim.Thread, key string) (*bucket, *entry) {
 func (e *engine) read(t prim.Thread, key string) (int64, *entry) {
 	h := Hash(key)
 	for {
-		b, en := e.table.ReadAny(t).(*table).find(key, h)
+		r, en := e.table.ReadAny(t).(*table).find(key, h)
 		if en == nil {
 			return 0, nil
 		}
-		e1 := b.epoch.FetchAddInt(t, 0)
-		v, hit := e.lay.collect(t, b, en)
-		if hit || b.epoch.FetchAddInt(t, 0) == e1 {
+		ep := r.epoch()
+		e1 := ep.FetchAddInt(t, 0)
+		v, hit := e.lay.collect(t, r, en)
+		if hit || ep.FetchAddInt(t, 0) == e1 {
 			return v, en
 		}
 		e.retries.Add(1)
@@ -301,26 +299,25 @@ func (e *engine) read(t prim.Thread, key string) (int64, *entry) {
 
 // Rehash grows the object to the given bucket count (no-op if not larger,
 // so concurrent growers don't compound). It blocks writers on the gate,
-// claims every key of the frozen directory in a new bucket generation (one
-// named block per field) and migrates its exact value, then flips the table
-// pointer. Keys migrate bucket by bucket in slot order, each to the
-// candidate of the same side it held (see migrateSlot), so a table built
-// from the same key sequence rehashes to the same buckets and slots every
-// time, and a rehash to a multiple of the bucket count always fits. It is
+// places every entry of the frozen directory in a new bucket generation
+// (one named block per field) and migrates its exact value, then flips the
+// table pointer. Keys migrate bucket by bucket in slot order, each to the
+// candidate of the same side it held (see place), so a table built from the
+// same key sequence rehashes to the same buckets and slots every time, and
+// a rehash to a multiple of the bucket count always fits. It is
 // flip-after-migrate, so an acked write is either migrated exactly or lands
 // in the new generation. On ErrFull from the target shape the old table
 // stays installed, and a later Rehash builds under fresh names.
 //
-// Each new entry takes its old entry's shadow rather than a fresh copy.
-// Sharing is safe. Writers are gate-excluded, so no lane owner touches a
-// shadow until the flip, and after it only the new entry is written. The
-// map's migrate copies each lane's exact field, which the shadow already
-// mirrors. The set's migrate lands the key's bit in lane 0 and sets
-// shadow[0]; any other lane's 1 still implies membership, which is all a
-// set shadow guards (a repeat add from that lane stays a no-op). An ErrFull
-// abort leaves the old table consistent for the same reasons: the map's
-// shadows are unchanged, and a set entry only gains shadow[0] = 1 for a
-// key that is already a member.
+// The new directories hold the old entries themselves, shadows included.
+// Writers are gate-excluded, so no lane owner touches a shadow until the
+// flip, and after it only the new generation is written. The map's migrate
+// copies each lane's exact field, which the shadow already mirrors. The
+// set's migrate lands the key's bit in lane 0 and sets lane 0's shadow bit;
+// any other lane's bit still implies membership, which is all a set shadow
+// guards (a repeat add from that lane stays a no-op). An ErrFull abort
+// leaves the old table consistent for the same reasons: the map's shadows
+// are unchanged, and a set entry only gains lane 0's bit for a member.
 func (e *engine) Rehash(t prim.Thread, buckets int) error {
 	if buckets < 1 || buckets > e.cfg.maxBuckets {
 		return fmt.Errorf("keyed: bucket count %d outside [1, %d]", buckets, e.cfg.maxBuckets)
@@ -333,13 +330,12 @@ func (e *engine) Rehash(t prim.Thread, buckets int) error {
 	}
 	nt := e.buildTable(old.gen+1, buckets)
 	for i := range old.buckets {
-		ob := &old.buckets[i]
-		for _, oe := range ob.entries() {
-			nb, ne, err := e.migrateSlot(old, i, nt, oe)
+		for s, en := range old.buckets[i].entries() {
+			to, err := place(old, i, nt, en)
 			if err != nil {
 				return err
 			}
-			e.lay.migrate(t, ob, oe, nb, ne)
+			e.lay.migrate(t, en, ref{old, i, s}, to)
 		}
 	}
 	e.table.WriteAny(t, nt)
@@ -347,7 +343,7 @@ func (e *engine) Rehash(t prim.Thread, buckets int) error {
 	return nil
 }
 
-// migrateSlot gives oe, which sits in bucket i of old, a slot in nt. The key
+// place gives en, which sits in bucket i of old, a slot in nt. The key
 // keeps its side: if bucket i is its first candidate in old it goes to its
 // first candidate in nt, otherwise to its second. When len(nt.buckets) is a
 // multiple of len(old.buckets) both of a key's candidates in nt are
@@ -357,20 +353,20 @@ func (e *engine) Rehash(t prim.Thread, buckets int) error {
 // since a rehash is deterministic the same doubling would fail every time.
 // For any other count a key whose side is full takes its other candidate;
 // ErrFull means both are full.
-func (e *engine) migrateSlot(old *table, i int, nt *table, oe *entry) (*bucket, *entry, error) {
-	h := Hash(oe.key)
+func place(old *table, i int, nt *table, en *entry) (ref, error) {
+	h := Hash(en.key)
 	o1, _ := old.candidates(h)
 	n1, n2 := nt.candidates(h)
 	if i != o1 {
 		n1, n2 = n2, n1
 	}
-	nb := &nt.buckets[n1]
-	ne, err := e.insert(nb, oe.key, h, oe.kind, oe)
-	if err == ErrFull && n2 != n1 {
-		nb = &nt.buckets[n2]
-		ne, err = e.insert(nb, oe.key, h, oe.kind, oe)
+	if nt.full(n1) {
+		if nt.full(n2) {
+			return ref{}, ErrFull
+		}
+		n1 = n2
 	}
-	return nb, ne, err
+	return nt.insert(n1, en, h), nil
 }
 
 // Buckets returns the current bucket count.
@@ -391,9 +387,8 @@ func (e *engine) Stats(t prim.Thread) Stats {
 		ReadRetries:    e.retries.Load(),
 	}
 	for i := range tb.buckets {
-		b := &tb.buckets[i]
-		st.Keys += int(b.n.Load())
-		st.EpochAnnounces += b.epoch.FetchAddInt(t, 0)
+		st.Keys += int(tb.buckets[i].n.Load())
+		st.EpochAnnounces += tb.epochs.At(i).FetchAddInt(t, 0)
 	}
 	return st
 }

@@ -2,6 +2,7 @@ package keyed
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"stronglin/internal/interleave"
 	"stronglin/internal/prim"
@@ -35,7 +36,7 @@ func NewGSet(w prim.World, name string, lanes int, opts ...Option) *GSet {
 			g.slotMask[s] |= uint64(1) << uint(j*cfg.slots+s)
 		}
 	}
-	g.init(w, name, lanes, cfg, codec, g)
+	g.init(w, name, lanes, cfg, codec, g, (lanes+63)/64)
 	return g
 }
 
@@ -50,14 +51,14 @@ func (g *GSet) Add(t prim.Thread, key string) error {
 	lane := t.ID() % g.lanes
 	g.gate.RLock()
 	defer g.gate.RUnlock()
-	b, e, _, err := g.enter(t, key, KindNone)
-	if err != nil || e.shadow[lane] != 0 {
+	r, e, _, err := g.enter(t, key, KindNone)
+	if err != nil || e.member(lane) {
 		return err
 	}
-	b.words.At(g.codec.WordOf(lane)).FetchAddInt(t, g.codec.Spread(int64(1)<<uint(e.slot), lane)+interleave.SeqIncrement)
+	r.word(g.codec.WordOf(lane)).FetchAddInt(t, g.codec.Spread(int64(1)<<uint(r.s), lane)+interleave.SeqIncrement)
 	prim.MarkLinPoint(g.w, t)
-	e.shadow[lane] = 1
-	b.epoch.FetchAddInt(t, 1)
+	e.markMember(lane)
+	r.epoch().FetchAddInt(t, 1)
 	return nil
 }
 
@@ -72,10 +73,10 @@ func (g *GSet) Has(t prim.Thread, key string) bool {
 
 func (g *GSet) grow(*table, string) {}
 
-func (g *GSet) collect(t prim.Thread, b *bucket, e *entry) (int64, bool) {
-	mask := g.slotMask[e.slot]
-	for wi := range b.words.Len() {
-		if uint64(g.codec.Payload(b.words.At(wi).FetchAddInt(t, 0)))&mask != 0 {
+func (g *GSet) collect(t prim.Thread, r ref, _ *entry) (int64, bool) {
+	mask := g.slotMask[r.s]
+	for wi := range r.tb.nw {
+		if uint64(g.codec.Payload(r.word(wi).FetchAddInt(t, 0)))&mask != 0 {
 			return 1, true
 		}
 	}
@@ -85,8 +86,15 @@ func (g *GSet) collect(t prim.Thread, b *bucket, e *entry) (int64, bool) {
 // migrate sets the key's bit in lane 0 of the new generation: writers are
 // excluded, so directory presence implies some lane's bit landed (claim and
 // XADD share one gate-reader critical section).
-func (g *GSet) migrate(t prim.Thread, _ *bucket, _ *entry, nb *bucket, ne *entry) {
-	nb.words.At(g.codec.WordOf(0)).FetchAddInt(t,
-		g.codec.Spread(int64(1)<<uint(ne.slot), 0)+interleave.SeqIncrement)
-	ne.shadow[0] = 1
+func (g *GSet) migrate(t prim.Thread, e *entry, _, to ref) {
+	to.word(g.codec.WordOf(0)).FetchAddInt(t,
+		g.codec.Spread(int64(1)<<uint(to.s), 0)+interleave.SeqIncrement)
+	e.markMember(0)
 }
+
+// member reports lane's shadow bit; lanes share its word (see entry).
+func (e *entry) member(lane int) bool {
+	return atomic.LoadInt64(&e.shadow[lane/64])&(1<<(lane%64)) != 0
+}
+
+func (e *entry) markMember(lane int) { atomic.OrInt64(&e.shadow[lane/64], 1<<(lane%64)) }

@@ -52,14 +52,16 @@
 // flip-after-migrate recipe of the snapshot's live re-base. The bucket array
 // lives behind a single table pointer register. Writers hold a shared (read)
 // lock on the rehash gate for the duration of one write; Rehash takes the
-// gate exclusively — so the old table is frozen while it migrates — claims
+// gate exclusively — so the old table is frozen while it migrates — places
 // every directory entry in a new generation of buckets, in slot order, has
 // the layout copy its exact value, and only then flips the table pointer. A
 // generation is one named register block per bucket field (words, epochs,
-// the map's bound flags — prim.FetchAddInts/AnyRegisters), and a bucket's
-// registers are views into those blocks. A rehash thus claims O(1) names
-// however many buckets it builds; the real world backs each block with one
-// flat slice, and a bucket's directory is allocated at its first key.
+// the map's bound flags — prim.FetchAddInts/AnyRegisters), addressed by
+// bucket index. A rehash thus claims O(1) names however many buckets it
+// builds; the real world backs each block with one flat slice, and a
+// bucket's directory is allocated at its first key. An entry (key, kind,
+// shadow) names no generation, since its slot is its directory index, so
+// the new directories hold the old entries and nothing is made per key.
 // Readers never touch the gate: one table-pointer read inside the op's
 // interval suffices. If a rehash overlaps the read, the old
 // generation it collected from was FROZEN from the gate's acquisition on, so

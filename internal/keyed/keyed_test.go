@@ -488,11 +488,11 @@ func TestKeyedRehashSlotsDeterministic(t *testing.T) {
 				}
 				out := make([]int, len(keys))
 				for i, k := range keys {
-					_, en := e.lookup(th, k)
+					r, en := e.lookup(th, k)
 					if en == nil {
 						t.Fatalf("%s/%s: %s lost by the rehash", wd.name, ob.name, k)
 					}
-					out[i] = en.slot
+					out[i] = r.s
 				}
 				return out
 			}
@@ -510,32 +510,32 @@ func TestKeyedRehashSlotsDeterministic(t *testing.T) {
 // 8192 buckets allocates. Empty, it makes a constant number of heap objects
 // (one block per field and the bucket array), so at most 0.01 per new
 // bucket, and a new bucket costs its registers in flat blocks plus its
-// header: no interface per register, no directory until a key arrives. With
-// 4096 resident keys, each migrated key adds its new entry and its share of
-// the directories the rehash allocates, but no new lanes x 8 B shadow: the
-// new entry takes the old entry's.
+// 64 B directory header: no interface per register, no directory until a
+// key arrives. With 4096 resident keys, a migrated key costs only its share
+// of the directories the rehash allocates, at most 2 mallocs (a dir and its
+// tags) per key: the new generation holds the old entries themselves.
 func TestKeyedRehashAllocsPerBucket(t *testing.T) {
 	const lanes, from, to, resident = 8, 4096, 8192, 4096
-	const maxAllocsPerBucket = 0.01
+	const maxAllocsPerBucket, maxAllocsPerKey = 0.01, 2
 	th := prim.RealThread(0)
 	keys := make([]string, resident)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key-%d", i)
 	}
 	// The byte bounds sit above what Go 1.24 measures. Per new bucket: map
-	// 824 B (64 words, 8 bound flags, a 176 B header), gset 208 B; one
-	// interface per register and a Go map per directory made them 1,960 B
-	// and 240 B at 1.0 allocs each. Per migrated key: map 131 B (a 64 B
-	// entry, 8-slot directories and their tags), gset 198 B (16-slot ones);
-	// a fresh shadow per key would add 64 B. Two candidate buckets per key
-	// leave fewer buckets empty than one did (117 B and 167 B), so more
-	// directories are allocated.
+	// 712 B (64 words, 8 bound flags, a 64 B header), gset 96 B; with the
+	// registers and bound flags in the header (176 B) they were 824 B and
+	// 208 B, and one interface per register and a Go map per directory made
+	// them 1,960 B and 240 B at 1.0 allocs each. Per migrated key: map 64 B
+	// (8-slot directories and their tags), gset 129 B (16-slot ones), at
+	// 1.8 mallocs; a fresh 64 B entry per key made them 129 B and 193 B at
+	// 2.8 mallocs.
 	cases := []struct {
 		name                string
 		maxBucketB, maxKeyB float64
 		build               func(keys []string) func() error
 	}{
-		{"map", 1024, 160, func(keys []string) func() error {
+		{"map", 768, 96, func(keys []string) func() error {
 			m := NewMonotoneMap(prim.NewRealWorld(), "km", lanes, WithBuckets(from))
 			for _, k := range keys {
 				if err := m.Inc(th, k); err != nil {
@@ -544,7 +544,7 @@ func TestKeyedRehashAllocsPerBucket(t *testing.T) {
 			}
 			return func() error { return m.Rehash(th, to) }
 		}},
-		{"gset", 240, 210, func(keys []string) func() error {
+		{"gset", 128, 160, func(keys []string) func() error {
 			g := NewGSet(prim.NewRealWorld(), "kg", lanes, WithBuckets(from))
 			for _, k := range keys {
 				if err := g.Add(th, k); err != nil {
@@ -565,17 +565,24 @@ func TestKeyedRehashAllocsPerBucket(t *testing.T) {
 		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 	}
 	for _, c := range cases {
-		mallocs, emptyBytes := measure(c.name, c.build(nil))
-		if per := float64(mallocs) / to; per > maxAllocsPerBucket {
+		emptyMallocs, emptyBytes := measure(c.name, c.build(nil))
+		if per := float64(emptyMallocs) / to; per > maxAllocsPerBucket {
 			t.Errorf("%s: empty rehash %d->%d made %.3f allocs per new bucket, want <= %g", c.name, from, to, per, maxAllocsPerBucket)
 		}
 		if per := float64(emptyBytes) / to; per > c.maxBucketB {
 			t.Errorf("%s: empty rehash %d->%d allocated %.1f B per new bucket, want <= %g", c.name, from, to, per, c.maxBucketB)
 		}
-		_, bytes := measure(c.name, c.build(keys))
-		if per := float64(bytes-emptyBytes) / resident; per > c.maxKeyB {
+		mallocs, bytes := measure(c.name, c.build(keys))
+		perKeyMallocs, perKeyB := float64(mallocs-emptyMallocs)/resident, float64(bytes-emptyBytes)/resident
+		t.Logf("%s: %.0f B per new bucket; %.1f B and %.2f mallocs per migrated key", c.name,
+			float64(emptyBytes)/to, perKeyB, perKeyMallocs)
+		if perKeyB > c.maxKeyB {
 			t.Errorf("%s: rehash %d->%d allocated %.1f B per migrated key beyond the empty rehash, want <= %g",
-				c.name, from, to, per, c.maxKeyB)
+				c.name, from, to, perKeyB, c.maxKeyB)
+		}
+		if perKeyMallocs > maxAllocsPerKey {
+			t.Errorf("%s: rehash %d->%d made %.2f mallocs per migrated key beyond the empty rehash, want <= %d",
+				c.name, from, to, perKeyMallocs, maxAllocsPerKey)
 		}
 	}
 }
@@ -1224,12 +1231,13 @@ func TestKeyedDoublingAlwaysFits(t *testing.T) {
 // 20k keys (s%05d) in the set, written from 8 lanes in a seeded shuffle,
 // each table doubling on ErrFull as slserve grows it. With two candidate
 // buckets per key the map fits in 8,192 buckets of 8 slots and the set in
-// 2,048 of 16; one candidate per key takes 32,768 and 4,096.
+// 2,048 of 16; one candidate per key takes 32,768 and 4,096. Outside -race
+// it also pins the two tables' live heap after GC at 14.5 MB: 13.45 MB
+// with 48 B entries and one shadow bit per set lane, 16.7 MB with 64 B
+// entries and a 64 B shadow per set key.
 func TestKeyedPreloadFill(t *testing.T) {
 	const lanes, perFamily, maxMapBuckets, maxSetBuckets = 8, 20_000, 8192, 2048
-	w := prim.NewRealWorld()
-	m := NewMonotoneMap(w, "fm", lanes)
-	g := NewGSet(w, "fg", lanes)
+	const maxHeapMB = 14.5
 	type write struct {
 		fam byte
 		i   int
@@ -1242,6 +1250,12 @@ func TestKeyedPreloadFill(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	rng.Shuffle(len(ops), func(i, j int) { ops[i], ops[j] = ops[j], ops[i] })
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	w := prim.NewRealWorld()
+	m := NewMonotoneMap(w, "fm", lanes)
+	g := NewGSet(w, "fg", lanes)
 	grow := func(th prim.Thread, write func() error, e *engine) {
 		err := write()
 		for errors.Is(err, ErrFull) {
@@ -1266,11 +1280,18 @@ func TestKeyedPreloadFill(t *testing.T) {
 			grow(th, func() error { return g.Add(th, k) }, &g.engine)
 		}
 	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(ops)
+	heapMB := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / 1e6
 	th := prim.RealThread(0)
 	ms, gs := m.Stats(th), g.Stats(th)
-	t.Logf("map: %d keys in %d buckets x %d slots (%.0f%% full); set: %d keys in %d buckets x %d slots (%.0f%% full)",
+	t.Logf("map: %d keys in %d buckets x %d slots (%.0f%% full); set: %d keys in %d buckets x %d slots (%.0f%% full); live heap %.2f MB",
 		ms.Keys, ms.Buckets, ms.Slots, 100*float64(ms.Keys)/float64(ms.Buckets*ms.Slots),
-		gs.Keys, gs.Buckets, gs.Slots, 100*float64(gs.Keys)/float64(gs.Buckets*gs.Slots))
+		gs.Keys, gs.Buckets, gs.Slots, 100*float64(gs.Keys)/float64(gs.Buckets*gs.Slots), heapMB)
+	if heapMB > maxHeapMB && !raceEnabled {
+		t.Errorf("preload's live heap is %.2f MB, want <= %g", heapMB, maxHeapMB)
+	}
 	if ms.Keys != 2*perFamily || gs.Keys != perFamily {
 		t.Fatalf("keys = %d map, %d set; want %d, %d", ms.Keys, gs.Keys, 2*perFamily, perFamily)
 	}

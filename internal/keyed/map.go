@@ -56,7 +56,7 @@ func NewMonotoneMap(w prim.World, name string, lanes int, opts ...Option) *Monot
 		panic(fmt.Sprintf("keyed: MonotoneMap width %d outside [2, %d]", cfg.width, interleave.LaneBits))
 	}
 	m := &MonotoneMap{mask: int64(1)<<uint(cfg.width) - 1}
-	m.init(w, name, lanes, cfg, interleave.MustNewMultiPacked(cfg.slots*lanes, cfg.width), m)
+	m.init(w, name, lanes, cfg, interleave.MustNewMultiPacked(cfg.slots*lanes, cfg.width), m, lanes)
 	return m
 }
 
@@ -94,7 +94,7 @@ func (m *MonotoneMap) write(t prim.Thread, key string, kind Kind, x int64) error
 	lane := t.ID() % m.lanes
 	m.gate.RLock()
 	defer m.gate.RUnlock()
-	b, e, first, err := m.enter(t, key, kind)
+	r, e, first, err := m.enter(t, key, kind)
 	if err != nil {
 		return err
 	}
@@ -108,7 +108,7 @@ func (m *MonotoneMap) write(t prim.Thread, key string, kind Kind, x int64) error
 		// weak-fairness conditional read (one un-enabled step in the
 		// simulated world, a read spin in the real one), bounded by the
 		// binder's claim→XADD→flag window of two shared steps.
-		prim.AwaitAny(m.w, t, b.bound.At(e.slot), func(v any) bool { return v == true })
+		prim.AwaitAny(m.w, t, r.bound(), func(v any) bool { return v == true })
 		return ErrKindMismatch
 	}
 	cur, next := e.shadow[lane], x
@@ -119,14 +119,14 @@ func (m *MonotoneMap) write(t prim.Thread, key string, kind Kind, x int64) error
 	} else if next <= cur {
 		return nil
 	}
-	pl := e.slot*m.lanes + lane
-	b.words.At(m.codec.WordOf(pl)).FetchAddInt(t, m.codec.FieldDelta(cur, next, pl))
+	pl := r.s*m.lanes + lane
+	r.word(m.codec.WordOf(pl)).FetchAddInt(t, m.codec.FieldDelta(cur, next, pl))
 	prim.MarkLinPoint(m.w, t)
 	e.shadow[lane] = next
 	if first {
-		b.bound.At(e.slot).WriteAny(t, true)
+		r.bound().WriteAny(t, true)
 	}
-	b.epoch.FetchAddInt(t, 1)
+	r.epoch().FetchAddInt(t, 1)
 	return nil
 }
 
@@ -175,25 +175,21 @@ func (m *MonotoneMap) Kind(t prim.Thread, key string) Kind {
 // the field range is reserved for the max registers' existence bias.
 func (m *MonotoneMap) FieldCap() int64 { return m.mask - 1 }
 
-// grow allocates the generation's bound flags as one named block: bucket
-// b's are bound[b*slots : (b+1)*slots]. Slot s's flag is written true by
-// the key's binding first writer right after its payload XADD; a
-// conflicting-kind writer awaits it before refusing (see write).
+// grow allocates the generation's bound flags as one named block, one per
+// slot. A slot's flag is written true by the key's binding first writer
+// right after its payload XADD; a conflicting-kind writer awaits it before
+// refusing (see write).
 func (m *MonotoneMap) grow(tb *table, prefix string) {
-	ns := m.cfg.slots
-	bound := prim.AnyRegisters(m.w, prefix+".bound", len(tb.buckets)*ns, false)
-	for b := range tb.buckets {
-		tb.buckets[b].bound = bound.Slice(b*ns, (b+1)*ns)
-	}
+	tb.bound = prim.AnyRegisters(m.w, prefix+".bound", len(tb.buckets)*tb.slots, false)
 }
 
-func (m *MonotoneMap) collect(t prim.Thread, b *bucket, e *entry) (int64, bool) {
-	lo := e.slot * m.lanes
+func (m *MonotoneMap) collect(t prim.Thread, r ref, e *entry) (int64, bool) {
+	lo := r.s * m.lanes
 	hi := lo + m.lanes - 1
 	perWord := m.codec.LanesPerWord()
 	var acc int64
 	for wi := m.codec.WordOf(lo); wi <= m.codec.WordOf(hi); wi++ {
-		word := b.words.At(wi).FetchAddInt(t, 0)
+		word := r.word(wi).FetchAddInt(t, 0)
 		for pl := max(lo, wi*perWord); pl <= min(hi, wi*perWord+perWord-1); pl++ {
 			if v := m.codec.Lane(word, pl); e.kind == KindMax {
 				acc = max(acc, v)
@@ -207,17 +203,16 @@ func (m *MonotoneMap) collect(t prim.Thread, b *bucket, e *entry) (int64, bool) 
 
 // migrate copies every lane's exact field and marks the slot bound: writers
 // are gate-excluded, so every migrated entry's binding write has landed.
-// The fields equal the shadow ne shares with oe, which therefore stays
-// exact.
-func (m *MonotoneMap) migrate(t prim.Thread, ob *bucket, oe *entry, nb *bucket, ne *entry) {
+// The fields equal the entry's shadow, which therefore stays exact.
+func (m *MonotoneMap) migrate(t prim.Thread, _ *entry, from, to ref) {
 	for l := 0; l < m.lanes; l++ {
-		opl := oe.slot*m.lanes + l
-		v := m.codec.Lane(ob.words.At(m.codec.WordOf(opl)).FetchAddInt(t, 0), opl)
+		opl := from.s*m.lanes + l
+		v := m.codec.Lane(from.word(m.codec.WordOf(opl)).FetchAddInt(t, 0), opl)
 		if v == 0 {
 			continue
 		}
-		npl := ne.slot*m.lanes + l
-		nb.words.At(m.codec.WordOf(npl)).FetchAddInt(t, m.codec.FieldDelta(0, v, npl))
+		npl := to.s*m.lanes + l
+		to.word(m.codec.WordOf(npl)).FetchAddInt(t, m.codec.FieldDelta(0, v, npl))
 	}
-	nb.bound.At(ne.slot).WriteAny(t, true)
+	to.bound().WriteAny(t, true)
 }

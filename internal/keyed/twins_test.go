@@ -12,11 +12,11 @@ import "stronglin/internal/prim"
 // committed by information a later step could still contradict. Retained
 // only for the negative model check pinning that gap.
 func (g *GSet) hasWitnessFree(t prim.Thread, key string) bool {
-	b, e := g.lookup(t, key)
+	r, e := g.lookup(t, key)
 	if e == nil {
 		return false
 	}
-	v, _ := g.collect(t, b, e)
+	v, _ := g.collect(t, r, e)
 	return v != 0
 }
 
@@ -24,10 +24,10 @@ func (g *GSet) hasWitnessFree(t prim.Thread, key string) bool {
 // unvalidated collect. Linearizable-but-NOT-strongly-linearizable; retained
 // for the negative model check only.
 func (m *MonotoneMap) getWitnessFree(t prim.Thread, key string) (int64, error) {
-	b, e := m.lookup(t, key)
+	r, e := m.lookup(t, key)
 	if e == nil {
 		return 0, ErrUnknownKey
 	}
-	acc, _ := m.collect(t, b, e)
+	acc, _ := m.collect(t, r, e)
 	return decode(acc, e)
 }

@@ -64,14 +64,6 @@ func (b FetchAddIntBlock) At(i int) FetchAddInt {
 	return b.objs[i]
 }
 
-// Slice returns the view of registers lo .. hi-1, sharing their storage.
-func (b FetchAddIntBlock) Slice(lo, hi int) FetchAddIntBlock {
-	if b.flat != nil {
-		return FetchAddIntBlock{flat: b.flat[lo:hi:hi]}
-	}
-	return FetchAddIntBlock{objs: b.objs[lo:hi:hi]}
-}
-
 // AnyRegisterBlock is a block of opaque-value registers (see AnyRegisters).
 // The zero value is an empty block.
 type AnyRegisterBlock struct {
@@ -106,14 +98,6 @@ func (b AnyRegisterBlock) At(i int) AnyRegister {
 		return &b.flat[i]
 	}
 	return b.objs[i]
-}
-
-// Slice returns the view of registers lo .. hi-1, sharing their storage.
-func (b AnyRegisterBlock) Slice(lo, hi int) AnyRegisterBlock {
-	if b.flat != nil {
-		return AnyRegisterBlock{flat: b.flat[lo:hi:hi]}
-	}
-	return AnyRegisterBlock{objs: b.objs[lo:hi:hi]}
 }
 
 // TASArray is an infinite array of readable test&set objects.

@@ -287,22 +287,36 @@ func stressRows() []stressRow {
 		// inc, max and get racing on a small key universe: the first write
 		// binds a key's kind, the other kind's writes answer
 		// RespKindMismatch, and a get of a never-written key answers
-		// RespNone, which a stale or torn collect would betray.
+		// RespNone, which a stale or torn collect would betray. A rare
+		// Rehash folds into a write's span, as in kgset: a migration that
+		// lost a lane's field or a binding shows in the next get.
 		{"keyedmap", spec.KeyedMap{}, 4, 40, func(procs int, seed int64) gen {
 			m := keyed.NewMonotoneMap(prim.NewRealWorld(), "km", procs, keyed.WithBuckets(2), keyed.WithSlots(4))
 			rngs := procRNGs(procs, seed)
 			return func(p, i int) history.StressOp {
 				k := int64(1 + rngs[p].Intn(4))
 				key := "k" + strconv.FormatInt(k, 10)
+				grow := rngs[p].Intn(16) == 0
+				write := func(t prim.Thread, w func() error) string {
+					if grow {
+						_ = m.Rehash(t, m.Buckets(t)*2)
+					}
+					err := w()
+					if errors.Is(err, keyed.ErrFull) {
+						_ = m.Rehash(t, m.Buckets(t)*2)
+						err = w()
+					}
+					return kmapWriteResp(err)
+				}
 				switch rngs[p].Intn(4) {
 				case 0:
 					d := int64(1 + rngs[p].Intn(3))
 					return history.StressOp{Op: spec.MkOp(spec.MethodMapInc, k, d),
-						Run: func(t prim.Thread) string { return kmapWriteResp(m.IncBy(t, key, d)) }}
+						Run: func(t prim.Thread) string { return write(t, func() error { return m.IncBy(t, key, d) }) }}
 				case 1:
 					v := int64(rngs[p].Intn(8))
 					return history.StressOp{Op: spec.MkOp(spec.MethodMapMax, k, v),
-						Run: func(t prim.Thread) string { return kmapWriteResp(m.Max(t, key, v)) }}
+						Run: func(t prim.Thread) string { return write(t, func() error { return m.Max(t, key, v) }) }}
 				default:
 					return history.StressOp{Op: spec.MkOp(spec.MethodMapGet, k),
 						Run: func(t prim.Thread) string {
@@ -427,8 +441,8 @@ func bit(b bool) string {
 }
 
 // kmapWriteResp maps a keyed-map write's error to its spec response.
-// ErrFull panics: at most 4 keys share the 4-slot buckets, so slot
-// exhaustion means a claim leak, not contention.
+// ErrFull after a doubling panics: at most 4 keys share the 4-slot
+// buckets, so slot exhaustion means a claim leak, not contention.
 func kmapWriteResp(err error) string {
 	switch {
 	case err == nil:
