@@ -708,7 +708,7 @@ func (f *frontend) fromLedgers(d *op, a args) (result, bool) {
 		l := f.ledgers[stat]
 		switch d.body {
 		case bodyElems:
-			elems := []int64{}
+			var elems []int64
 			for _, e := range l.entries(func(args) bool { return true }) {
 				elems = append(elems, e.n)
 			}

@@ -222,6 +222,33 @@ func TestFrontendDegradedReads(t *testing.T) {
 	}
 }
 
+// TestFrontendDegradedEmptySet: a degraded listing of a set with no acked
+// add is byte for byte what its owner answers, directly or routed:
+// {"elems":null}.
+func TestFrontendDegradedEmptySet(t *testing.T) {
+	ctx := context.Background()
+	ts := startWire(t, newServer(4, 2, 0).wire())
+	defer ts.Close()
+	f := newTestFrontend(t, []string{ts.URL}, fastHealth())
+	f.cfg.retries = 1
+	f.health.Sweep(ctx)
+	f.reconcileOnce(ctx)
+	h := startWire(t, f.wire()).URL
+	direct := feReq(t, ts.URL, http.MethodGet, "/gset").Body.String()
+	routed := feReq(t, h, http.MethodGet, "/gset").Body.String()
+	ts.Close()
+	f.health.Sweep(ctx)
+	f.reconcileOnce(ctx)
+
+	rec := feReq(t, h, http.MethodGet, "/gset")
+	if rec.Code != http.StatusOK || rec.Header().Get("X-SL-Degraded") != "true" {
+		t.Fatalf("degraded listing: %d, headers %v", rec.Code, rec.Header())
+	}
+	if got := rec.Body.String(); got != direct || got != routed {
+		t.Fatalf("degraded listing %q; the owner answers %q directly, %q routed", got, direct, routed)
+	}
+}
+
 // TestFrontendForwardsBackendErrors: a non-retryable backend refusal (bad
 // parameter) must come back with the backend's status and the uniform shape,
 // not be retried into a 503.

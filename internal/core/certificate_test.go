@@ -103,7 +103,7 @@ func TestFAFetchIncCertificate(t *testing.T) {
 // simple fixed-linearization-point proof.
 func TestMaxRegisterAblationCertificateAsymmetry(t *testing.T) {
 	setup := func(w *sim.World) []sim.Program {
-		m := NewFAMaxRegister(w, "m", 2, WithoutNoopFA())
+		m := NewFAMaxRegister(w, "m", 2, withoutNoopFA())
 		return []sim.Program{
 			{opWriteMax(m, 3), opWriteMax(m, 1)}, // the second write is a stepless no-op
 			{opReadMax(m)},

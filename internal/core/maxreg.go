@@ -63,22 +63,13 @@ type FAMaxRegister struct {
 	bound  int64            // -1: unbounded (wide); >= 0: declared max value
 	laneOf func(id int) int // process ID -> lane index (identity by default)
 	prev   []int64          // prev[i] is written only by the process on lane i
-	noopFA bool             // perform fetch&add(R,0) on no-op writes (paper step 1)
+	noopFA bool             // perform fetch&add(R,0) on no-op writes (paper step 1); tests clear it
 }
 
 var _ prim.MaxReg = (*FAMaxRegister)(nil)
 
 // MaxRegOption configures NewFAMaxRegister.
 type MaxRegOption func(*FAMaxRegister)
-
-// WithoutNoopFA drops the fetch&add(R, 0) that WriteMax performs when the
-// value does not exceed the caller's previous write. The paper notes this
-// fetch&add "is not needed for correctness, but it simplifies the
-// linearization proof": without it a no-op WriteMax takes no shared step at
-// all. This option exists for the E-ABL1 ablation.
-func WithoutNoopFA() MaxRegOption {
-	return func(m *FAMaxRegister) { m.noopFA = false }
-}
 
 // WithLaneMap routes process IDs to lane indices in [0, n). The construction
 // then needs only as many lanes as distinct WRITERS rather than one per

@@ -96,12 +96,21 @@ func TestFAMaxRegisterStrongLinNoopWrites(t *testing.T) {
 	verifySL(t, 2, setup, spec.MaxRegister{})
 }
 
+// withoutNoopFA drops the fetch&add(R, 0) that WriteMax performs when the
+// value does not exceed the caller's previous write. The paper notes this
+// fetch&add "is not needed for correctness, but it simplifies the
+// linearization proof": without it a no-op WriteMax takes no shared step at
+// all. It is the E-ABL1 ablation, and only tests build it.
+func withoutNoopFA() MaxRegOption {
+	return func(m *FAMaxRegister) { m.noopFA = false }
+}
+
 // E-ABL1: dropping the fetch&add(R,0) on no-op writes keeps the object
 // correct — the paper notes the step is only there to fix linearization
 // points. Both variants must pass on the same configuration.
 func TestMaxRegisterAblationNoFA0(t *testing.T) {
 	setup := func(w *sim.World) []sim.Program {
-		m := NewFAMaxRegister(w, "max", 2, WithoutNoopFA())
+		m := NewFAMaxRegister(w, "max", 2, withoutNoopFA())
 		return []sim.Program{
 			{opWriteMax(m, 3), opWriteMax(m, 1)},
 			{opReadMax(m), opReadMax(m)},

@@ -582,7 +582,9 @@ func TestPackedSnapshotCertificate(t *testing.T) {
 // TestPackedSimpleCounterStrongLin: the full Theorem 4 composition with the
 // packed snapshot substituted — graph-node references are published through
 // the packed word's binary fields. 2 procs x 2 ops allocates references
-// 1..4, so bound 7 (3-bit fields, 2 x 3 = 6 bits) covers the run.
+// 1..4, so bound 7 (3-bit fields, 2 x 3 = 6 bits) covers the run. The
+// second input is 3 procs x 1 op (inc, dec, read): references 1..3 fit 2-bit
+// fields, so the whole composition's shared state is one XADD word.
 func TestPackedSimpleCounterStrongLin(t *testing.T) {
 	setup := func(w *sim.World) []sim.Program {
 		o := NewSimpleObjectFromFA(w, "ctr", SimpleCounter{}, 2, WithSnapshotBound(7))
@@ -595,6 +597,18 @@ func TestPackedSimpleCounterStrongLin(t *testing.T) {
 		}
 	}
 	verifySL(t, 2, setup, spec.Counter{})
+	threeProcs := func(w *sim.World) []sim.Program {
+		o := NewSimpleObjectFromFA(w, "ctr", SimpleCounter{}, 3, WithSnapshotBound(3))
+		if !o.SnapshotPacked() {
+			t.Fatal("config must pack")
+		}
+		return []sim.Program{
+			{opExecute(o, spec.MkOp(spec.MethodInc))},
+			{opExecute(o, spec.MkOp(spec.MethodDec))},
+			{opExecute(o, spec.MkOp(spec.MethodRead))},
+		}
+	}
+	verifySL(t, 3, threeProcs, spec.Counter{})
 }
 
 func TestPackedSimpleGSetStrongLin(t *testing.T) {

@@ -36,8 +36,9 @@ type CertResult struct {
 // points (the fetch&add objects of Theorems 1 and 2; NOT Theorem 5, whose
 // losing test&set operations are linearized by another process's step).
 // A missing mark on a completed operation fails the certificate even when
-// the object is strongly linearizable: see the WithoutNoopFA ablation, where
-// no-op WriteMax operations take no step at all.
+// the object is strongly linearizable: see the E-ABL1 ablation in
+// internal/core's tests (the max register without its fetch&add(R, 0)),
+// where no-op WriteMax operations take no step at all.
 func CheckLinPointCertificate(tree *sim.Tree, sp spec.Spec) CertResult {
 	specs := make(map[int]spec.Op, len(tree.Ops))
 	for _, oi := range tree.Ops {

@@ -613,7 +613,17 @@ func TestKeyedGSetStrongLinTwoBuckets(t *testing.T) {
 // proof. The reader runs two Has, so its second read must stay consistent
 // with whatever the first committed to. The tree has 3,666,875 nodes and
 // 1,035,674 leaves, past verifySL's budget, hence the explicit MaxNodes.
+// The first input is the same race in one word (slots=2, one adder): a
+// first-add claim against the two-Has reader, small enough for -short.
 func TestKeyedGSetStrongLinSameKeyMultiWord(t *testing.T) {
+	oneWord := func(w *sim.World) []sim.Program {
+		g := NewGSet(w, "g", 2, WithBuckets(1), WithSlots(2))
+		return []sim.Program{
+			{opKAdd(g, "k", 1)},
+			{opKHas(g, "k", 1), opKHas(g, "k", 1)},
+		}
+	}
+	pinTree(t, verifySL(t, 2, oneWord, spec.GSet{}), 1_066, 245)
 	if testing.Short() {
 		t.Skip("exhaustive model check; skipped in -short mode")
 	}
@@ -1087,9 +1097,11 @@ func TestKeyedConcurrentConvergence(t *testing.T) {
 
 // TestKeyedTwoChoiceClaimRace: eight goroutines, one per lane, first-claim
 // the same keys at once, each key with two distinct candidate buckets, so
-// claims of one key race for both candidates' locks. Afterwards every key
-// has exactly one entry across its candidates, the tables track exactly the
-// distinct keys, and every map value is the sum of its increments.
+// claims of one key race for both candidates' locks, and each goroutine
+// looks a key up (Get, Has) before it writes it, so lookups scan buckets
+// whose first claims are landing. Afterwards every key has exactly one
+// entry across its candidates, the tables track exactly the distinct keys,
+// and every map value is the sum of its increments.
 func TestKeyedTwoChoiceClaimRace(t *testing.T) {
 	const lanes, buckets, slots, rounds = 8, 16, 16, 3
 	w := prim.NewRealWorld()
@@ -1112,6 +1124,7 @@ func TestKeyedTwoChoiceClaimRace(t *testing.T) {
 			t.Fatalf("bucket %d is a candidate of %d keys, more than its %d slots: claims could see ErrFull", b, n, slots)
 		}
 	}
+	const want = rounds * lanes * (lanes + 1) / 2
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for p := 0; p < lanes; p++ {
@@ -1122,6 +1135,11 @@ func TestKeyedTwoChoiceClaimRace(t *testing.T) {
 			<-start
 			for r := 0; r < rounds; r++ {
 				for _, k := range keys {
+					if v, err := m.Get(th, k); (err != nil && !errors.Is(err, ErrUnknownKey)) || v > want {
+						t.Errorf("Get(%s) = %d, %v mid-race", k, v, err)
+						return
+					}
+					g.Has(th, k)
 					if err := m.IncBy(th, k, int64(p+1)); err != nil {
 						t.Errorf("IncBy(%s): %v", k, err)
 						return
@@ -1139,7 +1157,6 @@ func TestKeyedTwoChoiceClaimRace(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	const want = rounds * lanes * (lanes + 1) / 2
 	for _, e := range []*engine{&m.engine, &g.engine} {
 		tb := e.table.ReadAny(th).(*table)
 		for _, k := range keys {
