@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -900,4 +901,69 @@ func TestReconcileRestartMidPass(t *testing.T) {
 	if rec.Code != http.StatusOK || strings.TrimSpace(rec.Body.String()) != want || rec.Header().Get("X-SL-Degraded") != "" {
 		t.Fatalf("settled %s = %d %v %s, want an authoritative %s", read, rec.Code, rec.Header(), rec.Body.String(), want)
 	}
+}
+
+// FuzzFrontendServe drives the frontend's serve path with arbitrary
+// requests over one in-process backend: a method, a request-target and an
+// X-SL-Gen value, parsed as the data listener parses a head. No answer may
+// be a 5xx other than the retryable 503, and every non-200 carries the
+// uniform error body, whether the frontend refuses the request itself or
+// forwards a backend's refusal.
+func FuzzFrontendServe(f *testing.F) {
+	for _, seed := range [][3]string{
+		{"POST", "/counter/inc", ""},
+		{"GET", "/counter", "7"},
+		{"POST", "/counter/add?d=5", ""},
+		{"POST", "/maxreg?v=1024", ""},
+		{"POST", "/maxreg?v=99999999999999999999", ""},
+		{"GET", "/gset?x=-1", ""},
+		{"GET", "/gset", ""},
+		{"POST", "/map/inc?k=a&d=3", "zebra"},
+		{"POST", "/map/max?k=a&v=2", ""},
+		{"GET", "/map/get?k=%zz", ""},
+		{"GET", "/map/get?k=never", ""},
+		{"POST", "/kgset/add?k=" + strings.Repeat("k", 300), ""},
+		{"GET", "/kgset/has?k=a+b", ""},
+		{"POST", "/fence?obj=counter&gen=9", ""},
+		{"GET", "/snapshot", ""},
+		{"DELETE", "/maxreg", ""},
+		{"HEAD", "/stats", ""},
+		{"GET", "/healthz", ""},
+		{"GET", "/metrics", ""},
+	} {
+		f.Add(seed[0], seed[1], seed[2])
+	}
+	ts := startWire(f, newServer(4, 2, 1023).wire())
+	fe := wireFrontend(f, time.Second, ts.URL)
+	ctx := context.Background()
+	fe.health.Sweep(ctx)
+	fe.reconcileOnce(ctx)
+	f.Fuzz(func(t *testing.T, method, target, gen string) {
+		head := method + " " + target + " HTTP/1.1\r\nHost: x\r\n"
+		if gen != "" {
+			head += "X-SL-Gen: " + gen + "\r\n"
+		}
+		head += "\r\n"
+		req := request{ctx: ctx}
+		if code, _ := parseHead([]byte(head), &req); code != 0 || headLen([]byte(head)) != len(head) {
+			return // the data listener refuses it before any handler runs
+		}
+		w := respWriter{code: statusOK}
+		fe.serve(&w, &req)
+		if w.code >= 500 && w.code != statusServiceUnavailable {
+			t.Fatalf("%s %q: status %d %q", method, target, w.code, w.body)
+		}
+		if w.code == statusOK {
+			return
+		}
+		var e errShape
+		dec := json.NewDecoder(bytes.NewReader(w.body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&e); err != nil || e.Error == nil || e.Retryable == nil || e.RetryAfterSeconds == nil {
+			t.Fatalf("%s %q: status %d with body %q, want the uniform error shape", method, target, w.code, w.body)
+		}
+		if w.code == statusServiceUnavailable && !*e.Retryable {
+			t.Fatalf("%s %q: a 503 that is not retryable: %q", method, target, w.body)
+		}
+	})
 }

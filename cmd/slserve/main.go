@@ -45,14 +45,18 @@
 //
 // With -bound B the server declares the value domain [0, B] for max-register
 // values, grow-only-set elements and snapshot components (requests outside
-// it are rejected with 400), which lets each shard core — and the Theorem 2
-// snapshot — pack its register into a single machine word when the encoding
-// fits: the packed fast path of internal/core. The counter always runs
-// packed (its capacity bound is a machine word regardless). /msnapshot is a
-// second snapshot pinned to the multi-word engine's word-budget arithmetic —
-// components striped across ⌈lanes/2⌉ XADD words (24-bit fields next to the
-// per-word sequence fields) — so a k-XADD object is served at every lane
-// count, whatever -bound says.
+// it are rejected with 400), which lets each shard core pack its register
+// into a single machine word when the unary/bitmap encoding fits: the packed
+// fast path of internal/core. Without -bound the cap is 2²⁰ and the max
+// register and grow-only set stay on wide registers. The counter always runs
+// packed (its capacity bound is a machine word regardless). /snapshot
+// declares the request cap as its bound at every -bound, so the Theorem 2
+// snapshot is always machine words: one packed word when lanes × the cap's
+// bit width fits, the multi-word engine otherwise (4 words at 8 lanes and
+// -bound 0). /msnapshot is a second snapshot pinned to the multi-word
+// engine's word-budget arithmetic — components striped across ⌈lanes/2⌉
+// XADD words (24-bit fields next to the per-word sequence fields) — so a
+// k-XADD object is served at every lane count, whatever -bound says.
 //
 // The logical clock is Algorithm 1 over a snapshot whose components hold
 // graph-node references, so the server sizes its reference bound with the
@@ -66,23 +70,21 @@
 //
 // # Observability
 //
-// The served engines run with their validated-view caches on (the library
-// default is off): each combining read and multi-word scan publishes its
-// validated result keyed by the epoch/anchor it validated at, and
-// steady-state reads re-validate with ONE fresh register read instead of a
-// full collect. Every request runs its own engine step under a leased
-// lane: the engines are wait-free, and a fetch&add observation depends only
-// on the set of operations before it, so concurrent requests need no
-// combining for correctness or for order.
+// Every request runs its own engine step under a leased lane: the engines
+// are wait-free, and a fetch&add observation depends only on the set of
+// operations before it, so concurrent requests need no combining for
+// correctness or for order. The engines run without the library's
+// validated-view caches, and a scan writes its view into a buffer its
+// connection keeps, so the dense objects' requests allocate nothing once
+// each lane has seen its values.
 //
 // GET /metrics serves the Prometheus text format from the internal/obs
 // registry: request counts/errors/latency (aggregate AND a per-endpoint
 // duration histogram family), per-object helping telemetry (deposits,
-// adopts, adopt misses, retries, pressure raises), cache hit/miss/refresh
-// counters, retry-round histograms, lane-lease waits/steals, and the LIFETIME
-// WATERMARKS — epoch announce counts against the 2⁴⁸ budget, per-word
-// sequence fields against the mod-2¹⁶ wrap, clock references against the
-// Algorithm 1 capacity. The watermarks are derived at scrape time from the
+// adopts, adopt misses, retries, pressure raises), retry-round histograms,
+// lane-lease waits/steals, and the LIFETIME WATERMARKS — epoch announce
+// counts against the 2⁴⁸ budget, per-word sequence fields against the
+// mod-2¹⁶ wrap, clock references against the Algorithm 1 capacity. The watermarks are derived at scrape time from the
 // registers themselves, so serving them costs the protocol paths nothing.
 // With -debug-addr HOST:PORT a second listener additionally serves /metrics
 // and the pprof profiles (the profiling surface stays off the public port),
@@ -121,7 +123,7 @@ var (
 	debugAddr = flag.String("debug-addr", "", "extra listener serving /metrics and the pprof profiles, on either tier (empty = none)")
 	lanes     = flag.Int("lanes", 8, "process identities in the lane pool")
 	shards    = flag.Int("shards", 4, "fetch&add cores per sharded object (<= lanes)")
-	bound     = flag.Int64("bound", 0, "value domain [0,bound] for maxreg values, gset elements and snapshot components; packs the shard registers and the snapshot into machine words when the encodings fit (0 = unbounded wide registers)")
+	bound     = flag.Int64("bound", 0, "value domain [0,bound] for maxreg values, gset elements and snapshot components (0 = [0,2^20]); packs the maxreg and gset shard registers into machine words when the encodings fit (0 = wide registers); the snapshot runs on machine words at every bound")
 
 	// Watermark-triggered live re-base (see internal/migrate): the renewable
 	// budgets — the snapshots' mod-2^16 sequence fields and the sharded
@@ -388,24 +390,24 @@ func newServer(lanes, shards int, bound int64) *server {
 // use small budgets to drive the 503-past-true-budget path without 2³¹
 // requests.
 func newServerClock(lanes, shards int, bound, clockBudget int64) *server {
-	return newServerCfg(lanes, shards, bound, clockBudget, -1, true)
+	return newServerCfg(lanes, shards, bound, clockBudget, -1)
 }
 
 // newServerCfg is the full constructor: scanBudget >= 0 overrides the helped
 // objects' scan/read retry budgets (0 = solicit help after the first failed
 // round, the forced-adopt configuration), scanBudget < 0 keeps the library
-// defaults; cached enables the validated-view caches (always true in
-// production — tests that must see every scan run a full collect, like the
-// forced-adopt storm, pass false). Every object is built with its retry-round
-// histogram attached, and the registry closes over the engines' own telemetry
-// for everything else, so the instrumentation adds no hot-path steps of its
-// own.
-func newServerCfg(lanes, shards int, bound, clockBudget int64, scanBudget int, cached bool) *server {
+// defaults. Every object is built with its retry-round histogram attached,
+// and the registry closes over the engines' own telemetry for everything
+// else, so the instrumentation adds no hot-path steps of its own.
+//
+// The engines run without the library's validated-view caches: a write
+// moves a cache's anchor, so a mix of writes and reads mostly misses, and
+// each refresh allocates an entry. An uncached read allocates nothing.
+func newServerCfg(lanes, shards int, bound, clockBudget int64, scanBudget int) *server {
 	w := stronglin.NewWorld()
 	reg := obs.NewRegistry()
 	maxValue := int64(defaultMaxValue)
 	var valueOpts []stronglin.ShardOption
-	var snapOpts []stronglin.SnapshotOption
 	if bound > 0 {
 		// The request cap never rises above the default: a bound too large to
 		// pack leaves the shards on wide registers, where a single huge value
@@ -415,30 +417,25 @@ func newServerCfg(lanes, shards int, bound, clockBudget int64, scanBudget int, c
 			maxValue = bound
 		}
 		valueOpts = append(valueOpts, stronglin.WithBound(bound))
-		snapOpts = append(snapOpts, stronglin.WithSnapshotBound(bound))
 	}
+	// /snapshot declares the request cap as its bound at every -bound, so it
+	// runs on machine words: the single packed word when lanes × the cap's
+	// bit width fits one, the multi-word engine otherwise.
+	snapOpts := []stronglin.SnapshotOption{stronglin.WithSnapshotBound(maxValue)}
 	var msnapOpts []stronglin.SnapshotOption
 	if scanBudget >= 0 {
 		valueOpts = append(valueOpts, stronglin.WithReadRetryBudget(scanBudget))
 		snapOpts = append(snapOpts, stronglin.WithScanRetryBudget(scanBudget))
 		msnapOpts = append(msnapOpts, stronglin.WithScanRetryBudget(scanBudget))
 	}
-	// Retry-round histograms plus cache-hit counters, one set per helped
-	// object: contended completions and anchor-match hits only, so attaching
-	// them leaves the uncached fast paths untouched.
+	// Retry-round histograms, one per helped object: contended completions
+	// only, so attaching them leaves the uncontended fast paths untouched.
 	shardObs := func(name string) stronglin.ShardOption {
 		return stronglin.WithShardObs(stronglin.ShardMetrics{
 			ReadRounds: reg.Histogram("slserve_"+name+"_read_rounds", "failed validation rounds per contended "+name+" combining read"),
-			CacheHits:  reg.Counter("slserve_"+name+"_cache_hits_total", name+" combining reads served from the epoch-validated combine cache"),
 		})
 	}
-	// The server is a deployment, so the validated-view caches are on: each
-	// combining read / multi-word scan publishes its validated result keyed
-	// by the epoch/anchor it validated at, and steady-state reads re-validate
-	// with one fresh register read instead of a full collect. (The library
-	// default is off; the cached configurations carry their own model checks.)
-	valueOpts = append(valueOpts, stronglin.WithReadCache(cached))
-	counterOpts := []stronglin.ShardOption{stronglin.WithBound(counterBound), stronglin.WithReadCache(cached), shardObs("counter")}
+	counterOpts := []stronglin.ShardOption{stronglin.WithBound(counterBound), shardObs("counter")}
 	if scanBudget >= 0 {
 		counterOpts = append(counterOpts, stronglin.WithReadRetryBudget(scanBudget))
 	}
@@ -450,10 +447,8 @@ func newServerCfg(lanes, shards int, bound, clockBudget int64, scanBudget int, c
 	// (their substrates have no sequence fields to exhaust), and the rebaser
 	// below only watches engines that report RebaseEnabled.
 	snapOpts = append(snapOpts, stronglin.WithLiveRebase(true))
-	msnapOpts = append(msnapOpts, stronglin.WithLiveRebase(true))
-	msnapOpts = append(msnapOpts, stronglin.WithViewCache(cached), stronglin.WithSnapshotObs(stronglin.SnapMetrics{
+	msnapOpts = append(msnapOpts, stronglin.WithLiveRebase(true), stronglin.WithSnapshotObs(stronglin.SnapMetrics{
 		ScanRounds: reg.Histogram("slserve_msnapshot_scan_rounds", "failed validation rounds per contended multi-word snapshot scan"),
-		CacheHits:  reg.Counter("slserve_msnapshot_cache_hits_total", "multi-word snapshot scans served from the anchor-revalidated view cache"),
 	}))
 	var clockOpts []stronglin.SnapshotOption
 	if clockBudget > 0 {
@@ -461,8 +456,7 @@ func newServerCfg(lanes, shards int, bound, clockBudget int64, scanBudget int, c
 	}
 	// The dedicated multi-word snapshot always declares the word-budget
 	// bound, so it is machine-word-backed at every lane count (k XADD words
-	// past 2 lanes) — the engine the benchmark's dense mix drives alongside
-	// the -bound-dependent /snapshot.
+	// past 2 lanes).
 	s := &server{
 		lanes:    lanes,
 		shards:   shards,
@@ -562,19 +556,6 @@ func (s *server) registerMetrics() {
 	help("gset", s.gset.HelpStats)
 	help("snapshot", s.snap.HelpStats)
 	help("msnapshot", s.msnap.HelpStats)
-
-	// View-/combine-cache telemetry per cached object. Hits are real counters
-	// wired into the engines at construction (the only instrument on the hit
-	// path); misses and refreshes bracket full collects, so the engines count
-	// them anyway and the registry reads them at scrape time.
-	cache := func(name string, fn func() stronglin.CacheStats) {
-		s.reg.CounterFunc("slserve_"+name+"_cache_misses_total", name+" reads/scans whose cache probe found no valid entry and fell back to a full collect", func() int64 { return fn().Misses })
-		s.reg.CounterFunc("slserve_"+name+"_cache_refreshes_total", name+" validated collects that republished the cache entry", func() int64 { return fn().Refreshes })
-	}
-	cache("counter", s.counter.CacheStats)
-	cache("maxreg", s.maxreg.CacheStats)
-	cache("gset", s.gset.CacheStats)
-	cache("msnapshot", s.msnap.CacheStats)
 
 	// Per-endpoint request-duration histogram family: the same observation
 	// the aggregate slserve_request_duration_ns gets, split by URL path so a
@@ -709,7 +690,7 @@ func (s *server) serveOp(w *respWriter, r *request, d *op) {
 		return
 	}
 	var res result
-	step := func() { res, err = s.step(d, a) }
+	step := func() { res, err = s.step(d, a, w.scanBuf(s.lanes)) }
 	if d.object == "" {
 		step()
 	} else if !s.fences[d.route(a)].admit(gen, step) {
@@ -725,10 +706,10 @@ func (s *server) serveOp(w *respWriter, r *request, d *op) {
 }
 
 // step runs d's engine step on a under a lane lease.
-func (s *server) step(d *op, a args) (result, error) {
+func (s *server) step(d *op, a args, view []int64) (result, error) {
 	l := s.pool.Acquire()
 	defer l.Release()
-	return d.apply(s, l.Thread(), a)
+	return d.apply(s, l.Thread(), a, view)
 }
 
 // healthz degrades with the watermark state instead of lying until the
@@ -922,12 +903,6 @@ type statsSnapshot struct {
 	GSetHelp    stronglin.HelpStats `json:"gset_help"`
 	SnapHelp    stronglin.HelpStats `json:"snapshot_help"`
 	MsnapHelp   stronglin.HelpStats `json:"msnapshot_help"`
-	// Cache telemetry: per-object anchor-/epoch-validated view-cache
-	// hit/miss/refresh counts (zero when the engine carries no cache).
-	CounterCache stronglin.CacheStats `json:"counter_cache"`
-	MaxregCache  stronglin.CacheStats `json:"maxreg_cache"`
-	GSetCache    stronglin.CacheStats `json:"gset_cache"`
-	MsnapCache   stronglin.CacheStats `json:"msnapshot_cache"`
 	// Watermark / live re-base telemetry: the worst budget state across the
 	// watched engines ("ok", "warn", "crit" — what /healthz answers from),
 	// completed and refused rollovers, each sharded object's epoch rollover
@@ -996,10 +971,6 @@ func (s *server) snapshot() statsSnapshot {
 		GSetHelp:          s.gset.HelpStats(),
 		SnapHelp:          s.snap.HelpStats(),
 		MsnapHelp:         s.msnap.HelpStats(),
-		CounterCache:      s.counter.CacheStats(),
-		MaxregCache:       s.maxreg.CacheStats(),
-		GSetCache:         s.gset.CacheStats(),
-		MsnapCache:        s.msnap.CacheStats(),
 		WatermarkState:    s.rebaser.State(stronglin.Thread(0)).String(),
 		Rollovers:         s.rebaser.Stats().Rollovers,
 		RolloversRefused:  s.rebaser.Stats().Refused,

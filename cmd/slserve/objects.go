@@ -100,8 +100,11 @@ type op struct {
 	object string
 	keyed  bool
 	param  *param
-	apply  func(s *server, t stronglin.Thread, a args) (result, error)
-	body   bodyShape
+	// apply is the engine step. view is the serving connection's scan
+	// buffer, one component per lane: a scan writes its view there, so the
+	// answer outlives the lane lease without an allocation.
+	apply func(s *server, t stronglin.Thread, a args, view []int64) (result, error)
+	body  bodyShape
 	// ack is the frontend's ledger fold for a routed write. read is the
 	// GET path that reads the object back, for seeding: a sum is seeded by
 	// the difference against the successor's read, and a dense object's
@@ -128,53 +131,53 @@ var objects = []*op{
 		object: "counter", param: &param{name: "d", max: counterCap}, apply: counterAdd, body: bodyOK},
 	{path: "/counter", method: methodGet, stat: "counter_read",
 		object: "counter", body: bodyValue, degraded: []string{"counter_inc"},
-		apply: func(s *server, t stronglin.Thread, _ args) (result, error) {
+		apply: func(s *server, t stronglin.Thread, _ args, _ []int64) (result, error) {
 			return result{value: s.counter.Read(t)}, nil
 		}},
 	{path: "/maxreg", method: methodPost, stat: "maxreg_write",
 		object: "maxreg", param: &param{name: "v", max: valueCap}, body: bodyOK, ack: ackMax, read: "/maxreg",
-		apply: func(s *server, t stronglin.Thread, a args) (result, error) {
+		apply: func(s *server, t stronglin.Thread, a args, _ []int64) (result, error) {
 			s.maxreg.WriteMax(t, a.n)
 			return result{}, nil
 		}},
 	{path: "/maxreg", method: methodGet, stat: "maxreg_read",
 		object: "maxreg", body: bodyValue, degraded: []string{"maxreg_write"},
-		apply: func(s *server, t stronglin.Thread, _ args) (result, error) {
+		apply: func(s *server, t stronglin.Thread, _ args, _ []int64) (result, error) {
 			return result{value: s.maxreg.ReadMax(t)}, nil
 		}},
 	{path: "/gset", method: methodPost, stat: "gset_add",
 		object: "gset", param: &param{name: "x", max: valueCap}, body: bodyOK, ack: ackSet, read: "/gset",
-		apply: func(s *server, t stronglin.Thread, a args) (result, error) {
+		apply: func(s *server, t stronglin.Thread, a args, _ []int64) (result, error) {
 			s.gset.Add(t, a.n)
 			return result{}, nil
 		}},
 	// GET /gset?x=N is a membership query; without x it lists the set.
 	{path: "/gset", method: methodGet, stat: "gset_has",
 		object: "gset", param: &param{name: "x", max: valueCap}, body: bodyMember, degraded: []string{"gset_add"},
-		apply: func(s *server, t stronglin.Thread, a args) (result, error) {
+		apply: func(s *server, t stronglin.Thread, a args, _ []int64) (result, error) {
 			return result{member: s.gset.Has(t, a.n)}, nil
 		}},
 	{path: "/gset", method: methodGet, stat: "gset_elems",
 		object: "gset", body: bodyElems, degraded: []string{"gset_add"},
-		apply: func(s *server, t stronglin.Thread, _ args) (result, error) {
+		apply: func(s *server, t stronglin.Thread, _ args, _ []int64) (result, error) {
 			return result{elems: s.gset.Elems(t)}, nil
 		}},
 	{path: "/kgset/add", method: methodPost, stat: "kgset_add",
 		object: "kgset", keyed: true, body: bodyOK, ack: ackSet,
-		apply: func(s *server, t stronglin.Thread, a args) (result, error) {
+		apply: func(s *server, t stronglin.Thread, a args, _ []int64) (result, error) {
 			return result{}, growFull(
 				func() error { return s.kgset.Add(t, a.key) },
 				func() error { return s.kgset.Rehash(t, 2*s.kgset.Buckets(t)) })
 		}},
 	{path: "/kgset/has", method: methodGet, stat: "kgset_has",
 		object: "kgset", keyed: true, body: bodyMember, degraded: []string{"kgset_add"},
-		apply: func(s *server, t stronglin.Thread, a args) (result, error) {
+		apply: func(s *server, t stronglin.Thread, a args, _ []int64) (result, error) {
 			return result{member: s.kgset.Has(t, a.key)}, nil
 		}},
 	{path: "/map/inc", method: methodPost, stat: "map_inc",
 		object: "map", keyed: true, param: &param{name: "d", min: 1, max: fieldCap, optional: true},
 		body: bodyOK, ack: ackSum, read: "/map/get",
-		apply: func(s *server, t stronglin.Thread, a args) (result, error) {
+		apply: func(s *server, t stronglin.Thread, a args, _ []int64) (result, error) {
 			return result{}, growFull(
 				func() error { return s.kmap.IncBy(t, a.key, a.n) },
 				func() error { return s.kmap.Rehash(t, 2*s.kmap.Buckets(t)) })
@@ -182,26 +185,26 @@ var objects = []*op{
 	{path: "/map/max", method: methodPost, stat: "map_max",
 		object: "map", keyed: true, param: &param{name: "v", max: fieldCap},
 		body: bodyOK, ack: ackMax,
-		apply: func(s *server, t stronglin.Thread, a args) (result, error) {
+		apply: func(s *server, t stronglin.Thread, a args, _ []int64) (result, error) {
 			return result{}, growFull(
 				func() error { return s.kmap.Max(t, a.key, a.n) },
 				func() error { return s.kmap.Rehash(t, 2*s.kmap.Buckets(t)) })
 		}},
 	{path: "/map/get", method: methodGet, stat: "map_get",
 		object: "map", keyed: true, body: bodyValueKind, degraded: []string{"map_inc", "map_max"},
-		apply: func(s *server, t stronglin.Thread, a args) (result, error) {
+		apply: func(s *server, t stronglin.Thread, a args, _ []int64) (result, error) {
 			v, kind, err := s.kmap.GetKind(t, a.key)
 			return result{value: v, kind: kind.String()}, err
 		}},
 	{path: "/clock/tick", method: methodPost, stat: "clock_tick", body: bodyOK,
-		apply: func(s *server, t stronglin.Thread, _ args) (result, error) {
+		apply: func(s *server, t stronglin.Thread, _ args, _ []int64) (result, error) {
 			if s.clock.TryTick(t) != nil {
 				return result{}, errClockSpent
 			}
 			return result{}, nil
 		}},
 	{path: "/clock", method: methodGet, stat: "clock_read", body: bodyValue,
-		apply: func(s *server, t stronglin.Thread, _ args) (result, error) {
+		apply: func(s *server, t stronglin.Thread, _ args, _ []int64) (result, error) {
 			v, err := s.clock.TryRead(t)
 			if err != nil {
 				return result{}, errClockSpent
@@ -213,20 +216,20 @@ var objects = []*op{
 // snapshotOps serves one snapshot engine: POST ?v=V updates the component
 // of whichever lane the request leases, GET scans the view. Out-of-bound
 // values are refused 400 before any lease — the packed engine would panic
-// on them. /snapshot is the -bound-dependent Theorem 2 engine, /msnapshot
-// the multi-word k-XADD engine at any lane count.
+// on them. /snapshot is the Theorem 2 snapshot bounded by the request cap,
+// /msnapshot the multi-word k-XADD engine sized by its word budget.
 func snapshotOps(name string, engine func(*server) *stronglin.Snapshot) []*op {
 	return []*op{
 		{path: "/" + name, method: methodPost, stat: name + "_update",
 			param: &param{name: "v", max: valueCap}, body: bodyOK,
-			apply: func(s *server, t stronglin.Thread, a args) (result, error) {
+			apply: func(s *server, t stronglin.Thread, a args, _ []int64) (result, error) {
 				engine(s).Update(t, a.n)
 				return result{}, nil
 			}},
 		{path: "/" + name, method: methodGet, stat: name + "_scan",
 			body: bodyView,
-			apply: func(s *server, t stronglin.Thread, _ args) (result, error) {
-				return result{elems: engine(s).Scan(t)}, nil
+			apply: func(s *server, t stronglin.Thread, _ args, view []int64) (result, error) {
+				return result{elems: engine(s).ScanInto(t, view)}, nil
 			}},
 	}
 }
@@ -237,7 +240,7 @@ var errClockSpent = errors.New("clock capacity exhausted")
 
 // counterAdd is the counter's one engine step: an increment (n = 1) or a
 // migration add.
-func counterAdd(s *server, t stronglin.Thread, a args) (result, error) {
+func counterAdd(s *server, t stronglin.Thread, a args, _ []int64) (result, error) {
 	if a.n > 0 {
 		s.counter.Add(t, a.n)
 	}

@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"net"
 	"net/http"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"stronglin"
 )
 
 // rawConn is a keep-alive client that allocates nothing: it writes
@@ -133,6 +138,10 @@ var servedRequests = []probe{
 	{http.MethodPost, "/map/inc?k=hits", http.StatusOK, ""},
 	{http.MethodPost, "/map/max?k=peak&v=7", http.StatusOK, ""},
 	{http.MethodGet, "/map/get?k=hits", http.StatusOK, ""},
+	{http.MethodPost, "/snapshot?v=3", http.StatusOK, ""},
+	{http.MethodGet, "/snapshot", http.StatusOK, ""},
+	{http.MethodPost, "/msnapshot?v=3", http.StatusOK, ""},
+	{http.MethodGet, "/msnapshot", http.StatusOK, ""},
 }
 
 // TestBackendRequestPathZeroAllocs: the backend's steady-state request
@@ -162,7 +171,126 @@ func TestFrontendRequestPathZeroAllocs(t *testing.T) {
 	f.health.Sweep(ctx)
 	f.reconcileOnce(ctx)
 	h := startWire(t, f.wire()).URL
-	checkZeroAllocs(t, h, servedRequests)
+	var routed []probe // the snapshots are backend-only
+	for _, p := range servedRequests {
+		if !strings.Contains(p.target, "snapshot") {
+			routed = append(routed, p)
+		}
+	}
+	checkZeroAllocs(t, h, routed)
+}
+
+// TestBackendDenseMixZeroAllocs: the dense objects' mix as a load generator
+// sends it — two connections at once, a write before each read, so every
+// read follows a change — allocates nothing on the server. Values are below
+// 1024 and gset elements below 256, the benchmark's domains. After a
+// warm-up, the window must allocate nothing.
+func TestBackendDenseMixZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const lanes, conns, pairs = 8, 2, 300
+	const values, elems = 1024, 256
+	srv := newServer(lanes, 4, 0)
+	// Warm-up, straight on the engines. The wide max register and grow-only
+	// set allocate when a lane first raises to a value or first adds an
+	// element, so every lane goes to the largest value and through every
+	// element. And Go builds a type assertion's per-call-site cache on about
+	// one call in 1024 (prim.MarkLinPoint's), so each step runs many times.
+	for lane := range lanes {
+		th := stronglin.Thread(lane)
+		srv.maxreg.WriteMax(th, values-1)
+		for x := range int64(elems) {
+			srv.gset.Add(th, x)
+		}
+	}
+	view := make([]int64, lanes)
+	for i := range int64(1 << 16) {
+		th := stronglin.Thread(i % lanes)
+		srv.counter.Add(th, 1)
+		srv.counter.Read(th)
+		srv.maxreg.ReadMax(th)
+		srv.gset.Has(th, i%elems)
+		srv.snap.Update(th, i%values)
+		srv.snap.ScanInto(th, view)
+		srv.msnap.Update(th, i%values)
+		srv.msnap.ScanInto(th, view)
+	}
+	base := startWire(t, srv.wire()).URL
+	rng := rand.New(rand.NewSource(1))
+	mixes := make([][][]byte, conns)
+	for c := range mixes {
+		for range pairs {
+			v, x := rng.Int63n(values), rng.Int63n(elems)
+			var w, r string
+			switch rng.Intn(5) {
+			case 0:
+				w, r = "/counter/inc", "/counter"
+			case 1:
+				w, r = fmt.Sprintf("/maxreg?v=%d", v), "/maxreg"
+			case 2:
+				w, r = fmt.Sprintf("/gset?x=%d", x), fmt.Sprintf("/gset?x=%d", x)
+			case 3:
+				w, r = fmt.Sprintf("/snapshot?v=%d", v), "/snapshot"
+			default:
+				w, r = fmt.Sprintf("/msnapshot?v=%d", v), "/msnapshot"
+			}
+			mixes[c] = append(mixes[c], rawRequest(http.MethodPost, w, ""), rawRequest(http.MethodGet, r, ""))
+		}
+	}
+	rcs := make([]*rawConn, conns)
+	for c := range rcs {
+		rcs[c] = dialRaw(t, base)
+	}
+	var failed atomic.Bool
+	replay := func(rc *rawConn, reqs [][]byte) {
+		for _, req := range reqs {
+			if code, _, ok := rc.exchange(req); !ok || code != http.StatusOK {
+				failed.Store(true)
+			}
+		}
+	}
+	for c, rc := range rcs { // warm-up: each connection's scan buffer
+		replay(rc, mixes[c])
+	}
+	// One window: both connections replay their mix at once. Its edges spin
+	// rather than park, since a parked goroutine may allocate its wait
+	// record.
+	window := func() uint64 {
+		var start atomic.Bool
+		var left atomic.Int32
+		left.Store(conns)
+		for c, rc := range rcs {
+			go func() {
+				for !start.Load() {
+					runtime.Gosched()
+				}
+				replay(rc, mixes[c])
+				left.Add(-1)
+			}()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start.Store(true)
+		for left.Load() > 0 {
+			runtime.Gosched()
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	// The runtime still allocates for itself now and then: a GC cycle (its
+	// mark workers, the unique package's cleanup), and an OS thread the
+	// first times the scheduler wants one more. GC is off during the
+	// windows, and the best of three windows counts.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	n := min(window(), window(), window())
+	if failed.Load() {
+		t.Fatal("a request of the mix failed")
+	}
+	if n != 0 {
+		reqs := conns * 2 * pairs
+		t.Errorf("%d allocations over %d requests (%.2f per request), want 0", n, reqs, float64(n)/float64(reqs))
+	}
 }
 
 // mustExchange sends one request on rc and checks for a 200 with body want

@@ -143,6 +143,17 @@ type respWriter struct {
 	ctype string
 	hdr   []byte // extra header lines, each ending in CRLF
 	body  []byte
+	view  []int64 // the connection's scan buffer (scanBuf)
+}
+
+// scanBuf is the connection's scan buffer of n components, kept across its
+// requests: a snapshot scan writes its view there under the lane lease, and
+// the answer reads it once the lease is released.
+func (w *respWriter) scanBuf(n int) []int64 {
+	if len(w.view) != n {
+		w.view = make([]int64, n)
+	}
+	return w.view
 }
 
 func (w *respWriter) Write(p []byte) (int, error) {
@@ -320,7 +331,7 @@ func (ws *wireServer) serveConn(sc *serverConn) {
 		}
 		head, err := sc.readHead()
 		req = request{ctx: ws.ctx}
-		w = respWriter{code: statusOK, hdr: w.hdr[:0], body: w.body[:0]}
+		w = respWriter{code: statusOK, hdr: w.hdr[:0], body: w.body[:0], view: w.view}
 		code, reason := statusRequestHeaderFieldsTooLarge, "request head larger than 8 KiB"
 		if err == nil {
 			// req's strings view head in the read buffer. Discard moves no
