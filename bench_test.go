@@ -790,144 +790,23 @@ func BenchmarkMultiwordSnapshot(b *testing.B) {
 	}
 }
 
-// E-SNAP view cache (PR 7): steady-state scans against the anchor-keyed view
-// cache vs the full helped double collect on the identical 8-lane multi-word
-// configuration. A cache-hit scan is one cache read plus ONE fresh word-0
-// XADD(0) — O(1) in the word count — where the full collect gathers 2k+1
-// words and decodes every field; the acceptance criterion is ≥5x at n=8 with
-// 0 allocs/op on the cached rows. The read-mostly rows keep one update per
-// 1024 scans flowing (each one invalidates the anchor), which is the
-// steady-state shape the slserve deployment sees; the pure rows bound the
-// gap from above. The configuration is slserve's own 8-lane /msnapshot
-// shape — 24-bit fields, ⌈lanes/2⌉ = 4 XADD words — so the gap measured
-// here is the gap the server serves.
-func BenchmarkMultiwordSnapshotCachedScan(b *testing.B) {
-	const lanes, bound = 8, 1<<24 - 1 // 4 words at 24-bit fields: the slserve shape
-	// Hold the thread as the interface the engine takes so the timed loops
-	// measure the scan, not a per-call RealThread->Thread boxing.
-	var th prim.Thread = prim.RealThread(0)
-	mk := func(cached bool) *core.FASnapshot {
-		s := core.NewFASnapshot(prim.NewRealWorld(), "s", lanes,
-			core.WithSnapshotBound(bound), core.WithViewCache(cached))
-		if !s.Multiword() {
-			b.Fatal("bench config must stripe")
-		}
-		s.Update(th, bound)
-		return s
-	}
-	b.Run("cached-scan/n=8", func(b *testing.B) {
-		s := mk(true)
-		view := make([]int64, lanes)
-		s.ScanInto(th, view) // publish the entry; every timed scan is a hit
-		warm := s.CacheStats().Misses
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.ScanInto(th, view)
-		}
-		// Hits are only tallied through an attached obs counter (the engine
-		// keeps its fast path free of a mandatory atomic), so the check here
-		// is the miss counter: every timed scan must have been a hit.
-		if m := s.CacheStats().Misses - warm; m != 0 {
-			b.Fatalf("timed scans missed the cache %d times", m)
-		}
-	})
-	b.Run("full-collect-scan/n=8", func(b *testing.B) {
-		s := mk(false)
-		view := make([]int64, lanes)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s.ScanInto(th, view)
-		}
-	})
-	b.Run("cached-read-mostly/n=8", func(b *testing.B) {
-		s := mk(true)
-		view := make([]int64, lanes)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if i%1024 == 0 {
-				s.Update(th, int64(i)&bound) // moves the anchor: next scan misses
-			}
-			s.ScanInto(th, view)
-		}
-		b.ReportMetric(float64(s.CacheStats().Misses), "misses")
-	})
-	b.Run("full-collect-read-mostly/n=8", func(b *testing.B) {
-		s := mk(false)
-		view := make([]int64, lanes)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if i%1024 == 0 {
-				s.Update(th, int64(i)&bound)
-			}
-			s.ScanInto(th, view)
-		}
-	})
-}
-
-// E-SHARD combine cache (PR 7): the epoch-keyed combine cache on the sharded
-// counter's read path — a hit re-validates with one epoch XADD(0) instead of
-// collecting every shard twice. Same read-mostly shape as the snapshot rows.
-func BenchmarkShardedCachedRead(b *testing.B) {
-	var th prim.Thread = prim.RealThread(0)
-	for _, cached := range []bool{true, false} {
-		name := "cached"
-		if !cached {
-			name = "full-collect"
-		}
-		b.Run(fmt.Sprintf("%s/shards=4", name), func(b *testing.B) {
-			c := shard.NewCounter(prim.NewRealWorld(), "c", benchProcs, 4,
-				shard.WithBound(1<<40), shard.WithReadCache(cached))
-			c.Inc(th)
-			c.Read(th)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i%1024 == 0 {
-					c.Inc(th)
-				}
-				c.Read(th)
-			}
-			if cached {
-				// Hits only tally through an attached obs counter; the
-				// miss count is the engine-side evidence the timed loop
-				// ran on the cache (one miss per epoch-moving Inc).
-				b.ReportMetric(float64(c.CacheStats().Misses), "misses")
-			}
-		})
-	}
-}
-
 // E-SHARD wide read at slserve's default shape: 8 lanes over 4 unbounded
 // shards, every lane raised to just below 1024, so each shard core holds a
 // ~2048-bit unary word. Every iteration makes a no-op WriteMax (one
-// fetch&add(0) plus the epoch announce) and then reads, so the cached row
-// misses every time and pays the full validated collect plus the cache
-// refresh; the uncached row pays the same write and the collect alone.
+// fetch&add(0) plus the epoch announce) and then reads: the validated
+// collect over the four wide words.
 func BenchmarkShardedMaxRegisterRead(b *testing.B) {
 	const lanes, shards = 8, 4
 	th := prim.RealThread(0)
-	for _, cached := range []bool{true, false} {
-		name := "cache-on-forced-miss"
-		if !cached {
-			name = "cache-off"
-		}
-		b.Run(name, func(b *testing.B) {
-			m := shard.NewMaxRegister(prim.NewRealWorld(), "m", lanes, shards, shard.WithReadCache(cached))
-			for l := 0; l < lanes; l++ {
-				m.WriteMax(prim.RealThread(l), 1023-int64(l))
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.WriteMax(th, 0)
-				m.ReadMax(th)
-			}
-			b.StopTimer()
-			if cached && m.CacheStats().Misses < int64(b.N) {
-				b.Fatalf("cached row: %d misses over %d reads, want every read to miss", m.CacheStats().Misses, b.N)
-			}
-		})
+	m := shard.NewMaxRegister(prim.NewRealWorld(), "m", lanes, shards)
+	for l := 0; l < lanes; l++ {
+		m.WriteMax(prim.RealThread(l), 1023-int64(l))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.WriteMax(th, 0)
+		m.ReadMax(th)
 	}
 }
 

@@ -73,8 +73,7 @@
 // Every request runs its own engine step under a leased lane: the engines
 // are wait-free, and a fetch&add observation depends only on the set of
 // operations before it, so concurrent requests need no combining for
-// correctness or for order. The engines run without the library's
-// validated-view caches, and a scan writes its view into a buffer its
+// correctness or for order. A scan writes its view into a buffer its
 // connection keeps, so the dense objects' requests allocate nothing once
 // each lane has seen its values.
 //
@@ -399,10 +398,6 @@ func newServerClock(lanes, shards int, bound, clockBudget int64) *server {
 // defaults. Every object is built with its retry-round histogram attached,
 // and the registry closes over the engines' own telemetry for everything
 // else, so the instrumentation adds no hot-path steps of its own.
-//
-// The engines run without the library's validated-view caches: a write
-// moves a cache's anchor, so a mix of writes and reads mostly misses, and
-// each refresh allocates an entry. An uncached read allocates nothing.
 func newServerCfg(lanes, shards int, bound, clockBudget int64, scanBudget int) *server {
 	w := stronglin.NewWorld()
 	reg := obs.NewRegistry()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"stronglin/internal/prim"
@@ -277,11 +278,12 @@ func victimSteps(t *testing.T, exec *sim.Execution, victim int) int {
 // value-changing word-1 updates under the anchor-storm adversary and
 // returns the scanner's own step count. helped selects the shipped
 // (budget-0, adopting) ScanInto; otherwise the scanner runs scanSpinInto,
-// the PR 4 lock-free protocol without helping.
-func multiwordStormScanSteps(t *testing.T, storm int, helped bool) int {
+// the PR 4 lock-free protocol without helping. opts are appended to the
+// snapshot's options.
+func multiwordStormScanSteps(t *testing.T, storm int, helped bool, opts ...SnapshotOption) int {
 	t.Helper()
 	setup := func(w *sim.World) []sim.Program {
-		s := NewFASnapshot(w, "snap", 2, WithSnapshotBound(1<<32-1), WithScanRetryBudget(0))
+		s := NewFASnapshot(w, "snap", 2, append([]SnapshotOption{WithSnapshotBound(1<<32 - 1), WithScanRetryBudget(0)}, opts...)...)
 		scan := sim.Op{
 			Name: "scan()",
 			Spec: spec.MkOp(spec.MethodScan),
@@ -334,6 +336,20 @@ func TestMultiwordHelpedScanWaitFreeUnderStorm(t *testing.T) {
 		}
 	}
 	t.Logf("helped scan own steps: %d under storms 6/12/24/48 (fixed budget %d)", base, fixedBudget)
+
+	// The deprecated WithViewCache shim is inert: the same registers, and the
+	// same scan steps on the same schedule.
+	names := func(opts ...SnapshotOption) string {
+		w := sim.NewSoloWorld()
+		NewFASnapshot(w, "snap", 2, append([]SnapshotOption{WithSnapshotBound(1<<32 - 1)}, opts...)...)
+		return fmt.Sprint(w.ObjectNames())
+	}
+	if got, want := names(WithViewCache(true)), names(); got != want {
+		t.Fatalf("WithViewCache(true) registers %s, want %s", got, want)
+	}
+	if got := multiwordStormScanSteps(t, 6, true, WithViewCache(true)); got != base {
+		t.Fatalf("WithViewCache(true): helped scan steps = %d, want %d", got, base)
+	}
 }
 
 // Universal comparator: lock-free only — a CAS loop can be made to retry.

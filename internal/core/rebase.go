@@ -11,7 +11,7 @@ import (
 // Live re-base: the multi-word engine's watermark-triggered cutover onto
 // fresh words, without stopping traffic. The engine's per-word sequence
 // fields are mod-2^16 counters (interleave.SeqBits): every validation in the
-// protocol — double-collect pairs, adoption witnesses, cache anchors —
+// protocol — double-collect pairs and adoption witnesses —
 // compares full word values, so a field that wraps while a scan is
 // descheduled reopens the classic seqlock ABA window. Rather than widening
 // the fields (the packing budget is spent on lanes), the engine ROLLS OVER:
@@ -24,7 +24,7 @@ import (
 // # The cutover protocol
 //
 // A GENERATION is a complete set of engine cells: the k component words, the
-// pressure register, the help slot, the optional view cache, and a NEXT
+// pressure register, the help slot, and a NEXT
 // pointer, initially nil, whose install is the cutover's commit point.
 // Clients pin the generation they last used (a process-local pointer — no
 // shared step to read it); the migrator works on the LIVE generation, the
@@ -38,8 +38,8 @@ import (
 //     value-changing update already polls the pressure register after its
 //     announce (the helping obligation), so writers discover the cutover on
 //     their next update; the arm announce moves word 0, so every closing
-//     witness in flight — collect pair, adoption check, cache anchor —
-//     misses and re-examines the world.
+//     witness in flight — collect pair or adoption check — misses and
+//     re-examines the world.
 //  2. DIVERT: a writer whose poll sees the bit awaits the next generation
 //     (a conditional step — sim models it as not-enabled-until-installed)
 //     and reconciles its component there (divertUpdate): if the re-based
@@ -101,8 +101,8 @@ import (
 // base-object names are claimed once per world).
 const mwCutoverBit = int64(1) << 62
 
-// mwGen is one generation of multi-word engine cells. words/pressure/slot/
-// cache play exactly their pre-rebase roles; next is the generation pointer
+// mwGen is one generation of multi-word engine cells. words/pressure/slot
+// play exactly their pre-rebase roles; next is the generation pointer
 // (nil until installed; absent entirely when live re-base is off, in which
 // case generation 0 is the engine forever and no rebase-mode step exists on
 // any path).
@@ -111,7 +111,6 @@ type mwGen struct {
 	words    []prim.FetchAddInt
 	pressure prim.FetchAddInt
 	slot     prim.AnyRegister
-	cache    prim.AnyRegister // nil when the view cache is off
 	next     prim.AnyRegister // nil when live re-base is off
 }
 
@@ -130,9 +129,6 @@ func (s *FASnapshot) newGen(id int64) *mwGen {
 	}
 	g.pressure = s.w.FetchAddInt(prefix+".help", 0)
 	g.slot = s.w.AnyRegister(prefix+".slot", &mwDeposit{})
-	if s.cacheOn {
-		g.cache = s.w.AnyRegister(prefix+".cache", &mwCachedView{})
-	}
 	if s.rebaseOn {
 		g.next = s.w.AnyRegister(prefix+".next", (*mwGen)(nil))
 	}
@@ -307,8 +303,8 @@ func (s *FASnapshot) rebaseInto(t prim.Thread, view []int64) {
 	if g.pressure.FetchAddInt(t, 0)&mwCutoverBit == 0 {
 		g.pressure.FetchAddInt(t, mwCutoverBit) // ARM: divert new updates
 		// Arm announce: move word 0 so every closing witness in flight —
-		// collect pair, adoption check, cache anchor — misses and re-reads
-		// the pressure register. Stale pre-arm help deposits are thereby
+		// collect pair or adoption check — misses and re-reads the pressure
+		// register. Stale pre-arm help deposits are thereby
 		// unadoptable from here on.
 		g.words[0].FetchAddInt(t, interleave.SeqIncrement)
 	}

@@ -451,85 +451,79 @@ func TestRebaseParkBlindAdoptNotStrongLin(t *testing.T) {
 // stay pairwise comparable across generations (per-lane monotone), and after
 // quiescing plus a final cutover nothing may be lost.
 func TestRebaseRealWorldStress(t *testing.T) {
-	for _, cached := range []bool{false, true} {
-		name := "collect"
-		if cached {
-			name = "cached"
+	t.Run("collect", func(t *testing.T) {
+		w := prim.NewRealWorld()
+		const lanes = 4
+		s := NewFASnapshot(w, "snap", lanes, WithSnapshotBound(mwBound2),
+			WithLiveRebase(true), WithScanRetryBudget(0))
+		if !s.Multiword() || !s.RebaseEnabled() {
+			t.Fatal("config must stripe with rebase on")
 		}
-		t.Run(name, func(t *testing.T) {
-			w := prim.NewRealWorld()
-			const lanes = 4
-			s := NewFASnapshot(w, "snap", lanes, WithSnapshotBound(mwBound2),
-				WithLiveRebase(true), WithViewCache(cached), WithScanRetryBudget(0))
-			if !s.Multiword() || !s.RebaseEnabled() {
-				t.Fatal("config must stripe with rebase on")
-			}
-			const writers, perWriter, rebases = 2, 600, 40
-			var wg sync.WaitGroup
-			last := make([]int64, lanes)
-			for p := 0; p < writers; p++ {
-				wg.Add(1)
-				last[p] = int64(perWriter)
-				go func(p int) {
-					defer wg.Done()
-					th := prim.RealThread(p)
-					for v := int64(1); v <= perWriter; v++ {
-						s.Update(th, v)
-					}
-				}(p)
-			}
-			var scanErr error
-			var scanMu sync.Mutex
+		const writers, perWriter, rebases = 2, 600, 40
+		var wg sync.WaitGroup
+		last := make([]int64, lanes)
+		for p := 0; p < writers; p++ {
 			wg.Add(1)
-			go func() {
+			last[p] = int64(perWriter)
+			go func(p int) {
 				defer wg.Done()
-				th := prim.RealThread(2)
-				prev := make([]int64, lanes)
-				view := make([]int64, lanes)
-				for i := 0; i < 4*perWriter; i++ {
-					s.ScanInto(th, view)
-					for l := range view {
-						if view[l] < prev[l] {
-							scanMu.Lock()
-							if scanErr == nil {
-								scanErr = &laneRegression{lane: l, prev: prev[l], got: view[l]}
-							}
-							scanMu.Unlock()
-							return
+				th := prim.RealThread(p)
+				for v := int64(1); v <= perWriter; v++ {
+					s.Update(th, v)
+				}
+			}(p)
+		}
+		var scanErr error
+		var scanMu sync.Mutex
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			th := prim.RealThread(2)
+			prev := make([]int64, lanes)
+			view := make([]int64, lanes)
+			for i := 0; i < 4*perWriter; i++ {
+				s.ScanInto(th, view)
+				for l := range view {
+					if view[l] < prev[l] {
+						scanMu.Lock()
+						if scanErr == nil {
+							scanErr = &laneRegression{lane: l, prev: prev[l], got: view[l]}
 						}
+						scanMu.Unlock()
+						return
 					}
-					copy(prev, view)
 				}
-			}()
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				th := prim.RealThread(3)
-				for i := 0; i < rebases; i++ {
-					s.Rebase(th)
-				}
-			}()
-			wg.Wait()
-			if scanErr != nil {
-				t.Fatal(scanErr)
+				copy(prev, view)
 			}
-			// Quiesce: one final cutover, then the view must hold every
-			// writer's last value — nothing lost across any generation.
+		}()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			th := prim.RealThread(3)
-			s.Rebase(th)
-			final := s.Scan(prim.RealThread(2))
-			for p := 0; p < writers; p++ {
-				if final[p] != last[p] {
-					t.Fatalf("lane %d after quiesce+cutover = %d, want %d (lost update): view %v", p, final[p], last[p], final)
-				}
+			for i := 0; i < rebases; i++ {
+				s.Rebase(th)
 			}
-			st := s.RebaseStats()
-			if st.Generations < rebases {
-				t.Fatalf("generations = %d, want >= %d", st.Generations, rebases)
+		}()
+		wg.Wait()
+		if scanErr != nil {
+			t.Fatal(scanErr)
+		}
+		// Quiesce: one final cutover, then the view must hold every
+		// writer's last value — nothing lost across any generation.
+		th := prim.RealThread(3)
+		s.Rebase(th)
+		final := s.Scan(prim.RealThread(2))
+		for p := 0; p < writers; p++ {
+			if final[p] != last[p] {
+				t.Fatalf("lane %d after quiesce+cutover = %d, want %d (lost update): view %v", p, final[p], last[p], final)
 			}
-			t.Logf("%s: %+v, final view %v", name, st, final)
-		})
-	}
+		}
+		st := s.RebaseStats()
+		if st.Generations < rebases {
+			t.Fatalf("generations = %d, want >= %d", st.Generations, rebases)
+		}
+		t.Logf("%+v, final view %v", st, final)
+	})
 }
 
 type laneRegression struct {

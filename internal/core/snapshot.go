@@ -92,15 +92,6 @@ type SnapshotAPI interface {
 //     consistent refereeing for why a scheduler this strong cannot be
 //     defeated outright).
 //
-//     Validated views can additionally be CACHED (WithViewCache, opt-in):
-//     a scan publishes its decoded view keyed by the collect's word-0 value,
-//     and a later scan serves the cache after re-validating the anchor with
-//     one fresh word-0 read — still its final view-determining step, the
-//     identical closing announce witness — making the steady-state read-
-//     mostly scan two register reads and a copy instead of a 2k-word double
-//     collect (serving the cache without the fresh witness is pinned
-//     linearizable-but-not-strongly-linearizable by its own negative twin).
-//
 //     BOTH validations are load-bearing, and the package tests pin a
 //     counterexample for each half alone. Announce-only validation (one
 //     collect bracketed by announce-counter reads) is not even linearizable:
@@ -146,7 +137,7 @@ type FASnapshot struct {
 	// Multi-word engine (nil on the single-register engines): eng is
 	// generation 0 — the k component words, the pressure register counting
 	// scans past their retry budget, the help slot holding the freshest
-	// helper deposit, and the optional view cache. With live re-base on
+	// helper deposit. With live re-base on
 	// (WithLiveRebase) eng is merely the FIRST generation: Rebase rolls the
 	// state onto successors chained through the generation next pointers (see
 	// rebase.go), and curGen[i] pins the generation process i last used
@@ -160,7 +151,6 @@ type FASnapshot struct {
 	genMu      sync.Mutex
 	nextGens   map[int64]*mwGen
 	spinBudget int
-	cacheOn    bool
 
 	// Telemetry (never read by the protocol). All counts are batched on the
 	// SLOW path only — a scan that validates its first round and an update
@@ -174,13 +164,6 @@ type FASnapshot struct {
 	scanRetries    atomic.Int64
 	pressureRaises atomic.Int64
 	adoptMisses    atomic.Int64
-
-	// View-cache telemetry, same slow-path-only discipline: misses and
-	// refreshes precede/follow a full collect anyway; hits are counted only
-	// via the optional met.CacheHits (the hit path is the one the cache
-	// exists to keep at two loads and a copy).
-	cacheMisses    atomic.Int64
-	cacheRefreshes atomic.Int64
 
 	// rebaseCounters adds the live re-base telemetry (rebase.go), same
 	// slow-path-only discipline: cutovers, parks and diverts are rare by
@@ -200,21 +183,6 @@ type FASnapshot struct {
 // raised scan when it lowers pressure.
 type mwDeposit struct {
 	words []int64
-}
-
-// mwCachedView is a view-cache entry: the decoded view of a previously
-// validated collect together with that collect's word-0 value — payload plus
-// sequence/announce field — as the ANCHOR. A scan that reads the entry and
-// then sees the anchor unchanged in one fresh word-0 read has re-run the
-// closing announce check the full collect ends with: every value-changing
-// update moves word 0's sequence field when it completes, so an unchanged
-// anchor certifies the cached view is still the current state (up to the
-// sequence fields' mod-2^16 wrap — see ScanInto on the cache's wrap window).
-// Both slices are immutable once published. A nil view is the cold sentinel,
-// the register's initial value.
-type mwCachedView struct {
-	anchor int64
-	view   []int64
 }
 
 var _ SnapshotAPI = (*FASnapshot)(nil)
@@ -271,24 +239,13 @@ func WithScanRetryBudget(rounds int) SnapshotOption {
 	return func(s *FASnapshot) { s.spinBudget = rounds }
 }
 
-// WithViewCache enables the multi-word engine's anchor-revalidated view cache
-// (default disabled). With the cache on, every validated scan publishes its
-// decoded view keyed by the collect's word-0 value, and a later scan first
-// reads the cache and ONE fresh word-0 value: on an anchor match it returns
-// the cached view with that read as its final view-determining step — the
-// same closing announce witness the full collect and the adopt path end with,
-// so the strong-linearizability argument is unchanged (serving the cache
-// WITHOUT the fresh witness is the package tests' negative twin). A steady-
-// state read-mostly scan is thereby two register reads and a copy instead of
-// a 2k-word double collect. The cache is opt-in because it adds one shared
-// register and two scan steps to the protocol: deployments (slserve, the
-// benchmarks) turn it on, while crafted-schedule tests and exhaustive model
-// checks of the bare collect/help protocol keep the default — the cached
-// configurations carry their own dedicated model checks. Correctness never
-// depends on the setting. No-op on the single-register engines, whose scans
-// are already one fetch&add.
-func WithViewCache(enabled bool) SnapshotOption {
-	return func(s *FASnapshot) { s.cacheOn = enabled }
+// WithViewCache does nothing: it allocates no register and changes no step.
+//
+// Deprecated: the view cache is deleted (a hit could return a view older than
+// one another scan had already returned). benchmark/replay.go is the only
+// caller; the option goes with that call.
+func WithViewCache(bool) SnapshotOption {
+	return func(*FASnapshot) {}
 }
 
 // WithSnapshotObs attaches optional scrape-layer instrumentation: histograms
@@ -389,20 +346,6 @@ func (s *FASnapshot) HelpStats() obs.HelpStats {
 		AdoptMisses: s.adoptMisses.Load(),
 		Retries:     s.scanRetries.Load(),
 		Raises:      s.pressureRaises.Load(),
-	}
-}
-
-// CacheStats reports the multi-word view cache's telemetry: misses (scans
-// that consulted the cache and fell into the full collect) and refreshes
-// (cache publications) are always counted; hits are counted only when the
-// optional WithSnapshotObs CacheHits counter is attached, keeping the
-// uninstrumented hit path free of added atomics (see obs.CacheStats). All
-// fields are 0 on the single-register engines and with the cache disabled.
-func (s *FASnapshot) CacheStats() obs.CacheStats {
-	return obs.CacheStats{
-		Hits:      s.met.CacheHits.Load(),
-		Misses:    s.cacheMisses.Load(),
-		Refreshes: s.cacheRefreshes.Load(),
 	}
 }
 
@@ -537,11 +480,7 @@ func (s *FASnapshot) Scan(t prim.Thread) []int64 {
 // repeatedly, words 1..k-1 first and word 0 LAST, until two consecutive
 // collects are identical (each failed read seeding the next round's
 // baseline); the validating round's word-0 read, the scan's final shared
-// step, is the closing announce check. With the view cache on (the default)
-// the collect is preceded by the cached fast path: read the last validated
-// view and one fresh word-0 value, and return the cached view when the
-// anchor matches — see the fast-path comment in the body for why that single
-// read carries the whole argument.
+// step, is the closing announce check.
 //
 // The double collect makes the view a true state: identical means
 // bit-identical words, sequence fields included, and every value-changing
@@ -610,38 +549,7 @@ func (s *FASnapshot) ScanInto(t prim.Thread, view []int64) []int64 {
 		// once on generation 0 — the pre-rebase protocol, step for step.
 		g := s.engineFor(t)
 		for {
-			// View-cache fast path: read the cached entry, then ONE fresh word-0
-			// read. On an anchor match that read — performed AFTER the cache read,
-			// so it is the scan's final view-determining shared step — is the same
-			// closing announce witness the full collect's validating round ends
-			// with: every value-changing update moves word 0 (its own payload XADD
-			// for a word-0 owner, its announce bump otherwise) before it completes,
-			// so an unchanged word 0 certifies that no update completed since the
-			// cached collect validated, and the cached view IS the current state.
-			// A cutover cannot be served stale either: the migrator's ARM bumps
-			// word 0 before any divert or install, so an anchor match also
-			// certifies no cutover transition intervened. Serving the cache
-			// without this witness is the negative twin (scanCachedStaleInto).
-			// The anchor compares full word-0 values, so the sequence fields'
-			// mod-2^16 wrap caveat widens here from one scan's window to the
-			// cache entry's lifetime: a false match needs 2^16 announces to
-			// elapse with word 0's payload lanes restored bit-identically while
-			// some other word changed — exactly the window the watermark-driven
-			// live re-base (rebase.go, internal/migrate) retires; active objects
-			// refresh the entry on every miss, which keeps it short meanwhile.
-			var cached *mwCachedView
-			if g.cache != nil {
-				if c, ok := g.cache.ReadAny(t).(*mwCachedView); ok && c.view != nil {
-					if g.words[0].FetchAddInt(t, 0) == c.anchor {
-						s.met.CacheHits.Inc()
-						copy(view, c.view)
-						return view
-					}
-					cached = c
-				}
-				s.cacheMisses.Add(1) // cold entry or a completed update moved the anchor
-			}
-			next := s.scanCollectGen(t, g, view, cached)
+			next := s.scanCollectGen(t, g, view)
 			if next == nil {
 				return view
 			}
@@ -662,16 +570,10 @@ func (s *FASnapshot) ScanInto(t prim.Thread, view []int64) []int64 {
 	return s.codec.DecodeInto(word, view)
 }
 
-// scanCollectGen is the multi-word helped double collect on generation g —
-// ScanInto past a cache miss (cached carries the stale entry read at scan
-// start, nil when cold or uncached). It returns nil after writing the view,
-// or the installed successor generation when a cutover parked the scan
-// without a view (the caller restarts there). It lives in its own frame so
-// the cache-hit fast path never pays for the collect buffer: the
-// scanStackWords stack array below is zeroed on every call to the function
-// that declares it, which would tax every hit with half a kilobyte of frame
-// clearing if it sat in ScanInto.
-func (s *FASnapshot) scanCollectGen(t prim.Thread, g *mwGen, view []int64, cached *mwCachedView) *mwGen {
+// scanCollectGen is the multi-word helped double collect on generation g. It
+// returns nil after writing the view, or the installed successor generation
+// when a cutover parked the scan without a view (the caller restarts there).
+func (s *FASnapshot) scanCollectGen(t prim.Thread, g *mwGen, view []int64) *mwGen {
 	var stack [scanStackWords]int64
 	cur := collectBuf(&stack, len(g.words))
 	s.collectWordsAnchored(t, g, cur)
@@ -770,16 +672,6 @@ func (s *FASnapshot) scanCollectGen(t prim.Thread, g *mwGen, view []int64, cache
 	}
 	for j, w := range cur {
 		s.mp.GatherWord(w, j, view)
-	}
-	// Refresh the cache with this validated view (own or adopted — both
-	// passed the closing word-0 witness), keyed by the collect's word-0
-	// value, unless the entry read at scan start already carries this
-	// anchor. Last-writer-wins, like the help slot: a concurrent scan's
-	// overwrite can only delay hits, never corrupt one — a hit still
-	// demands its own fresh witness.
-	if g.cache != nil && (cached == nil || cached.anchor != cur[0]) {
-		g.cache.WriteAny(t, &mwCachedView{anchor: cur[0], view: append([]int64(nil), view...)})
-		s.cacheRefreshes.Add(1)
 	}
 	return nil
 }

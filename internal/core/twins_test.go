@@ -123,30 +123,6 @@ func (s *FASnapshot) scanAdoptUnanchoredInto(t prim.Thread, view []int64) []int6
 	return view
 }
 
-// scanCachedStaleInto is the view-cache fast path WITHOUT the fresh word-0
-// witness — it returns the cached entry AS IS, on the strength of the anchor
-// recorded when the entry was published — kept exclusively for the negative
-// model check. The cached view is a true state (some validated collect pinned
-// it), so crafted executions stay linearizable; but the pinned instant may
-// lie in the past of an update that completed AFTER the entry was published,
-// and with another update still in flight the stale scan's eventual view
-// hangs on scheduling: no prefix-closed linearization survives every future.
-// The package tests pin the game checker refuting strong linearizability on a
-// schedule tree, documenting that the cache does not exempt the
-// announce-as-final-step rule — a cached view needs the same closing witness
-// a collected or adopted one does. Falls back to the shipped scan while the
-// cache is cold so crafted schedules can populate it first.
-func (s *FASnapshot) scanCachedStaleInto(t prim.Thread, view []int64) []int64 {
-	if len(view) != s.n {
-		panic(fmt.Sprintf("core: FASnapshot.scanCachedStaleInto: view has length %d, want %d", len(view), s.n))
-	}
-	if c, ok := s.eng.cache.ReadAny(t).(*mwCachedView); ok && c.view != nil {
-		copy(view, c.view) // serve the cache with NO fresh word-0 witness: the bug
-		return view
-	}
-	return s.ScanInto(t, view)
-}
-
 // scanNaiveInto is the unvalidated multi-word collect, kept exclusively for
 // the negative model check (like shard's readSingleCollect).
 func (s *FASnapshot) scanNaiveInto(t prim.Thread, view []int64) []int64 {

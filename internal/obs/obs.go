@@ -71,27 +71,6 @@ type HelpStats struct {
 	Raises int64 `json:"raises"`
 }
 
-// CacheStats is the always-on telemetry block of an anchor-revalidated view
-// cache (the multi-word snapshot's cached scans, the sharded objects' cached
-// combines). Misses and refreshes are slow-path events — a missing scan falls
-// into the full collect anyway — and are always counted by the engines; hits
-// ARE the fast path, so they are counted only when the optional scrape-layer
-// hit counter (SnapMetrics/ShardMetrics.CacheHits) is attached, keeping the
-// uninstrumented hit path at zero added atomic operations.
-type CacheStats struct {
-	// Hits counts reads/scans served from the cache after re-validating the
-	// anchor with one fresh word-0/epoch read. 0 unless the optional hit
-	// counter is wired (see the type comment).
-	Hits int64 `json:"hits"`
-	// Misses counts reads/scans that consulted the cache and fell into the
-	// full collect: cold entries and entries whose anchor a completed write
-	// had moved past.
-	Misses int64 `json:"misses"`
-	// Refreshes counts cache publications: validated collects (own or
-	// adopted) whose anchor differed from the cached entry's.
-	Refreshes int64 `json:"refreshes"`
-}
-
 // cacheLine is the assumed cache-line size for padding.
 const cacheLine = 64
 
@@ -380,10 +359,10 @@ type SnapMetrics struct {
 	// (scans that validate their first round — the uncontended fast path —
 	// are not observed, so the histogram isolates retry pressure).
 	ScanRounds *Histogram
-	// CacheHits counts scans served from the view cache. The hit path is the
-	// engine's fastest path, so this is the one counter that taxes it (one
-	// atomic add when wired, one predicted branch when nil) — attach it where
-	// the serving stack wants hit rates, leave it nil where nanoseconds rule.
+	// CacheHits is never counted.
+	//
+	// Deprecated: the view cache is deleted; benchmark/replay.go is the only
+	// writer, and the field goes with that write.
 	CacheHits *Counter
 }
 
@@ -394,8 +373,10 @@ type ShardMetrics struct {
 	// ReadRounds records the failed validation rounds of each contended
 	// combining read (uncontended reads are not observed).
 	ReadRounds *Histogram
-	// CacheHits counts combining reads served from the epoch-anchored
-	// combine cache (see SnapMetrics.CacheHits for the cost contract).
+	// CacheHits is never counted.
+	//
+	// Deprecated: the combine cache is deleted; benchmark/replay.go is the
+	// only writer, and the field goes with that write.
 	CacheHits *Counter
 }
 

@@ -12,10 +12,10 @@ import (
 // Live epoch rollover tests: RolloverEpoch rewinds the announce count —
 // the 2^48 per-object write budget — without stopping traffic. The positive
 // checks pin the protocol's mechanism (the generation bump forcing every
-// spanning validation window to miss, the slot/cache flush, crash adoption,
-// the generation-wrap arithmetic); the negative twin re-runs the exact
-// stale-cache scenario against a rollover WITHOUT the generation bump and
-// demands the wrong value, pinning why the bump is load-bearing.
+// spanning validation window to miss, crash adoption, the generation-wrap
+// arithmetic); the negative twin re-runs the spanning-window schedule
+// against a rollover WITHOUT the generation bump and demands that the
+// window validate, pinning why the bump is load-bearing.
 
 // opRollover models RolloverEpoch as a read for the checked histories: the
 // rollover itself is abstract-state-invariant maintenance (no counter value
@@ -96,35 +96,39 @@ func TestEpochRolloverSequentialSolo(t *testing.T) {
 	}
 }
 
-// TestEpochRolloverReaderWindowCrafted pins the generation bump doing its
-// job mid-flight: a reader opens its validation window before a rollover and
-// closes it after, at a moment when the POST-rollover announce count has
-// climbed back to the exact pre-rollover value the reader snapshotted. A
-// bare rewind would validate that window (the ABA); the generation field
-// forces the exact-value comparison to miss, and the reader retries onto a
-// consistent post-rollover collect.
-func TestEpochRolloverReaderWindowCrafted(t *testing.T) {
+// runSpanningReaderWindow runs the crafted schedule of
+// TestEpochRolloverReaderWindowCrafted with migrate as proc 2's operation: a
+// reader opens its validation window before the rollover and closes it
+// after, at a moment when the POST-rollover announce count has climbed back
+// to the exact pre-rollover value the reader snapshotted. migrateSteps is the
+// migrator's step count, invoke included. It returns the responses by OpID
+// (0, 1: proc 0's incs; 2: the read; 3: the migrator) and the counter.
+func runSpanningReaderWindow(t *testing.T, migrate func(*Counter) sim.Op, migrateSteps int) (map[int]string, *Counter) {
+	t.Helper()
 	var c *Counter
 	setup := func(w *sim.World) []sim.Program {
 		c = NewCounter(w, "c", 3, 2)
 		return []sim.Program{
-			{opInc(c), opInc(c)},  // proc 0: one inc each side of the rollover
-			{opRead(c)},           // proc 1: the spanning reader
-			{opRolloverRaw(c, 1)}, // proc 2: the migrator
+			{opInc(c), opInc(c)}, // proc 0: one inc each side of the rollover
+			{opRead(c)},          // proc 1: the spanning reader
+			{migrate(c)},         // proc 2: the migrator
 		}
 	}
-	// Grants: inc = invoke + shard XADD + announce = 3. read (2 shards, no
-	// cache) = invoke + epoch + collect x2 + closing epoch = 5 clean, +3 per
-	// failed round. rollover = invoke + epoch read + arm + slot flush +
-	// epoch read + rewind = 6.
+	// Grants: inc = invoke + shard XADD + announce = 3. read (2 shards) =
+	// invoke + epoch + collect x2 + closing epoch = 5 clean, +3 per failed
+	// round.
 	window := []int{
 		0, 0, 0, // inc#1 completes: announces=1 (gen 0)
 		1, 1, 1, // reader: invoke, epoch snapshot (gen0|1), collect shard 0
-		2, 2, 2, 2, 2, 2, // migrator: full rollover, wound=1, gen 0->1
-		0, 0, 0, // inc#2 completes: announces back to 1 (gen 1!)
-		// reader resumes: collect shard 1, closing epoch read — bytewise the
-		// announce count matches its snapshot; only the generation differs.
 	}
+	for i := 0; i < migrateSteps; i++ {
+		window = append(window, 2) // migrator: the full rollover
+	}
+	window = append(window,
+		0, 0, 0, // inc#2 completes: announces back to 1
+		// reader resumes: collect shard 1, closing epoch read — bytewise the
+		// announce count matches its snapshot; only a generation can differ.
+	)
 	policy := func(v sim.PolicyView) int {
 		if v.Step < len(window) {
 			for _, p := range v.Enabled {
@@ -142,8 +146,18 @@ func TestEpochRolloverReaderWindowCrafted(t *testing.T) {
 	if !exec.Complete {
 		t.Fatalf("execution incomplete:\n%v", exec.Events)
 	}
-	resp := exec.Responses()
-	if resp[2] != "2" { // proc 1's read (OpID 2): both incs, never a torn sum
+	return exec.Responses(), c
+}
+
+// TestEpochRolloverReaderWindowCrafted pins the generation bump doing its
+// job mid-flight: a bare rewind would validate the spanning reader's window
+// (the ABA); the generation field forces the exact-value comparison to miss,
+// and the reader retries onto a consistent post-rollover collect. The twin
+// below runs the same schedule without the bump and demands the ABA.
+func TestEpochRolloverReaderWindowCrafted(t *testing.T) {
+	// rollover = invoke + epoch read + arm + slot flush + epoch read + rewind.
+	resp, c := runSpanningReaderWindow(t, func(c *Counter) sim.Op { return opRolloverRaw(c, 1) }, 6)
+	if resp[2] != "2" { // both incs, never a torn sum
 		t.Fatalf("spanning read = %q, want 2", resp[2])
 	}
 	if resp[3] != "1" { // rollover wound back the single pre-arm announce
@@ -151,31 +165,6 @@ func TestEpochRolloverReaderWindowCrafted(t *testing.T) {
 	}
 	if got := c.HelpStats().Retries; got < 1 {
 		t.Fatalf("spanning window validated without a retry (retries=%d) — generation bump missing?", got)
-	}
-}
-
-// TestEpochRolloverCacheFlushAndGeneration drives the exact stale-cache ABA
-// end to end in a deterministic solo world — a combine cached at announce
-// count A before a rollover, queried again when the post-rollover count is
-// again exactly A — and demands a miss plus a fresh collect. The negative
-// twin below re-runs the same scenario against a bump-less rollover and
-// demands the STALE value, proving this test can fail.
-func TestEpochRolloverCacheFlushAndGeneration(t *testing.T) {
-	w := sim.NewSoloWorld()
-	th := sim.SoloThread(0)
-	c := NewCounter(w, "c", 2, 2, WithReadCache(true))
-
-	c.Inc(th) // announces = 1
-	if got := c.Read(th); got != 1 {
-		t.Fatalf("pre-rollover read = %d, want 1", got)
-	} // validated combine (value 1) now cached, keyed gen0|announces1
-
-	if _, ok := c.RolloverEpoch(th, 1); !ok {
-		t.Fatal("rollover refused")
-	}
-	c.Inc(th) // announces climb back to exactly 1 — gen 1 now
-	if got := c.Read(th); got != 2 {
-		t.Fatalf("post-rollover read = %d, want 2 (stale cache hit?)", got)
 	}
 }
 
@@ -187,47 +176,33 @@ func TestEpochRolloverCacheFlushAndGeneration(t *testing.T) {
 func buggyRolloverNoGen(t prim.Thread, c *Counter) {
 	c.epoch.FetchAddInt(t, epochCutoverBit)
 	c.help.slot.WriteAny(t, &helpDeposit{epoch: -1})
-	if c.help.cache != nil {
-		c.help.cache.WriteAny(t, &helpDeposit{epoch: -1})
-	}
 	cur := c.epoch.FetchAddInt(t, 0)
 	c.epoch.FetchAddInt(t, -epochAnnounces(cur)-epochCutoverBit)
 }
 
-func TestEpochRolloverNoGenerationTwinServesStaleCache(t *testing.T) {
-	w := sim.NewSoloWorld()
-	th := sim.SoloThread(0)
-	c := NewCounter(w, "c", 2, 2, WithReadCache(true))
-
-	c.Inc(th)
-	if got := c.Read(th); got != 1 {
-		t.Fatalf("pre-rollover read = %d, want 1", got)
+// TestEpochRolloverNoGenerationTwinValidatesSpanningWindow runs
+// TestEpochRolloverReaderWindowCrafted's schedule with buggyRolloverNoGen as
+// the migrator: the spanning window closes on the bytewise-equal epoch and
+// validates with no retry, returning the collect that missed inc#2 — the ABA
+// the shipped rollover's generation bump turns into a retry.
+func TestEpochRolloverNoGenerationTwinValidatesSpanningWindow(t *testing.T) {
+	twin := func(c *Counter) sim.Op {
+		return sim.Op{
+			Name: "rollover-nogen()",
+			Spec: spec.MkOp(spec.MethodRead),
+			Run: func(t prim.Thread) string {
+				buggyRolloverNoGen(t, c)
+				return spec.RespOK
+			},
+		}
 	}
-	// The twin flushes the cache too — so re-cache a pre-rollover combine
-	// AFTER the flush, the in-flight-reader race the flush alone cannot
-	// close (a reader suspended between its closing epoch read and its
-	// cache write). Solo-world determinism lets us stage it directly.
-	buggyRolloverNoGen(th, c)
-	c.help.cache.WriteAny(th, &helpDeposit{epoch: 1, value: 1}) // gen0|announces1, value 1
-	c.Inc(th)                                                   // announce count back to exactly 1
-	if got := c.Read(th); got != 1 {
-		t.Fatalf("twin read = %d; the bump-less rollover was expected to serve the stale cached 1", got)
+	// rollover = invoke + arm + slot flush + epoch read + rewind.
+	resp, c := runSpanningReaderWindow(t, twin, 5)
+	if got := c.HelpStats().Retries; got != 0 {
+		t.Fatalf("bump-less rollover: spanning window retried %d times, want 0 (the ABA validates)", got)
 	}
-	// Same staging against the SHIPPED rollover: the generation bump makes
-	// the re-cached pre-rollover entry unmatchable even though it was
-	// written after the flush.
-	c2 := NewCounter(w, "c2", 2, 2, WithReadCache(true))
-	c2.Inc(th)
-	if got := c2.Read(th); got != 1 {
-		t.Fatalf("pre-rollover read = %d, want 1", got)
-	}
-	if _, ok := c2.RolloverEpoch(th, 1); !ok {
-		t.Fatal("rollover refused")
-	}
-	c2.help.cache.WriteAny(th, &helpDeposit{epoch: 1, value: 1})
-	c2.Inc(th)
-	if got := c2.Read(th); got != 2 {
-		t.Fatalf("shipped rollover read = %d, want 2", got)
+	if resp[2] != "1" { // shard 0 read before inc#2, shard 1 empty
+		t.Fatalf("bump-less rollover: spanning read = %q, want the pre-inc#2 collect 1", resp[2])
 	}
 }
 

@@ -120,9 +120,9 @@
 //     rollover in flight (at most one runs at a time — internal/migrate
 //     serialises — and a crashed migrator's rollover is completed by simply
 //     calling RolloverEpoch again, which sees the bit and skips to step 2).
-//  2. FLUSH: overwrite the help slot and the combine cache with the
-//     no-deposit sentinel, so no combine validated against a pre-rollover
-//     epoch value survives the rewind.
+//  2. FLUSH: overwrite the help slot with the no-deposit sentinel, so no
+//     combine validated against a pre-rollover epoch value survives the
+//     rewind.
 //  3. REWIND: read the epoch, take wound = its current announce count, and
 //     apply ONE fetch&add of (epochGenUnit - wound - epochCutoverBit) —
 //     rewinding the announces, bumping the rollover GENERATION field (bits
@@ -130,37 +130,19 @@
 //     read and the rewind survive as the new epoch's small starting count.
 //
 // Safety is the exact-value epoch witness plus the generation field: every
-// validation in the package — collect rounds, adoptions, cache hits —
-// compares exact 64-bit epoch values, and the rewind moves the generation,
+// validation in the package — collect rounds and adoptions — compares
+// exact 64-bit epoch values, and the rewind moves the generation,
 // so no value read before the rewind can equal one read after it. The ABA
 // a bare rewind would open (a reader's window spanning the rollover closing
 // on a bytewise-equal epoch) therefore needs the generation to wrap all the
 // way around: 64 rollovers, each at least the caller's announce floor apart,
-// inside one reader's open window — with the slot and cache also flushed
-// every rollover. The floor (RolloverEpoch's minAnnounces, the watermark
+// inside one reader's open window — with the slot also flushed every
+// rollover. The floor (RolloverEpoch's minAnnounces, the watermark
 // thresholds in cmd/slserve) makes that quantitatively absurd rather than
 // merely unlikely: 64 x floor announces must fit between two adjacent steps
 // of one reader. The generation field narrows raised-reader capacity from
 // 2^14 to 2^8 concurrent starved readers (pressure bits 48..55), still far
 // above any deployment's concurrent slow-path population.
-//
-// # Cached combines: steady-state reads skip the collect
-//
-// A validated combine can also be CACHED (WithReadCache, opt-in), keyed by
-// the exact epoch value its validation window closed at. A later read first
-// reads the cache and then ONE fresh epoch value — performed after the cache
-// read, so it is the read's final shared step — and returns the cached
-// combine on an exact match: that is the identical closing epoch witness
-// every other completion performs, applied to an older validated collect
-// (every write announces on the epoch before completing, so an unchanged
-// epoch certifies the cached combine is still the current value). The
-// steady-state read-mostly combine is thereby two register reads instead of
-// an S-shard collect. Entries are refreshed by validated reads and by
-// adopted helper deposits, last-writer-wins; unlike the help slot the cache
-// persists across pressure episodes, which is safe because announce counts
-// are monotone — an epoch value can only recur while no write completed,
-// exactly the state the entry is valid in (up to the 2^48 announce rollover
-// the helping section already carries).
 //
 // # Packed shard cores
 //
@@ -199,10 +181,9 @@ func validate(lanes, shards int) {
 type Option func(*config)
 
 type config struct {
-	bound    int64 // -1: unbounded (wide cores)
-	budget   int   // failed validation rounds a read absorbs before raising pressure
-	useCache bool  // enables the epoch-anchored combine cache (WithReadCache)
-	met      obs.ShardMetrics
+	bound  int64 // -1: unbounded (wide cores)
+	budget int   // failed validation rounds a read absorbs before raising pressure
+	met    obs.ShardMetrics
 }
 
 // readSpinRounds is the default read retry budget (WithReadRetryBudget).
@@ -230,21 +211,13 @@ func WithReadRetryBudget(rounds int) Option {
 	return func(c *config) { c.budget = rounds }
 }
 
-// WithReadCache enables the epoch-anchored combine cache (default disabled):
-// a validated combining read publishes its combined value keyed by the exact
-// epoch value it validated at, and a later read first reads the cache and ONE
-// fresh epoch value — still its final shared step — returning the cached
-// combine on an exact match. That is the identical closing epoch witness the
-// collect loop and the adopt path end with (every write announces on the
-// epoch before completing), so the strong-linearizability argument is
-// unchanged; the steady-state read-mostly combine is two register reads
-// instead of an S-shard collect. The cache is opt-in because it adds one
-// shared register and two read steps to the protocol: deployments (slserve,
-// the benchmarks) turn it on, while the bare collect/help protocol's model
-// checks keep the default — the cached configurations carry their own
-// dedicated checks. Correctness never depends on the setting.
-func WithReadCache(enabled bool) Option {
-	return func(c *config) { c.useCache = enabled }
+// WithReadCache does nothing: it allocates no register and changes no step.
+//
+// Deprecated: the combine cache is deleted (a hit could return a value older
+// than one another read had already returned). benchmark/replay.go is the
+// only caller; the option goes with that call.
+func WithReadCache(bool) Option {
+	return func(*config) {}
 }
 
 // WithObs attaches optional scrape-layer instrumentation: histograms observed
@@ -305,40 +278,19 @@ type helpKit struct {
 	budget int
 	met    obs.ShardMetrics
 
-	// cache is the epoch-anchored combine cache (WithReadCache, opt-in; nil
-	// when disabled): the freshest validated combine keyed by the exact
-	// epoch value its validation closed at. Entries are helpDeposits —
-	// adopted deposits are stored as is, own validations through the read's
-	// deposit closure. Unlike the help slot it persists across pressure
-	// episodes: its anchor is the exact 64-bit epoch value, which (announce
-	// counts being monotone) can only recur while no write announced — the
-	// one state a cached combine is valid in anyway — up to the 2^48 announce
-	// rollover the package comment already carries for the epoch itself.
-	cache prim.AnyRegister
-
 	deposits    atomic.Int64
 	adopts      atomic.Int64
 	adoptMisses atomic.Int64
 	retries     atomic.Int64
 	raises      atomic.Int64
-
-	// Combine-cache telemetry: misses/refreshes always (they bracket a full
-	// collect anyway); hits only via the optional met.CacheHits, keeping the
-	// uninstrumented hit path free of added atomics (obs.CacheStats).
-	cacheMisses    atomic.Int64
-	cacheRefreshes atomic.Int64
 }
 
 func newHelpKit(w prim.World, name string, cfg config) *helpKit {
-	k := &helpKit{
+	return &helpKit{
 		slot:   w.AnyRegister(name+".slot", &helpDeposit{epoch: -1}),
 		budget: cfg.budget,
 		met:    cfg.met,
 	}
-	if cfg.useCache {
-		k.cache = w.AnyRegister(name+".cache", &helpDeposit{epoch: -1})
-	}
-	return k
 }
 
 // announce performs a write's epoch announce — fetch&add(epoch, 1), exactly
@@ -380,16 +332,6 @@ func (k *helpKit) HelpStats() obs.HelpStats {
 	}
 }
 
-// CacheStats reports the combine cache's telemetry (see obs.CacheStats for
-// the hit-counting contract). All fields are 0 with the cache disabled.
-func (k *helpKit) CacheStats() obs.CacheStats {
-	return obs.CacheStats{
-		Hits:      k.met.CacheHits.Load(),
-		Misses:    k.cacheMisses.Load(),
-		Refreshes: k.cacheRefreshes.Load(),
-	}
-}
-
 // epochKit is the epoch register and help kit every sharded object carries,
 // and the telemetry and live-rollover methods the three objects share.
 type epochKit struct {
@@ -406,9 +348,6 @@ func newEpochKit(w prim.World, name string, cfg config) epochKit {
 
 // HelpStats reports the object's helping telemetry.
 func (k *epochKit) HelpStats() obs.HelpStats { return k.help.HelpStats() }
-
-// CacheStats reports the object's combine-cache telemetry.
-func (k *epochKit) CacheStats() obs.CacheStats { return k.help.CacheStats() }
 
 // EpochAnnounces returns the object's epoch announce count — the position
 // within the register's 2^48 announce lifetime budget (the rollover caveat in
@@ -459,7 +398,7 @@ func epochGeneration(e int64) int64 { return (e >> 56) & (epochGenCount - 1) }
 
 // rebaseEpoch is the live epoch rollover shared by the three objects (the
 // package comment's live-rollover section): floor-check, ARM, FLUSH the help
-// slot and combine cache, then one rewind-bump-disarm fetch&add. Returns the
+// slot, then one rewind-bump-disarm fetch&add. Returns the
 // announce count it wound back and whether a rollover ran at all — a count
 // below minAnnounces is refused (and reported as (0, false)), EXCEPT when
 // the cutover bit is already set, which marks a crashed migrator's rollover:
@@ -481,15 +420,11 @@ func rebaseEpoch(t prim.Thread, epoch prim.FetchAddInt, k *helpKit, minAnnounces
 		epoch.FetchAddInt(t, epochCutoverBit) // ARM: a rollover is in flight
 	}
 	// FLUSH: no combine validated against a pre-rollover epoch value may
-	// survive the rewind. Clearing races a concurrent helper deposit or
-	// cache refresh exactly like the last raised reader's clear does — a
-	// progress delay for one reader, never a wrong value (adoption and cache
-	// hits still demand their own closing epoch witness, which the rewind's
-	// generation bump forces to miss).
+	// survive the rewind. Clearing races a concurrent helper deposit exactly
+	// like the last raised reader's clear does — a progress delay for one
+	// reader, never a wrong value (adoption still demands its own closing
+	// epoch witness, which the rewind's generation bump forces to miss).
 	k.slot.WriteAny(t, &helpDeposit{epoch: -1})
-	if k.cache != nil {
-		k.cache.WriteAny(t, &helpDeposit{epoch: -1})
-	}
 	// REWIND: one fetch&add rewinds the announces measured this instant,
 	// bumps the generation, and clears the cutover bit atomically. At the
 	// generation modulus the +epochGenUnit carry would land on the cutover
@@ -597,14 +532,12 @@ func (c *Counter) collectSum(t prim.Thread) (int64, []int64) {
 }
 
 // Read returns the counter value: an epoch-validated sum of one read per
-// shard — served from the epoch-anchored combine cache when the epoch has
-// not moved since the last validated sum — adopting a helper's validated sum
-// once starved (see the package comment's helping protocol).
+// shard, adopting a helper's validated sum once starved (see the package
+// comment's helping protocol).
 func (c *Counter) Read(t prim.Thread) int64 {
 	return validatedRead(t, c.epoch, c.help,
 		func() (int64, bool) { return c.readSingleCollect(t), false },
-		func(d *helpDeposit) int64 { return d.value },
-		func(v int64) *helpDeposit { return &helpDeposit{value: v} })
+		func(d *helpDeposit) int64 { return d.value })
 }
 
 // readSingleCollect is the naive combine kept for the negative model check:
@@ -682,8 +615,7 @@ func (m *MaxRegister) collectMax(t prim.Thread) (int64, []int64) {
 func (m *MaxRegister) ReadMax(t prim.Thread) int64 {
 	return validatedRead(t, m.epoch, m.help,
 		func() (int64, bool) { return m.readMaxSingleCollect(t), false },
-		func(d *helpDeposit) int64 { return d.value },
-		func(v int64) *helpDeposit { return &helpDeposit{value: v} })
+		func(d *helpDeposit) int64 { return d.value })
 }
 
 // readMaxSingleCollect is the broken combine kept for the negative model
@@ -775,11 +707,7 @@ func (g *GSet) Has(t prim.Thread, x int64) bool {
 				}
 			}
 			return false
-		},
-		// A membership collect does not compute the union, so Has publishes
-		// no entries of its own; it serves hits from — and adoption refreshes
-		// with — the unions Elems reads and helpers publish.
-		nil)
+		})
 }
 
 // hasSingleCollect is the naive combine kept for the negative model check:
@@ -799,10 +727,7 @@ func (g *GSet) hasSingleCollect(t prim.Thread, x int64) bool {
 func (g *GSet) Elems(t prim.Thread) []int64 {
 	out := validatedRead(t, g.epoch, g.help,
 		func() ([]int64, bool) { return g.unionSingleCollect(t), false },
-		func(d *helpDeposit) []int64 { return append([]int64(nil), d.elems...) },
-		// Copy: cache entries are immutable, and the caller sorts the
-		// returned slice in place.
-		func(u []int64) *helpDeposit { return &helpDeposit{elems: append([]int64(nil), u...)} })
+		func(d *helpDeposit) []int64 { return append([]int64(nil), d.elems...) })
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
@@ -832,15 +757,6 @@ func (g *GSet) unionSingleCollect(t prim.Thread) []int64 {
 // that need no validation (e.g. a witnessed membership hit, which
 // monotonicity keeps true forever).
 //
-// With the combine cache on, the loop is preceded by the cached fast path:
-// read the cache, then ONE fresh epoch value — performed AFTER the cache
-// read, so it is the read's final shared step on a hit — and return
-// adopt(entry) when the entry's epoch matches exactly. That is the identical
-// closing epoch witness every other completion performs, applied to a
-// previously validated combine: an unchanged epoch means no write announced
-// (completed) since that combine's window closed, so it is still the current
-// value. On a miss the fresh epoch read seeds the collect loop's baseline.
-//
 // A read past its retry budget raises the pressure register and from then
 // on reads the help slot before each closing epoch read: when its own round
 // fails validation but the deposit's epoch equals the closing read — the
@@ -848,31 +764,9 @@ func (g *GSet) unionSingleCollect(t prim.Thread) []int64 {
 // adopt(deposit) instead. The adopted value passed the identical epoch
 // validation (the helper's), witnessed still-current by the read's own
 // final step; see the package comment's helping section.
-//
-// deposit converts a successfully self-validated value into a cache entry
-// (validatedRead stamps the epoch); reads that cannot produce one cheaply
-// pass nil (a membership query does not compute the union) and still serve
-// hits from — and refresh the cache with — entries published by other read
-// kinds, helpers, and adoptions.
 func validatedRead[T any](t prim.Thread, epoch prim.FetchAddInt, k *helpKit,
-	collect func() (v T, final bool), adopt func(*helpDeposit) T,
-	deposit func(v T) *helpDeposit) T {
-	var e int64
-	cachedEpoch := int64(-1)
-	if k.cache != nil {
-		if d, ok := k.cache.ReadAny(t).(*helpDeposit); ok && d.epoch >= 0 {
-			cachedEpoch = d.epoch
-			e = epoch.FetchAddInt(t, 0)
-			if e == d.epoch {
-				k.met.CacheHits.Inc()
-				return adopt(d)
-			}
-		}
-		k.cacheMisses.Add(1) // cold entry or a completed write moved the epoch
-	}
-	if cachedEpoch < 0 {
-		e = epoch.FetchAddInt(t, 0)
-	}
+	collect func() (v T, final bool), adopt func(*helpDeposit) T) T {
+	e := epoch.FetchAddInt(t, 0)
 	raised, adopted := false, false
 	var failedRounds, missed int64
 	var out T
@@ -894,16 +788,6 @@ func validatedRead[T any](t prim.Thread, epoch prim.FetchAddInt, k *helpKit,
 		e2 := epoch.FetchAddInt(t, 0)
 		if e2 == e {
 			out = v
-			// Refresh the cache with this validated combine, keyed by the
-			// epoch its window closed at. Last-writer-wins, like the help
-			// slot: an overwrite can only delay hits, never corrupt one — a
-			// hit still demands its own fresh epoch witness.
-			if k.cache != nil && deposit != nil && e2 != cachedEpoch {
-				d := deposit(v)
-				d.epoch = e2
-				k.cache.WriteAny(t, d)
-				k.cacheRefreshes.Add(1)
-			}
 			break
 		}
 		failedRounds++
@@ -911,12 +795,6 @@ func validatedRead[T any](t prim.Thread, epoch prim.FetchAddInt, k *helpKit,
 			if dep.epoch == e2 {
 				out = adopt(dep)
 				adopted = true
-				// An adopted deposit is already an immutable epoch-keyed
-				// validated combine: store it as the cache entry directly.
-				if k.cache != nil && e2 != cachedEpoch {
-					k.cache.WriteAny(t, dep)
-					k.cacheRefreshes.Add(1)
-				}
 				break
 			}
 			missed++ // deposit present but an announce moved past it

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"testing"
 
 	"stronglin/internal/history"
@@ -153,7 +154,7 @@ func TestShardedMaxRegisterSequential(t *testing.T) {
 	}
 }
 
-// TestShardedMaxRegisterWideCollectAllocFree pins the uncached wide collect
+// TestShardedMaxRegisterWideCollectAllocFree pins the wide collect
 // at slserve's default shape — 8 lanes over 4 unbounded shards, every lane
 // raised to just below 1024 — at 0 allocs per read: each shard's decode is a
 // BitLen, not a walk over its ~2048-bit word.
@@ -168,7 +169,7 @@ func TestShardedMaxRegisterWideCollectAllocFree(t *testing.T) {
 	}
 	th := prim.RealThread(0)
 	if allocs := testing.AllocsPerRun(200, func() { m.ReadMax(th) }); allocs != 0 {
-		t.Fatalf("uncached wide ReadMax allocates %.1f per op, want 0", allocs)
+		t.Fatalf("wide ReadMax allocates %.1f per op, want 0", allocs)
 	}
 	if got := m.ReadMax(th); got != 1023 {
 		t.Fatalf("ReadMax = %d, want 1023", got)
@@ -668,10 +669,11 @@ func TestShardedHelpedAdoptCraftedRace(t *testing.T) {
 // increments under the anchor-storm adversary and returns the reader's own
 // step count. helped selects the shipped (budget-0, adopting) Read;
 // otherwise the reader runs readSpin, the pre-helping lock-free protocol.
-func shardedStormReadSteps(t *testing.T, storm int, helped bool) int {
+// opts are appended to the counter's options.
+func shardedStormReadSteps(t *testing.T, storm int, helped bool, opts ...Option) int {
 	t.Helper()
 	setup := func(w *sim.World) []sim.Program {
-		c := NewCounter(w, "c", 2, 2, WithReadRetryBudget(0))
+		c := NewCounter(w, "c", 2, 2, append([]Option{WithReadRetryBudget(0)}, opts...)...)
 		read := sim.Op{
 			Name: "read()",
 			Spec: spec.MkOp(spec.MethodRead),
@@ -733,4 +735,18 @@ func TestShardedHelpedReadWaitFreeUnderStorm(t *testing.T) {
 		}
 	}
 	t.Logf("helped read own steps: %d under storms 6/12/24/48 (fixed budget %d)", base, fixedBudget)
+
+	// The deprecated WithReadCache shim is inert: the same registers, and the
+	// same read steps on the same schedule.
+	names := func(opts ...Option) string {
+		w := sim.NewSoloWorld()
+		NewCounter(w, "c", 2, 2, opts...)
+		return fmt.Sprint(w.ObjectNames())
+	}
+	if got, want := names(WithReadCache(true)), names(); got != want {
+		t.Fatalf("WithReadCache(true) registers %s, want %s", got, want)
+	}
+	if got := shardedStormReadSteps(t, 6, true, WithReadCache(true)); got != base {
+		t.Fatalf("WithReadCache(true): helped read steps = %d, want %d", got, base)
+	}
 }

@@ -39,11 +39,6 @@ type stressRow struct {
 	build      func(w prim.World, procs int, seed int64) gen
 }
 
-// realOnly names the rows that skip the yielding world: a validated cache
-// can serve a view older than one already returned, and the yields expose
-// it (ROADMAP item 13).
-var realOnly = map[string]bool{"multiword-cached": true, "sharded-cached": true}
-
 // stressSeed is the base seed: round r runs with stressSeed+r.
 const stressSeed = 1
 
@@ -62,9 +57,6 @@ func TestStressLinearizable(t *testing.T) {
 	for _, row := range stressRows() {
 		t.Run(row.name, func(t *testing.T) {
 			for _, w := range worlds {
-				if realOnly[row.name] && w.name != "real" {
-					continue
-				}
 				for r := 0; r < rounds; r++ {
 					seed := int64(stressSeed + r)
 					h := history.Stress(history.StressConfig{Procs: row.procs, OpsPerProc: row.ops, Gen: row.build(w.make(), row.procs, seed)})
@@ -82,21 +74,25 @@ func stressRows() []stressRow {
 	const wordBound = 1<<32 - 1 // one lane per word: every scan is a cross-word double collect
 	return []stressRow{
 		// --- max registers -----------------------------------------------
-		{"maxreg", spec.MaxRegister{}, 4, 40, maxRegs(32, func(w prim.World, n int) maxReg {
+		{"maxreg", spec.MaxRegister{}, 4, 40, maxRegs(1.0/2, below(32), func(w prim.World, n int) maxReg {
 			return core.NewFAMaxRegister(w, "m", n)
 		})},
-		{"packed-maxreg", spec.MaxRegister{}, 4, 40, maxRegs(15, func(w prim.World, n int) maxReg {
+		{"packed-maxreg", spec.MaxRegister{}, 4, 40, maxRegs(1.0/2, below(15), func(w prim.World, n int) maxReg {
 			m := core.NewFAMaxRegister(w, "m", n, core.WithMaxRegBound(14)) // 4 x 15 = 60 bits
 			return shaped(m, m.Packed())
 		})},
-		{"sharded-maxreg", spec.MaxRegister{}, 4, 30, maxRegs(16, func(w prim.World, n int) maxReg {
+		// Read-heavy, with climbing values so that the max keeps moving: a
+		// read that collects shard A before a larger write lands there and
+		// shard B after a smaller, later write (the single-collect
+		// counterexample) returns a value no linearization explains.
+		{"sharded-maxreg", spec.MaxRegister{}, 4, 40, maxRegs(3.0/4, climbing(16), func(w prim.World, n int) maxReg {
 			return shard.NewMaxRegister(w, "m", n, 2)
 		})},
-		{"sharded-packed-maxreg", spec.MaxRegister{}, 4, 30, maxRegs(15, func(w prim.World, n int) maxReg {
+		{"sharded-packed-maxreg", spec.MaxRegister{}, 4, 30, maxRegs(1.0/2, below(15), func(w prim.World, n int) maxReg {
 			m := shard.NewMaxRegister(w, "m", n, 2, shard.WithBound(14)) // 2 lanes/shard x 15 bits
 			return shaped(m, m.Packed())
 		})},
-		{"aacmaxreg", spec.MaxRegister{}, 4, 40, maxRegs(64, func(w prim.World, _ int) maxReg {
+		{"aacmaxreg", spec.MaxRegister{}, 4, 40, maxRegs(1.0/2, below(64), func(w prim.World, _ int) maxReg {
 			return baseline.NewAACMaxRegister(w, "m", 6)
 		})},
 
@@ -111,11 +107,6 @@ func stressRows() []stressRow {
 		{"sharded-packed-counter", spec.MonotonicCounter{}, 4, 40, counters(1.0/3, func(w prim.World, n int) monotoneCounter {
 			c := shard.NewCounter(w, "c", n, 2, shard.WithBound(1<<30))
 			return shaped(c, c.Packed())
-		})},
-		// The epoch-keyed combine cache under a read-heavy mix: a cached sum
-		// served after a completed Inc is non-monotonic.
-		{"sharded-cached", spec.MonotonicCounter{}, 4, 40, counters(3.0/4, func(w prim.World, n int) monotoneCounter {
-			return shard.NewCounter(w, "c", n, 2, shard.WithReadCache(true))
 		})},
 		// The helped read with a zero retry budget: contended reads raise
 		// pressure and adopt writer-deposited validated sums.
@@ -134,12 +125,6 @@ func stressRows() []stressRow {
 		{"multiword", spec.Snapshot{}, 4, 40, snapshots(1.0/2, 1<<16, func(w prim.World, n int) snapshot {
 			s := core.NewFASnapshot(w, "s", n, core.WithSnapshotBound(wordBound))
 			return shaped(s, s.Multiword())
-		})},
-		// The anchor-revalidated view cache under a read-heavy mix, so hits,
-		// miss-refreshes and cache-write/scan races all occur: a stale cached
-		// view served past a completed update is a resurrected past state.
-		{"multiword-cached", spec.Snapshot{}, 4, 40, snapshots(3.0/4, 1<<16, func(w prim.World, n int) snapshot {
-			return core.NewFASnapshot(w, "s", n, core.WithSnapshotBound(wordBound), core.WithViewCache(true))
 		})},
 		// The adopt path under duress: a zero retry budget makes every
 		// contended scan adopt an updater's deposited view, and the
@@ -362,22 +347,33 @@ type maxReg interface {
 	ReadMax(t prim.Thread) int64
 }
 
-// maxRegs drives a max register: half reads, half writes of values below
-// vals.
-func maxRegs(vals int, mk func(w prim.World, procs int) maxReg) func(prim.World, int, int64) gen {
+// maxRegs drives a max register: a read share of reads, writes of val's
+// values otherwise.
+func maxRegs(read float64, val func(r *rand.Rand, i int) int64, mk func(w prim.World, procs int) maxReg) func(prim.World, int, int64) gen {
 	return func(w prim.World, procs int, seed int64) gen {
 		m := mk(w, procs)
 		rngs := procRNGs(procs, seed)
 		return func(p, i int) history.StressOp {
-			if rngs[p].Intn(2) == 0 {
-				v := int64(rngs[p].Intn(vals))
-				return history.StressOp{Op: spec.MkOp(spec.MethodWriteMax, v),
-					Run: func(t prim.Thread) string { m.WriteMax(t, v); return spec.RespOK }}
+			if rngs[p].Float64() < read {
+				return history.StressOp{Op: spec.MkOp(spec.MethodReadMax),
+					Run: func(t prim.Thread) string { return spec.RespInt(m.ReadMax(t)) }}
 			}
-			return history.StressOp{Op: spec.MkOp(spec.MethodReadMax),
-				Run: func(t prim.Thread) string { return spec.RespInt(m.ReadMax(t)) }}
+			v := val(rngs[p], i)
+			return history.StressOp{Op: spec.MkOp(spec.MethodWriteMax, v),
+				Run: func(t prim.Thread) string { m.WriteMax(t, v); return spec.RespOK }}
 		}
 	}
+}
+
+// below writes values in [0, n).
+func below(n int) func(r *rand.Rand, i int) int64 {
+	return func(r *rand.Rand, _ int) int64 { return int64(r.Intn(n)) }
+}
+
+// climbing writes values in [i*n/2, i*n/2+n) at a worker's i-th operation:
+// the max keeps rising through the history instead of saturating early.
+func climbing(n int) func(r *rand.Rand, i int) int64 {
+	return func(r *rand.Rand, i int) int64 { return int64(i*n/2 + r.Intn(n)) }
 }
 
 type monotoneCounter interface {

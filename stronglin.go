@@ -136,20 +136,6 @@ func WithScanRetryBudget(rounds int) SnapshotOption {
 	return core.WithScanRetryBudget(rounds)
 }
 
-// WithViewCache enables the multi-word snapshot engine's anchor-revalidated
-// view cache: every validated scan publishes its decoded view keyed by the
-// collect's word-0 value, and a later scan serves the cached view after
-// re-validating the anchor with ONE fresh word-0 read — still its final
-// view-determining step, the identical closing announce witness the full
-// collect ends with, so the strong-linearizability argument (and its model
-// checks) carry over. Steady-state read-mostly scans drop from a 2k-word
-// double collect to two register reads and a copy; Snapshot.CacheStats
-// reports the hit/miss telemetry. No-op on the single-word and wide engines,
-// whose scans are already one fetch&add.
-func WithViewCache(enabled bool) SnapshotOption {
-	return core.WithViewCache(enabled)
-}
-
 // WithLiveRebase enables the multi-word snapshot engine's live re-base: the
 // Snapshot gains Rebase, which rolls the running object onto a fresh
 // generation of words — renewing the mod-2^16 per-word sequence budget —
@@ -168,24 +154,6 @@ func WithLiveRebase(enabled bool) SnapshotOption {
 // the migrator's deposit, scans that parked and awaited the install, and
 // updates diverted onto a successor generation.
 type RebaseStats = core.RebaseStats
-
-// WithReadCache is WithViewCache for the sharded objects: a validated
-// combining read publishes its combined value keyed by the exact epoch value
-// it validated at, and a later read serves it after re-validating the epoch
-// with one fresh read — its final shared step, the same closing epoch witness
-// as the collect loop. Steady-state read-mostly combines drop from an S-shard
-// collect to two register reads; each sharded object's CacheStats reports the
-// hit/miss telemetry.
-func WithReadCache(enabled bool) ShardOption {
-	return shard.WithReadCache(enabled)
-}
-
-// CacheStats is the view-/combine-cache telemetry block reported by
-// Snapshot.CacheStats and the sharded objects' CacheStats: anchor-match hits
-// (counted only when a SnapMetrics/ShardMetrics CacheHits counter is
-// attached, keeping the uninstrumented hit path free of added atomics),
-// anchor misses, and cache refreshes.
-type CacheStats = obs.CacheStats
 
 // HelpStats is the helping/retry telemetry block reported by
 // Snapshot.HelpStats and the sharded objects' HelpStats: helper deposits,
