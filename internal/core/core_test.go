@@ -136,3 +136,12 @@ func verifySL(t *testing.T, procs int, setup sim.Setup, sp spec.Spec) history.Ve
 	}
 	return v
 }
+
+// pinTree pins an exhaustive check's execution-tree size: a change that
+// moves a protocol step changes these counts, so it shows in review.
+func pinTree(t *testing.T, v history.Verdict, nodes, leaves int) {
+	t.Helper()
+	if v.Nodes != nodes || v.Leaves != leaves {
+		t.Errorf("tree has %d nodes, %d leaves; pinned %d, %d", v.Nodes, v.Leaves, nodes, leaves)
+	}
+}

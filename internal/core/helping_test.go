@@ -63,7 +63,8 @@ func TestMultiwordHelpedScanStrongLin(t *testing.T) {
 			{tally(opUpdate(s, 1, 1))}, // lane 1: word 1, separate announce
 		}
 	}
-	verifySL(t, 2, setup, spec.Snapshot{})
+	v := verifySL(t, 2, setup, spec.Snapshot{})
+	pinTree(t, v, 325804, 86191)
 	if deposits.Load() == 0 || adopts.Load() == 0 {
 		t.Fatalf("exploration reached deposits=%d adopts=%d; the helped-path verdict must cover both", deposits.Load(), adopts.Load())
 	}

@@ -323,12 +323,13 @@ func TestMultiwordScanStormStarvesLockFreeBaseline(t *testing.T) {
 // TestMultiwordHelpedScanWaitFreeUnderStorm is the progress witness: on the
 // SAME adversary schedule, the helped scan raises pressure, the storm's own
 // writes deposit validated views, and the scan adopts — completing within a
-// fixed own-step budget independent of the storm length.
+// fixed own-step budget independent of the storm length: exactly 13 steps,
+// the count README's helping section quotes.
 func TestMultiwordHelpedScanWaitFreeUnderStorm(t *testing.T) {
-	const fixedBudget = 16
+	const fixedBudget = 13
 	base := multiwordStormScanSteps(t, 6, true)
-	if base > fixedBudget {
-		t.Fatalf("helped scan took %d own steps, want <= %d", base, fixedBudget)
+	if base != fixedBudget {
+		t.Fatalf("helped scan took %d own steps, want exactly %d", base, fixedBudget)
 	}
 	for _, storm := range []int{12, 24, 48} {
 		if got := multiwordStormScanSteps(t, storm, true); got != base {

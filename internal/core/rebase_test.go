@@ -113,6 +113,7 @@ func TestRebaseCutoverStrongLin(t *testing.T) {
 		}
 	}
 	v := verifySL(t, 2, setup, spec.Snapshot{})
+	pinTree(t, v, 6741, 759)
 	if atomic.LoadInt64(&generations) == 0 {
 		t.Fatal("no explored branch completed a cutover")
 	}
