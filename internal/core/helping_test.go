@@ -12,7 +12,7 @@ import (
 	"stronglin/internal/spec"
 )
 
-// The multi-word snapshot's HELPING path (PR 5): a scan past its retry
+// The multi-word snapshot's HELPING path (internal/helping): a scan past its retry
 // budget raises the pressure register; value-changing updates poll it after
 // announcing and deposit validated collects in the help slot; a starving
 // scan adopts the freshest deposit, with the round's own closing word-0

@@ -245,9 +245,9 @@ func TestMultiwordSnapshotStrongLinSameValueUpdate(t *testing.T) {
 // checker refuting the word-0-first double collect on exactly this
 // configuration; the shipped protocol must win it.
 //
-// PR 5 sizing: helping costs every value-changing update one pressure-poll
-// step, which put this configuration past the default 400k-node cap —
-// 652244 nodes now, checked under an explicit 800k cap. The retry budget is
+// Sizing: helping costs every value-changing update one pressure-poll
+// step, which puts this configuration past the default 400k-node cap —
+// 652244 nodes, checked under an explicit 800k cap. The retry budget is
 // pinned to 3, one above the largest failed-round count three update events
 // can force, so the pressure raise is unreachable here and the tree
 // exhausts the CORE protocol (identical to the default-budget protocol

@@ -420,7 +420,7 @@ func TestPackedSnapshotSelectionAndFallback(t *testing.T) {
 		t.Error("unbounded snapshot packed")
 	}
 	// 4 lanes x FieldWidth(2^15)=16 bits = 64 > 63: past the single word —
-	// since PR 4 that selects the multi-word engine, not the wide register.
+	// that selects the multi-word engine, not the wide register.
 	if s := NewFASnapshot(w, "sw2", 4, WithSnapshotBound(1<<15)); s.Packed() || !s.Multiword() {
 		t.Error("snapshot with over-ceiling bound did not select the multi-word engine")
 	}
@@ -484,7 +484,7 @@ func TestPackedSnapshotRejectsOverBound(t *testing.T) {
 }
 
 // TestSnapshotWideFallbackBoundEnforced: the declared bound must be enforced
-// even when the encoding exceeds the single packed word — since PR 4 that
+// even when the encoding exceeds the single packed word — that
 // configuration runs on the multi-word engine, uniformly with the other
 // bounded cores.
 func TestSnapshotWideFallbackBoundEnforced(t *testing.T) {

@@ -254,7 +254,7 @@ func TestTASSetTakeNotWaitFree(t *testing.T) {
 	}
 }
 
-// --- wait-freedom of the helped multi-word scan (PR 5) -----------------------
+// --- wait-freedom of the helped multi-word scan --------------------------------
 //
 // The storm adversary itself (sim.AnchorStormPolicy) lives in internal/sim
 // so that this witness and internal/shard's drive the identical scheduler.
@@ -278,7 +278,7 @@ func victimSteps(t *testing.T, exec *sim.Execution, victim int) int {
 // value-changing word-1 updates under the anchor-storm adversary and
 // returns the scanner's own step count. helped selects the shipped
 // (budget-0, adopting) ScanInto; otherwise the scanner runs scanSpinInto,
-// the PR 4 lock-free protocol without helping. opts are appended to the
+// the lock-free protocol without helping. opts are appended to the
 // snapshot's options.
 func multiwordStormScanSteps(t *testing.T, storm int, helped bool, opts ...SnapshotOption) int {
 	t.Helper()
@@ -308,7 +308,7 @@ func multiwordStormScanSteps(t *testing.T, storm int, helped bool, opts ...Snaps
 }
 
 // TestMultiwordScanStormStarvesLockFreeBaseline pins the starvation the
-// helping path exists to close: under the anchor-storm adversary the PR 4
+// helping path exists to close: under the anchor-storm adversary the
 // lock-free scan retries for as long as the storm lasts — its own step
 // count grows linearly with the storm length, with no schedule-independent
 // bound.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"stronglin/internal/helping"
 	"stronglin/internal/interleave"
 	"stronglin/internal/prim"
 )
@@ -102,7 +103,7 @@ import (
 const mwCutoverBit = int64(1) << 62
 
 // mwGen is one generation of multi-word engine cells. words/pressure/slot
-// play exactly their pre-rebase roles; next is the generation pointer
+// play the same roles in every generation; next is the generation pointer
 // (nil until installed; absent entirely when live re-base is off, in which
 // case generation 0 is the engine forever and no rebase-mode step exists on
 // any path).
@@ -110,14 +111,13 @@ type mwGen struct {
 	id       int64
 	words    []prim.FetchAddInt
 	pressure prim.FetchAddInt
-	slot     prim.AnyRegister
+	slot     helping.Slot
 	next     prim.AnyRegister // nil when live re-base is off
 }
 
-// newGen allocates one generation's cells. Generation 0 keeps the legacy
-// names (name.R<j>, name.help, ...), so non-rebase configurations are
-// byte-identical to the pre-rebase engine; later generations are prefixed
-// name.g<id>.
+// newGen allocates one generation's cells. Generation 0 is named name.R<j>,
+// name.help, name.slot (and name.next with re-base on); later generations
+// are prefixed name.g<id>.
 func (s *FASnapshot) newGen(id int64) *mwGen {
 	prefix := s.name
 	if id > 0 {
@@ -128,7 +128,7 @@ func (s *FASnapshot) newGen(id int64) *mwGen {
 		g.words[j] = s.w.FetchAddInt(fmt.Sprintf("%s.R%d", prefix, j), 0)
 	}
 	g.pressure = s.w.FetchAddInt(prefix+".help", 0)
-	g.slot = s.w.AnyRegister(prefix+".slot", &mwDeposit{})
+	g.slot = helping.NewSlot(s.w, prefix+".slot")
 	if s.rebaseOn {
 		g.next = s.w.AnyRegister(prefix+".next", (*mwGen)(nil))
 	}
@@ -209,7 +209,7 @@ func (s *FASnapshot) awaitNext(t prim.Thread, g *mwGen) *mwGen {
 // engine (default disabled): Rebase rolls the live state onto a fresh
 // generation of zero-sequence words while updates and scans continue,
 // renewing the mod-2^16 sequence budget (see mwCutoverBit). With re-base off
-// every code path is the pre-rebase engine's — no generation pointer exists
+// no generation pointer exists
 // and no operation performs a rebase-mode step. Enabling it adds exactly one
 // pressure-register read per scan validation round (the in-round cutover
 // check) and nothing to updates, whose pressure poll already existed. No-op
@@ -317,7 +317,7 @@ func (s *FASnapshot) rebaseInto(t prim.Thread, view []int64) {
 	s.collectWordsAnchored(t, g, cur)
 	for !s.roundAnchored(t, g, cur) {
 	}
-	g.slot.WriteAny(t, &mwDeposit{words: append([]int64(nil), cur...)})
+	g.slot.Write(t, &helping.Deposit{Witness: cur[0], Words: append([]int64(nil), cur...)})
 
 	// Pre-load the successor: payload lanes carried over, sequence fields
 	// reset. Read-and-correct (rather than blind add) repairs a dead
@@ -344,6 +344,23 @@ func (s *FASnapshot) rebaseInto(t prim.Thread, view []int64) {
 	// readers unblock; new-generation completions all postdate this.
 	g.next.WriteAny(t, ng)
 	s.generations.Add(1)
+}
+
+// park ends a scan round that validated with the cutover bit set (the PARK
+// step above): re-read the slot for the migrator's final deposit and take ONE
+// fresh word-0 read as the scan's final shared step. On a match the deposit
+// replaces cur (the standard closing witness, applied to the final collect);
+// otherwise the flip announce has landed, so park awaits the install and
+// returns the successor. One attempt only: an unbounded adopt retry here
+// could spin forever against the migrator's own announces.
+func (s *FASnapshot) park(t prim.Thread, g *mwGen, cur []int64) *mwGen {
+	if d := g.slot.Read(t); d != nil && g.words[0].FetchAddInt(t, 0) == d.Witness {
+		copy(cur, d.Words)
+		s.parkAdopts.Add(1)
+		return nil
+	}
+	s.parkWaits.Add(1)
+	return s.awaitNext(t, g)
 }
 
 // divertUpdate reconciles process i's update v onto the successor once its

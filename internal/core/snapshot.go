@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
+	"stronglin/internal/helping"
 	"stronglin/internal/interleave"
 	"stronglin/internal/obs"
 	"stronglin/internal/prim"
@@ -52,45 +52,18 @@ type SnapshotAPI interface {
 //     owning word is not word 0, by an announce bump of word 0's sequence
 //     field; an update owned by word 0 announces and publishes in the same
 //     single XADD. Updates are wait-free with a fixed own-step linearization
-//     point. Scan is a DOUBLE COLLECT with an ANCHORED word order: read the
-//     k words repeatedly — words 1..k-1 first, word 0 LAST — until two
-//     consecutive collects are identical (payload AND sequence fields),
-//     feeding every failed read back in as the next round's baseline. The
-//     validating round's own word-0 read is then the scan's final shared
-//     step and doubles as the closing announce check: an update announced
-//     before it either has its payload in the pair's baseline or landed
-//     inside the pair's interval for some word and invalidated the round —
-//     so no separate closing re-read is needed (word 0 read FIRST, the
-//     unanchored order, is the negative exhibit).
+//     point. Scan is a DOUBLE COLLECT with an ANCHORED word order, word 0
+//     read LAST, so the validating round's own word-0 read is the scan's
+//     closing announce check (ScanInto gives the argument).
 //
-//     Scans that keep failing are HELPED. A scan that exhausts its retry
-//     budget raises a pressure register (one XADD; the PR 4 writer-backoff
-//     hint promoted from scheduling advice to a protocol step). Every
-//     value-changing update reads the pressure register after announcing;
-//     while it is raised the updater performs a bounded validated collect of
-//     its own — a double collect, no closing read — and deposits the raw
-//     validated words in the help slot, a register holding the freshest
-//     helper view keyed by its word-0 value (payload plus sequence/announce
-//     field). A starving scan adopts the deposit: it re-reads word 0 as its
-//     final view-determining step and takes the deposited view only if word
-//     0 still equals the deposit's word 0 — the SAME closing announce check
-//     the unhelped path performs against its own collect pair, so adoption
-//     cannot resurrect a past state (an update announced after the helper's
-//     validation moves word 0's sequence field and forces a retry; the
-//     negative twin in the package tests pins that skipping this witness is
-//     linearizable but NOT strongly linearizable). Adoption bounds the
-//     scanner's own steps against the update storms that starve the plain
-//     double collect — any single-updater storm in particular, since each
-//     storm update must refresh the deposit before its next announce can
-//     invalidate it (the progress witness in the package tests pins the
-//     fixed own-step budget on the schedule that provably starves the
-//     unhelped scan). Against adversarial multi-writer schedules a retry of
-//     the adopt check still consumes a fresh announce, so scans remain
-//     lock-free in the strict sense — the helpers shrink the starvation
-//     window from the full k-word collect to the two steps between the slot
-//     read and the word-0 witness (cf. the helping impossibilities around
-//     consistent refereeing for why a scheduler this strong cannot be
-//     defeated outright).
+//     Scans that keep failing are HELPED by updates (internal/helping holds
+//     the protocol and its argument). The engine's layout of it: pressure is
+//     a separate register that every value-changing update polls after
+//     announcing; a helper deposits the raw words of a validated double
+//     collect keyed by its word 0, and a raised scan adopts that deposit only
+//     when its own round's closing word-0 read equals the key (the negative
+//     twin in the package tests pins that skipping this witness is
+//     linearizable but NOT strongly linearizable).
 //
 //     BOTH validations are load-bearing, and the package tests pin a
 //     counterexample for each half alone. Announce-only validation (one
@@ -152,18 +125,8 @@ type FASnapshot struct {
 	nextGens   map[int64]*mwGen
 	spinBudget int
 
-	// Telemetry (never read by the protocol). All counts are batched on the
-	// SLOW path only — a scan that validates its first round and an update
-	// that owes no help touch none of them, so the instrumented fast paths
-	// carry zero added atomic operations. helpDeposits/scanAdopts predate the
-	// rest; scanRetries counts failed validation rounds, pressureRaises
-	// counts raise episodes (scans that exhausted their budget), adoptMisses
-	// counts adoption attempts whose closing word-0 witness failed.
-	helpDeposits   atomic.Int64
-	scanAdopts     atomic.Int64
-	scanRetries    atomic.Int64
-	pressureRaises atomic.Int64
-	adoptMisses    atomic.Int64
+	// help runs the helped scans and deposits and keeps their telemetry.
+	help *helping.Helper
 
 	// rebaseCounters adds the live re-base telemetry (rebase.go), same
 	// slow-path-only discipline: cutovers, parks and diverts are rare by
@@ -175,30 +138,7 @@ type FASnapshot struct {
 	met obs.SnapMetrics
 }
 
-// mwDeposit is a helper's validated collect: the raw k words of a double
-// collect whose two reads were bit-identical, words[0] carrying the word-0
-// payload+sequence value the adopting scan's closing witness must still see.
-// The slice is immutable once deposited. An empty words slice is the
-// no-deposit sentinel: the slot's initial value, restored by the last
-// raised scan when it lowers pressure.
-type mwDeposit struct {
-	words []int64
-}
-
 var _ SnapshotAPI = (*FASnapshot)(nil)
-
-// scanSpinRounds is the default retry budget: how many invalidated collects
-// a multi-word scan absorbs before raising the pressure register and trying
-// to adopt helper deposits (WithScanRetryBudget overrides it).
-const scanSpinRounds = 2
-
-// helperRounds bounds the validation attempts of an updater's help collect,
-// keeping updates wait-free: a helper whose collect is invalidated gives up
-// — the invalidating update inherits the obligation at its own pressure
-// check. One attempt suffices: an uninterfered helper always validates, and
-// under interference the interferer re-helps (the bound also keeps the
-// helped configurations inside the model checker's exploration budget).
-const helperRounds = 1
 
 // scanStackWords is the largest word count whose collect buffer lives on the
 // scanning goroutine's stack; larger registers fall back to a heap buffer
@@ -226,12 +166,10 @@ func WithSnapshotBound(maxValue int64) SnapshotOption {
 
 // WithScanRetryBudget sets how many invalidated collect rounds a multi-word
 // scan absorbs before raising the pressure register and adopting helper
-// deposits (default scanSpinRounds). A budget of 0 requests help after the
-// first failed round — the configuration the adopt-path model checks and the
-// differential fuzzers use to make adoption the common case. The budget
-// affects progress only, never the returned views: adopted and self-collected
-// views pass the same closing word-0 witness. No-op on the single-register
-// engines, whose scans are one fetch&add.
+// deposits (default helping.DefaultBudget). A budget of 0 requests help after
+// the first failed round, which the adopt-path model checks and fuzzers use.
+// The budget affects progress only, never the returned views. No-op on the
+// single-register engines, whose scans are one fetch&add.
 func WithScanRetryBudget(rounds int) SnapshotOption {
 	if rounds < 0 {
 		panic(fmt.Sprintf("core: WithScanRetryBudget(%d): budget must be non-negative", rounds))
@@ -267,12 +205,13 @@ func NewFASnapshot(w prim.World, name string, n int, opts ...SnapshotOption) *FA
 		codec:      interleave.MustNew(n),
 		w:          w,
 		bound:      -1,
-		spinBudget: scanSpinRounds,
+		spinBudget: helping.DefaultBudget,
 		prev:       make([]int64, n),
 	}
 	for _, o := range opts {
 		o(s)
 	}
+	s.help = helping.NewHelper(s.spinBudget, s.met.ScanRounds)
 	if s.bound >= 0 {
 		width := interleave.FieldWidth(s.bound)
 		if pc, ok := interleave.NewPacked(n, width); ok {
@@ -333,21 +272,10 @@ func (s *FASnapshot) Engine() string {
 // Bound returns the declared maximum component value, or -1 when unbounded.
 func (s *FASnapshot) Bound() int64 { return s.bound }
 
-// HelpStats reports the multi-word helping telemetry: helper deposits, scans
-// that returned an adopted view, adoption attempts whose closing word-0
-// witness failed, failed scan validation rounds, and pressure-raise episodes.
-// All fields are 0 on the single-register engines (their one-step scans never
-// need help or retry) and in any run where every scan validated its first
-// round. Safe to call from any goroutine; counts are slow-path events only.
-func (s *FASnapshot) HelpStats() obs.HelpStats {
-	return obs.HelpStats{
-		Deposits:    s.helpDeposits.Load(),
-		Adopts:      s.scanAdopts.Load(),
-		AdoptMisses: s.adoptMisses.Load(),
-		Retries:     s.scanRetries.Load(),
-		Raises:      s.pressureRaises.Load(),
-	}
-}
+// HelpStats reports the multi-word scans' helping telemetry (see
+// helping.Helper.Stats). All fields are 0 on the single-register engines,
+// whose one-step scans never retry. Safe to call from any goroutine.
+func (s *FASnapshot) HelpStats() obs.HelpStats { return s.help.Stats() }
 
 // SeqWatermark returns the highest per-word sequence-field value currently
 // visible across the component words — the lifetime watermark of the
@@ -392,12 +320,11 @@ func (s *FASnapshot) SeqWatermark(t prim.Thread) int64 {
 // any scan it is invisible to (see the type comment).
 //
 // After announcing, a value-changing update reads the pressure register and,
-// while any scan is past its retry budget, performs its help obligation: a
-// bounded validated collect deposited in the help slot (helpScan). All the
+// while any scan is past its retry budget, owes help (helpScan). All the
 // help steps trail the update's linearization point and touch neither its
 // response nor its component, so the update's own argument is unchanged; the
 // helper bound keeps updates wait-free (payload + announce + pressure read +
-// at most (helperRounds+1)·k collect reads + one deposit).
+// at most 2k collect reads + one deposit).
 func (s *FASnapshot) Update(t prim.Thread, v int64) {
 	if v < 0 {
 		panic(fmt.Sprintf("core: FASnapshot.Update(%d): values must be non-negative", v))
@@ -507,25 +434,9 @@ func (s *FASnapshot) Scan(t prim.Thread) []int64 {
 // instead breaks exactly this anchoring (scanUnanchoredInto, the negative
 // exhibit).
 //
-// Scans that exhaust their retry budget (WithScanRetryBudget, default
-// scanSpinRounds) raise the pressure register, obliging every subsequent
-// value-changing update to deposit a validated collect of its own in the
-// help slot. From then on each round is preceded by a slot read, and a
-// round that fails attempts an ADOPT: take the deposited view if the
-// round's final word-0 read — the scan's most recent shared step, performed
-// AFTER the slot read — still equals the deposit's word 0. That is the
-// identical closing announce check applied to a helper's pair instead of
-// the scan's own, so the adopted view carries the
-// same guarantee: it is a true state (the helper's double collect) that
-// every update announced before the scan's final step is in (else word 0's
-// sequence field moved and the adopt retries). Adoption is what bounds a
-// starved scanner's own steps: each storm update must refresh the deposit
-// before announcing again, so any single-updater storm — the schedule that
-// starves the plain double collect unboundedly, pinned by the progress
-// witness — now feeds the scanner a fresh deposit it adopts within a fixed
-// budget. Under adversarial multi-writer schedules an adopt retry still
-// consumes a fresh announce (lock-free in the strict sense; see the type
-// comment).
+// Scans that exhaust their retry budget (WithScanRetryBudget) are helped
+// by updates and may adopt a deposited view under the same word-0 witness
+// (internal/helping; the type comment gives this engine's layout).
 //
 // The multi-word scan deliberately declares no linearization-point
 // certificate: its linearization point is pinned by the pair of collects
@@ -546,7 +457,7 @@ func (s *FASnapshot) ScanInto(t prim.Thread, view []int64) []int64 {
 		// discovered mid-collect parks the scan (scanCollectGen returns the
 		// installed successor) and the scan restarts there, re-pinning the
 		// process's generation. With re-base off the loop body runs exactly
-		// once on generation 0 — the pre-rebase protocol, step for step.
+		// once on generation 0.
 		g := s.engineFor(t)
 		for {
 			next := s.scanCollectGen(t, g, view)
@@ -570,105 +481,39 @@ func (s *FASnapshot) ScanInto(t prim.Thread, view []int64) []int64 {
 	return s.codec.DecodeInto(word, view)
 }
 
-// scanCollectGen is the multi-word helped double collect on generation g. It
-// returns nil after writing the view, or the installed successor generation
-// when a cutover parked the scan without a view (the caller restarts there).
+// scanCollectGen is the multi-word scan on generation g: an anchored baseline
+// collect, then helping.Helper.Read's rounds, each an anchored re-read whose
+// own word-0 read is the closing witness (so no reads precede the slot read).
+// It returns nil after writing the view, or the installed successor
+// generation when a cutover parked the scan without a view (the caller
+// restarts there).
 func (s *FASnapshot) scanCollectGen(t prim.Thread, g *mwGen, view []int64) *mwGen {
 	var stack [scanStackWords]int64
 	cur := collectBuf(&stack, len(g.words))
 	s.collectWordsAnchored(t, g, cur)
-	raised, adopted := false, false
 	var next *mwGen
-	var failedRounds, missed int64
-	for spins := 0; ; spins++ {
-		// The adoption candidate must be read BEFORE the round's word-0
-		// read: the witness has to be the later of the two, or an update
-		// could announce (and complete) between them unseen.
-		var dep *mwDeposit
-		if raised {
-			if d, ok := g.slot.ReadAny(t).(*mwDeposit); ok && len(d.words) == len(g.words) {
-				dep = d
+	d := s.help.Read(t, g.slot,
+		func() bool { return false },
+		func() (int64, bool) {
+			valid, cut := s.roundAnchoredCut(t, g, cur, s.rebaseOn)
+			if valid && cut {
+				next = s.park(t, g, cur)
 			}
-		}
-		valid, cut := s.roundAnchoredCut(t, g, cur, s.rebaseOn)
-		if valid {
-			if !cut {
-				break // the round's own word-0 read is the closing witness
-			}
-			// PARK: the round validated but a cutover is in flight — reading
-			// the bit INSIDE the pair (between the words-1..k-1 reads and the
-			// closing word-0 read) is what proves a bit-clear return precedes
-			// the install (see rebase.go). Re-read the slot for the
-			// migrator's final deposit and take ONE fresh word-0 read as the
-			// scan's final shared step: on a match adopt the deposit — the
-			// standard closing witness, applied to the final collect — else
-			// the flip announce has landed, so await the install and restart
-			// on the successor. One attempt only: an unbounded adopt retry
-			// here could spin forever against the migrator's own announces.
-			pd, _ := g.slot.ReadAny(t).(*mwDeposit)
-			if pd != nil && len(pd.words) == len(g.words) &&
-				g.words[0].FetchAddInt(t, 0) == pd.words[0] {
-				copy(cur, pd.words)
-				adopted = true
-				s.parkAdopts.Add(1)
-				break
-			}
-			s.parkWaits.Add(1)
-			next = s.awaitNext(t, g)
-			break
-		}
-		failedRounds++
-		// The round failed, but its reads are the next round's baseline —
-		// and cur[0] now holds the word-0 value the round read LAST, the
-		// scan's most recent shared step: the witness for adoption. (A
-		// cutover's arm announce moves word 0, so a stale pre-arm deposit
-		// can never pass this check either.)
-		if dep != nil {
-			if cur[0] == dep.words[0] {
-				copy(cur, dep.words)
-				adopted = true
-				break
-			}
-			missed++ // deposit present but an announce moved past it
-		}
-		if spins >= s.spinBudget && !raised {
-			raised = true
-			g.pressure.FetchAddInt(t, 1)
-		}
-	}
-	// Telemetry, batched: a scan that validated its first round skips all
-	// of it — the uncontended fast path carries zero added atomic ops.
-	if failedRounds > 0 {
-		s.scanRetries.Add(failedRounds)
-		if missed > 0 {
-			s.adoptMisses.Add(missed)
-		}
-		s.met.ScanRounds.Observe(failedRounds)
-	}
-	if raised {
-		s.pressureRaises.Add(1)
-		// Lowering returns the previous count for free: the LAST raised
-		// scan clears the slot, so deposits never outlive the pressure
-		// episode that solicited them. A deposit that persisted across
-		// idle epochs would widen the 2^16 seq-wrap ABA caveat from
-		// "wraps inside one scan's window" to "wraps over the deposit's
-		// unbounded lifetime"; clearing restores the original scope.
-		// (The clear may race a concurrent raise and clobber a fresher
-		// deposit — a progress delay for that scan, never a wrong view:
-		// adoption still demands the word-0 witness.) On an ARMED
-		// generation the clear can never fire: the cutover bit is set in
-		// the same register and never cleared, so the previous count reads
-		// bit+1, not 1 — the migrator's final deposit outlives every
-		// pressure episode, which is what parked stragglers adopt.
-		if g.pressure.FetchAddInt(t, -1) == 1 {
-			g.slot.WriteAny(t, &mwDeposit{})
-		}
-		if adopted {
-			s.scanAdopts.Add(1)
-		}
-	}
+			// A failed round's reads are the next round's baseline, and
+			// cur[0] holds the word 0 it read last: the witness.
+			return cur[0], valid
+		},
+		func() { g.pressure.FetchAddInt(t, 1) },
+		// On an ARMED generation the last-lowerer clear never fires: the
+		// cutover bit stays set in the same register, so the previous value
+		// is never 1 and the migrator's final deposit outlives every
+		// pressure episode, which is what parked scans adopt.
+		func() bool { return g.pressure.FetchAddInt(t, -1) == 1 })
 	if next != nil {
 		return next // parked across the cutover: restart on the successor
+	}
+	if d != nil {
+		copy(cur, d.Words)
 	}
 	for j, w := range cur {
 		s.mp.GatherWord(w, j, view)
@@ -686,40 +531,26 @@ func collectBuf(stack *[scanStackWords]int64, k int) []int64 {
 	return make([]int64, k)
 }
 
-// helpScan is an updater's help obligation, run after its announce while the
-// pressure register is raised: a bounded validated double collect whose raw
-// words, if two consecutive collects are bit-identical, are deposited in the
-// help slot for starving scans to adopt. No closing word-0 read is needed
-// here — the ADOPTING scan performs that witness itself against the
-// deposit's word 0, which is what anchors the deposited state against
-// completions at adoption time. The helper gives up after helperRounds
-// invalidated rounds (keeping updates wait-free): whichever update
-// invalidated it will read the still-raised pressure register after its own
-// announce and inherit the obligation. Deposits are last-writer-wins; a
-// stale deposit never corrupts a scan (its word-0 witness fails and the scan
-// retries), it only delays adoption.
+// helpScan is an update's help obligation: an anchored baseline collect,
+// then a validated re-read whose raw words are the deposit, keyed by the
+// pair's closing word-0 read. The adopting scan performs the witness against
+// that key itself, which anchors the deposited state at adoption time.
 func (s *FASnapshot) helpScan(t prim.Thread, g *mwGen) {
 	var stack [scanStackWords]int64
 	cur := collectBuf(&stack, len(g.words))
 	s.collectWordsAnchored(t, g, cur)
-	for r := 0; r < helperRounds; r++ {
-		if s.roundAnchored(t, g, cur) {
-			g.slot.WriteAny(t, &mwDeposit{words: append([]int64(nil), cur...)})
-			s.helpDeposits.Add(1)
-			return
+	s.help.Help(t, g.slot, func() *helping.Deposit {
+		if !s.roundAnchored(t, g, cur) {
+			return nil
 		}
-	}
+		return &helping.Deposit{Witness: cur[0], Words: append([]int64(nil), cur...)}
+	})
 }
 
 // collectWordsAnchored reads the k words once in ANCHORED order — words
-// 1..k-1 first, word 0 LAST — the order every shipped collect uses. Reading
-// the announce counter (word 0's sequence field) last is what lets a
-// validating round's own word-0 read double as the scan's closing announce
-// witness: an update announced before that read either predates the pair's
-// earlier read of its word (its payload is in the baseline) or lands inside
-// the pair's interval for some word and invalidates the round. The
-// word-0-FIRST collect without a separate closing re-read is the negative
-// exhibit (scanUnanchoredInto).
+// 1..k-1 first, word 0 LAST — the order every shipped collect uses, so that
+// a validating round's own word-0 read is the scan's closing announce
+// witness (see ScanInto).
 func (s *FASnapshot) collectWordsAnchored(t prim.Thread, g *mwGen, words []int64) {
 	for j := 1; j < len(g.words); j++ {
 		words[j] = g.words[j].FetchAddInt(t, 0)
@@ -746,7 +577,7 @@ func (s *FASnapshot) roundAnchored(t prim.Thread, g *mwGen, cur []int64) bool {
 // arm announce either invalidated this pair or postdates its closing word-0
 // read — so the install postdates the scan's final shared step and the
 // bit-clear return needs no further check. With rebase false the pressure
-// read is skipped and the round is the pre-rebase protocol's, step for step.
+// read is skipped.
 func (s *FASnapshot) roundAnchoredCut(t prim.Thread, g *mwGen, cur []int64, rebase bool) (valid, cut bool) {
 	valid = true
 	for j := 1; j < len(g.words); j++ {

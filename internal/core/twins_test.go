@@ -62,7 +62,7 @@ func (s *FASnapshot) scanUnanchoredInto(t prim.Thread, view []int64) []int64 {
 	return view
 }
 
-// scanSpinInto is the PR 4 lock-free scan — the shipped protocol WITHOUT the
+// scanSpinInto is the lock-free scan — the shipped protocol WITHOUT the
 // pressure/adopt machinery — kept exclusively for the progress witness and
 // the bench baseline: under the single-updater storm schedule its retry
 // count (and so the scanner's own steps) grows without bound, which is
@@ -108,8 +108,8 @@ func (s *FASnapshot) scanAdoptUnanchoredInto(t prim.Thread, view []int64) []int6
 	cur := collectBuf(&stack, len(g.words))
 	s.collectWordsAnchored(t, g, cur)
 	for {
-		if d, ok := g.slot.ReadAny(t).(*mwDeposit); ok && len(d.words) == len(g.words) {
-			copy(cur, d.words) // adopt with NO closing word-0 witness: the bug
+		if d := g.slot.Read(t); d != nil {
+			copy(cur, d.Words) // adopt with NO closing word-0 witness: the bug
 			break
 		}
 		if s.roundAnchored(t, g, cur) {
@@ -214,8 +214,8 @@ func (s *FASnapshot) scanParkBlindAdoptInto(t prim.Thread, view []int64) []int64
 		if !cut {
 			break
 		}
-		if d, ok := g.slot.ReadAny(t).(*mwDeposit); ok && len(d.words) == len(g.words) {
-			copy(cur, d.words) // park adoption with NO fresh word-0 witness: the bug
+		if d := g.slot.Read(t); d != nil {
+			copy(cur, d.Words) // park adoption with NO fresh word-0 witness: the bug
 			break
 		}
 		break // armed but no deposit yet: return the own validated pair

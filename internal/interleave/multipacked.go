@@ -99,9 +99,6 @@ func MustNewMultiPacked(n, width int) MultiPacked {
 // Lanes returns the number of lanes n.
 func (m MultiPacked) Lanes() int { return m.n }
 
-// LaneWidth returns the bits per lane.
-func (m MultiPacked) LaneWidth() int { return m.width }
-
 // Words returns the word count k.
 func (m MultiPacked) Words() int { return m.words }
 

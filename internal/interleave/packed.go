@@ -55,9 +55,6 @@ func MustNewPacked(n, width int) Packed {
 // Lanes returns the number of lanes n.
 func (p Packed) Lanes() int { return p.n }
 
-// LaneWidth returns the bits per lane.
-func (p Packed) LaneWidth() int { return p.width }
-
 // Spread places the compact lane value v (in [0, 2^width)) into the given
 // lane's field: the packed analogue of Codec.Spread.
 func (p Packed) Spread(v int64, lane int) int64 {

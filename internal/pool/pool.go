@@ -132,17 +132,6 @@ func (p *Pool) Acquire() Lease {
 	return p.claim()
 }
 
-// TryAcquire claims a free lane without blocking; ok is false when every lane
-// is leased.
-func (p *Pool) TryAcquire() (l Lease, ok bool) {
-	select {
-	case <-p.slots:
-		return p.claim(), true
-	default:
-		return Lease{}, false
-	}
-}
-
 // claim probes the lane array for a register holding 0. The caller holds an
 // admission slot, so at most n-1 other claimants hold lanes and at least one
 // register reads 0 at every instant; the loop can only re-probe while other

@@ -38,23 +38,6 @@ func TestPoolAcquireReleaseBasic(t *testing.T) {
 	}
 }
 
-func TestPoolTryAcquire(t *testing.T) {
-	p := New(prim.NewRealWorld(), "p", 1)
-	l, ok := p.TryAcquire()
-	if !ok {
-		t.Fatal("TryAcquire on an idle pool failed")
-	}
-	if _, ok := p.TryAcquire(); ok {
-		t.Fatal("TryAcquire on an exhausted pool succeeded")
-	}
-	l.Release()
-	l2, ok := p.TryAcquire()
-	if !ok {
-		t.Fatal("TryAcquire after release failed")
-	}
-	l2.Release()
-}
-
 func TestPoolDoubleReleasePanics(t *testing.T) {
 	p := New(prim.NewRealWorld(), "p", 2)
 	l := p.Acquire()

@@ -175,7 +175,7 @@ func TestEpochRolloverReaderWindowCrafted(t *testing.T) {
 // without this test noticing the twin and the real one diverging.
 func buggyRolloverNoGen(t prim.Thread, c *Counter) {
 	c.epoch.FetchAddInt(t, epochCutoverBit)
-	c.help.slot.WriteAny(t, &helpDeposit{epoch: -1})
+	c.slot.Clear(t)
 	cur := c.epoch.FetchAddInt(t, 0)
 	c.epoch.FetchAddInt(t, -epochAnnounces(cur)-epochCutoverBit)
 }

@@ -65,49 +65,20 @@
 //
 // # Helping: reads survive write storms
 //
-// An epoch-validated collect alone is only lock-free: every retry consumes a
-// concurrent write's announce, so a write storm can starve a reader
-// indefinitely. The sharded objects therefore HELP starving readers, with
-// the same discipline as internal/core's multi-word snapshot scans.
-//
-// The pressure signal rides the epoch register itself: the low 48 bits
-// count announces, the bits above them count readers currently past their
-// retry budget (WithReadRetryBudget, default 2 rounds). A starving reader
-// raises pressure with fetch&add(epoch, 2^48) and lowers it on return —
-// ordinary epoch movement to everyone else's validation, which compares
-// exact values. A write already performs fetch&add(epoch, 1) to announce,
-// and that XADD RETURNS the previous epoch — so writes learn of starving
-// readers for free, with zero additional steps on the uncontended path.
-// A write whose announce returns raised pressure bits then performs one
-// bounded epoch-validated collect of its own and deposits the combined
-// value, keyed by the exact epoch value it validated at, in the help slot.
-//
-// From then on each of the starving reader's rounds also reads the slot
-// BEFORE its closing epoch read, and a round whose own validation fails
-// ADOPTS the deposit if the closing epoch read — still the read's final
-// shared step — equals the deposit's epoch: the identical validation
-// applied to a helper's collect instead of the reader's own, so an adopted
-// value carries the same strong-linearizability argument (every write that
-// completed before the read's final step had announced before the helper's
-// window opened, so the deposit includes its shard step; a write announcing
-// after the helper validated moves the epoch and forces a retry — adoption
-// cannot resurrect a past value). Helping bounds a starved reader's own
-// steps against any single-writer storm — each storm write must refresh the
-// deposit before its next announce can invalidate it (the progress witness
-// in the package tests pins the fixed budget on the schedule that provably
-// starves the unhelped read) — while writes stay wait-free: the helper's
-// collect is bounded, and a helper that keeps being invalidated gives up,
-// leaving the obligation to whichever write invalidated it. Against
-// adversarial multi-writer schedules an adopt retry still consumes a fresh
-// announce (strictly, reads remain lock-free, matching the guarantee of the
-// paper's Theorem 9/10 objects; the helpers shrink the starvation window
-// from the full S-shard collect to the two steps between the slot read and
-// the epoch witness). The 2^48 announce capacity before the count would
-// carry into the pressure bits is of a kind with the engine's other
-// rollover caveats; at one announce per nanosecond it is ~3 days of
-// continuous writes, and the count is per-object — and unlike the
-// pre-migration engine it is no longer terminal: RolloverEpoch re-bases the
-// announce count live (see the live-rollover section below).
+// An epoch-validated collect alone is only lock-free, so starving reads are
+// helped by writes. The protocol and its argument live once, in
+// internal/helping; this package supplies its layout. The pressure signal
+// rides the epoch register itself: the low 48 bits count announces, the
+// bits above them count readers past their retry budget
+// (WithReadRetryBudget). A read raises with fetch&add(epoch, 2^48), whose
+// return value is its next baseline, and lowers on return; to every other
+// read that is ordinary epoch movement. A write's announce XADD already
+// returns the previous epoch, so writes learn of pressure at no extra step;
+// the helper's deposit is the object's combine (sum, max or union), keyed by
+// the exact epoch value its own validation closed at. The 2^48 announce
+// capacity before the count would carry into the pressure bits is ~3 days of
+// one announce per nanosecond, per object, and RolloverEpoch renews it live
+// (next section).
 //
 // # Live epoch rollover: the announce budget is renewable
 //
@@ -120,9 +91,8 @@
 //     rollover in flight (at most one runs at a time — internal/migrate
 //     serialises — and a crashed migrator's rollover is completed by simply
 //     calling RolloverEpoch again, which sees the bit and skips to step 2).
-//  2. FLUSH: overwrite the help slot with the no-deposit sentinel, so no
-//     combine validated against a pre-rollover epoch value survives the
-//     rewind.
+//  2. FLUSH: empty the help slot, so no combine validated against a
+//     pre-rollover epoch value survives the rewind.
 //  3. REWIND: read the epoch, take wound = its current announce count, and
 //     apply ONE fetch&add of (epochGenUnit - wound - epochCutoverBit) —
 //     rewinding the announces, bumping the rollover GENERATION field (bits
@@ -161,9 +131,9 @@ package shard
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"stronglin/internal/core"
+	"stronglin/internal/helping"
 	"stronglin/internal/obs"
 	"stronglin/internal/prim"
 )
@@ -186,24 +156,11 @@ type config struct {
 	met    obs.ShardMetrics
 }
 
-// readSpinRounds is the default read retry budget (WithReadRetryBudget).
-const readSpinRounds = 2
-
-// helperRounds bounds the validation attempts of a writer's help collect,
-// keeping writes wait-free: a helper whose collect is invalidated gives up —
-// the invalidating write inherits the obligation at its own pressure check.
-// One attempt suffices: an uninterfered helper always validates, and under
-// interference the interferer re-helps (the bound also keeps the helped
-// configurations inside the model checker's exploration budget).
-const helperRounds = 1
-
 // WithReadRetryBudget sets how many invalidated collect rounds a combining
-// read absorbs before raising the pressure register and adopting helper
-// deposits (default readSpinRounds). A budget of 0 requests help after the
-// first failed round — the configuration the adopt-path model checks use to
-// make adoption the common case. The budget affects progress only, never
-// returned values: adopted and self-collected values pass the same closing
-// epoch validation.
+// read absorbs before raising pressure and adopting helper deposits (default
+// helping.DefaultBudget). A budget of 0 requests help after the first failed
+// round, which the adopt-path model checks use. The budget affects progress
+// only, never returned values.
 func WithReadRetryBudget(rounds int) Option {
 	if rounds < 0 {
 		panic(fmt.Sprintf("shard: WithReadRetryBudget(%d): budget must be non-negative", rounds))
@@ -254,100 +211,73 @@ const epochGenCount = int64(epochCutoverBit / epochGenUnit)
 // Set by RolloverEpoch's arm step, cleared atomically by its rewind step.
 const epochCutoverBit = int64(1) << 62
 
-// helpDeposit is a helper's epoch-validated collect: the combined value
-// (value for the counter and max register, elems for the grow-only set)
-// and the exact epoch value the helper's validation window closed at
-// (pressure bits included — the adopting reader compares exact values).
-// Immutable once deposited; epoch -1 is the no-deposit sentinel — the
-// slot's initial value, restored by the last raised reader when it lowers
-// pressure.
-type helpDeposit struct {
-	epoch int64
-	value int64
-	elems []int64
-}
-
-// helpKit is the per-object helping machinery: the help slot writers
-// deposit into and the read retry budget. The pressure signal itself rides
-// the object's epoch register. The atomic counters are telemetry only (never
-// read by the protocol), and all of them are batched on the SLOW path — a
-// read whose first round validates touches none of them, so the instrumented
-// fast paths carry zero added atomic operations.
-type helpKit struct {
-	slot   prim.AnyRegister
-	budget int
-	met    obs.ShardMetrics
-
-	deposits    atomic.Int64
-	adopts      atomic.Int64
-	adoptMisses atomic.Int64
-	retries     atomic.Int64
-	raises      atomic.Int64
-}
-
-func newHelpKit(w prim.World, name string, cfg config) *helpKit {
-	return &helpKit{
-		slot:   w.AnyRegister(name+".slot", &helpDeposit{epoch: -1}),
-		budget: cfg.budget,
-		met:    cfg.met,
-	}
-}
-
-// announce performs a write's epoch announce — fetch&add(epoch, 1), exactly
-// the step the pre-helping protocol performed — and inspects the returned
-// previous value for raised pressure bits: learning of starving readers
-// costs the write zero additional steps. While pressure is raised the write
-// honours its help obligation: a bounded epoch-validated collect deposited
-// in the help slot, keyed by the exact epoch value it validated at.
-// Deposits are last-writer-wins; a stale deposit never corrupts a read (its
-// epoch witness fails and the read retries), it only delays adoption.
-func (k *helpKit) announce(t prim.Thread, epoch prim.FetchAddInt, collect func(prim.Thread) (int64, []int64)) {
-	if epochPressure(epoch.FetchAddInt(t, 1)) == 0 {
-		return
-	}
-	e := epoch.FetchAddInt(t, 0)
-	for r := 0; r < helperRounds; r++ {
-		v, elems := collect(t)
-		e2 := epoch.FetchAddInt(t, 0)
-		if e2 == e {
-			k.slot.WriteAny(t, &helpDeposit{epoch: e2, value: v, elems: elems})
-			k.deposits.Add(1)
-			return
-		}
-		e = e2
-	}
-}
-
-// HelpStats reports an object's helping telemetry: helper deposits made by
-// writes, reads that returned an adopted value, adoption attempts whose
-// closing epoch witness failed, failed validation rounds, and pressure-raise
-// episodes. Safe to call from any goroutine; counts are slow-path events.
-func (k *helpKit) HelpStats() obs.HelpStats {
-	return obs.HelpStats{
-		Deposits:    k.deposits.Load(),
-		Adopts:      k.adopts.Load(),
-		AdoptMisses: k.adoptMisses.Load(),
-		Retries:     k.retries.Load(),
-		Raises:      k.raises.Load(),
-	}
-}
-
-// epochKit is the epoch register and help kit every sharded object carries,
-// and the telemetry and live-rollover methods the three objects share.
+// epochKit is the epoch register, help slot and helper every sharded object
+// carries, and the telemetry and live-rollover methods the three objects
+// share.
 type epochKit struct {
 	epoch prim.FetchAddInt
-	help  *helpKit
+	slot  helping.Slot
+	help  *helping.Helper
 }
 
 func newEpochKit(w prim.World, name string, cfg config) epochKit {
 	return epochKit{
 		epoch: w.FetchAddInt(name+".epoch", 0),
-		help:  newHelpKit(w, name, cfg),
+		slot:  helping.NewSlot(w, name+".slot"),
+		help:  helping.NewHelper(cfg.budget, cfg.met.ReadRounds),
 	}
 }
 
+// announce performs a write's epoch announce, fetch&add(epoch, 1), and reads
+// the pressure bits of the epoch it returns. While a read is raised the
+// write owes help: one epoch-validated collect, deposited keyed by the exact
+// epoch value it validated at.
+func (k *epochKit) announce(t prim.Thread, collect func(prim.Thread) []int64) {
+	if epochPressure(k.epoch.FetchAddInt(t, 1)) == 0 {
+		return
+	}
+	e := k.epoch.FetchAddInt(t, 0)
+	k.help.Help(t, k.slot, func() *helping.Deposit {
+		words := collect(t)
+		w := k.epoch.FetchAddInt(t, 0)
+		if w != e {
+			e = w
+			return nil
+		}
+		return &helping.Deposit{Witness: w, Words: words}
+	})
+}
+
+// validatedRead is the package's combining read: a baseline epoch read, then
+// helping.Helper.Read's rounds, each a collect closed by an exact epoch
+// witness. collect may report final for a value that needs no witness (a
+// witnessed membership hit, which monotonicity keeps true). A raise adds one
+// pressure unit to the epoch, and the XADD's return value gives the next
+// round's baseline.
+func validatedRead[T any](t prim.Thread, k *epochKit, collect func() (v T, final bool), adopt func(*helping.Deposit) T) T {
+	e := k.epoch.FetchAddInt(t, 0)
+	var v T
+	d := k.help.Read(t, k.slot,
+		func() (final bool) {
+			v, final = collect()
+			return final
+		},
+		func() (int64, bool) {
+			w := k.epoch.FetchAddInt(t, 0)
+			ok := w == e
+			e = w
+			return w, ok
+		},
+		func() { e = k.epoch.FetchAddInt(t, pressureUnit) + pressureUnit },
+		func() bool { return epochPressure(k.epoch.FetchAddInt(t, -pressureUnit)) == 1 })
+	if d != nil {
+		return adopt(d)
+	}
+	return v
+}
+
 // HelpStats reports the object's helping telemetry.
-func (k *epochKit) HelpStats() obs.HelpStats { return k.help.HelpStats() }
+func (k *epochKit) HelpStats() obs.HelpStats { return k.help.Stats() }
 
 // EpochAnnounces returns the object's epoch announce count — the position
 // within the register's 2^48 announce lifetime budget (the rollover caveat in
@@ -377,7 +307,7 @@ func (k *epochKit) EpochGeneration(t prim.Thread) int64 {
 // time (internal/migrate serialises); a crashed rollover is completed by
 // calling again.
 func (k *epochKit) RolloverEpoch(t prim.Thread, minAnnounces int64) (int64, bool) {
-	return rebaseEpoch(t, k.epoch, k.help, minAnnounces)
+	return rebaseEpoch(t, k.epoch, k.slot, minAnnounces)
 }
 
 // epochAnnounces extracts the announce count from an epoch value: the low 48
@@ -411,7 +341,7 @@ func epochGeneration(e int64) int64 { return (e >> 56) & (epochGenCount - 1) }
 // and every in-flight validation window spanning the rewind fails its exact
 // epoch comparison (the generation moved) and retries against post-rollover
 // values.
-func rebaseEpoch(t prim.Thread, epoch prim.FetchAddInt, k *helpKit, minAnnounces int64) (int64, bool) {
+func rebaseEpoch(t prim.Thread, epoch prim.FetchAddInt, slot helping.Slot, minAnnounces int64) (int64, bool) {
 	e := epoch.FetchAddInt(t, 0)
 	if e&epochCutoverBit == 0 {
 		if epochAnnounces(e) < minAnnounces {
@@ -424,7 +354,7 @@ func rebaseEpoch(t prim.Thread, epoch prim.FetchAddInt, k *helpKit, minAnnounces
 	// like the last raised reader's clear does — a progress delay for one
 	// reader, never a wrong value (adoption still demands its own closing
 	// epoch witness, which the rewind's generation bump forces to miss).
-	k.slot.WriteAny(t, &helpDeposit{epoch: -1})
+	slot.Clear(t)
 	// REWIND: one fetch&add rewinds the announces measured this instant,
 	// bumps the generation, and clears the cutover bit atomically. At the
 	// generation modulus the +epochGenUnit carry would land on the cutover
@@ -464,7 +394,7 @@ func WithBound(bound int64) Option {
 }
 
 func buildConfig(opts []Option) config {
-	cfg := config{bound: -1, budget: readSpinRounds}
+	cfg := config{bound: -1, budget: helping.DefaultBudget}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -516,28 +446,28 @@ func (c *Counter) Packed() bool {
 // sum — exactly while a reader is starving (see the package comment).
 func (c *Counter) Inc(t prim.Thread) {
 	c.shards[t.ID()%len(c.shards)].Inc(t)
-	c.help.announce(t, c.epoch, c.collectSum)
+	c.announce(t, c.collectSum)
 }
 
 // Add adds k (non-negative) via the caller's shard.
 func (c *Counter) Add(t prim.Thread, k int64) {
 	c.shards[t.ID()%len(c.shards)].Add(t, k)
-	c.help.announce(t, c.epoch, c.collectSum)
+	c.announce(t, c.collectSum)
 }
 
-// collectSum is the counter's help collect: the unvalidated sum (the
-// helper's afterWrite wraps it in its own epoch validation).
-func (c *Counter) collectSum(t prim.Thread) (int64, []int64) {
-	return c.readSingleCollect(t), nil
+// collectSum is the counter's help collect: the unvalidated sum (announce
+// validates it).
+func (c *Counter) collectSum(t prim.Thread) []int64 {
+	return []int64{c.readSingleCollect(t)}
 }
 
 // Read returns the counter value: an epoch-validated sum of one read per
 // shard, adopting a helper's validated sum once starved (see the package
 // comment's helping protocol).
 func (c *Counter) Read(t prim.Thread) int64 {
-	return validatedRead(t, c.epoch, c.help,
+	return validatedRead(t, &c.epochKit,
 		func() (int64, bool) { return c.readSingleCollect(t), false },
-		func(d *helpDeposit) int64 { return d.value })
+		func(d *helping.Deposit) int64 { return d.Words[0] })
 }
 
 // readSingleCollect is the naive combine kept for the negative model check:
@@ -600,22 +530,22 @@ func (m *MaxRegister) Packed() bool {
 // carries raised pressure bits (see the package comment).
 func (m *MaxRegister) WriteMax(t prim.Thread, v int64) {
 	m.shards[t.ID()%len(m.shards)].WriteMax(t, v)
-	m.help.announce(t, m.epoch, m.collectMax)
+	m.announce(t, m.collectMax)
 }
 
-// collectMax is the max register's help collect (unvalidated; afterWrite
-// epoch-validates it).
-func (m *MaxRegister) collectMax(t prim.Thread) (int64, []int64) {
-	return m.readMaxSingleCollect(t), nil
+// collectMax is the max register's help collect (unvalidated; announce
+// validates it).
+func (m *MaxRegister) collectMax(t prim.Thread) []int64 {
+	return []int64{m.readMaxSingleCollect(t)}
 }
 
 // ReadMax returns the largest value written so far: an epoch-validated max of
 // one read per shard, adopting a helper's validated max once starved (see
 // the package comment's helping protocol).
 func (m *MaxRegister) ReadMax(t prim.Thread) int64 {
-	return validatedRead(t, m.epoch, m.help,
+	return validatedRead(t, &m.epochKit,
 		func() (int64, bool) { return m.readMaxSingleCollect(t), false },
-		func(d *helpDeposit) int64 { return d.value })
+		func(d *helping.Deposit) int64 { return d.Words[0] })
 }
 
 // readMaxSingleCollect is the broken combine kept for the negative model
@@ -680,13 +610,7 @@ func (g *GSet) Packed() bool {
 // enumeration.
 func (g *GSet) Add(t prim.Thread, x int64) {
 	g.shards[t.ID()%len(g.shards)].Add(t, x)
-	g.help.announce(t, g.epoch, g.collectUnion)
-}
-
-// collectUnion is the set's help collect: the unvalidated shard union
-// (afterWrite epoch-validates it).
-func (g *GSet) collectUnion(t prim.Thread) (int64, []int64) {
-	return 0, g.unionSingleCollect(t)
+	g.announce(t, g.unionSingleCollect)
 }
 
 // Has reports membership of x. A hit needs no validation — membership only
@@ -695,13 +619,13 @@ func (g *GSet) collectUnion(t prim.Thread) (int64, []int64) {
 // a helper's validated union (absent from the union at the witnessed epoch
 // means absent, full stop).
 func (g *GSet) Has(t prim.Thread, x int64) bool {
-	return validatedRead(t, g.epoch, g.help,
+	return validatedRead(t, &g.epochKit,
 		func() (bool, bool) {
 			found := g.hasSingleCollect(t, x)
 			return found, found // a witnessed hit is final without validation
 		},
-		func(d *helpDeposit) bool {
-			for _, y := range d.elems {
+		func(d *helping.Deposit) bool {
+			for _, y := range d.Words {
 				if y == x {
 					return true
 				}
@@ -725,15 +649,15 @@ func (g *GSet) hasSingleCollect(t prim.Thread, x int64) bool {
 // Elems returns the members in ascending order: an epoch-validated union of
 // the shards, adopting a helper's validated union once starved.
 func (g *GSet) Elems(t prim.Thread) []int64 {
-	out := validatedRead(t, g.epoch, g.help,
+	out := validatedRead(t, &g.epochKit,
 		func() ([]int64, bool) { return g.unionSingleCollect(t), false },
-		func(d *helpDeposit) []int64 { return append([]int64(nil), d.elems...) })
+		func(d *helping.Deposit) []int64 { return append([]int64(nil), d.Words...) })
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // unionSingleCollect is one unvalidated union of the shards, deduplicated
-// (validatedRead and afterWrite wrap it in the epoch validation).
+// (validatedRead and announce wrap it in the epoch validation).
 func (g *GSet) unionSingleCollect(t prim.Thread) []int64 {
 	seen := make(map[int64]struct{})
 	var union []int64
@@ -746,97 +670,6 @@ func (g *GSet) unionSingleCollect(t prim.Thread) []int64 {
 		}
 	}
 	return union
-}
-
-// validatedRead is the package's combining-read protocol, written once:
-// snapshot the epoch, run collect, re-read the epoch, and retry until the
-// epoch is unchanged — at which point every write that completed before the
-// final epoch read had announced before the window opened, so collect saw
-// its shard step (the strong-linearizability argument in the package
-// comment). A collect may short-circuit by returning final=true for values
-// that need no validation (e.g. a witnessed membership hit, which
-// monotonicity keeps true forever).
-//
-// A read past its retry budget raises the pressure register and from then
-// on reads the help slot before each closing epoch read: when its own round
-// fails validation but the deposit's epoch equals the closing read — the
-// read's final shared step, performed AFTER the slot read — it returns
-// adopt(deposit) instead. The adopted value passed the identical epoch
-// validation (the helper's), witnessed still-current by the read's own
-// final step; see the package comment's helping section.
-func validatedRead[T any](t prim.Thread, epoch prim.FetchAddInt, k *helpKit,
-	collect func() (v T, final bool), adopt func(*helpDeposit) T) T {
-	e := epoch.FetchAddInt(t, 0)
-	raised, adopted := false, false
-	var failedRounds, missed int64
-	var out T
-	for spins := 0; ; spins++ {
-		v, final := collect()
-		if final {
-			out = v
-			break
-		}
-		// The adoption candidate must be read BEFORE the closing epoch read:
-		// the witness has to be the later of the two, or a write could
-		// announce (and complete) between them unseen.
-		var dep *helpDeposit
-		if raised {
-			if d, ok := k.slot.ReadAny(t).(*helpDeposit); ok && d.epoch >= 0 {
-				dep = d
-			}
-		}
-		e2 := epoch.FetchAddInt(t, 0)
-		if e2 == e {
-			out = v
-			break
-		}
-		failedRounds++
-		if dep != nil {
-			if dep.epoch == e2 {
-				out = adopt(dep)
-				adopted = true
-				break
-			}
-			missed++ // deposit present but an announce moved past it
-		}
-		e = e2
-		if spins >= k.budget && !raised {
-			// Raise pressure in the epoch's high bits; the XADD's return
-			// value gives the exact post-raise epoch, the next round's
-			// baseline (the raise is ordinary epoch movement to every other
-			// reader's validation).
-			raised = true
-			e = epoch.FetchAddInt(t, pressureUnit) + pressureUnit
-		}
-	}
-	// Telemetry, batched: a read whose first round validates (or whose first
-	// collect is final) skips all of it — the uncontended fast path carries
-	// zero added atomic ops.
-	if failedRounds > 0 {
-		k.retries.Add(failedRounds)
-		if missed > 0 {
-			k.adoptMisses.Add(missed)
-		}
-		k.met.ReadRounds.Observe(failedRounds)
-	}
-	if raised {
-		k.raises.Add(1)
-		// Lowering returns the previous epoch for free: the LAST raised
-		// reader clears the slot, so deposits never outlive the pressure
-		// episode that solicited them (a persistent deposit would reopen an
-		// adopt window across the epoch's 2^48-announce rollover; clearing
-		// bounds the exposure to one episode). The clear may race a
-		// concurrent raise and clobber a fresher deposit — a progress delay
-		// for that reader, never a wrong value: adoption still demands the
-		// closing epoch witness.
-		if epochPressure(epoch.FetchAddInt(t, -pressureUnit)) == 1 {
-			k.slot.WriteAny(t, &helpDeposit{epoch: -1})
-		}
-		if adopted {
-			k.adopts.Add(1)
-		}
-	}
-	return out
 }
 
 func shardName(base string, s int) string {

@@ -533,7 +533,7 @@ func TestPackedShardedGSetStrongLinAddHasMix(t *testing.T) {
 	verifySL(t, 2, setup, spec.GSet{})
 }
 
-// --- helped combining reads: exhaustive model checks (PR 5) ------------------
+// --- helped combining reads: exhaustive model checks --------------------------
 
 // The helped sharded reads are verified in layers, because the shard
 // pressure poll is FUSED into the epoch announce: adoption needs a write
@@ -550,8 +550,8 @@ func TestPackedShardedGSetStrongLinAddHasMix(t *testing.T) {
 // root package's TestStressLinearizable. The witness-free-adoption hazard
 // itself is pinned once, in internal/core
 // (TestMultiwordAdoptUnanchoredNotStrongLin) — the shard
-// adopt performs the structurally identical closing epoch witness through
-// the shared validatedRead.
+// adopt performs the same closing witness through the same kernel,
+// internal/helping.
 
 // TestShardedHelpedCounterStrongLin: exhaustive budget-0 counter — the
 // reader raises pressure after its first failed round and every later
@@ -668,7 +668,7 @@ func TestShardedHelpedAdoptCraftedRace(t *testing.T) {
 	t.Logf("adopted read, history: %s", h.String())
 }
 
-// --- wait-freedom of the helped combining read (PR 5) ------------------------
+// --- wait-freedom of the helped combining read --------------------------------
 //
 // The storm adversary (sim.AnchorStormPolicy, anchored here on the epoch
 // register) lives in internal/sim so that this witness and internal/core's
@@ -677,7 +677,7 @@ func TestShardedHelpedAdoptCraftedRace(t *testing.T) {
 // shardedStormReadSteps runs one counter read against a storm of
 // increments under the anchor-storm adversary and returns the reader's own
 // step count. helped selects the shipped (budget-0, adopting) Read;
-// otherwise the reader runs readSpin, the pre-helping lock-free protocol.
+// otherwise the reader runs readSpin, the lock-free protocol without helping.
 // opts are appended to the counter's options.
 func shardedStormReadSteps(t *testing.T, storm int, helped bool, opts ...Option) int {
 	t.Helper()
@@ -716,7 +716,7 @@ func shardedStormReadSteps(t *testing.T, storm int, helped bool, opts ...Option)
 }
 
 // TestShardedReadStormStarvesLockFreeBaseline pins the starvation the
-// helping path closes: under the anchor-storm adversary the pre-helping
+// helping path closes: under the anchor-storm adversary the unhelped
 // epoch-validated read retries for as long as the storm lasts — its own
 // step count grows linearly, with no schedule-independent bound.
 func TestShardedReadStormStarvesLockFreeBaseline(t *testing.T) {

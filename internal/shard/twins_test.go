@@ -2,7 +2,7 @@ package shard
 
 import "stronglin/internal/prim"
 
-// readSpin is the pre-helping lock-free read — epoch-validated collect with
+// readSpin is the unhelped lock-free read — epoch-validated collect with
 // unbounded retries, no pressure, no adoption — kept exclusively for the
 // progress witness: under the single-writer storm schedule its retry count
 // (and so the reader's own steps) grows without bound, which is exactly the

@@ -403,9 +403,6 @@ const (
 // NewRebaser.
 type RebaseThresholds = migrate.Thresholds
 
-// DefaultRebaseThresholds re-bases at half the budget and pages at 90%.
-func DefaultRebaseThresholds() RebaseThresholds { return migrate.DefaultThresholds() }
-
 // RebaseTarget is one live object whose finite budget a Rebaser renews:
 // the multi-word snapshot's mod-2^16 sequence budget, or a sharded object's
 // 2^48 epoch announce budget.
