@@ -346,13 +346,11 @@ func (s *FASnapshot) rebaseInto(t prim.Thread, view []int64) {
 	s.generations.Add(1)
 }
 
-// park ends a scan round that validated with the cutover bit set (the PARK
-// step above): re-read the slot for the migrator's final deposit and take ONE
-// fresh word-0 read as the scan's final shared step. On a match the deposit
-// replaces cur (the standard closing witness, applied to the final collect);
-// otherwise the flip announce has landed, so park awaits the install and
-// returns the successor. One attempt only: an unbounded adopt retry here
-// could spin forever against the migrator's own announces.
+// park ends a scan round that validated with the cutover bit set (step 4 of
+// the protocol above): on a fresh word-0 match the migrator's deposit
+// replaces cur, else park awaits the install and returns the successor. One
+// attempt only: an unbounded adopt retry here could spin forever against the
+// migrator's own announces.
 func (s *FASnapshot) park(t prim.Thread, g *mwGen, cur []int64) *mwGen {
 	if d := g.slot.Read(t); d != nil && g.words[0].FetchAddInt(t, 0) == d.Witness {
 		copy(cur, d.Words)

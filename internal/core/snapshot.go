@@ -110,14 +110,12 @@ type FASnapshot struct {
 	// Multi-word engine (nil on the single-register engines): eng is
 	// generation 0 — the k component words, the pressure register counting
 	// scans past their retry budget, the help slot holding the freshest
-	// helper deposit. With live re-base on
-	// (WithLiveRebase) eng is merely the FIRST generation: Rebase rolls the
-	// state onto successors chained through the generation next pointers (see
-	// rebase.go), and curGen[i] pins the generation process i last used
-	// (process-local — curGen[i] is only accessed by process i; nil when
+	// helper deposit. With live re-base on (WithLiveRebase) eng is merely the
+	// FIRST generation: Rebase rolls the state onto successors chained through
+	// the generation next pointers (see rebase.go), and curGen[i] pins the
+	// generation process i last used (only process i accesses it; nil when
 	// re-base is off, in which case eng is the engine forever). spinBudget is
-	// how many invalidated rounds a scan absorbs before raising pressure
-	// (WithScanRetryBudget).
+	// the retry budget (WithScanRetryBudget).
 	eng        *mwGen
 	curGen     []*mwGen
 	rebaseOn   bool
@@ -482,33 +480,32 @@ func (s *FASnapshot) ScanInto(t prim.Thread, view []int64) []int64 {
 }
 
 // scanCollectGen is the multi-word scan on generation g: an anchored baseline
-// collect, then helping.Helper.Read's rounds, each an anchored re-read whose
-// own word-0 read is the closing witness (so no reads precede the slot read).
-// It returns nil after writing the view, or the installed successor
-// generation when a cutover parked the scan without a view (the caller
-// restarts there).
+// collect, then anchored re-reads ending in the word-0 witness, which
+// helping.Helper.Retry continues once the first fails. It returns nil after
+// writing the view, or the installed successor generation when a cutover
+// parked the scan (the caller restarts there).
 func (s *FASnapshot) scanCollectGen(t prim.Thread, g *mwGen, view []int64) *mwGen {
 	var stack [scanStackWords]int64
 	cur := collectBuf(&stack, len(g.words))
-	s.collectWordsAnchored(t, g, cur)
 	var next *mwGen
-	d := s.help.Read(t, g.slot,
-		func() bool { return false },
-		func() (int64, bool) {
-			valid, cut := s.roundAnchoredCut(t, g, cur, s.rebaseOn)
-			if valid && cut {
-				next = s.park(t, g, cur)
-			}
-			// A failed round's reads are the next round's baseline, and
-			// cur[0] holds the word 0 it read last: the witness.
-			return cur[0], valid
-		},
-		func() { g.pressure.FetchAddInt(t, 1) },
-		// On an ARMED generation the last-lowerer clear never fires: the
-		// cutover bit stays set in the same register, so the previous value
-		// is never 1 and the migrator's final deposit outlives every
-		// pressure episode, which is what parked scans adopt.
-		func() bool { return g.pressure.FetchAddInt(t, -1) == 1 })
+	witness := func() (int64, bool) {
+		valid, cut := s.roundAnchoredCut(t, g, cur, s.rebaseOn)
+		if valid && cut {
+			next = s.park(t, g, cur)
+		}
+		return cur[0], valid // a failed round leaves its last word-0 read in cur[0]
+	}
+	s.collectWordsAnchored(t, g, cur)
+	var d *helping.Deposit
+	if _, ok := witness(); !ok {
+		d = s.help.Retry(t, g.slot, func() bool { return false }, witness,
+			func() { g.pressure.FetchAddInt(t, 1) },
+			// On an ARMED generation the last-lowerer clear never fires: the
+			// cutover bit stays set in the same register, so the previous
+			// value is never 1 and the migrator's final deposit outlives
+			// every pressure episode, which is what parked scans adopt.
+			func() bool { return g.pressure.FetchAddInt(t, -1) == 1 })
+	}
 	if next != nil {
 		return next // parked across the cutover: restart on the successor
 	}

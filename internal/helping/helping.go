@@ -20,7 +20,7 @@
 //     unless configured) raises a pressure signal once, and lowers it when
 //     it returns. Writes read the signal after announcing.
 //  2. DEPOSIT. A write that finds pressure raised runs one bounded validated
-//     collect of its own (Helper.Help) and deposits it in the help slot,
+//     collect of its own and deposits it in the help slot,
 //     keyed by the witness value its own validation closed at. A helper whose
 //     collect is invalidated gives up after helperRounds; the write that
 //     invalidated it meets the same pressure after its own announce and
@@ -50,14 +50,15 @@
 //
 // # What the engines supply
 //
-// The kernel never reads the engine's registers itself. Each read passes its
-// round as hooks: the reads that may come before the slot read, the closing
-// witness, and the raise and lower of the pressure signal. The multi-word
-// scan's rounds are anchored double collects whose own re-read ends in the
-// word-0 witness, and its pressure is a separate register; the sharded reads
-// collect the shards and then witness the epoch, whose high bits carry the
-// pressure. The helper likewise passes one validated round that yields its
-// deposit.
+// The kernel never reads the engine's registers itself. A read runs its own
+// first round, so an uncontended read never enters the kernel; once that
+// round fails, the read passes its round to Helper.Retry as hooks: the reads
+// that may come before the slot read, the closing witness, and the raise and
+// lower of the pressure signal. The multi-word scan's rounds are anchored
+// re-reads that end in the word-0 witness, and its pressure is a separate
+// register; the sharded reads collect the shards and then witness the epoch,
+// whose high bits carry the pressure. A helper passes Helper.Help one
+// validated round that yields its deposit.
 package helping
 
 import (
@@ -108,8 +109,8 @@ func (s Slot) Clear(t prim.Thread) { s.reg.WriteAny(t, (*Deposit)(nil)) }
 
 // Helper is one object's helping configuration and telemetry. The counters
 // are never read by the protocol, and only the slow path touches them: a
-// read whose first round validates and a write that owes no help add no
-// atomic operation.
+// read whose first round validates never calls Retry, and a write that owes
+// no help never calls Help.
 type Helper struct {
 	budget int
 	rounds *obs.Histogram
@@ -141,20 +142,26 @@ func (h *Helper) Stats() obs.HelpStats {
 	}
 }
 
-// Read runs one validated read's rounds until one validates or an adoption
-// succeeds, and returns the adopted deposit, or nil when the read's own
-// value stands. Each round calls collect (true: the value needs no witness,
-// and the read returns it), then reads slot if pressure is raised, then
-// calls witness, which performs the closing witness read and reports its
-// value and whether the round validated. Past the budget raise is called
-// once; lower is called on return if it was, and reports whether this read
-// was the last one raised, which then clears slot.
-func (h *Helper) Read(t prim.Thread, slot Slot, collect func() (final bool),
+// Retry continues a validated read whose first round failed: the engine
+// runs that round itself, so a read that validates at once never enters the
+// kernel. Retry runs rounds until one validates or an adoption succeeds, and
+// returns the adopted deposit, or nil when the read's own value stands. Each
+// round calls collect (true: the value needs no witness, and the read
+// returns it), then reads slot if pressure is raised, then calls witness,
+// which performs the closing witness read and reports its value and whether
+// the round validated. Once the failed rounds pass the budget, raise is
+// called; lower is called on return if it was, and reports whether this
+// read was the last one raised, which then clears slot.
+func (h *Helper) Retry(t prim.Thread, slot Slot, collect func() (final bool),
 	witness func() (w int64, ok bool), raise func(), lower func() (last bool)) *Deposit {
 	raised := false
 	var adopted *Deposit
-	var failed, missed int64
+	failed, missed := int64(1), int64(0)
 	for spins := 0; ; spins++ {
+		if spins >= h.budget && !raised { // spins+1 rounds have failed
+			raised = true
+			raise()
+		}
 		if collect() {
 			break
 		}
@@ -174,18 +181,12 @@ func (h *Helper) Read(t prim.Thread, slot Slot, collect func() (final bool),
 			}
 			missed++ // a deposit was there, but an announce moved past it
 		}
-		if spins >= h.budget && !raised {
-			raised = true
-			raise()
-		}
 	}
-	if failed > 0 {
-		h.retries.Add(failed)
-		if missed > 0 {
-			h.adoptMisses.Add(missed)
-		}
-		h.rounds.Observe(failed)
+	h.retries.Add(failed)
+	if missed > 0 {
+		h.adoptMisses.Add(missed)
 	}
+	h.rounds.Observe(failed)
 	if raised {
 		h.raises.Add(1)
 		if lower() {

@@ -22,7 +22,7 @@ type round struct {
 }
 
 func (s *script) read(t prim.Thread, h *Helper, slot Slot) *Deposit {
-	return h.Read(t, slot,
+	return h.Retry(t, slot,
 		func() bool { return false },
 		func() (int64, bool) {
 			r := s.rounds[s.next]
@@ -33,17 +33,18 @@ func (s *script) read(t prim.Thread, h *Helper, slot Slot) *Deposit {
 		func() bool { s.lower++; return s.last })
 }
 
-func TestReadRaisesPastBudgetThenAdoptsOnWitness(t *testing.T) {
+func TestRetryRaisesPastBudgetThenAdoptsOnWitness(t *testing.T) {
 	th := prim.RealThread(0)
 	slot := NewSlot(prim.NewRealWorld(), "slot")
 	d := &Deposit{Witness: 7, Words: []int64{42}}
 	slot.Write(th, d)
 	h := NewHelper(1, nil)
-	// Two failed rounds exhaust budget 1 and raise; the third round reads
-	// the slot and its witness equals the deposit's.
-	s := &script{rounds: []round{{5, false}, {5, false}, {7, false}}, last: true}
+	// The engine's first round failed; the second fails too, which exhausts
+	// budget 1 and raises; the third reads the slot and its witness equals
+	// the deposit's.
+	s := &script{rounds: []round{{5, false}, {7, false}}, last: true}
 	if got := s.read(th, h, slot); got != d {
-		t.Fatalf("Read = %v, want the deposit", got)
+		t.Fatalf("Retry = %v, want the deposit", got)
 	}
 	if s.raises != 1 || s.lower != 1 {
 		t.Fatalf("raises=%d lowers=%d, want 1 and 1", s.raises, s.lower)
@@ -57,16 +58,16 @@ func TestReadRaisesPastBudgetThenAdoptsOnWitness(t *testing.T) {
 	}
 }
 
-func TestReadMissesAStaleDepositAndKeepsItsOwnValue(t *testing.T) {
+func TestRetryMissesAStaleDepositAndKeepsItsOwnValue(t *testing.T) {
 	th := prim.RealThread(0)
 	slot := NewSlot(prim.NewRealWorld(), "slot")
 	slot.Write(th, &Deposit{Witness: 7})
 	h := NewHelper(0, nil)
-	// Budget 0 raises after the first failed round; the second fails with a
-	// witness past the deposit (a miss); the third validates.
-	s := &script{rounds: []round{{5, false}, {8, false}, {8, true}}}
+	// Budget 0 raises at once; the next round fails with a witness past the
+	// deposit (a miss); the one after validates.
+	s := &script{rounds: []round{{8, false}, {8, true}}}
 	if got := s.read(th, h, slot); got != nil {
-		t.Fatalf("Read adopted %v, want its own value", got)
+		t.Fatalf("Retry adopted %v, want its own value", got)
 	}
 	if slot.Read(th) == nil {
 		t.Fatal("a lowerer that was not the last cleared the slot")
@@ -77,16 +78,16 @@ func TestReadMissesAStaleDepositAndKeepsItsOwnValue(t *testing.T) {
 	}
 }
 
-func TestReadFinalCollectSkipsTheWitness(t *testing.T) {
+func TestRetryFinalCollectSkipsTheWitness(t *testing.T) {
 	th := prim.RealThread(0)
-	h := NewHelper(0, nil)
-	got := h.Read(th, NewSlot(prim.NewRealWorld(), "slot"),
+	h := NewHelper(1, nil)
+	got := h.Retry(th, NewSlot(prim.NewRealWorld(), "slot"),
 		func() bool { return true },
 		func() (int64, bool) { t.Fatal("witness read after a final collect"); return 0, false },
-		func() { t.Fatal("raised") },
-		func() bool { t.Fatal("lowered"); return false })
-	if got != nil || h.Stats() != (obs.HelpStats{}) {
-		t.Fatalf("Read = %v, stats %+v; want nil and no telemetry", got, h.Stats())
+		func() { t.Fatal("raised within budget") },
+		func() bool { t.Fatal("lowered without a raise"); return false })
+	if want := (obs.HelpStats{Retries: 1}); got != nil || h.Stats() != want {
+		t.Fatalf("Retry = %v, stats %+v; want nil and %+v", got, h.Stats(), want)
 	}
 }
 

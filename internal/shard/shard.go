@@ -249,25 +249,31 @@ func (k *epochKit) announce(t prim.Thread, collect func(prim.Thread) []int64) {
 }
 
 // validatedRead is the package's combining read: a baseline epoch read, then
-// helping.Helper.Read's rounds, each a collect closed by an exact epoch
-// witness. collect may report final for a value that needs no witness (a
-// witnessed membership hit, which monotonicity keeps true). A raise adds one
-// pressure unit to the epoch, and the XADD's return value gives the next
-// round's baseline.
+// rounds of a collect closed by an exact epoch witness, which
+// helping.Helper.Retry continues once the first fails. collect may report
+// final for a value that needs no witness (a witnessed membership hit). A
+// raise adds one pressure unit to the epoch; its return value is the next
+// baseline.
 func validatedRead[T any](t prim.Thread, k *epochKit, collect func() (v T, final bool), adopt func(*helping.Deposit) T) T {
 	e := k.epoch.FetchAddInt(t, 0)
 	var v T
-	d := k.help.Read(t, k.slot,
-		func() (final bool) {
-			v, final = collect()
-			return final
-		},
-		func() (int64, bool) {
-			w := k.epoch.FetchAddInt(t, 0)
-			ok := w == e
-			e = w
-			return w, ok
-		},
+	round := func() (final bool) {
+		v, final = collect()
+		return final
+	}
+	witness := func() (int64, bool) {
+		w := k.epoch.FetchAddInt(t, 0)
+		ok := w == e
+		e = w
+		return w, ok
+	}
+	if round() {
+		return v
+	}
+	if _, ok := witness(); ok {
+		return v
+	}
+	d := k.help.Retry(t, k.slot, round, witness,
 		func() { e = k.epoch.FetchAddInt(t, pressureUnit) + pressureUnit },
 		func() bool { return epochPressure(k.epoch.FetchAddInt(t, -pressureUnit)) == 1 })
 	if d != nil {
