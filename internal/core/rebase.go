@@ -209,12 +209,11 @@ func (s *FASnapshot) awaitNext(t prim.Thread, g *mwGen) *mwGen {
 // engine (default disabled): Rebase rolls the live state onto a fresh
 // generation of zero-sequence words while updates and scans continue,
 // renewing the mod-2^16 sequence budget (see mwCutoverBit). With re-base off
-// no generation pointer exists
-// and no operation performs a rebase-mode step. Enabling it adds exactly one
-// pressure-register read per scan validation round (the in-round cutover
-// check) and nothing to updates, whose pressure poll already existed. No-op
-// on the single-register engines, whose substrates have no sequence fields
-// to exhaust.
+// no generation pointer exists and no operation performs a rebase-mode step.
+// Enabling it adds exactly one pressure-register read per scan validation
+// round (the in-round cutover check) and nothing to updates, whose pressure
+// poll already existed. No-op on the single-register engines, whose
+// substrates have no sequence fields to exhaust.
 func WithLiveRebase(enabled bool) SnapshotOption {
 	return func(s *FASnapshot) { s.rebaseOn = enabled }
 }
